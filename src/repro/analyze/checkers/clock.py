@@ -6,7 +6,8 @@ per-operation histogram (and the telemetry mirror, and the trace-replay
 accounting) never sees — the totals drift from the op counts and the
 differential suite can no longer explain where cycles went.  All idle time
 and all operation costs must flow through :class:`repro.sim.costs.CostMeter`
-(``charge`` / ``charge_words`` / ``charge_trace`` / ``idle``).
+(``charge`` / ``charge_words`` / ``charge_each`` / ``charge_trace`` /
+``idle``).
 """
 
 from __future__ import annotations
@@ -42,4 +43,4 @@ class ClockChecker(Checker):
                     "CLOCK001", source.rel_path, node.lineno,
                     f".{func.attr}() advances the clock without the meter; "
                     f"route the charge through CostMeter "
-                    f"(charge/charge_trace/idle)")
+                    f"(charge/charge_each/charge_trace/idle)")

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 from ..core import Checker, Finding, SourceFile, module_aliases, register
 
 #: call names treated as charge operations (first arg = operation name)
-CHARGE_CALLS = frozenset({"charge", "charge_words"})
+CHARGE_CALLS = frozenset({"charge", "charge_words", "charge_each"})
 
 
 class CostModelFacts:

@@ -18,7 +18,7 @@ from ..core import Checker, Finding, SourceFile, register
 
 #: calls that charge the virtual clock, directly or through the meter
 CHARGING_CALLS = frozenset({
-    "charge", "charge_words", "charge_trace",
+    "charge", "charge_words", "charge_each", "charge_trace",
     "advance", "advance_many", "idle",
 })
 

@@ -160,6 +160,10 @@ def to_jsonable(value: object) -> object:
         return to_jsonable(value.value)
     if isinstance(value, dict):
         return {str(key): to_jsonable(item) for key, item in value.items()}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        # named tuples (the Figure 3 stack slots) export like dataclasses
+        return {name: to_jsonable(item)
+                for name, item in zip(value._fields, value)}
     if isinstance(value, (list, tuple, set, frozenset)):
         return [to_jsonable(item) for item in value]
     if isinstance(value, array):

@@ -123,6 +123,11 @@ class Machine:
         self.rng = DeterministicRNG(self.seed)
         self.tsc = TimestampCounter(self.clock, self.spec.mhz)
         self.telemetry: Telemetry = NULL_TELEMETRY
+        # charge passthroughs used throughout the kernel: the meter's bound
+        # methods themselves, so a charge costs no forwarding frame
+        # (``charge_words(op, words)`` is ``charge(op, words)``: one event)
+        self.charge = self.charge_words = self.meter.charge
+        self.charge_each = self.meter.charge_each
 
     def attach_telemetry(self, telemetry: Telemetry) -> Telemetry:
         """Wire a telemetry plane into the machine's observation points.
@@ -134,18 +139,6 @@ class Machine:
         self.telemetry = telemetry
         self.meter.telemetry = telemetry
         return telemetry
-
-    # Convenience passthroughs used throughout the kernel --------------------
-    def charge(self, operation: str, count: int = 1) -> int:
-        """Charge ``count`` occurrences of ``operation`` to the clock."""
-        # smod: allow(COST002)  forwarding wrapper; callers name the costs
-        # constant and are checked at their own call sites
-        return self.meter.charge(operation, count)
-
-    def charge_words(self, operation: str, words: int) -> int:
-        # smod: allow(COST002)  forwarding wrapper; callers name the costs
-        # constant and are checked at their own call sites
-        return self.meter.charge_words(operation, words)
 
     def idle(self, cycles: int) -> int:
         """Advance the clock for metered idle time (see CostMeter.idle)."""

@@ -37,10 +37,10 @@ class XdrEncoder:
         self._chunks: List[bytes] = []
         self.items_encoded = 0
 
-    def _charge(self) -> None:
-        self.items_encoded += 1
+    def _charge(self, items: int = 1) -> None:
+        self.items_encoded += items
         if self.machine is not None:
-            self.machine.charge(costs.XDR_ITEM)
+            self.machine.charge_each(costs.XDR_ITEM, items)
 
     # -- scalar types -------------------------------------------------------------
     def put_uint(self, value: int) -> "XdrEncoder":
@@ -67,13 +67,10 @@ class XdrEncoder:
 
     # -- variable-length types -------------------------------------------------------
     def put_opaque(self, data: bytes) -> "XdrEncoder":
-        self._chunks.append(struct.pack(">I", len(data)))
-        self._chunks.append(data)
-        self._chunks.append(b"\0" * _pad(len(data)))
+        self._chunks += (struct.pack(">I", len(data)), data,
+                         b"\0" * _pad(len(data)))
         # one item for the length plus one per unit of payload
-        self._charge()
-        for _ in range(max(1, len(data) // XDR_UNIT)):
-            self._charge()
+        self._charge(1 + max(1, len(data) // XDR_UNIT))
         return self
 
     def put_string(self, text: str) -> "XdrEncoder":
@@ -88,10 +85,6 @@ class XdrEncoder:
     def getvalue(self) -> bytes:
         return b"".join(self._chunks)
 
-    @property
-    def size(self) -> int:
-        return sum(len(c) for c in self._chunks)
-
 
 class XdrDecoder:
     """Deserializes values from an XDR byte stream."""
@@ -102,10 +95,10 @@ class XdrDecoder:
         self.offset = 0
         self.items_decoded = 0
 
-    def _charge(self) -> None:
-        self.items_decoded += 1
+    def _charge(self, items: int = 1) -> None:
+        self.items_decoded += items
         if self.machine is not None:
-            self.machine.charge(costs.XDR_ITEM)
+            self.machine.charge_each(costs.XDR_ITEM, items)
 
     def _take(self, length: int) -> bytes:
         if self.offset + length > len(self.data):
@@ -136,9 +129,7 @@ class XdrDecoder:
         length = struct.unpack(">I", self._take(4))[0]
         data = self._take(length)
         self._take(_pad(length))
-        self._charge()
-        for _ in range(max(1, length // XDR_UNIT)):
-            self._charge()
+        self._charge(1 + max(1, length // XDR_UNIT))
         return data
 
     def get_string(self) -> str:

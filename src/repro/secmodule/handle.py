@@ -28,8 +28,8 @@ from .registry import RegisteredModule
 from .stubs import (
     BatchCallFrame,
     SimStack,
-    SlotKind,
     StubCallFrame,
+    returned_frame_kinds,
     smod_stub_receive,
     unwind_client_frame,
 )
@@ -164,16 +164,7 @@ class Handle:
 
     def secret_stack_for(self, session_id: Optional[int]) -> SimStack:
         """The secret segment serving one session (frame-level routing)."""
-        if session_id is None:
-            return self.secret_stack
         return self._session_stacks.get(session_id, self.secret_stack)
-
-    def resolve_session(self, frame):
-        """Routing-table lookup: which attached session does a frame belong to?"""
-        session_id = getattr(frame, "session_id", None)
-        if session_id is None:
-            return None
-        return self.attached_sessions.get(session_id)
 
     def _charge_routing(self) -> None:
         """Shared handles pay a routing-table walk per received request.
@@ -188,6 +179,18 @@ class Handle:
                                        max(1, (seats - 1).bit_length()))
 
     # --------------------------------------------------------------- call path
+    def _begin_receive(self, what: str, frame, depth: int) -> SimStack:
+        """A receive's handshake check, routing walk and queue-depth tap."""
+        if not self.ready:
+            raise SimulationError(
+                f"handle pid {self.proc.pid} received a {what} before the "
+                f"session handshake completed")
+        self._charge_routing()
+        telemetry = self.kernel.machine.telemetry
+        if telemetry.enabled:
+            telemetry.record_handle_queue(self.proc.pid, depth)
+        return self.secret_stack_for(getattr(frame, "session_id", None))
+
     def lookup_function(self, m_id: int, func_id: int) -> Optional[SecFunction]:
         loaded = self.loaded.get(m_id)
         if loaded is None:
@@ -198,16 +201,8 @@ class Handle:
                      function: SecFunction, env: CallEnvironment, *,
                      record_checkpoints: bool = False) -> Any:
         """Execute one relayed call (``smod_stub_receive`` on the secret stack)."""
-        if not self.ready:
-            raise SimulationError(
-                f"handle pid {self.proc.pid} received a call before the "
-                f"session handshake completed")
-        self._charge_routing()
-        telemetry = self.kernel.machine.telemetry
-        if telemetry.enabled:
-            # a single-call receive drains a queue of depth 1
-            telemetry.record_handle_queue(self.proc.pid, 1)
-        secret = self.secret_stack_for(getattr(frame, "session_id", None))
+        # a single-call receive drains a queue of depth 1
+        secret = self._begin_receive("call", frame, 1)
         result = smod_stub_receive(shared_stack, frame, function, env,
                                    secret_stack=secret,
                                    record_checkpoints=record_checkpoints)
@@ -230,39 +225,24 @@ class Handle:
 
         Returns ``{entry index: result}`` for the entries that executed.
         """
-        if not self.ready:
-            raise SimulationError(
-                f"handle pid {self.proc.pid} received a batch before the "
-                f"session handshake completed")
-        if len(plan) != len(batch.frames):
+        if self.ready and len(plan) != len(batch.frames):
             raise SimulationError(
                 f"batch plan names {len(plan)} entries for "
                 f"{len(batch.frames)} frames")
         # one routing-table walk serves the whole queue (all entries of a
         # super-frame belong to one session)
-        self._charge_routing()
-        telemetry = self.kernel.machine.telemetry
-        if telemetry.enabled:
-            telemetry.record_handle_queue(self.proc.pid, len(batch.frames))
-        secret = self.secret_stack_for(getattr(batch, "session_id", None))
+        secret = self._begin_receive("batch", batch, len(batch.frames))
         results: Dict[int, Any] = {}
-        for index in range(len(batch.frames)):
-            frame = batch.frames[index]
-            function, allowed = plan[index]
+        for index, (frame, (function, allowed)) in enumerate(
+                zip(batch.frames, plan)):
             if not allowed or function is None:
                 unwind_client_frame(shared_stack, frame)
                 continue
             results[index] = smod_stub_receive(
-                shared_stack, frame, function, env,
-                secret_stack=secret)
+                shared_stack, frame, function, env, secret_stack=secret)
             # drain the executed frame's remains: restored fp/ret, then args
-            shared_stack.pop(SlotKind.FRAME_POINTER,
-                             cost_op=costs.SMOD_STACK_FIXUP_WORD)
-            shared_stack.pop(SlotKind.RETURN_ADDRESS,
-                             cost_op=costs.SMOD_STACK_FIXUP_WORD)
-            for _ in frame.args:
-                shared_stack.pop(SlotKind.ARG,
-                                 cost_op=costs.SMOD_STACK_FIXUP_WORD)
+            shared_stack.pop_words(returned_frame_kinds(frame),
+                                   cost_op=costs.SMOD_STACK_FIXUP_WORD)
             self.calls_served += 1
         return results
 

@@ -27,7 +27,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import islice
+from operator import itemgetter
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..sim import costs
@@ -42,8 +45,7 @@ class SlotKind(enum.Enum):
     SAVED = "saved"            # generic spill used by the handle-side stub
 
 
-@dataclass(frozen=True)
-class StackSlot:
+class StackSlot(NamedTuple):
     kind: SlotKind
     value: Any
 
@@ -51,12 +53,22 @@ class StackSlot:
         return f"{self.kind.value}={self.value}"
 
 
+#: StackSlot from a ``(kind, value)`` pair, without NamedTuple's Python frame
+_slot = partial(tuple.__new__, StackSlot)
+_kind = itemgetter(0)
+
+_FP, _RET, _ARG = SlotKind.FRAME_POINTER, SlotKind.RETURN_ADDRESS, SlotKind.ARG
+#: step (2)'s words in push order; step (3)'s (all above arg1) topmost first
+_STEP2 = (SlotKind.MODULE_ID, SlotKind.FUNC_ID, _RET, _FP)
+_STEP3 = _STEP2[::-1] + (_FP, _RET)
+
+
 class SimStack:
     """A downward-growing stack of typed slots.
 
     ``machine`` may be None for pure unit tests; when present, pushes and
     pops by *user* code charge USER_STACK_WORD and pushes/pops by the stub
-    fix-up paths charge SMOD_STACK_FIXUP_WORD.
+    fix-up paths charge SMOD_STACK_FIXUP_WORD, one unit charge per word.
     """
 
     def __init__(self, name: str = "stack", machine=None,
@@ -66,32 +78,61 @@ class SimStack:
         self.capacity = capacity
         self.slots: List[StackSlot] = []
 
-    def _charge(self, op: Optional[str], count: int = 1) -> None:
+    def _charge(self, op: Optional[str], words: int) -> None:
         if self.machine is not None and op is not None:
             # smod: allow(COST002)  forwarding wrapper; push/pop call sites
             # pass USER_STACK_WORD / SMOD_STACK_FIXUP_WORD costs constants
-            self.machine.charge(op, count)
+            self.machine.charge_each(op, words)
+
+    def push_words(self, kinds: Sequence[SlotKind], values: Sequence[Any], *,
+                   cost_op: Optional[str] = costs.USER_STACK_WORD) -> None:
+        """Push ``values`` (typed by ``kinds``) as one run; overflow raises
+        after the words that fit, as a word-by-word push would."""
+        slots = self.slots
+        fit = max(0, min(len(values), self.capacity - len(slots)))
+        slots.extend(map(_slot, islice(zip(kinds, values), fit)))
+        self._charge(cost_op, fit)
+        if fit < len(values):
+            raise SimulationError(f"stack {self.name!r} overflow")
+
+    def matching(self, expected: Sequence[Optional[SlotKind]]) -> int:
+        """How many top words, topmost first, match ``expected`` (None: any)."""
+        kinds = tuple(map(_kind, self.slots[:-len(expected) - 1:-1]))
+        if kinds == expected:           # the common case: every word as told
+            return len(kinds)
+        for index, (want, kind) in enumerate(zip(expected, kinds)):
+            if want is not None and kind is not want:
+                return index
+        return len(kinds)
+
+    def pop_words(self, expected: Sequence[Optional[SlotKind]], *,
+                  cost_op: Optional[str] = costs.USER_STACK_WORD
+                  ) -> List[StackSlot]:
+        """Pop one word per ``expected`` kind (None: any) as one run, topmost
+        first; a failing word raises after the clean words before it are
+        popped and charged, as a word-by-word pop would."""
+        slots = self.slots
+        clean = self.matching(expected)
+        cut = len(slots) - clean
+        popped = slots[cut:][::-1]
+        del slots[cut:]
+        self._charge(cost_op, clean)
+        if clean < len(expected):
+            if not slots:
+                raise SimulationError(f"stack {self.name!r} underflow")
+            raise SimulationError(
+                f"stack discipline violated on {self.name!r}: expected "
+                f"{expected[clean].value}, popped {slots.pop().kind.value}")
+        return popped
 
     def push(self, kind: SlotKind, value: Any, *,
              cost_op: Optional[str] = costs.USER_STACK_WORD) -> StackSlot:
-        if len(self.slots) >= self.capacity:
-            raise SimulationError(f"stack {self.name!r} overflow")
-        slot = StackSlot(kind=kind, value=value)
-        self.slots.append(slot)
-        self._charge(cost_op)
-        return slot
+        self.push_words((kind,), (value,), cost_op=cost_op)
+        return self.slots[-1]
 
     def pop(self, expected: Optional[SlotKind] = None, *,
             cost_op: Optional[str] = costs.USER_STACK_WORD) -> StackSlot:
-        if not self.slots:
-            raise SimulationError(f"stack {self.name!r} underflow")
-        slot = self.slots.pop()
-        if expected is not None and slot.kind is not expected:
-            raise SimulationError(
-                f"stack discipline violated on {self.name!r}: expected "
-                f"{expected.value}, popped {slot.kind.value}")
-        self._charge(cost_op)
-        return slot
+        return self.pop_words((expected,), cost_op=cost_op)[0]
 
     def peek(self, depth: int = 0) -> StackSlot:
         if depth >= len(self.slots):
@@ -165,32 +206,27 @@ class ClientStub:
                               frame_pointer=frame_pointer, stack=stack)
         # Step (1): the ordinary call left args (pushed right-to-left), the
         # return address, and the saved frame pointer on the stack.
-        for value in reversed(list(args)):
-            stack.push(SlotKind.ARG, value)
-        stack.push(SlotKind.RETURN_ADDRESS, return_address)
-        stack.push(SlotKind.FRAME_POINTER, frame_pointer)
+        stack.push_words((_ARG,) * len(frame.args) + (_RET, _FP),
+                         (*reversed(frame.args), return_address,
+                          frame_pointer))
         if record_checkpoints:
             frame.checkpoints["step1"] = stack.snapshot()
         # Step (2): the stub pushes the identifier pair and duplicates the
         # top two elements so the kernel has the correct view of the frame.
-        stack.push(SlotKind.MODULE_ID, self.module_id,
-                   cost_op=costs.SMOD_STACK_FIXUP_WORD)
-        stack.push(SlotKind.FUNC_ID, self.func_id,
-                   cost_op=costs.SMOD_STACK_FIXUP_WORD)
-        stack.push(SlotKind.RETURN_ADDRESS, return_address,
-                   cost_op=costs.SMOD_STACK_FIXUP_WORD)
-        stack.push(SlotKind.FRAME_POINTER, frame_pointer,
-                   cost_op=costs.SMOD_STACK_FIXUP_WORD)
+        stack.push_words(_STEP2, (self.module_id, self.func_id, return_address,
+                          frame_pointer), cost_op=costs.SMOD_STACK_FIXUP_WORD)
         if record_checkpoints:
             frame.checkpoints["step2"] = stack.snapshot()
         return frame
 
     def pop_return(self, stack: SimStack, frame: StubCallFrame) -> None:
         """Unwind the original step (1) frame after the call returns."""
-        stack.pop(SlotKind.FRAME_POINTER)
-        stack.pop(SlotKind.RETURN_ADDRESS)
-        for _ in frame.args:
-            stack.pop(SlotKind.ARG)
+        stack.pop_words(returned_frame_kinds(frame))
+
+
+def returned_frame_kinds(frame: StubCallFrame) -> Tuple[SlotKind, ...]:
+    """A returned frame's words, topmost first: fp, ret, then the args."""
+    return (_FP, _RET) + (_ARG,) * len(frame.args)
 
 
 def unwind_client_frame(stack: SimStack, frame: StubCallFrame) -> None:
@@ -203,13 +239,9 @@ def unwind_client_frame(stack: SimStack, frame: StubCallFrame) -> None:
     :data:`~repro.sim.costs.SMOD_STACK_FIXUP_WORD`, mirroring the push path
     above where the stub (not ordinary user code) put the extra words there.
     """
-    # duplicated fp/ret, func/module ids, then the original frame
-    for _ in range(4):
-        stack.pop(cost_op=costs.SMOD_STACK_FIXUP_WORD)
-    stack.pop(cost_op=costs.SMOD_STACK_FIXUP_WORD)   # frame pointer
-    stack.pop(cost_op=costs.SMOD_STACK_FIXUP_WORD)   # return address
-    for _ in frame.args:
-        stack.pop(cost_op=costs.SMOD_STACK_FIXUP_WORD)
+    # duplicated fp/ret, func/module ids, then the original frame (unchecked)
+    stack.pop_words((None,) * (6 + len(frame.args)),
+                    cost_op=costs.SMOD_STACK_FIXUP_WORD)
 
 
 @dataclass
@@ -276,14 +308,11 @@ class BatchStub:
                 f"words) cannot fit on stack {stack.name!r} "
                 f"(depth {stack.depth()}/{stack.capacity}); flush a smaller "
                 f"queue")
-        batch = BatchCallFrame(stack=stack)
-        batch.frames = [None] * len(self.queue)
-        for index in range(len(self.queue) - 1, -1, -1):
-            stub, args = self.queue[index]
-            batch.frames[index] = stub.push_call(
-                stack, args, record_checkpoints=record_checkpoints)
+        frames = [stub.push_call(stack, args,
+                                 record_checkpoints=record_checkpoints)
+                  for stub, args in reversed(self.queue)]
         self.queue.clear()
-        return batch
+        return BatchCallFrame(frames=frames[::-1], stack=stack)
 
 
 def smod_stub_receive(stack: SimStack, frame: StubCallFrame, function,
@@ -302,12 +331,15 @@ def smod_stub_receive(stack: SimStack, frame: StubCallFrame, function,
     # Step (3): pop everything above arg1 — the duplicated fp/ret pair and
     # the identifier pair — saving them on the secret stack, then the
     # original fp/ret pair so only the args remain visible to the callee.
-    for expected in (SlotKind.FRAME_POINTER, SlotKind.RETURN_ADDRESS,
-                     SlotKind.FUNC_ID, SlotKind.MODULE_ID,
-                     SlotKind.FRAME_POINTER, SlotKind.RETURN_ADDRESS):
-        slot = stack.pop(expected, cost_op=costs.SMOD_STACK_FIXUP_WORD)
-        secret.push(SlotKind.SAVED, slot.value,
-                    cost_op=costs.SMOD_STACK_FIXUP_WORD)
+    # a word the clean run stops at (wrong kind, full secret) raises alone
+    fixup = costs.SMOD_STACK_FIXUP_WORD
+    clean = min(stack.matching(_STEP3), secret.capacity - len(secret))
+    saved = stack.pop_words(_STEP3[:clean], cost_op=fixup)
+    secret.push_words((SlotKind.SAVED,) * clean,
+                      [slot.value for slot in saved], cost_op=fixup)
+    if clean < len(_STEP3):
+        slot = stack.pop(_STEP3[clean], cost_op=fixup)
+        secret.push(SlotKind.SAVED, slot.value, cost_op=fixup)
     if record_checkpoints:
         frame.checkpoints["step3"] = stack.snapshot()
 
@@ -317,12 +349,9 @@ def smod_stub_receive(stack: SimStack, frame: StubCallFrame, function,
 
     # Step (4): restore the exact words the client stub had seen so that the
     # eventual return lands back at the original call site.
-    for _ in range(6):
-        secret.pop(SlotKind.SAVED, cost_op=costs.SMOD_STACK_FIXUP_WORD)
-    stack.push(SlotKind.RETURN_ADDRESS, frame.return_address,
-               cost_op=costs.SMOD_STACK_FIXUP_WORD)
-    stack.push(SlotKind.FRAME_POINTER, frame.frame_pointer,
-               cost_op=costs.SMOD_STACK_FIXUP_WORD)
+    secret.pop_words((SlotKind.SAVED,) * len(_STEP3), cost_op=fixup)
+    stack.push_words((_RET, _FP), (frame.return_address, frame.frame_pointer),
+                     cost_op=fixup)
     if record_checkpoints:
         frame.checkpoints["step4"] = stack.snapshot()
     return result

@@ -238,8 +238,16 @@ class ServiceFrontend:
         sessions = self.extension.sessions
         if tenant != sessions.tenant_for(client.proc.pid):
             sessions.assign_tenant(client.proc.pid, tenant)
-        session_id = client.smod_crt0_startup(self.extension,
-                                              self._descriptor(record))
+        try:
+            session_id = client.smod_crt0_startup(self.extension,
+                                                  self._descriptor(record))
+        except PermissionError as refused:
+            # the kernel refused the session, e.g. no process-table slot
+            # for the handle fork: a refusal like any other, not a crash
+            tracer.finish(span)
+            raise SimulationError(
+                f"attach to backend {record.name!r} refused: {refused}"
+            ) from refused
         session = sessions.get(session_id)
         binding = Binding(binding_id=binding_id, client=client,
                           session=session, backend=record, tenant=tenant)

@@ -439,10 +439,15 @@ class CostMeter:
     facts behind the paper's latency table.
 
     The dispatch hot loop runs :meth:`charge` millions of times per traffic
-    trial, so the body stays lean: the profile's cost table and the clock's
-    ``advance`` are bound once at construction, and the histogram is a
-    :class:`collections.Counter` (one C-level ``+=`` instead of a
-    get-then-store pair).
+    trial, so the body stays lean: the profile's cost table is bound once at
+    construction, the clock is advanced inline (one Python frame per
+    charge), and the histogram is a :class:`collections.Counter` (one
+    C-level ``+=`` instead of a get-then-store pair).
+
+    Charge granularity: one clock event is one unit charge.
+    :meth:`charge` and :meth:`charge_words` are one event each whatever
+    their count; :meth:`charge_each` is ``n`` events (``n`` back-to-back
+    unit charges); :meth:`charge_trace` replays the recorded event count.
     """
 
     def __init__(self, profile: CostProfile, clock) -> None:
@@ -463,18 +468,48 @@ class CostMeter:
         self.telemetry = NULL_TELEMETRY
 
     def charge(self, operation: str, count: int = 1) -> int:
-        """Charge ``count`` occurrences of ``operation`` to the clock."""
+        """Charge ``count`` occurrences of ``operation`` as one clock event."""
         if count <= 0:
             if count == 0:
                 return 0
             raise ValueError("count must be non-negative")
         cycles = self._costs[operation] * count
-        self._advance(cycles)
+        # VirtualClock.advance, inlined: profile costs are validated
+        # non-negative, so only the freeze check remains
+        clock = self.clock
+        if not clock._frozen:
+            clock.cycles += cycles
+            clock.events += 1
         self.op_counts[operation] += count
         if self._trace_log is not None:
             self._trace_log.append((operation, count))
         if self.telemetry.enabled:
             self.telemetry.op_charge(operation, count, cycles)
+        return cycles
+
+    def charge_each(self, operation: str, n: int) -> int:
+        """Charge ``n`` back-to-back unit charges of ``operation`` in one call.
+
+        Exactly ``n`` calls of ``charge(operation)``: ``n`` clock events,
+        ``n`` ``(operation, 1)`` entries in an armed trace log (so recorded
+        traces and their signatures are unchanged), and one telemetry
+        mirror of the summed count and cycles, which is additive.  Used for
+        runs of per-word work such as stack words and XDR items.
+        """
+        if n <= 0:
+            if n == 0:
+                return 0
+            raise ValueError("count must be non-negative")
+        cycles = self._costs[operation] * n
+        clock = self.clock              # VirtualClock.advance_many, inlined
+        if not clock._frozen:
+            clock.cycles += cycles
+            clock.events += n
+        self.op_counts[operation] += n
+        if self._trace_log is not None:
+            self._trace_log += [(operation, 1)] * n
+        if self.telemetry.enabled:
+            self.telemetry.op_charge(operation, n, cycles)
         return cycles
 
     def charge_words(self, operation: str, words: int) -> int:

@@ -19,6 +19,7 @@ The design constraints, in order:
 from __future__ import annotations
 
 import math
+from bisect import insort
 from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Label set rendered into a stable key: ``(("client", 3), ("handle", 9))``.
@@ -266,6 +267,12 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, LabelItems], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelItems], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelItems], LogHistogram] = {}
+        #: name -> the family's ``((repr(labels), creation), labels,
+        #: histogram)`` in the snapshot's sorted order, kept on creation so
+        #: reading a family (the AIMD controller's p95, every flush) never
+        #: re-sorts; the creation count breaks ties as the stable sort did
+        self._families: Dict[str, List[Tuple[Tuple[str, int], LabelItems,
+                                             LogHistogram]]] = {}
 
     def __len__(self) -> int:
         return (len(self._counters) + len(self._gauges) +
@@ -290,6 +297,9 @@ class MetricsRegistry:
         metric = self._histograms.get(key)
         if metric is None:
             metric = self._histograms[key] = LogHistogram()
+            order = (repr(key[1]), len(self._histograms))
+            insort(self._families.setdefault(name, []),
+                   (order, key[1], metric))
         return metric
 
     # ------------------------------------------------------------------- views
@@ -298,11 +308,7 @@ class MetricsRegistry:
         """Every histogram of family ``name`` whose labels include ``match``."""
         wanted = _label_key(match)
         out: List[Tuple[Dict[str, object], LogHistogram]] = []
-        for (metric_name, labels), histogram in sorted(
-                self._histograms.items(),
-                key=lambda item: (item[0][0], repr(item[0][1]))):
-            if metric_name != name:
-                continue
+        for _, labels, histogram in self._families.get(name, ()):
             label_map = dict(labels)
             if all(label_map.get(k) == v for k, v in wanted):
                 out.append((label_map, histogram))

@@ -47,8 +47,14 @@ class TestCost:
         assert costs_rules.count("COST004") == 1  # DEAD_OP never charged
 
     def test_literal_message_names_the_literal(self, report):
-        (finding,) = [f for f in report.findings if f.rule == "COST001"]
+        (finding,) = [f for f in report.findings if f.rule == "COST001"
+                      and f.path.endswith("/cost_bad.py")]
         assert "'trap'" in finding.message
+
+    def test_charge_each_is_a_charge_site(self, report):
+        findings = [(f.rule, f.line) for f in report.findings
+                    if f.path.endswith("cost_each_bad.py")]
+        assert findings == [("COST001", 7), ("COST002", 9)]
 
 
 class TestClock:
@@ -67,6 +73,11 @@ class TestTelemetry:
     def test_bad_fixture(self, report):
         assert "TELEM001" in rules_in(report, "telemetry/probe_bad.py")
         assert "TELEM002" in rules_in(report, "telemetry/probe_bad.py")
+
+    def test_charge_each_in_telemetry_is_flagged(self, report):
+        lines = [f.line for f in report.findings if f.rule == "TELEM002"
+                 and f.path.endswith("probe_bad.py")]
+        assert lines == [7, 8]
 
     def test_tracing_bad_fixture(self, report):
         rules = rules_in(report, "telemetry/tracing_bad.py")

@@ -58,6 +58,14 @@ class TestJsonExport:
         assert isinstance(out["o"], str)
         json.dumps(out)
 
+    def test_stack_slots_export_field_by_field(self):
+        """Figure 3 checkpoints keep their ``{kind, value}`` export shape."""
+        from repro.secmodule.stubs import SlotKind, StackSlot
+        out = to_jsonable((StackSlot(SlotKind.ARG, 41),
+                           StackSlot(SlotKind.FRAME_POINTER, 7)))
+        assert out == [{"kind": "arg", "value": 41},
+                       {"kind": "fp", "value": 7}]
+
     def test_payloads_of_every_experiment_kind_serialize(self, tmp_path):
         # a dataclass report (as_dict), a dataclass without one, and an
         # arbitrary object all must export without raising

@@ -70,6 +70,27 @@ class TestXdr:
         assert machine.meter.count(costs.XDR_ITEM) == encoder.items_encoded
         assert encoder.items_encoded >= 3
 
+    @pytest.mark.parametrize("size", [0, 1, 3, 4, 5, 8, 13, 64, 1000])
+    def test_opaque_round_trip_charges_one_item_per_unit(self, size):
+        """One item for the length plus one per payload unit (at least
+        one), each a separate clock event, on both sides of the wire."""
+        blob = bytes(range(256)) * 4
+        blob = blob[:size]
+        items = 1 + max(1, size // 4)
+        machine = make_paper_machine()
+        encoder = XdrEncoder(machine)
+        data = encoder.put_opaque(blob).getvalue()
+        assert encoder.items_encoded == items
+        assert machine.meter.count(costs.XDR_ITEM) == items
+        assert machine.clock.events == items
+        assert machine.clock.cycles == items * machine.meter.profile.cost(
+            costs.XDR_ITEM)
+        decoder = XdrDecoder(data, machine)
+        assert decoder.get_opaque() == blob and decoder.done()
+        assert decoder.items_decoded == items
+        assert machine.meter.count(costs.XDR_ITEM) == 2 * items
+        assert machine.clock.events == 2 * items
+
 
 class TestRpcMessages:
     def test_call_roundtrip(self):

@@ -120,6 +120,39 @@ class TestRpcSurface:
             -int(Errno.EINVAL)
         assert stub.call("serve_attach", 999) == -int(Errno.EAGAIN)
 
+    def test_attach_on_a_full_process_table_reads_eagain(self, smod_kernel,
+                                                         monkeypatch):
+        """A handle fork the full process table refuses comes back as
+        -EAGAIN over the wire (not an RPC SYSTEM_ERR), and the server
+        switches back exactly as on any other refused attach."""
+        kernel, ext = smod_kernel
+        registered = ext.registry.register(build_test_module(), uid=0,
+                                          protection=ProtectionMode.ENCRYPT)
+        frontend = ServiceFrontend(kernel, ext)
+        # per-session handles: every attach forks a surrogate and a handle
+        record = frontend.register_backend("libtest", [registered],
+                                           policy="per_session")
+        frontend.start()
+        stub = frontend.make_client(
+            Program.spawn(kernel, "rpc-caller", uid=1000).proc)
+        attaches = 2
+        # room for two surrogate+handle pairs, then one more surrogate only
+        # (ServiceConfig.max_procs only ever raises the cap, so shrink the
+        # kernel's table directly)
+        kernel.procs.max_procs = (len(kernel.procs.all_procs())
+                                  + 2 * attaches + 1)
+        switch_backs = []
+        switch_back = frontend._switch_back
+        monkeypatch.setattr(frontend, "_switch_back",
+                            lambda: switch_backs.append(1) or switch_back())
+        for _ in range(attaches):
+            assert stub.call("serve_attach", record.backend_id, 0) > 0
+        switch_backs.clear()
+        assert stub.call("serve_attach", record.backend_id, 0) == \
+            -int(Errno.EAGAIN)
+        assert switch_backs == [1]
+        assert stub.call("serve_ping") == 0
+
     def test_serve_coexists_with_the_rpc_baseline(self, front):
         """smodserve and the paper's testincr service share one kernel's
         portmapper, like two programs under one rpcbind."""

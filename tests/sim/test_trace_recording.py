@@ -163,3 +163,66 @@ class TestMachineIntegration:
         machine.meter.charge_trace(machine.meter.build_trace(raw))
         assert machine.clock.cycles == 2 * cycles_once
         assert machine.meter.count(costs.TRAP_ENTRY) == 2
+
+
+class TestChargeEach:
+    """``charge_each(op, n)`` is exactly ``n`` back-to-back ``charge(op)``."""
+
+    def run_both(self, operation, n, *, frozen=False):
+        meters = []
+        for run in (lambda m: [m.charge(operation) for _ in range(n)],
+                    lambda m: m.charge_each(operation, n)):
+            meter, clock = fresh_meter()
+            meter.telemetry = Telemetry()
+            meter.charge(costs.TRAP_ENTRY)      # a charge before the run
+            if frozen:
+                clock.freeze()
+            recorder = meter.record_trace()
+            recorder.start()
+            run(meter)
+            meter.charge(costs.TRAP_ENTRY)      # and one after it
+            meters.append((meter, clock, recorder.stop()))
+        return meters
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+    def test_matches_unit_charges(self, n):
+        (slow, slow_clock, slow_raw), (fast, fast_clock, fast_raw) = \
+            self.run_both(costs.USER_STACK_WORD, n)
+        assert fast_clock.cycles == slow_clock.cycles
+        assert fast_clock.events == slow_clock.events == 2 + n
+        assert list(fast.op_counts.items()) == list(slow.op_counts.items())
+        assert fast_raw == slow_raw
+        assert (CallTrace(fast_raw, PENTIUM_III_599).events
+                == CallTrace(slow_raw, PENTIUM_III_599).events)
+        assert fast.telemetry.op_counts == slow.telemetry.op_counts
+        assert fast.telemetry.op_cycles == slow.telemetry.op_cycles
+
+    def test_zero_touches_nothing(self):
+        meter, clock = fresh_meter()
+        assert meter.charge_each(costs.USER_STACK_WORD, 0) == 0
+        assert clock.events == 0 and costs.USER_STACK_WORD not in meter.op_counts
+
+    def test_frozen_clock(self):
+        (slow, slow_clock, slow_raw), (fast, fast_clock, fast_raw) = \
+            self.run_both(costs.SMOD_STACK_FIXUP_WORD, 5, frozen=True)
+        assert (fast_clock.cycles, fast_clock.events) == \
+            (slow_clock.cycles, slow_clock.events) == \
+            (PENTIUM_III_599.cost(costs.TRAP_ENTRY), 1)
+        assert dict(fast.op_counts) == dict(slow.op_counts)
+        assert fast_raw == slow_raw
+
+    def test_negative_raises(self):
+        meter, clock = fresh_meter()
+        with pytest.raises(ValueError):
+            meter.charge_each(costs.USER_STACK_WORD, -1)
+        assert clock.events == 0 and not meter.op_counts
+
+    def test_returns_cycles_charged(self):
+        meter, _ = fresh_meter()
+        assert meter.charge_each(costs.XDR_ITEM, 3) == \
+            3 * PENTIUM_III_599.cost(costs.XDR_ITEM)
+
+    def test_machine_charge_is_the_meter_method(self):
+        machine = make_paper_machine()
+        assert machine.charge == machine.meter.charge
+        assert machine.charge_each == machine.meter.charge_each

@@ -116,6 +116,37 @@ class TestRegistryAndViews:
                 direct.record(6.4 + call)
         assert merged.quantile(95) == direct.quantile(95)
 
+    def test_family_views_keep_the_sorted_label_order(self):
+        """The per-family index yields exactly the old full-registry sort:
+        by ``repr(labels)``, insertion order breaking ties."""
+        registry = MetricsRegistry()
+        rng = DeterministicRNG(7)
+        labels = [{"session": s, "module": m}
+                  for s in (3, 12, 1, 20, 2) for m in ("b", "a")]
+        labels += [{"session": "3"}, {"client": 4}, {}]
+        for index in range(len(labels) - 1, 0, -1):   # deterministic shuffle
+            swap = int(rng.uniform(0, index + 1))
+            labels[index], labels[swap] = labels[swap], labels[index]
+        for position, label in enumerate(labels):
+            registry.histogram("flush_service_us", **label).record(position + 1)
+            registry.histogram("other", **label)
+        reference = [
+            (dict(key[1]), histogram)
+            for key, histogram in sorted(
+                registry._histograms.items(),
+                key=lambda item: (item[0][0], repr(item[0][1])))
+            if key[0] == "flush_service_us"]
+        view = registry.histograms_named("flush_service_us")
+        assert [(labels, id(h)) for labels, h in view] == \
+            [(labels, id(h)) for labels, h in reference]
+        assert [labels for labels, _ in
+                registry.histograms_named("flush_service_us", module="a")] \
+            == [labels for labels, _ in reference if labels.get("module") == "a"]
+        merged = registry.merged_histogram("flush_service_us")
+        assert merged.count == len(labels)
+        assert merged.total == sum(range(1, len(labels) + 1))
+        assert registry.histograms_named("missing") == []
+
     def test_snapshot_round_trips_and_renders(self):
         telemetry = Telemetry()
         telemetry.record_dispatch(1, "libm", 6.4)
