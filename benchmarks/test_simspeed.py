@@ -1,16 +1,16 @@
-"""abl-simspeed: the three-tier wall-clock benchmark's acceptance bar.
+"""abl-simspeed: the two-tier wall-clock benchmark's acceptance bar.
 
 Wall-clock numbers are machine-dependent, so the tier-1 assertions are the
-*identity* half of the bar (neither replay nor fast-forward may change a
-single virtual number, serial or sharded) plus the structural facts
-(traces record, confirm and feed the fast tiers).  The >= 100x headline is
+*identity* half of the bar (fast-forward may not change a single virtual
+number, serial or sharded) plus the structural facts (traces record,
+confirm and feed the fast-forward tier).  The >= 100x headline is
 asserted loosely at a small size — the full-size run prints the real
 figure — because CI machines vary wildly in single-core speed.
 """
 
 from __future__ import annotations
 
-from repro.bench.simspeed import FAST_FORWARD, OP_BY_OP, REPLAY, run_simspeed
+from repro.bench.simspeed import FAST_FORWARD, OP_BY_OP, run_simspeed
 
 
 def test_simspeed_small_run_is_byte_identical():
@@ -22,19 +22,19 @@ def test_simspeed_small_run_is_byte_identical():
     stats = report.trace_stats
     assert stats["records"] > 0
     assert stats["confirms"] > 0
-    # nearly every call lands in a fast tier once the keys go hot; the
-    # fast-forward driver absorbs what the replay tier used to execute
+    # nearly every call settles from its trace once the keys go hot, in
+    # the engine's windows or (after a window breaks) one at a time
     assert stats["replays"] + stats["fast_forward_calls"] >= \
         report.calls - 50
 
 
-def test_simspeed_all_three_tiers_present():
+def test_simspeed_both_tiers_present():
     report = run_simspeed(calls=1_000, fast=False)
     tiers = {leg.tier for leg in report.legs}
-    assert tiers == {OP_BY_OP, REPLAY, FAST_FORWARD}
-    # the identity block runs every tier at one common size
+    assert tiers == {OP_BY_OP, FAST_FORWARD}
+    # the identity block runs both tiers at one common size
     identity = [leg for leg in report.legs if leg.identity_leg]
-    assert {leg.tier for leg in identity} == {OP_BY_OP, REPLAY, FAST_FORWARD}
+    assert [leg.tier for leg in identity] == [OP_BY_OP, FAST_FORWARD]
     assert len({leg.total_calls for leg in identity}) == 1
     # sharded legs at both worker counts rode along
     assert any(leg.shards > 1 and leg.workers == 1 for leg in report.legs)
@@ -44,13 +44,11 @@ def test_simspeed_all_three_tiers_present():
 def test_simspeed_fast_tiers_are_faster():
     report = run_simspeed(calls=4_000, fast=False)
     # identity is the hard bar (speedup reports 0.0 on any mismatch); the
-    # wall-clock ratios are only sanity-checked loosely here because
-    # shared CI runners can stall any timed leg — the canonical >= 100x
-    # figure comes from the full-size `repro bench simspeed` run
+    # wall-clock ratio is only sanity-checked loosely here because shared
+    # CI runners can stall any timed leg — the canonical >= 100x figure
+    # comes from the full-size `repro bench simspeed` run
     assert report.identical
     assert report.speedup > 1.0
-    assert report.replay_speedup > 1.0
-    assert report.speedup >= report.replay_speedup
 
 
 def test_simspeed_fast_flag_caps_calls():

@@ -6,7 +6,10 @@ randomness flows through :class:`repro.sim.rng.DeterministicRNG` and all
 ``time.time()`` or ``random.random()`` silently breaks that: the run still
 passes its own tests but stops being reproducible.  This checker bans the
 ambient sources at the call site (DET001) and, for the modules whose every
-use is nondeterministic, at the import (DET002).
+use is nondeterministic, at the import (DET002).  The builtin ``hash()`` is
+flagged too (DET003): string hashes are salted per process unless
+``PYTHONHASHSEED`` is pinned, so a hash that reaches a seed, an ordering
+or an output differs run to run.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ class DeterminismChecker(Checker):
                   "the VirtualClock / DeterministicRNG instead",
         "DET002": "import of an inherently nondeterministic module "
                   "(random, secrets)",
+        "DET003": "builtin hash() call: string hashes vary per process; "
+                  "use a stable digest (zlib.crc32) for anything that "
+                  "leaves the process",
     }
 
     def check(self, source: SourceFile, ctx) -> Iterable[Finding]:
@@ -59,7 +65,16 @@ class DeterminismChecker(Checker):
                         f"import of nondeterministic module {root!r}; draw "
                         f"from sim.rng.DeterministicRNG")
             elif isinstance(node, ast.Call):
-                name = dotted_name(node.func, aliases)
+                func = node.func
+                name = dotted_name(func, aliases)
+                if name == "builtins.hash" or (
+                        isinstance(func, ast.Name) and func.id == "hash"
+                        and "hash" not in aliases):
+                    yield Finding(
+                        "DET003", source.rel_path, node.lineno,
+                        "builtin hash() is salted per process; use a stable "
+                        "digest such as zlib.crc32")
+                    continue
                 if name is None:
                     continue
                 if name in BANNED_CALLS or name.startswith(BANNED_PREFIXES):

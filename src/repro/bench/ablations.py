@@ -14,6 +14,7 @@ several alternatives without measuring them; these ablations fill that gap:
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
@@ -76,8 +77,11 @@ def run_hardening_ablation(*, trials: int = 3, sample_calls: int = 24,
     for mode in (HardeningMode.NONE, HardeningMode.SUSPEND_CLIENT,
                  HardeningMode.UNMAP_CLIENT):
         config = DispatchConfig(hardening=mode)
+        # a per-mode seed offset that is stable across processes: hash() of
+        # a string is salted per process unless PYTHONHASHSEED is pinned
+        offset = zlib.crc32(mode.value.encode()) % 97
         summary = run_smod_function("test_incr", args=(41,), spec=spec,
-                                    seed=seed + hash(mode.value) % 97,
+                                    seed=seed + offset,
                                     dispatch_config=config)
         result.points.append(HardeningPoint(mode=mode, summary=summary))
     return result

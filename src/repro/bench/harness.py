@@ -125,7 +125,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         run_abl_adaptive, kind="ablation"),
     "abl-simspeed": ExperimentSpec(
         "abl-simspeed",
-        "Simulator speed: trace-replay dispatch off vs on (wall clock)",
+        "Simulator speed: op-by-op vs fast-forward dispatch (wall clock)",
         run_abl_simspeed, kind="ablation"),
     "abl-overload": ExperimentSpec(
         "abl-overload",

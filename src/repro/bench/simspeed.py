@@ -3,17 +3,15 @@
 Every other experiment in this repo measures *virtual* time — cycles the
 simulated kernel charges for the protection mechanisms under study.  This
 one measures the simulator itself: wall-clock protected calls per second
-across the three execution tiers over the same deterministic steady-state
+across the two execution tiers over the same deterministic steady-state
 traffic workload:
 
 * **op-by-op** — every protected call executes its full charge sequence
   (``use_trace_replay=False``);
-* **replay** — hot calls replay their recorded trace as one aggregated
-  clock charge (``use_trace_replay=True, use_fast_forward=False``);
 * **fast-forward** — hot calls accumulate into open windows settled by a
   single closed-form ``CallTrace.scaled(n)`` charge
-  (``use_trace_replay=True, use_fast_forward=True``), plus sharded
-  parallel legs (``run_traffic_sharded``) at 1 and N workers.
+  (``use_trace_replay=True``), plus sharded parallel legs
+  (``run_traffic_sharded``) at 1 and N workers.
 
 The point is the ROADMAP's "runs as fast as the hardware allows" leg
 applied to our own hot path: the interception-layer literature (arXiv:
@@ -22,12 +20,12 @@ can measure, and here the op-by-op execution of the fixed per-call charge
 sequence is exactly such a bound — it caps how many calls
 ``abl-throughput`` and ``abl-adaptive`` can push through a run.
 
-**Identity first, speed second.**  The slow tiers cannot run 10^7 calls
-in tolerable wall time, so the report separates the two questions: every
-tier (and both sharded worker counts) runs the *identity size* and must
+**Identity first, speed second.**  The op-by-op tier cannot run 10^7 calls
+in tolerable wall time, so the report separates the two questions: both
+tiers (and both sharded worker counts) run the *identity size* and must
 agree byte-for-byte on machine cycles, clock events and the full op
-histogram; only then do the rate legs — each tier at its own size cap,
-fast-forward at the full requested count — earn a reported speedup.  A
+histogram; only then does the rate leg — fast-forward at the full
+requested count — earn a reported speedup.  A
 fast path that changes the measured numbers is not a fast path, it is a
 bug, and the report refuses to claim a speedup for it.
 
@@ -54,26 +52,21 @@ DEFAULT_CALLS = 100_000
 FAST_CALLS = 4_000
 DEFAULT_CLIENTS = 4
 DEFAULT_SEED = 0x51A_57
-#: All tiers and worker counts run this size for the byte-identity check;
-#: it doubles as the op-by-op tier's rate cap (~6 s of wall time).
+#: Both tiers and worker counts run this size for the byte-identity check;
+#: it doubles as the op-by-op tier's rate cap (~2 s of wall time).
 IDENTITY_CALLS = 20_000
-#: Replay-tier rate cap — enough for a steady rate without minutes of wall.
-REPLAY_RATE_CALLS = 200_000
 #: Sharded-leg size cap (both worker counts run it; identity-compared).
 SHARDED_RATE_CALLS = 100_000
 DEFAULT_SHARDS = 2
 DEFAULT_WORKERS = 2
 
 OP_BY_OP = "op-by-op"
-REPLAY = "replay"
 FAST_FORWARD = "fast-forward"
 
 #: tier label -> dispatch configuration
 TIER_CONFIGS: Dict[str, DispatchConfig] = {
-    OP_BY_OP: DispatchConfig(use_trace_replay=False, use_fast_forward=False),
-    REPLAY: DispatchConfig(use_trace_replay=True, use_fast_forward=False),
-    FAST_FORWARD: DispatchConfig(use_trace_replay=True,
-                                 use_fast_forward=True),
+    OP_BY_OP: DispatchConfig(use_trace_replay=False),
+    FAST_FORWARD: DispatchConfig(use_trace_replay=True),
 }
 
 
@@ -170,16 +163,6 @@ class SimspeedReport:
             return 0.0
         return fast / slow
 
-    @property
-    def replay_speedup(self) -> float:
-        if not self.identical:
-            return 0.0
-        slow = self.leg(OP_BY_OP).calls_per_wall_second
-        fast = self.leg(REPLAY, identity=False).calls_per_wall_second
-        if slow <= 0:
-            return 0.0
-        return fast / slow
-
     #: total simulated calls across every executed leg (for the export's
     #: calls_per_wall_second field)
     @property
@@ -220,8 +203,7 @@ class SimspeedReport:
             f"\ntier accounting at {self.identity_calls:,} calls: {identity}"
             f"\nsharded merge: {workers}"
             f"\nwall-clock speedup, fast-forward vs op-by-op: "
-            f"{self.speedup:.1f}x (replay tier: {self.replay_speedup:.1f}x;"
-            f" target >= 100x)"
+            f"{self.speedup:.1f}x (target >= 100x)"
             f"\ntrace cache: {stats.get('records', 0)} records, "
             f"{stats.get('confirms', 0)} confirms, "
             f"{stats.get('replays', 0)} replays, "
@@ -309,13 +291,13 @@ def run_simspeed(*, calls: int = DEFAULT_CALLS,
                  seed: int = DEFAULT_SEED, shards: int = DEFAULT_SHARDS,
                  workers: int = DEFAULT_WORKERS,
                  fast: bool = False) -> SimspeedReport:
-    """Measure wall-clock calls/sec across the three execution tiers.
+    """Measure wall-clock calls/sec across the two execution tiers.
 
     ``calls`` sizes the fast-forward rate leg (split across the clients);
-    the slower tiers are capped (op-by-op at the identity size, replay at
-    ``REPLAY_RATE_CALLS``) so the benchmark stays tolerable at 10^7.
-    Every tier runs the identity size, where the virtual accounting must
-    match to the byte — only wall time may move between tiers.  Sharded
+    the op-by-op tier is capped at the identity size so the benchmark
+    stays tolerable at 10^7.  Both tiers run the identity size, where the
+    virtual accounting must match to the byte — only wall time may move
+    between tiers.  Sharded
     fast-forward legs run at 1 and ``workers`` workers over ``shards``
     client groups; their merged accounting must match each other exactly.
     """
@@ -331,20 +313,15 @@ def run_simspeed(*, calls: int = DEFAULT_CALLS,
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        # identity block: all three tiers at one size, byte-compared
-        for tier in (OP_BY_OP, REPLAY, FAST_FORWARD):
+        # identity block: both tiers at one size, byte-compared
+        for tier in (OP_BY_OP, FAST_FORWARD):
             leg, _ = _run_serial_leg(
                 _spec(identity_calls, clients, modules, seed), tier,
                 identity_leg=True)
             report.legs.append(leg)
 
-        # rate legs: replay and fast-forward at their own sizes (the
-        # op-by-op identity leg doubles as its rate leg)
-        replay_calls = min(calls, REPLAY_RATE_CALLS)
-        leg, _ = _run_serial_leg(
-            _spec(replay_calls, clients, modules, seed), REPLAY,
-            identity_leg=False)
-        report.legs.append(leg)
+        # rate leg: fast-forward at the full size (the op-by-op identity
+        # leg doubles as its rate leg)
         leg, trace_stats = _run_serial_leg(
             _spec(calls, clients, modules, seed), FAST_FORWARD,
             identity_leg=False)

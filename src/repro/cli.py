@@ -157,8 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="CI smoke: fewer depths and calls")
 
     sp = bench_sub.add_parser(
-        "simspeed", help="simulator wall-clock speed: op-by-op vs replay "
-                         "vs fast-forward, serial and sharded")
+        "simspeed", help="simulator wall-clock speed: op-by-op vs "
+                         "fast-forward, serial and sharded (exit 1 when the "
+                         "tiers or worker counts disagree)")
     sp.add_argument("--calls", type=int, default=SIMSPEED_CALLS,
                     help="fast-forward-tier protected calls (10^5 to 10^7; "
                          "slower tiers are capped)")
@@ -829,6 +830,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             _export_bench(args.bench_command, report, rendered, params,
                           wall_seconds)
         _emit(rendered, args.output)
+        if args.bench_command == "simspeed" and not report.identical:
+            return 1        # a tier-accounting divergence is a failure
         return 0
 
     if command in EXPERIMENTS:

@@ -88,19 +88,15 @@ class DispatchConfig:
     #: amortize those fixed costs across the queue.  ``call_batch`` chunks
     #: longer queues to this bound.
     batch_size: int = 1
-    #: trace-replay fast path: record the exact charge sequence of a
-    #: steady-state protected call (or batch flush) once, then replay later
-    #: identical calls as one aggregated clock charge.  Accounting is
-    #: byte-identical either way — cycle totals, op histograms, cache
+    #: fast-forward tier: record the exact charge sequence of a steady-state
+    #: protected call (or batch flush) once, then settle later identical
+    #: spans from it as one closed-form charge — a direct call as a window
+    #: of one, the traffic engine as windows of n.  Accounting
+    #: is byte-identical either way — cycle totals, op histograms, cache
     #: statistics — the knob only trades simulator wall-clock for the
     #: op-by-op execution (see docs/performance.md); disable it to force
     #: every call down the op-by-op path.
     use_trace_replay: bool = True
-    #: analytic fast-forward tier: once a key is HOT, a driver (the traffic
-    #: engine) may accumulate N identical spans and settle them as a single
-    #: closed-form charge (``CallTrace.scaled``) instead of N replays.
-    #: Accounting stays byte-identical; requires ``use_trace_replay``.
-    use_fast_forward: bool = True
     #: record Figure 3 stack snapshots (off for the million-call benchmarks)
     record_checkpoints: bool = False
 
@@ -109,10 +105,13 @@ class DispatchConfig:
         # included) on each dict operation, and trace-cache keys embed the
         # config — so every lookup on the hot path pays it.  Configs are
         # immutable: compute once, keep the same equality contract.
+        # smod: allow(DET003)  it only keys dicts: no seed, ordering or
+        # output depends on the value, so per-process string salting is
+        # harmless (fork-started shard workers inherit the salt)
         object.__setattr__(self, "_cached_hash", hash(
             (self.hardening, self.marshalling, self.per_call_policy_check,
              self.use_decision_cache, self.batch_size, self.use_trace_replay,
-             self.use_fast_forward, self.record_checkpoints)))
+             self.record_checkpoints)))
 
     def __hash__(self) -> int:
         return self._cached_hash
@@ -163,18 +162,19 @@ class BatchOutcome:
 
 
 # --------------------------------------------------------------------------
-# Trace-replay fast path.
+# Fast-forward tier.
 #
 # The paper's numbers are per-call totals of a *fixed* op sequence (trap,
 # policy check, two context switches, msgsnd/reply, stack fixups) — yet the
 # simulator re-executes that sequence op by op on every one of the millions
 # of calls a traffic run issues.  The trace cache records the sequence once
 # per steady-state key, proves it stable with a confirming second execution,
-# and then replays it as one aggregated clock charge (plus the handful of
-# explicit state deltas the slow path would have made).  Anything the replay
-# cannot reproduce exactly — stateful policy chains, checkpoint recording,
-# variable-cost function bodies, a live TraceBuffer — stays on the op-by-op
-# path for good.
+# and then settles later spans as one closed-form charge (plus the handful
+# of explicit state deltas the slow path would have made) — one span at a
+# time on the dispatch path, n at a time in a traffic-engine window.
+# Anything a settle cannot reproduce exactly — stateful policy chains,
+# checkpoint recording, variable-cost function bodies, a live TraceBuffer —
+# stays on the op-by-op path for good.
 # --------------------------------------------------------------------------
 
 #: TraceEntry life cycle: freshly recorded entries are CONFIRMING until a
@@ -199,15 +199,15 @@ class TraceEntry:
         "dispatched", "denied", "served",
         "cache_hits", "cache_misses", "cache_batch_checks",
         "cache_batch_served", "cache_touch_keys",
-        # replay plumbing
+        # settle plumbing
         "env", "handle", "m_ids",
-        # outcome template: single calls use ``errno``; batch flushes use
-        # ``batch_plan`` (one (module, function, errno) triple per entry)
-        "errno", "batch_plan", "any_executed", "depth",
-        # fast-forward plumbing: per-module executed-call counts for the
-        # bulk ``note_calls`` (always one pair for singles, count 0 when
-        # denied), and the batch plan re-keyed by (m_id, func_id) so a
-        # canonically-keyed batch replays any permutation of its shape
+        # batch flushes keep ``batch_plan`` (one (module, function, errno)
+        # triple per entry) for the confirm signature; None for singles
+        "batch_plan", "any_executed", "depth",
+        # per-module executed-call counts for the bulk ``note_calls``
+        # (count 0 when all of a module's calls were denied), and the
+        # outcome plan: (m_id, func_id) -> errno, so a canonically-keyed
+        # batch settles any permutation of its shape
         "note_plan", "plan_by_pair",
     )
 
@@ -220,7 +220,7 @@ class TraceEntry:
         multisets; the totals they charge are permutation-invariant.
         """
         if self.batch_plan is None:
-            plan_sig: object = self.errno
+            plan_sig: object = self.plan_by_pair
             touches: Tuple = self.cache_touch_keys
         else:
             plan_sig = tuple(sorted(
@@ -252,9 +252,9 @@ class TraceCache:
     """Per-dispatcher store of recorded call traces, LRU-bounded.
 
     Keys are ``(session_id, call shape, DispatchConfig)`` tuples; the shape
-    is ``(m_id, func_id)`` for a single call and the per-entry tuple of
-    those pairs for a batch flush, so every distinct op sequence gets its
-    own trace.  Invalidation is two-layered: cheap per-replay guard checks
+    is ``(m_id, func_id)`` for a single call and the *sorted* tuple of
+    those pairs for a batch flush, so every permutation of a queue shares
+    one trace.  Invalidation is two-layered: cheap per-settle guard checks
     (policy epoch, handle seat epoch, session liveness) catch anything that
     changed under a live key, and the explicit ``invalidate_*`` hooks —
     forwarded from the decision cache and the handle broker — drop entries
@@ -511,8 +511,18 @@ class SmodDispatcher:
         return tuple(e.pages
                      for e in session.client.vmspace.shared_entries())
 
-    def _trace_guard_ok(self, entry: TraceEntry, session: Session) -> bool:
-        """Cheap precondition re-validation before a replay."""
+    def _can_settle(self, entry: TraceEntry, session: Session) -> bool:
+        """May one more span of ``entry`` settle from its trace right now?
+
+        The hot-entry check every settle shares, one span at a time: the
+        key is HOT, every guard still holds (cheap integer compares), and
+        the decision-cache touches the recorded span performs repeat — they
+        are *applied here*, so the cache's LRU order and touch accounting
+        match the op-by-op execution.  A touch that no longer repeats bumps
+        ``fallbacks``; every False sends the span down the op-by-op path.
+        """
+        if entry.state != TRACE_HOT:
+            return False
         if not session.established or session.torn_down:
             return False
         if session.policy_epoch != entry.policy_epoch:
@@ -523,6 +533,10 @@ class SmodDispatcher:
             return False
         if entry.hardening_sig is not None and \
                 entry.hardening_sig != self._shared_entry_signature(session):
+            return False
+        if entry.cache_touch_keys and not self.decision_cache.replay_touch(
+                session, entry.cache_touch_keys):
+            self.trace_cache.fallbacks += 1
             return False
         return True
 
@@ -546,13 +560,14 @@ class SmodDispatcher:
         self.decision_cache.stop_touch_log()
 
     def _finish_trace_recording(self, recording, key: Tuple,
-                                session: Session, module_ids, *,
+                                session: Session, plan, *,
                                 config: DispatchConfig,
-                                errno: Optional[Errno] = None,
-                                module: Optional[RegisteredModule] = None,
-                                batch_plan=None, any_executed: bool = True,
-                                depth: int = 1) -> None:
-        """Turn one recorded slow execution into a (confirming) trace entry."""
+                                batched: bool) -> None:
+        """Turn one recorded slow execution into a (confirming) trace entry.
+
+        ``plan`` is one ``(module, function, errno)`` triple per call of
+        the span, in submission order (a single call has one).
+        """
         recorder, before = recording
         raw_ops = recorder.stop()
         touches = self.decision_cache.stop_touch_log()
@@ -587,31 +602,23 @@ class SmodDispatcher:
                                     client=session.client,
                                     handle=session.handle.proc)
         entry.handle = session.handle
-        entry.m_ids = frozenset(module_ids)
-        entry.errno = errno
-        entry.batch_plan = batch_plan
-        entry.any_executed = any_executed
-        entry.depth = depth
-        if batch_plan is None:
-            # singles always carry their module (count 0 when denied) so the
-            # fast-forward commit can name it in the telemetry mirror
-            entry.note_plan = ((module, 0 if errno is not None else 1),)
-            entry.plan_by_pair = None
-        else:
-            executed: Dict[int, List] = {}
-            for plan_module, _, plan_errno in batch_plan:
-                if plan_errno is None:
-                    slot = executed.get(plan_module.m_id)
-                    if slot is None:
-                        executed[plan_module.m_id] = slot = [plan_module, 0]
-                    slot[1] += 1
-            entry.note_plan = tuple(
-                (slot_module, count) for slot_module, count
-                in executed.values())
-            entry.plan_by_pair = {
-                (plan_module.m_id, plan_function.func_id):
-                    (plan_module, plan_function, plan_errno)
-                for plan_module, plan_function, plan_errno in batch_plan}
+        entry.batch_plan = plan if batched else None
+        entry.depth = len(plan)
+        # every module of the span, count 0 when all its calls were denied
+        # (a single call's telemetry names its module either way)
+        executed: Dict[int, List] = {}
+        entry.plan_by_pair = {}
+        for module, function, errno in plan:
+            slot = executed.get(module.m_id)
+            if slot is None:
+                executed[module.m_id] = slot = [module, 0]
+            if errno is None:
+                slot[1] += 1
+            entry.plan_by_pair[(module.m_id, function.func_id)] = errno
+        entry.m_ids = frozenset(executed)
+        entry.note_plan = tuple((module, count)
+                                for module, count in executed.values())
+        entry.any_executed = any(count for _, count in entry.note_plan)
         self._observe_trace(key, entry)
 
     def _observe_trace(self, key: Tuple, entry: TraceEntry) -> None:
@@ -637,160 +644,40 @@ class SmodDispatcher:
         cache.records += 1
         cache.store(key, entry)
 
-    def _replay_effects(self, entry: TraceEntry, session: Session) -> bool:
-        """Apply a hot trace's aggregated charges and state deltas.
+    def _settle(self, entry: TraceEntry, session: Session, n: int) -> None:
+        """Settle ``n`` spans of a hot ``entry`` as one closed-form charge.
 
-        Returns False (nothing applied) when the decision-cache touches can
-        no longer be repeated — the caller falls back to the slow path.
+        Everything ``n`` op-by-op executions of the span would apply,
+        applied in bulk: the scaled trace charge (cycles, events, op
+        histogram and the telemetry op mirror all multiply exactly), the
+        decision-cache credits (the per-span touches already ran in
+        :meth:`_can_settle`), the dispatcher/handle counters, per-module
+        ``note_calls``, and the dispatch-level telemetry histograms via
+        their bulk ``n`` parameter.  Function bodies are the caller's.
         """
-        cache = self.decision_cache
-        if entry.cache_touch_keys and not cache.replay_touch(
-                session, entry.cache_touch_keys):
-            self.trace_cache.fallbacks += 1
-            return False
-        self.kernel.machine.meter.charge_trace(entry.trace)
+        machine = self.kernel.machine
+        trace = entry.trace
+        machine.meter.charge_trace(trace.scaled(n))
         if (entry.cache_hits or entry.cache_misses
                 or entry.cache_batch_checks or entry.cache_batch_served):
-            cache.credit_replay(hits=entry.cache_hits,
-                                misses=entry.cache_misses,
-                                batch_epoch_checks=entry.cache_batch_checks,
-                                batch_served=entry.cache_batch_served)
-        self.calls_dispatched += entry.dispatched
-        self.calls_denied += entry.denied
-        entry.handle.calls_served += entry.served
-        self.trace_cache.replays += 1
-        return True
-
-    def _replay_single(self, entry: TraceEntry, session: Session,
-                       module: RegisteredModule, function: SecFunction,
-                       args) -> Optional[DispatchOutcome]:
-        """Replay one hot single-call trace; None → take the slow path."""
-        machine = self.kernel.machine
-        telemetry = self.telemetry
-        watch = (Stopwatch(machine.clock, machine.spec.mhz)
-                 if telemetry.enabled else None)
-        if not self._replay_effects(entry, session):
-            return None
-        if entry.errno is not None:
-            if watch is not None:
-                telemetry.record_dispatch(session.session_id, module.name,
-                                          watch.elapsed_us())
-            return DispatchOutcome(errno=entry.errno)
-        session.note_call(module)
-        value = function.impl(entry.env, *args)
-        if watch is not None:
-            telemetry.record_handle_queue(entry.handle.proc.pid, 1)
-            telemetry.record_dispatch(session.session_id, module.name,
-                                      watch.elapsed_us())
-        return DispatchOutcome(value=value)
-
-    def _replay_batch(self, entry: TraceEntry, session: Session,
-                      calls, found_list) -> Optional[BatchOutcome]:
-        """Replay one hot batch-flush trace; None → take the slow path.
-
-        The trace key is the *sorted* shape, so this flush may be any
-        permutation of the recorded one; per-entry outcomes come from the
-        plan re-keyed by (m_id, func_id) rather than by position.
-        """
-        machine = self.kernel.machine
-        telemetry = self.telemetry
-        watch = (Stopwatch(machine.clock, machine.spec.mhz)
-                 if telemetry.enabled else None)
-        if not self._replay_effects(entry, session):
-            return None
-        env = entry.env
-        plan = entry.plan_by_pair
-        outcomes: List[DispatchOutcome] = []
-        for (module, function), (_, args) in zip(found_list, calls):
-            errno = plan[(module.m_id, function.func_id)][2]
-            if errno is not None:
-                outcomes.append(DispatchOutcome(errno=errno))
-            else:
-                session.note_call(module)
-                outcomes.append(
-                    DispatchOutcome(value=function.impl(env, *args)))
-        if watch is not None:
-            if entry.any_executed:
-                telemetry.record_handle_queue(entry.handle.proc.pid,
-                                              entry.depth)
-            telemetry.record_batch(session.session_id, entry.depth,
-                                   watch.elapsed_us())
-        return BatchOutcome(outcomes=outcomes)
-
-    # ------------------------------------------------------------ fast-forward
-    def fast_forward_probe(self, session: Session,
-                           key: Tuple) -> Optional[TraceEntry]:
-        """May the span keyed ``key`` be fast-forwarded right now?
-
-        The analytic tier's per-span admission check: the key must be HOT,
-        every replay guard must hold, and the decision-cache touches the
-        recorded span performs must be repeatable — and they are *applied
-        here*, once per accumulated span, so the decision cache's LRU order
-        and touch accounting stay identical to per-call replay.  Returns the
-        entry to accumulate, or None (with the same ``fallbacks`` counter
-        bump a failed replay takes) when the caller must flush and fall back
-        to the replay/op-by-op path.
-        """
-        if self.kernel.machine.trace.enabled:
-            return None
-        overload = self.overload
-        if overload is not None and overload.admission_active:
-            # fast-forward folds n calls into one closed-form charge; that
-            # would bypass the per-call admission decision (and its
-            # charges), so protected runs stay on the per-call tiers
-            return None
-        entry = self.trace_cache.lookup(key)
-        if entry is None or entry.state != TRACE_HOT:
-            return None
-        if not self._trace_guard_ok(entry, session):
-            return None
-        if entry.cache_touch_keys and not self.decision_cache.replay_touch(
-                session, entry.cache_touch_keys):
-            self.trace_cache.fallbacks += 1
-            return None
-        return entry
-
-    def fast_forward_commit(self, entry: TraceEntry, session: Session,
-                            n: int) -> None:
-        """Settle ``n`` accumulated spans of ``entry`` as one closed-form
-        charge.
-
-        Everything a loop of ``n`` replays would apply, applied in bulk:
-        the scaled trace charge (cycles, events, op histogram and the
-        telemetry op mirror all multiply exactly), the dispatcher/handle
-        counters, per-module ``note_calls``, the decision-cache replay
-        credits (the per-span touches already ran in
-        :meth:`fast_forward_probe`), and the dispatch-level telemetry
-        histograms via their bulk ``n`` parameter.
-        """
-        if n <= 0:
-            return
-        machine = self.kernel.machine
-        machine.meter.charge_trace(entry.trace.scaled(n))
-        cache = self.decision_cache
-        if (entry.cache_hits or entry.cache_misses
-                or entry.cache_batch_checks or entry.cache_batch_served):
-            cache.credit_replay(hits=entry.cache_hits * n,
-                                misses=entry.cache_misses * n,
-                                batch_epoch_checks=entry.cache_batch_checks * n,
-                                batch_served=entry.cache_batch_served * n)
+            self.decision_cache.credit_replay(
+                hits=entry.cache_hits * n, misses=entry.cache_misses * n,
+                batch_epoch_checks=entry.cache_batch_checks * n,
+                batch_served=entry.cache_batch_served * n)
         self.calls_dispatched += entry.dispatched * n
         self.calls_denied += entry.denied * n
         entry.handle.calls_served += entry.served * n
         for module, executed in entry.note_plan:
             if executed:
                 session.note_calls(module.m_id, executed * n)
-        trace_cache = self.trace_cache
-        trace_cache.fast_forwards += 1
-        trace_cache.fast_forward_calls += n
         telemetry = self.telemetry
         if telemetry.enabled:
-            span_us = entry.trace.total_cycles / machine.spec.mhz
+            span_us = trace.total_cycles / machine.spec.mhz
             if entry.batch_plan is None:
-                module = entry.note_plan[0][0]
-                telemetry.record_dispatch(session.session_id, module.name,
+                telemetry.record_dispatch(session.session_id,
+                                          entry.note_plan[0][0].name,
                                           span_us, n=n)
-                if entry.errno is None:
+                if entry.any_executed:
                     telemetry.record_handle_queue(entry.handle.proc.pid, 1,
                                                   n=n)
             else:
@@ -799,6 +686,44 @@ class SmodDispatcher:
                                                   entry.depth, n=n)
                 telemetry.record_batch(session.session_id, entry.depth,
                                        span_us, n=n)
+
+    # ------------------------------------------------------------ fast-forward
+    def fast_forward_probe(self, session: Session,
+                           key: Tuple) -> Optional[TraceEntry]:
+        """May the traffic engine add the span keyed ``key`` to a window?
+
+        The window tier's per-span check: :meth:`_can_settle`, behind two
+        refusals that only windows need.  A live event trace wants the
+        per-op emits a settle skips, and active admission control decides
+        per call — folding n calls into one window would bypass it (a
+        direct call was admitted before it got here, so it still settles).
+        Returns the entry to accumulate, or None when the caller must
+        flush and take the dispatch path.
+        """
+        if self.kernel.machine.trace.enabled:
+            return None
+        overload = self.overload
+        if overload is not None and overload.admission_active:
+            return None
+        entry = self.trace_cache.lookup(key)
+        if entry is None or not self._can_settle(entry, session):
+            return None
+        return entry
+
+    def fast_forward_commit(self, entry: TraceEntry, session: Session,
+                            n: int) -> None:
+        """Settle a window of ``n`` probed spans of ``entry``.
+
+        :meth:`_settle` plus the window's own bookkeeping: the
+        ``fast_forwards`` / ``fast_forward_calls`` counters and one
+        synthesized ``count=n`` tracer span for the whole window.
+        """
+        if n <= 0:
+            return
+        self._settle(entry, session, n)
+        trace_cache = self.trace_cache
+        trace_cache.fast_forwards += 1
+        trace_cache.fast_forward_calls += n
         tracer = self.tracer
         if tracer.enabled:
             # one synthesized span stands in for the whole window, so a
@@ -806,11 +731,63 @@ class SmodDispatcher:
             tracer.aggregate(
                 "dispatch.call" if entry.batch_plan is None
                 else "dispatch.batch",
-                span_us=entry.trace.total_cycles / machine.spec.mhz, n=n,
-                client_id=session.client.pid,
+                span_us=(entry.trace.total_cycles
+                         / self.kernel.machine.spec.mhz),
+                n=n, client_id=session.client.pid,
                 session_id=session.session_id)
 
     # -------------------------------------------------------------- kernel path
+    def _round_trip(self, client: Proc, session: Session,
+                    config: DispatchConfig, request: Message, reply: Message,
+                    arg_words: Sequence[int], receive) -> Any:
+        """The kernel round trip both smod syscalls share.
+
+        Applies the §4.4 hardening, copies the arguments in when
+        marshalling is explicit (``arg_words`` per executed call), sends
+        ``request`` and switches to the handle, runs ``receive(env)`` on
+        it, sends ``reply`` and switches back, and copies out one return
+        value per reply part.  Returns what ``receive`` returned.
+        """
+        kernel = self.kernel
+        machine = kernel.machine
+        handle = session.handle.proc
+        explicit_copy = config.marshalling is MarshallingMode.EXPLICIT_COPY
+        self._apply_hardening(session, config.hardening)
+        # Everything between apply and undo can raise (the msg/sched plumbing,
+        # the handle's receive); without the finally a SUSPEND_CLIENT-
+        # hardened client would stay in Scheduler._suspended forever.
+        try:
+            if explicit_copy:
+                # Arguments must be copied into a transfer buffer and back
+                # out: the cost the shared-VM design avoids.  (Pointer-rich
+                # calls such as malloc simply cannot work in this mode; the
+                # caller asserts that separately in the marshalling
+                # ablation.)
+                for words in arg_words:
+                    machine.charge_words(costs.COPY_WORD, words * 2)
+                machine.charge(costs.KMALLOC)
+
+            # -- notify the handle and switch to it ----------------------------
+            kernel.msg.msgsnd(client, session.request_msqid, request)
+            kernel.sched.switch_to(handle)
+            if kernel.msg.msgrcv(handle, session.request_msqid, 1) is None:
+                raise SimulationError("handle woke without a queued request")
+
+            # -- the handle executes on the shared stack -----------------------
+            result = receive(CallEnvironment(kernel=kernel, session=session,
+                                             client=client, handle=handle))
+
+            # -- reply and switch back -----------------------------------------
+            kernel.msg.msgsnd(handle, session.reply_msqid, reply)
+            kernel.sched.switch_to(client)
+            kernel.msg.msgrcv(client, session.reply_msqid, 2)
+            kernel.copyout(reply.part_count)    # one return value per part
+            if explicit_copy:
+                machine.charge(costs.KFREE)
+        finally:
+            self._undo_hardening(session, config.hardening)
+        return result
+
     def sys_smod_call(self, client: Proc, session: Session,
                       frame: StubCallFrame, m_id: int, func_id: int, *,
                       config: DispatchConfig = DispatchConfig()) -> DispatchOutcome:
@@ -846,49 +823,13 @@ class SmodDispatcher:
                                    pid=client.pid, detail_reason=reason)
                 return DispatchOutcome(errno=Errno.EACCES)
 
-        self._apply_hardening(session, config.hardening)
-        # Everything between apply and undo can raise (the msg/sched plumbing,
-        # the handle's receive_call); without the finally a SUSPEND_CLIENT-
-        # hardened client would stay in Scheduler._suspended forever.
-        try:
-            # -- marshalling ---------------------------------------------------
-            if config.marshalling is MarshallingMode.EXPLICIT_COPY:
-                # Arguments must be copied into a transfer buffer and back out:
-                # the cost the shared-VM design avoids.  (Pointer-rich calls
-                # such as malloc simply cannot work in this mode; the caller
-                # asserts that separately in the marshalling ablation.)
-                machine.charge_words(costs.COPY_WORD, function.arg_words * 2)
-                machine.charge(costs.KMALLOC)
-
-            # -- notify the handle and switch to it ----------------------------
-            request = Message(mtype=1,
-                              payload=(m_id, func_id, frame.return_address))
-            self.kernel.msg.msgsnd(client, session.request_msqid, request)
-            self.kernel.sched.switch_to(session.handle.proc)
-            received = self.kernel.msg.msgrcv(session.handle.proc,
-                                              session.request_msqid, 1)
-            if received is None:
-                raise SimulationError("handle woke without a queued request")
-
-            # -- the handle executes the function on the shared stack ----------
-            env = CallEnvironment(kernel=self.kernel, session=session,
-                                  client=client, handle=session.handle.proc)
-            result = session.handle.receive_call(
+        result = self._round_trip(
+            client, session, config,
+            Message(mtype=1, payload=(m_id, func_id, frame.return_address)),
+            Message(mtype=2, payload=(1,)), (function.arg_words,),
+            lambda env: session.handle.receive_call(
                 session.shared_stack, frame, function, env,
-                record_checkpoints=config.record_checkpoints)
-
-            # -- reply and switch back -----------------------------------------
-            reply = Message(mtype=2, payload=(1,))
-            self.kernel.msg.msgsnd(session.handle.proc, session.reply_msqid,
-                                   reply)
-            self.kernel.sched.switch_to(client)
-            self.kernel.msg.msgrcv(client, session.reply_msqid, 2)
-            self.kernel.copyout(1)           # the return value
-
-            if config.marshalling is MarshallingMode.EXPLICIT_COPY:
-                machine.charge(costs.KFREE)
-        finally:
-            self._undo_hardening(session, config.hardening)
+                record_checkpoints=config.record_checkpoints))
         session.note_call(module)
         self.calls_dispatched += 1
         return DispatchOutcome(value=result, frame=frame)
@@ -993,43 +934,15 @@ class SmodDispatcher:
                 unwind_client_frame(session.shared_stack, frame)
             return BatchOutcome(outcomes=list(outcomes))
 
-        self._apply_hardening(session, config.hardening)
-        try:
-            # -- marshalling (per allowed entry, one transfer buffer) -----------
-            if config.marshalling is MarshallingMode.EXPLICIT_COPY:
-                for function, allowed in plan:
-                    if allowed:
-                        machine.charge_words(costs.COPY_WORD,
-                                             function.arg_words * 2)
-                machine.charge(costs.KMALLOC)
-
-            # -- one send, one switch, one drain, one reply, one switch back ----
-            request = Message.batched(1, [
+        results = self._round_trip(
+            client, session, config,
+            Message.batched(1, [
                 (frame.module_id, frame.func_id, frame.return_address)
-                for frame in batch.frames])
-            self.kernel.msg.msgsnd(client, session.request_msqid, request)
-            self.kernel.sched.switch_to(session.handle.proc)
-            received = self.kernel.msg.msgrcv(session.handle.proc,
-                                              session.request_msqid, 1)
-            if received is None:
-                raise SimulationError("handle woke without a queued batch")
-
-            env = CallEnvironment(kernel=self.kernel, session=session,
-                                  client=client, handle=session.handle.proc)
-            results = session.handle.receive_batch(
-                session.shared_stack, batch, plan, env)
-
-            reply = Message.batched(2, [(1,) for _ in results])
-            self.kernel.msg.msgsnd(session.handle.proc, session.reply_msqid,
-                                   reply)
-            self.kernel.sched.switch_to(client)
-            self.kernel.msg.msgrcv(client, session.reply_msqid, 2)
-            self.kernel.copyout(len(results))    # one return value per entry
-
-            if config.marshalling is MarshallingMode.EXPLICIT_COPY:
-                machine.charge(costs.KFREE)
-        finally:
-            self._undo_hardening(session, config.hardening)
+                for frame in batch.frames]),
+            Message.batched(2, [(1,) for _, allowed in plan if allowed]),
+            [function.arg_words for function, allowed in plan if allowed],
+            lambda env: session.handle.receive_batch(
+                session.shared_stack, batch, plan, env))
 
         for index, value in results.items():
             outcomes[index] = DispatchOutcome(value=value,
@@ -1047,9 +960,9 @@ class SmodDispatcher:
         This is what the SecModule-converted libc's wrappers boil down to and
         what the Figure 8 benchmark loops over.  In steady state (an
         already-confirmed trace whose preconditions still hold) the whole
-        sequence is replayed as one aggregated clock charge; the first two
-        executions of a key, and anything the trace cache cannot prove
-        repeatable, run op by op below.
+        sequence settles from the trace as a fast-forward window of one;
+        the first two executions of a key, and anything the trace cache
+        cannot prove repeatable, run op by op below.
 
         ``admitted=True`` marks a call whose admission decision already
         ran upstream (a batch flush delegating its chunk-of-1); everything
@@ -1069,19 +982,21 @@ class SmodDispatcher:
                 if tracer.enabled else None)
         key = None
         if self._traceable(session, function, module, config, machine):
-            key = (session.session_id, (module.m_id, function.func_id),
-                   config)
+            shape = (module.m_id, function.func_id)
+            key = (session.session_id, shape, config)
             entry = self.trace_cache.lookup(key)
             if entry is not None:
-                if entry.state == TRACE_HOT \
-                        and self._trace_guard_ok(entry, session):
-                    outcome = self._replay_single(entry, session, module,
-                                                  function, args)
-                    if outcome is not None:
-                        if span is not None:
-                            tracer.finish(span, tier=TIER_REPLAY)
-                        return outcome
-                elif entry.state == TRACE_POISONED:
+                if self._can_settle(entry, session):
+                    self._settle(entry, session, 1)
+                    self.trace_cache.replays += 1
+                    errno = entry.plan_by_pair[shape]
+                    outcome = (DispatchOutcome(errno=errno)
+                               if errno is not None else DispatchOutcome(
+                                   value=function.impl(entry.env, *args)))
+                    if span is not None:
+                        tracer.finish(span, tier=TIER_REPLAY)
+                    return outcome
+                if entry.state == TRACE_POISONED:
                     key = None        # recording this key again is pure waste
 
         recording = (self._begin_trace_recording(session)
@@ -1115,9 +1030,9 @@ class SmodDispatcher:
                 self._abort_trace_recording(recording)
             raise
         if recording is not None:
-            self._finish_trace_recording(recording, key, session,
-                                         (module.m_id,), config=config,
-                                         errno=outcome.errno, module=module)
+            self._finish_trace_recording(
+                recording, key, session, ((module, function, outcome.errno),),
+                config=config, batched=False)
         if watch is not None:
             telemetry.record_dispatch(session.session_id, module.name,
                                       watch.elapsed_us())
@@ -1188,21 +1103,28 @@ class SmodDispatcher:
             # canonical batch shape: *sorted* (m_id, func_id) pairs, so every
             # permutation of the same multiset of entries shares one trace —
             # the per-entry charges and state deltas are permutation-
-            # invariant sums, and outcomes replay by pair, not position
+            # invariant sums, and outcomes settle by pair, not position
             shape = tuple(sorted((module.m_id, function.func_id)
                                  for module, function in found_list))
             key = (session.session_id, shape, config)
             entry = self.trace_cache.lookup(key)
             if entry is not None:
-                if entry.state == TRACE_HOT \
-                        and self._trace_guard_ok(entry, session):
-                    replayed = self._replay_batch(entry, session, calls,
-                                                  found_list)
-                    if replayed is not None:
-                        if span is not None:
-                            tracer.finish(span, tier=TIER_REPLAY)
-                        return replayed
-                elif entry.state == TRACE_POISONED:
+                if self._can_settle(entry, session):
+                    self._settle(entry, session, 1)
+                    self.trace_cache.replays += 1
+                    env, plan = entry.env, entry.plan_by_pair
+                    outcomes = []
+                    for (module, function), (_, args) in zip(found_list,
+                                                             calls):
+                        errno = plan[(module.m_id, function.func_id)]
+                        outcomes.append(
+                            DispatchOutcome(errno=errno) if errno is not None
+                            else DispatchOutcome(
+                                value=function.impl(env, *args)))
+                    if span is not None:
+                        tracer.finish(span, tier=TIER_REPLAY)
+                    return BatchOutcome(outcomes=outcomes)
+                if entry.state == TRACE_POISONED:
                     key = None
 
         recording = (self._begin_trace_recording(session)
@@ -1271,15 +1193,12 @@ class SmodDispatcher:
                 self._abort_trace_recording(recording)
             raise
         if recording is not None:
-            batch_plan = tuple(
-                (module, function, outcome.errno)
-                for (module, function), outcome in zip(found_list, outcomes))
             self._finish_trace_recording(
                 recording, key, session,
-                tuple(module.m_id for module, _ in found_list),
-                config=config, batch_plan=batch_plan,
-                any_executed=any(o.errno is None for o in outcomes),
-                depth=len(calls))
+                tuple((module, function, outcome.errno)
+                      for (module, function), outcome
+                      in zip(found_list, outcomes)),
+                config=config, batched=True)
         if watch is not None:
             telemetry.record_batch(session.session_id, len(pushed),
                                    watch.elapsed_us())

@@ -489,7 +489,6 @@ class TrafficEngine:
         # charge per key.  `_pending_cycles` is the total deferred virtual
         # time (spans + idle), so `_now_us` stays exact mid-window.
         self._ff_enabled = (self.config.use_trace_replay
-                            and self.config.use_fast_forward
                             and not spec.via_service
                             # shed decisions are per call; the closed-form
                             # fast-forward tier would skip them
@@ -646,10 +645,11 @@ class TrafficEngine:
     def _ff_flush(self) -> None:
         """Settle every deferred charge: the fast-forward sync barrier.
 
-        Runs before any dispatch that needs the true clock (a slow-path or
-        replay execution) and at the end of the run.  Accumulated idle
-        waits settle as one ``idle_many`` (cycles *and* event count exact);
-        each open window settles as one scaled-trace commit.
+        Runs before any dispatch that needs the true clock (an op-by-op
+        execution or a per-call settle) and at the end of the run.
+        Accumulated idle waits settle as one ``idle_many`` (cycles *and*
+        event count exact); each open window settles as one scaled-trace
+        commit.
         """
         if self._pending_idle_events:
             self.machine.meter.idle_many(self._pending_idle_cycles,
@@ -668,9 +668,9 @@ class TrafficEngine:
         """Try to absorb one flush into an open fast-forward window.
 
         Builds the same trace key the dispatcher would, asks it to admit
-        the span (`fast_forward_probe` revalidates every replay guard *and*
+        the span (`fast_forward_probe` revalidates every trace guard *and*
         performs the span's decision-cache touches, so per-span cache state
-        matches per-call replay exactly), and accumulates the charge.
+        matches a per-call settle exactly), and accumulates the charge.
         Returns False when the span must take the dispatch path instead.
         """
         resolve = self._ff_resolve
@@ -709,8 +709,8 @@ class TrafficEngine:
             window[0] = entry
             window[1] += 1
         self._pending_cycles += entry.trace.total_cycles
-        # the replay span's Stopwatch measures exactly the trace's cycles,
-        # so this division reproduces its latency float for float
+        # a per-call settle advances the clock by exactly the trace's
+        # cycles, so this division reproduces its latency float for float
         service_us = entry.trace.total_cycles / self._mhz
         state.calls_issued += count
         state.latencies_us.extend([service_us / count] * count)
@@ -743,7 +743,7 @@ class TrafficEngine:
 
     def _dispatch_queue_slow(self, state: ClientState, session,
                              queue: List[Tuple[str, Tuple]]) -> None:
-        """The real dispatch tail: op-by-op or per-call replay execution.
+        """The real dispatch tail: op-by-op execution or a per-call settle.
 
         Callers must have settled any open fast-forward state first (the
         stopwatch below needs the true clock).
@@ -859,7 +859,7 @@ class TrafficEngine:
         checks and cache touches, accumulated charges, fallback order) is
         statement-for-statement the generic ``_advance_clock_to`` +
         ``_one_flush`` flow, which the differential-identity tests pin
-        against the replay and op-by-op tiers.
+        against the op-by-op tier.
         """
         machine = self.machine
         clock = machine.clock
@@ -1178,10 +1178,11 @@ class TrafficEngine:
     def _run_via_service(self) -> None:
         """The service-plane driver: every call is one served RPC.
 
-        Batching, adaptive control and fast-forward are all off (the spec
-        validator pins the first two; the constructor pins the third): a
-        served call's cost is dominated by the transport round trip, and
-        the replay tiers' guards do not span the RPC boundary.
+        Batching, adaptive control and fast-forward windows are all off (the
+        spec validator pins the first two; the constructor pins the third):
+        a served call's cost is dominated by the transport round trip, and
+        a window's guards do not span the RPC boundary.  Each served call
+        still settles alone from its trace once its key is hot.
         """
         spec = self.spec
         if spec.arrival in ("open", "mmpp"):

@@ -15,3 +15,7 @@ def measure():
 
 def jitter():
     return random.random()       # -> DET001 (on top of the DET002 import)
+
+
+def seed_offset(name):
+    return hash(name) % 97       # -> DET003 (salted per process)

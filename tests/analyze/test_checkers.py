@@ -27,12 +27,17 @@ def rules_in(report, filename):
 
 class TestDeterminism:
     def test_bad_fixture(self, report):
-        assert rules_in(report, "det_bad.py") == ["DET001", "DET002"]
+        assert rules_in(report, "det_bad.py") == [
+            "DET001", "DET002", "DET003"]
 
     def test_counts(self, report):
         det1 = [f for f in report.findings if f.rule == "DET001"
                 and f.path.endswith("det_bad.py")]
         assert len(det1) == 3  # time.time, perf_counter, random.random
+
+    def test_builtin_hash_is_flagged_once(self, report):
+        lines = [f.line for f in report.findings if f.rule == "DET003"]
+        assert lines == [21]   # det_bad.py's hash(name); nothing elsewhere
 
 
 class TestCost:
@@ -140,7 +145,8 @@ class TestCleanAndScoping:
         report = analyze_tree(AnalysisConfig(root=TREE, allowlist=allow))
         assert rules_in(report, "det_bad.py") == []
         assert rules_in(report, "clock_bad.py") == []
-        assert report.allowlisted == 6  # 3 DET001 + 1 DET002 + 2 CLOCK001
+        # 3 DET001 + 1 DET002 + 1 DET003 + 2 CLOCK001
+        assert report.allowlisted == 7
 
     def test_only_rules_restricts_output(self):
         report = analyze_tree(AnalysisConfig(

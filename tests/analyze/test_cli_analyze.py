@@ -39,6 +39,6 @@ class TestAnalyzeCommand:
     def test_list_rules(self, capsys):
         assert main(["analyze", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("DET001", "COST004", "CLOCK001", "TELEM002",
+        for rule in ("DET001", "DET003", "COST004", "CLOCK001", "TELEM002",
                      "EPOCH001", "SUP002", "PARSE001"):
             assert rule in out

@@ -179,6 +179,33 @@ class TestCli:
         assert cli_main(["bench", "diff", paths["old"],
                          str(tmp_path / "missing.json")]) == 2
 
+    def test_cli_bench_simspeed_mismatch_exits_one(self, tmp_path,
+                                                   monkeypatch, capsys):
+        """A tier-accounting divergence must fail the CI smoke, not just
+        print MISMATCH."""
+        import repro.cli
+        from repro.bench.simspeed import (
+            FAST_FORWARD, OP_BY_OP, SimspeedLeg, SimspeedReport)
+
+        def diverging(**_):
+            report = SimspeedReport(calls=8, clients=4, modules=1, seed=0,
+                                    identity_calls=8, workers_identical=True)
+            for tier, cycles in ((OP_BY_OP, 1000), (FAST_FORWARD, 999)):
+                report.legs.append(SimspeedLeg(
+                    label=tier, tier=tier, total_calls=8, wall_seconds=0.1,
+                    total_cycles=cycles, clock_events=40,
+                    identity_leg=True))
+            report.legs.append(SimspeedLeg(
+                label=FAST_FORWARD, tier=FAST_FORWARD, total_calls=8,
+                wall_seconds=0.01, total_cycles=999, clock_events=40))
+            return report
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(repro.cli, "run_simspeed", diverging)
+        assert repro.cli.main(["--no-export", "bench", "simspeed",
+                               "--fast"]) == 1
+        assert "MISMATCH" in capsys.readouterr().out
+
     def test_simspeed_registered_in_harness(self):
         from repro.bench.harness import EXPERIMENTS
         assert "abl-simspeed" in EXPERIMENTS

@@ -1,5 +1,10 @@
 """Tests for the benchmark harness: figures 1-3, 7, 8, ablations, CLI, report."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.bench.ablations import (
@@ -133,6 +138,26 @@ class TestAblations:
         unmap = result.point(HardeningMode.UNMAP_CLIENT).mean_us
         assert none < suspend < unmap
         assert "hardening" in result.render()
+
+    def test_hardening_ablation_ignores_the_hash_seed(self):
+        """Per-mode trial seeds must not come from the salted builtin
+        hash(): two interpreters with different PYTHONHASHSEED values
+        produce identical points, trial jitter included."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        code = ("from repro.bench.ablations import run_hardening_ablation\n"
+                "print(repr(run_hardening_ablation(trials=2, sample_calls=4)"
+                ".points))\n")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_marshalling_ablation_copy_costs_grow_with_args(self):
         result = run_marshalling_ablation(arg_word_counts=(1, 32), calls=6)

@@ -151,6 +151,23 @@ class TestTraceCacheIsolation:
             * table[costs.SMOD_ADMIT_REFILL])
         assert cycles_p == cycles_u + admission_cycles
 
+    def test_admitted_call_on_hot_key_settles_from_trace(self):
+        """Admission refuses windows, not per-call settles: an admitted
+        direct call on a HOT key still settles from its trace."""
+        system = make_system(seed=9)
+        dispatcher = system.extension.dispatcher
+        key, entry = warm_key(system)
+        dispatcher.overload = OverloadController(OverloadConfig(
+            admission_rate_per_us=1000.0, admission_burst=1000.0))
+        cache = dispatcher.trace_cache
+        replays, records = cache.replays, cache.records
+        outcome = dispatcher.call(system.session, "test_incr", 41)
+        assert outcome.ok and outcome.value == 42
+        assert cache.replays == replays + 1
+        assert cache.records == records
+        assert cache.lookup(key) is entry and entry.state == TRACE_HOT
+        assert dispatcher.fast_forward_probe(system.session, key) is None
+
     def test_fast_forward_probe_refuses_under_admission(self):
         """FF folds n calls into one closed-form charge, which would
         bypass per-call admission — the probe must force per-call paths."""

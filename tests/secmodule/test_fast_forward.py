@@ -22,6 +22,7 @@ from repro.secmodule.dispatch import (
     TRACE_HOT,
     TRACE_POISONED,
 )
+from repro.telemetry.tracing import TIER_REPLAY
 from repro.workloads.traffic import TrafficEngine, TrafficSpec
 from test_trace_replay import accounting, normalized_metrics  # noqa: F401
 
@@ -208,11 +209,44 @@ class TestNoDoubleCharge:
         assert drive(fast_forward=True) == drive(fast_forward=False)
 
 
+class TestPerCallSettle:
+    """A direct call on a HOT key settles as a fast-forward window of one,
+    but keeps its own live span and counts as a replay, not a window."""
+
+    def test_traced_hot_call_is_one_replay_span(self):
+        system = make_system(seed=29)
+        warm_key(system, DispatchConfig())
+        tracer = system.extension.enable_tracing()
+        assert system.call("test_incr", 5) == 6
+        assert [(span.kind, span.tier, span.count)
+                for span in tracer.spans()] == [
+            ("dispatch.call", TIER_REPLAY, 1)]
+        stats = system.extension.dispatcher.trace_cache.snapshot()
+        assert stats["replays"] == 1
+        assert stats["fast_forwards"] == stats["fast_forward_calls"] == 0
+
+    def test_traced_hot_batch_is_one_replay_span(self):
+        system = make_system(seed=29)
+        config = DispatchConfig(batch_size=3)
+        dispatcher = system.extension.dispatcher
+        calls = [("test_incr", (i,)) for i in range(3)]
+        for _ in range(2):                       # record, then confirm
+            dispatcher.call_batch(system.session, calls, config=config)
+        tracer = system.extension.enable_tracing()
+        outcome = dispatcher.call_batch(system.session, calls[::-1],
+                                        config=config)
+        assert outcome.values == [3, 2, 1]       # any permutation settles
+        assert [(span.kind, span.tier, span.count)
+                for span in tracer.spans()] == [
+            ("dispatch.batch", TIER_REPLAY, 1)]
+        assert dispatcher.trace_cache.replays == 1
+
+
 class TestEngineDifferential:
     def accounting_pair(self, spec: TrafficSpec):
         def run(fast_forward: bool):
             engine = TrafficEngine(spec, dispatch_config=DispatchConfig(
-                use_fast_forward=fast_forward))
+                use_trace_replay=fast_forward))
             result = engine.run()
             return engine, result
         off_engine, off_result = run(False)
@@ -226,7 +260,8 @@ class TestEngineDifferential:
         off, on = self.accounting_pair(
             TrafficSpec(clients=4, modules=2, calls_per_client=60,
                         arrival="open"))
-        assert off["fast_forward_calls"] == 0 and off["replays"] > 0
+        assert off["fast_forward_calls"] == 0 and off["replays"] == 0
+        assert off["records"] == 0
         assert on["fast_forward_calls"] > 0
 
     def test_open_loop_with_telemetry(self):
