@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..control.overload import OverloadController
@@ -106,8 +106,8 @@ class DispatchConfig:
         # config — so every lookup on the hot path pays it.  Configs are
         # immutable: compute once, keep the same equality contract.
         # smod: allow(DET003)  it only keys dicts: no seed, ordering or
-        # output depends on the value, so per-process string salting is
-        # harmless (fork-started shard workers inherit the salt)
+        # output depends on the value, and an unpickled config recomputes
+        # it under the receiving process's string salt (see __reduce__)
         object.__setattr__(self, "_cached_hash", hash(
             (self.hardening, self.marshalling, self.per_call_policy_check,
              self.use_decision_cache, self.batch_size, self.use_trace_replay,
@@ -115,6 +115,12 @@ class DispatchConfig:
 
     def __hash__(self) -> int:
         return self._cached_hash
+
+    def __reduce__(self):
+        # rebuild from the field values rather than restoring __dict__: the
+        # enum hashes salt per process, so the sender's _cached_hash would
+        # not match an equal config built in the receiving process
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass

@@ -8,6 +8,8 @@ table regenerates bit-identically from the same seed.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -25,10 +27,18 @@ class DeterministicRNG:
         # smod: allow(DET001)  the deterministic gateway itself: explicitly
         # seeded, and the only sanctioned entropy source in the simulation
         self._rng = np.random.default_rng(self.seed)
-        #: the raw bound sampler behind :meth:`random01` — a scalar
-        #: ``Generator.random()`` already returns a Python float, so hot
-        #: loops may call this directly to skip one frame per draw
-        self.next_double = self._rng.random
+        # The bit generator's C draw routines, bound once to its state: the
+        # same routines Generator.random() and Generator.integers() call
+        # underneath, without numpy's per-call argument handling.  The
+        # Generator stays referenced because it owns the state the pointer
+        # addresses.  These calls skip the generator's lock: an instance
+        # belongs to one thread (shards are processes, each with its own).
+        bits = self._rng.bit_generator.ctypes
+        #: one raw double in ``[0, 1)`` — the C routine a scalar
+        #: ``Generator.random()`` calls, returning a Python float; hot loops
+        #: may call this directly to skip the :meth:`random01` frame
+        self.next_double = functools.partial(bits.next_double, bits.state)
+        self._next_uint32 = functools.partial(bits.next_uint32, bits.state)
 
     def child(self, label: str) -> "DeterministicRNG":
         """Derive an independent stream named by ``label``.
@@ -44,10 +54,10 @@ class DeterministicRNG:
     # -- scalar draws --------------------------------------------------------
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         # Generator.uniform's kernel computes low + (high - low) *
-        # next_double; reproducing that expression over the scalar
-        # random() path consumes the identical stream value and returns
-        # the identical float at a third of the numpy call overhead
-        return low + (high - low) * float(self._rng.random())
+        # next_double; reproducing that expression over next_double
+        # consumes the identical stream value and returns the identical
+        # float without numpy's call overhead
+        return low + (high - low) * self.next_double()
 
     def normal(self, mean: float = 0.0, sigma: float = 1.0) -> float:
         return float(self._rng.normal(mean, sigma))
@@ -60,10 +70,35 @@ class DeterministicRNG:
         """One raw double in ``[0, 1)`` — the primitive scalar draw that
         :meth:`uniform` and :meth:`weighted_choice` are built on; exposed
         so hot loops can fold the affine transform into their own code."""
-        return float(self._rng.random())
+        return self.next_double()
 
     def integer(self, low: int, high: int) -> int:
-        """Uniform integer in ``[low, high]`` inclusive."""
+        """Uniform integer in ``[low, high]`` inclusive.
+
+        Equal to ``int(Generator.integers(low, high + 1))`` draw for draw,
+        bit-generator state included.  Plain ints whose span fits 32 bits
+        run numpy's own rule here (``random_bounded_uint64_fill``): a span
+        of 0 draws nothing, and a span below ``2**32 - 1`` runs
+        ``buffered_bounded_lemire_uint32`` over ``next_uint32``, which
+        serves PCG64's buffered upper half exactly as numpy does.  Every
+        other case — wider spans, numpy integers (whose 64-bit product
+        would overflow), bounds outside int64, ``low > high`` — calls
+        numpy, so its values and its ``ValueError`` stand.
+        """
+        if (type(low) is int and type(high) is int
+                and -0x8000_0000_0000_0000 <= low <= high
+                <= 0x7FFF_FFFF_FFFF_FFFF):
+            span = high - low
+            if span < 0xFFFF_FFFF:
+                if not span:
+                    return low
+                excl = span + 1
+                m = self._next_uint32() * excl
+                if m & 0xFFFF_FFFF < excl:
+                    threshold = (0xFFFF_FFFF - span) % excl
+                    while m & 0xFFFF_FFFF < threshold:
+                        m = self._next_uint32() * excl
+                return low + (m >> 32)
         return int(self._rng.integers(low, high + 1))
 
     def exponential(self, mean: float) -> float:
@@ -109,7 +144,7 @@ class DeterministicRNG:
             raise ValueError("items and weights must be equal-length, non-empty")
         total = float(sum(weights))
         # bit-identical to uniform(0, total): 0.0 + total * d == total * d
-        draw = total * float(self._rng.random())
+        draw = total * self.next_double()
         acc = 0.0
         for item, weight in zip(items, weights):
             acc += weight
@@ -121,7 +156,7 @@ class DeterministicRNG:
         """Uniformly choose an element of a non-empty sequence."""
         if not len(seq):
             raise ValueError("cannot choose from an empty sequence")
-        return seq[int(self._rng.integers(0, len(seq)))]
+        return seq[self.integer(0, len(seq) - 1)]
 
     def bytes(self, n: int) -> bytes:
         """Return ``n`` pseudo-random bytes."""

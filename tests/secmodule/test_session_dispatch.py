@@ -1,5 +1,10 @@
 """Tests for session establishment (Figure 1) and the dispatch path."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.kernel.errno import Errno
@@ -383,6 +388,36 @@ class TestDispatchStateLeaks:
         assert cycles == sum(profile.cost(op) * count
                              for op, count in diff.items())
         assert diff[costs.SMOD_STACK_FIXUP_WORD] == 11
+
+
+class TestDispatchConfigPickle:
+    def test_unpickled_config_hashes_under_the_receiving_salt(self, tmp_path):
+        """The cached hash covers enums, whose hashes are salted per
+        process.  A config pickled under one PYTHONHASHSEED and loaded
+        under another must hash like an equal config built there, so it
+        finds that config's dict entries."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        blob = tmp_path / "config.pickle"
+        prelude = ("import pickle, sys\n"
+                   "from repro.secmodule.dispatch import DispatchConfig\n")
+        dump = prelude + ("open(sys.argv[1], 'wb').write("
+                          "pickle.dumps(DispatchConfig(batch_size=4)))\n")
+        load = prelude + (
+            "loaded = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "fresh = DispatchConfig(batch_size=4)\n"
+            "print(loaded == fresh, hash(loaded) == hash(fresh),"
+            " {fresh: 'found'}.get(loaded))\n")
+        outputs = []
+        for hash_seed, code in (("1", dump), ("2", load)):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", code, str(blob)],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.split())
+        assert outputs[1] == ["True", "True", "found"]
 
 
 def _push_frame(system):

@@ -1,5 +1,6 @@
 """Tests for the deterministic RNG and the trace buffer."""
 
+import numpy as np
 import pytest
 
 from repro.sim.clock import VirtualClock
@@ -104,6 +105,60 @@ class TestHeavyTailedThinkSamplers:
             rng.pareto(25.0, 1.0)                  # infinite-mean tail index
         with pytest.raises(ValueError):
             rng.pareto(-1.0, 2.0)
+
+
+#: spans of ``integer(low, low + span)``: the 32-bit Lemire path at its
+#: edges (0 draws nothing, 2**31 + 12345 rejects about half its draws,
+#: 2**32 - 2 is the widest) and the wider spans numpy still serves
+SPANS = (0, 1, 2, 6, 2**20, 2**31 + 12345, 2**32 - 2, 2**32 - 1, 2**40)
+
+
+class TestDrawsMatchNumpy:
+    """Scalar uniforms and bounded integers come straight from the bit
+    generator; every value, and the bit generator's state after the last
+    draw, must equal numpy's ``Generator`` draw for draw.  A numpy release
+    that changes its bounded-integer rule fails here first."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 0x5EC_0DD5, 0xFFFF_FFFF])
+    def test_interleaved_draws_equal_numpy(self, seed):
+        rng = DeterministicRNG(seed)
+        twin = np.random.default_rng(seed)
+        for i in range(1800):
+            span = SPANS[i % len(SPANS)]
+            low = -(1 << 40) if i % 4 == 0 else 3
+            got = rng.integer(low, low + span)
+            assert type(got) is int
+            assert got == int(twin.integers(low, low + span + 1)), (i, span)
+            if i % 3 == 0:
+                assert rng.next_double() == twin.random()
+            if i % 10 == 0:
+                assert rng.uniform(-2.0, 5.0) == twin.uniform(-2.0, 5.0)
+        assert rng._rng.bit_generator.state == twin.bit_generator.state
+
+    def test_numpy_integer_bounds_draw_through_numpy(self):
+        rng = DeterministicRNG(11)
+        twin = np.random.default_rng(11)
+        for _ in range(50):
+            assert rng.integer(np.int64(2), np.int64(9)) == \
+                twin.integers(2, 10)
+        assert rng._rng.bit_generator.state == twin.bit_generator.state
+
+    def test_invalid_bounds_raise_like_numpy(self):
+        rng = DeterministicRNG(1)
+        with pytest.raises(ValueError):
+            rng.integer(5, 4)
+        with pytest.raises(ValueError):                # beyond int64
+            rng.integer(2**63 - 1, 2**63)
+        assert rng._rng.bit_generator.state == \
+            np.random.default_rng(1).bit_generator.state
+
+    def test_choice_draws_its_index_like_numpy(self):
+        seq = list("abcdefg")
+        rng = DeterministicRNG(3)
+        twin = np.random.default_rng(3)
+        for _ in range(200):
+            assert rng.choice(seq) == seq[twin.integers(0, len(seq))]
+        assert rng._rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestTraceBuffer:
