@@ -209,12 +209,6 @@ class Kernel:
         """Charge a kernel->user copy of ``words`` 32-bit words."""
         self.machine.charge_words(costs.COPY_WORD, words)
 
-    def current_proc(self) -> Optional[Proc]:
-        return self.sched.current
-
-    def uptime_microseconds(self) -> float:
-        return self.machine.microseconds()
-
 
 def make_booted_kernel(machine: Optional[Machine] = None) -> Kernel:
     """Construct and boot a kernel in one call (the common test fixture)."""

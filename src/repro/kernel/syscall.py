@@ -64,12 +64,6 @@ class SyscallTable:
             return self._by_number.get(name_or_number)
         return self._by_name.get(name_or_number)
 
-    def registered_names(self) -> list:
-        return sorted(self._by_name)
-
-    def registered_numbers(self) -> list:
-        return sorted(self._by_number)
-
     # -- dispatch ------------------------------------------------------------------
     def invoke(self, kernel, proc: Proc, name_or_number, *args: Any) -> SyscallResult:
         """Trap into the kernel and execute one system call for ``proc``."""

@@ -110,7 +110,10 @@ class RpcClient:
             raise RpcError("call denied by server")
         if reply.accept_stat is not AcceptStat.SUCCESS:
             self.stats.failures += 1
-            raise RpcError(f"call not successful: {reply.accept_stat.name}")
+            cause = (self.server.last_system_error
+                     if reply.accept_stat is AcceptStat.SYSTEM_ERR else None)
+            raise RpcError(
+                f"call not successful: {reply.accept_stat.name}") from cause
         self.stats.calls += 1
         return reply.result if reply.result is not None else 0
 

@@ -64,6 +64,9 @@ class RpcServer:
         self.socket: Optional[UdpSocket] = None
         self.calls_served = 0
         self.garbage_calls = 0
+        #: the handler exception behind the last SYSTEM_ERR reply, which
+        #: the client chains to the RpcError it raises
+        self.last_system_error: Optional[Exception] = None
 
     # -- setup ----------------------------------------------------------------
     def register_program(self, program: RpcProgram) -> RpcProgram:
@@ -119,10 +122,11 @@ class RpcServer:
             else:
                 try:
                     result = handler(call.args)
-                except Exception:
+                except Exception as exc:
                     reply = ReplyMessage(xid=call.xid,
                                          accept_stat=AcceptStat.SYSTEM_ERR)
                     self.garbage_calls += 1
+                    self.last_system_error = exc
                 else:
                     reply = ReplyMessage(xid=call.xid, result=result)
                     self.calls_served += 1

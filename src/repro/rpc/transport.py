@@ -46,9 +46,6 @@ class UdpSocket:
     port: int
     receive_queue: List[Datagram] = field(default_factory=list)
 
-    def queue_length(self) -> int:
-        return len(self.receive_queue)
-
 
 class LoopbackNetwork:
     """The machine-local UDP fabric: sockets, ports, and the two data paths."""

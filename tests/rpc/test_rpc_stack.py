@@ -127,14 +127,17 @@ class TestRpcService:
         assert client.rpc.server.garbage_calls == 1
 
     def test_server_handler_exception_becomes_system_err(self, kernel):
+        error = ValueError("boom")
         interface = InterfaceDefinition(name="broken", prog=0x20000999, vers=1)
         interface.add_procedure(1, "explode",
-                                lambda args: (_ for _ in ()).throw(ValueError()))
+                                lambda args: (_ for _ in ()).throw(error))
         service = generate_service(kernel, interface, port=3000)
         proc = kernel.create_process("c", cred=unprivileged(1000))
         client = service.make_client(kernel, proc)
-        with pytest.raises(RpcError):
+        with pytest.raises(RpcError) as raised:
             client.call("explode", 1)
+        assert raised.value.__cause__ is error
+        assert client.rpc.server.garbage_calls == 1
 
     def test_per_call_costs_include_network_paths(self, kernel, client):
         before_send = kernel.machine.meter.count(costs.UDP_SEND_PATH)
