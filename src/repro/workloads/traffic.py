@@ -21,22 +21,34 @@ randomness comes from per-client child streams of one
 :class:`~repro.sim.rng.DeterministicRNG`, so a given seed replays the exact
 same interleaving, call mix and cycle totals.
 
-Clients may also *batch*: with ``batch_size > 1`` each arrival event
-flushes a queue of protected calls against one session through the batched
-dispatch path, paying the trap and the two context switches once per queue.
-
 Closed-loop think times are exponential by default but may be heavy-tailed
 (``think="lognormal"``/``"pareto"``, same mean, fatter tail), and the
 ``handle_policy`` knob registers a broker pool policy for every traffic
 module — ``"per_module"`` runs all of a module's sessions through one
 shared handle co-process instead of forking one per session.
+``telemetry=True`` attaches the telemetry plane (per-session latency
+histograms, batch-flush depths, cache and per-seat queueing-delay counters
+— pure observation, cycle totals unchanged).
 
-Two observation/control knobs ride on top: ``telemetry=True`` attaches the
-telemetry plane (per-session latency histograms, batch-flush depths,
-cache and per-seat queueing-delay counters — pure observation, cycle
-totals unchanged) and ``adaptive_batch=True`` hands the flush depth to the
-per-client AIMD controller in :mod:`repro.control.adaptive`, which grows
-and shrinks the queue from the observed interarrival EWMA.
+One event loop drives every run (:meth:`TrafficEngine._drive`).  The spec
+picks three parts once per run:
+
+* an **arrival source**: the pre-drawn open/MMPP schedule, iterated as
+  parallel ``(times, indices)`` lists, or the closed-loop think-time heap,
+  which schedules a client's next arrival from its completion time;
+* a **flush policy** over each client's queue of calls against one
+  session: static (an arrival brings ``batch_size`` calls and flushes at
+  once; a longer queue pays the trap and the two context switches once,
+  through the batched path) or AIMD (``adaptive_batch=True``: an arrival
+  brings one call and the per-client controller in
+  :mod:`repro.control.adaptive` flushes at depth, on a lull and at the
+  client's last arrival);
+* a **call sink**: direct dispatch (a fast-forward offer, else settle and
+  dispatch) or one smodserve RPC per call (``via_service=True``).
+
+Parts compose: seat-queue shedding (``shed_deadline_us``) acts on open-loop
+arrivals under either flush policy.  Static depth-1 runs with fast-forward
+on take the loop's inline arm, the same steps with every hop inlined.
 """
 
 from __future__ import annotations
@@ -48,7 +60,7 @@ import numpy as np
 
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..control.adaptive import AdaptiveBatchController, AdaptiveConfig
 from ..errors import SimulationError
@@ -89,6 +101,12 @@ DEFAULT_CALL_MIX: Tuple[Tuple[str, float], ...] = (
     ("test_null", 0.10),          # denied by the function-denylist clause
 )
 
+#: the functions every traffic module defines (``build_traffic_module``)
+TRAFFIC_FUNCTIONS: Tuple[str, ...] = ("test_incr", "getpid", "test_null")
+
+#: lognormal think: sigma of the underlying normal (tail weight)
+LOGNORMAL_THINK_SIGMA = 1.0
+
 
 @dataclass(frozen=True)
 class TrafficSpec:
@@ -112,8 +130,6 @@ class TrafficSpec:
     #: M/M/1-style loop), "lognormal" or "pareto" (heavy-tailed think times;
     #: same mean, fatter tail).  Open-loop/mmpp schedules ignore this.
     think: str = "exponential"
-    #: lognormal think: sigma of the underlying normal (tail weight)
-    think_sigma: float = 1.0
     #: pareto think: tail index (must exceed 1 for a finite mean)
     think_alpha: float = 2.5
     #: calls queued per flush: 1 issues every call through the paper's
@@ -187,6 +203,8 @@ class TrafficSpec:
     #: only) the controller also consumes the observed flush service-time
     #: p95 from telemetry and shrinks while it exceeds this target
     service_p95_target_us: float = 0.0
+    #: (function name, relative weight) per drawn call: names from
+    #: TRAFFIC_FUNCTIONS, weights positive
     call_mix: Tuple[Tuple[str, float], ...] = DEFAULT_CALL_MIX
     uid: int = 1000
     principal: str = "alice"
@@ -237,16 +255,12 @@ class TrafficSpec:
                 raise SimulationError("service_tenants must be >= 1")
         if self.shed_deadline_us < 0.0:
             raise SimulationError("shed_deadline_us must be >= 0")
-        if self.shed_deadline_us > 0.0:
-            if self.arrival not in ("open", "mmpp"):
-                raise SimulationError(
-                    "seat-queue shedding acts on the recorded queueing "
-                    "delay; it needs open-loop arrivals "
-                    "(arrival='open' or 'mmpp')")
-            if self.adaptive_batch:
-                raise SimulationError(
-                    "shed_deadline_us and adaptive_batch are mutually "
-                    "exclusive (the controller owns the queue)")
+        if self.shed_deadline_us > 0.0 and self.arrival not in ("open",
+                                                                "mmpp"):
+            raise SimulationError(
+                "seat-queue shedding acts on the recorded queueing "
+                "delay; it needs open-loop arrivals "
+                "(arrival='open' or 'mmpp')")
         if self.service_p95_target_us < 0.0:
             raise SimulationError("service_p95_target_us must be >= 0")
         if self.service_p95_target_us > 0.0 and not (
@@ -254,6 +268,22 @@ class TrafficSpec:
             raise SimulationError(
                 "service_p95_target_us closes the loop from the telemetry "
                 "plane: it needs adaptive_batch=True and telemetry=True")
+        for name in ("mean_interval_us", "burst_interval_us",
+                     "burst_on_us", "burst_off_us"):
+            if not getattr(self, name) > 0.0:
+                raise SimulationError(f"{name} must be positive")
+        if not self.call_mix:
+            raise SimulationError("call_mix must name at least one function")
+        for name, weight in self.call_mix:
+            if name not in TRAFFIC_FUNCTIONS:
+                raise SimulationError(
+                    f"call_mix names {name!r}; traffic modules define "
+                    f"{', '.join(TRAFFIC_FUNCTIONS)}")
+            if not weight > 0.0:
+                raise SimulationError(
+                    f"call_mix weight of {name!r} must be positive")
+        if self.quota_calls < 1:
+            raise SimulationError("quota_calls must be at least 1")
         # raises on an unknown policy spec
         self.broker_policy()
 
@@ -338,9 +368,17 @@ class ClientState:
     latencies_us: "array" = field(default_factory=lambda: array("d"))
     #: per-call queueing delay (open loop: start - scheduled arrival)
     queue_delays_us: "array" = field(default_factory=lambda: array("d"))
-
-    def pick_session(self, m_id: int):
-        return self.sessions[m_id]
+    # ---- flush-policy state ------------------------------------------------
+    #: calls drawn but not yet flushed, as ``(function name, args)``
+    queue: List[Tuple[str, Tuple]] = field(default_factory=list)
+    #: the registered module the queue targets; a queue lives on one session
+    target: object = None
+    #: open loop: each queued call's scheduled arrival time (closed: empty)
+    scheduled_us: List[float] = field(default_factory=list)
+    #: arrivals this client's schedule has yet to deliver
+    arrivals_left: int = 0
+    #: the AIMD controller owning the flush depth (None: static batches)
+    controller: Optional[AdaptiveBatchController] = None
 
 
 @dataclass
@@ -468,11 +506,10 @@ class TrafficEngine:
         self.modules: List = []
         self.clients: List[ClientState] = []
         self._client_by_id: Dict[int, ClientState] = {}
-        self._controllers: Dict[int, AdaptiveBatchController] = {}
         self._built = False
         self._mix_names = [name for name, _ in spec.call_mix]
         self._mix_weights = [weight for _, weight in spec.call_mix]
-        # precomputed weighted-choice tables for the fused depth-1 path:
+        # precomputed weighted-choice tables for the loop's inline arm:
         # thresholds built by the same incremental float addition
         # weighted_choice performs, so the walk is comparison-identical
         self._mix_total = float(sum(self._mix_weights))
@@ -517,14 +554,16 @@ class TrafficEngine:
         # loop touches these a few times per simulated call)
         self._dispatcher = self.extension.dispatcher
         self._us_of = self.machine.meter.profile.microseconds
-        self._telemetry_on = self.telemetry.enabled
         # record_queue_delay feeds both observation planes; hoist the
         # either-enabled check out of the per-call loops
-        self._observe_queue = self._telemetry_on or self.tracer.enabled
+        self._observe_queue = self.telemetry.enabled or self.tracer.enabled
         # broker seat-queue deadline shedding (default off: the gate stays
         # entirely out of the unprotected per-call paths)
         self._broker_shed = spec.shed_deadline_us > 0.0
         self.extension.broker.shed_deadline_us = spec.shed_deadline_us
+        #: the call sink every flush hands its queue to
+        self._sink = (self._serve_queue if spec.via_service
+                      else self._dispatch_queue)
 
     # ------------------------------------------------------------------- build
     def build(self) -> "TrafficEngine":
@@ -767,174 +806,180 @@ class TrafficEngine:
         state.latencies_us.extend([service_us / count] * count)
         state.calls_denied += denied
 
-    def _one_flush(self, state: ClientState, count: int, *,
-                   scheduled_at: Optional[float] = None) -> None:
-        """One arrival event: ``count`` calls against one session.
+    def _serve_queue(self, state: ClientState, session,
+                     queue: List[Tuple[str, Tuple]]) -> None:
+        """The service-plane sink: the queue's one call as one served RPC.
 
-        A queue targets a single module/session — a super-frame lives on
-        exactly one shared stack.  Open-loop callers pass the event's
-        scheduled time so the queueing delay (start minus schedule) is
-        recorded per call and fed to the broker's per-seat histograms.
+        The call crosses the front-end exactly as a remote client's would:
+        client stub encode, loopback datagram, server dispatch, binding
+        resolve (keyed shard probe), SecModule dispatch, reply.  Latency is
+        measured around the whole round trip, so service-plane runs report
+        the served call cost, not just the dispatch tail.  Fast-forward
+        windows stay off (a window's guards do not span the RPC boundary);
+        each served call still settles alone from its trace once its key is
+        hot.
         """
-        modules = self.modules
-        # a single-value range consumes nothing from the numpy bit stream
-        # (verified: Generator.integers with range 1 short-circuits), so
-        # skipping the draw is sequence-identical, not just cheaper
-        registered = (modules[0] if len(modules) == 1 else
-                      modules[state.rng.integer(0, len(modules) - 1)])
-        session = state.pick_session(registered.m_id)
-        if scheduled_at is not None:
-            delay = max(0.0, self._now_us() - scheduled_at)
-            if self._broker_shed and not \
-                    self.extension.broker.admit_delay(session, delay, count):
-                # shed at admission: the queueing delay alone already blew
-                # the deadline, so the flush never dispatches (and never
-                # records into the served latency/queue-delay streams)
-                return
-            if count == 1:
-                state.queue_delays_us.append(delay)
-            else:
-                state.queue_delays_us.extend([delay] * count)
-            if self._observe_queue:
-                # record_queue_delay no-ops without an observation plane;
-                # hoist the check out of the per-call loop
-                for _ in range(count):
-                    self.extension.broker.record_queue_delay(session, delay)
-        if count == 1 and self._ff_enabled:
-            # fused depth-1 fast path: draw, probe and accumulate in one
-            # frame instead of four (_draw_call/_dispatch_queue/_ff_offer).
-            # Every observable effect — the RNG stream (one weighted draw,
-            # thresholds walked exactly as weighted_choice walks them),
-            # the probe's guard checks and cache touches, the accumulated
-            # charge — is identical to the generic path.
-            draw = self._mix_total * state.rng.random01()
-            name = self._mix_last
-            for candidate, threshold in self._mix_cum:
-                if draw < threshold:
-                    name = candidate
-                    break
-            sid = session.session_id
-            pair = self._ff_resolve.get((sid, name))
-            if pair is None:
-                found = session.find_function(name)
-                if found is not None:
-                    module, function = found
-                    pair = (module.m_id, function.func_id)
-                    self._ff_resolve[(sid, name)] = pair
-            if pair is not None:
-                key = (sid, pair, self.config)
-                entry = self._dispatcher.fast_forward_probe(session, key)
-                if entry is not None:
-                    window = self._ff_windows.get(key)
-                    if window is None:
-                        self._ff_windows[key] = [entry, 1, session]
-                    else:
-                        window[0] = entry
-                        window[1] += 1
-                    cycles = entry.trace.total_cycles
-                    self._pending_cycles += cycles
-                    state.calls_issued += 1
-                    state.latencies_us.append(cycles / self._mhz)
-                    state.calls_denied += entry.denied
-                    return
-            # arguments never enter the trace key and are not drawn from
-            # the RNG, so synthesizing them only on the fallback is
-            # draw-for-draw identical to _draw_call
-            args = ((state.calls_issued,) if name == "test_incr" else ())
-            self._ff_flush()
-            self._dispatch_queue_slow(state, session, [(name, args)])
+        (name, args), = queue
+        m_id = state.target.m_id
+        func_id, arg_words = self._service_funcs[(m_id, name)]
+        binding_id = self._service_bindings[state.index][m_id]
+        stub = self._service_clients[state.index]
+        mark = self.machine.clock.checkpoint()
+        result = stub.call("serve_call", binding_id, m_id,
+                           func_id, args[0] if arg_words and args else 0)
+        service_us = self.machine.clock.since(mark).microseconds(
+            self.machine.spec.mhz)
+        state.calls_issued += 1
+        state.latencies_us.append(service_us)
+        if result < 0:
+            state.calls_denied += 1
+
+    def _flush(self, state: ClientState) -> None:
+        """Flush the client's queue through the sink.
+
+        Each queued call's delay (now minus its scheduled time) is recorded
+        first, into the client's queue delays and the broker's per-seat
+        histograms; then the sink runs, then the controller takes its AIMD
+        step.  An empty queue flushes nothing.
+        """
+        queue = state.queue
+        if not queue:
             return
-        queue = [self._draw_call(state, offset) for offset in range(count)]
-        self._dispatch_queue(state, session, queue)
+        session = state.sessions[state.target.m_id]
+        scheduled = state.scheduled_us
+        if scheduled:
+            now_us = self._now_us()
+            delays = state.queue_delays_us
+            broker = self.extension.broker
+            for at in scheduled:
+                delay = max(0.0, now_us - at)
+                delays.append(delay)
+                if self._observe_queue:
+                    broker.record_queue_delay(session, delay)
+            scheduled.clear()
+        self._sink(state, session, queue)
+        if state.controller is not None:
+            state.controller.on_flush(len(queue), self._now_us())
+        queue.clear()
 
-    def _run_open_depth1_ff(self, times: List[float],
-                            indices: List[int]) -> None:
-        """Specialized static open/mmpp driver: depth 1, fast-forward on.
+    def _drive(self) -> None:
+        """The one event loop: every arrival of the run, in time order.
 
-        The generic path spends most of each simulated call on Python
-        frame overhead (five method hops per arrival); at 10^7-call sizes
-        that overhead *is* the simulation time.  This driver is the same
-        event loop with every hop inlined and every lookup hoisted — the
-        observable sequence (RNG draws, queue-delay records, probe guard
-        checks and cache touches, accumulated charges, fallback order) is
-        statement-for-statement the generic ``_advance_clock_to`` +
-        ``_one_flush`` flow, which the differential-identity tests pin
-        against the op-by-op tier.
+        Each arrival advances the clock to its time and then runs the flush
+        policy's steps in order: the AIMD lull check, the module draw (when
+        the client's queue is empty: a queue lives on one session), the shed
+        check (open-loop runs), the draw of the arrival's calls and the
+        flush, when the policy calls for one.
+
+        Static depth-1 runs with fast-forward on take the inline arm: the
+        same observable sequence (RNG draws, delay records, probe guard
+        checks and cache touches, accumulated charges, fallback order) with
+        every hop inlined and the deferred-charge accumulators mirrored
+        into locals.  At 10^7-call sizes the frames it saves *are* the
+        simulation time (docs/performance.md, "One traffic loop").
         """
-        machine = self.machine
-        clock = machine.clock
-        # _now_us == profile.microseconds == cycles / profile.mhz;
-        # _advance_clock_to rounds idle against spec.mhz — mirror both
-        profile_mhz = machine.meter.profile.mhz
-        spec_mhz = machine.spec.mhz
-        mhz = self._mhz
+        spec = self.spec
+        # arrival source: each client gets ceil(calls / batch_size) arrivals
+        per_client = math.ceil(spec.calls_per_client / spec.batch_size)
+        batch_size = spec.batch_size
+        last_count = spec.calls_per_client - (per_client - 1) * batch_size
+        for state in self.clients:
+            state.arrivals_left = per_client
+        open_loop = spec.arrival != "closed"
+        if open_loop:
+            times, indices = self._open_schedule_sorted(per_client)
+            arrivals: Iterator[Tuple[float, int]] = zip(times, indices)
+        else:
+            arrivals = self._closed_arrivals()
+        # flush policy: static batches unless the AIMD controller owns it
+        if spec.adaptive_batch:
+            self._attach_controllers()
+        inline = batch_size == 1 and self._ff_enabled and \
+            not spec.adaptive_batch
+
+        by_id = self._client_by_id
         modules = self.modules
         single = len(modules) == 1
-        first_m_id = modules[0].m_id
-        resolve = self._ff_resolve
-        windows = self._ff_windows
-        probe = self._dispatcher.fast_forward_probe
-        config = self.config
-        mix_total = self._mix_total
-        mix_cum = self._mix_cum
-        mix_last = self._mix_last
+        last_module = len(modules) - 1
         observe_queue = self._observe_queue
         broker = self.extension.broker
-        # per-client hoists: bound methods and (single-module) the constant
-        # session, so the loop touches no attribute chains on the hot path
-        ctx = {}
-        for cid, state in self._client_by_id.items():
-            session = state.sessions[first_m_id] if single else None
-            ctx[cid] = (state, state.rng.next_double,
-                        state.queue_delays_us.append,
-                        state.latencies_us.append,
-                        session,
-                        session.session_id if single else None)
-        # deferred-charge accumulators mirrored into locals; written back
-        # around every slow-path excursion and at loop exit
-        pending = self._pending_cycles
-        idle_pending = self._pending_idle_cycles
-        idle_events = self._pending_idle_events
-        # clock.cycles only moves on the slow path; cache it between flushes
-        base_cycles = clock.cycles
-        for at, index in zip(times, indices):
-            state, next_double, delay_append, lat_append, session, sid = \
-                ctx[index]
-            # -- _advance_clock_to(at), inlined --------------------------
-            now = (base_cycles + pending) / profile_mhz
-            if at > now:
-                idle = int(round((at - now) * spec_mhz))
-                pending += idle
-                idle_pending += idle
-                idle_events += 1
+        shed = self._broker_shed
+        if inline:
+            machine = self.machine
+            clock = machine.clock
+            # _now_us == profile.microseconds == cycles / profile.mhz;
+            # _advance_clock_to rounds idle against spec.mhz: mirror both
+            profile_mhz = machine.meter.profile.mhz
+            spec_mhz = machine.spec.mhz
+            mhz = self._mhz
+            resolve = self._ff_resolve
+            windows = self._ff_windows
+            probe = self._dispatcher.fast_forward_probe
+            config = self.config
+            mix_total = self._mix_total
+            mix_cum = self._mix_cum
+            mix_last = self._mix_last
+            # per-client hoists: bound methods, the sessions in module
+            # order and the first one, so the arm touches no attribute
+            # chains
+            ctx = {}
+            for cid, state in by_id.items():
+                picks = [state.sessions[m.m_id] for m in modules]
+                ctx[cid] = (state, state.rng.next_double, state.rng.integer,
+                            state.queue_delays_us.append,
+                            state.latencies_us.append,
+                            picks, picks[0], picks[0].session_id)
+            # deferred-charge accumulators mirrored into locals; written
+            # back around every slow-path excursion, before a closed source
+            # schedules the next arrival, and at loop exit
+            pending = self._pending_cycles
+            idle_pending = self._pending_idle_cycles
+            idle_events = self._pending_idle_events
+            # clock.cycles only moves on the slow path; cache it
+            base_cycles = clock.cycles
+
+        for at, index in arrivals:
+            if inline:
+                (state, next_double, integer, delay_append, lat_append,
+                 picks, session, sid) = ctx[index]
+                # -- _advance_clock_to(at), inlined ----------------------
                 now = (base_cycles + pending) / profile_mhz
-            # -- _one_flush(state, 1, scheduled_at=at), inlined ----------
-            if not single:
-                registered = modules[state.rng.integer(0, len(modules) - 1)]
-                session = state.sessions[registered.m_id]
-                sid = session.session_id
-            delay = now - at
-            if delay < 0.0:
-                delay = 0.0
-            delay_append(delay)
-            if observe_queue:
-                broker.record_queue_delay(session, delay)
-            draw = mix_total * next_double()
-            name = mix_last
-            for candidate, threshold in mix_cum:
-                if draw < threshold:
-                    name = candidate
-                    break
-            pair = resolve.get((sid, name))
-            if pair is None:
-                found = session.find_function(name)
-                if found is not None:
-                    module, function = found
-                    pair = (module.m_id, function.func_id)
-                    resolve[(sid, name)] = pair
-            if pair is not None:
-                key = (sid, pair, config)
-                entry = probe(session, key)
+                if at > now:
+                    idle = int(round((at - now) * spec_mhz))
+                    pending += idle
+                    idle_pending += idle
+                    idle_events += 1
+                    now = (base_cycles + pending) / profile_mhz
+                if not single:
+                    session = picks[integer(0, last_module)]
+                    sid = session.session_id
+                if open_loop:
+                    delay = now - at
+                    if delay < 0.0:
+                        delay = 0.0
+                    delay_append(delay)
+                    if observe_queue:
+                        broker.record_queue_delay(session, delay)
+                # -- the weighted call draw, thresholds walked exactly as
+                # weighted_choice walks them ------------------------------
+                draw = mix_total * next_double()
+                name = mix_last
+                for candidate, threshold in mix_cum:
+                    if draw < threshold:
+                        name = candidate
+                        break
+                # -- the sink: fast-forward offer, else settle and dispatch
+                pair = resolve.get((sid, name))
+                if pair is None:
+                    found = session.find_function(name)
+                    if found is not None:
+                        module, function = found
+                        pair = (module.m_id, function.func_id)
+                        resolve[(sid, name)] = pair
+                entry = None
+                if pair is not None:
+                    key = (sid, pair, config)
+                    entry = probe(session, key)
                 if entry is not None:
                     window = windows.get(key)
                     if window is None:
@@ -947,23 +992,87 @@ class TrafficEngine:
                     state.calls_issued += 1
                     lat_append(cycles / mhz)
                     state.calls_denied += entry.denied
-                    continue
-            args = ((state.calls_issued,) if name == "test_incr" else ())
-            # settle through the real flush: sync the mirrored state out,
-            # dispatch, then re-sync (the flush zeroed the accumulators and
-            # the slow call advanced the true clock)
+                else:
+                    # arguments never enter the trace key and are not drawn
+                    # from the RNG: synthesizing them only here is
+                    # draw-for-draw identical to _draw_call
+                    args = ((state.calls_issued,) if name == "test_incr"
+                            else ())
+                    # settle through the real flush: sync the mirrored
+                    # state out, dispatch, then re-sync (the flush zeroed
+                    # the accumulators and the call advanced the clock)
+                    self._pending_cycles = pending
+                    self._pending_idle_cycles = idle_pending
+                    self._pending_idle_events = idle_events
+                    self._ff_flush()
+                    self._dispatch_queue_slow(state, session, [(name, args)])
+                    pending = self._pending_cycles
+                    idle_pending = self._pending_idle_cycles
+                    idle_events = self._pending_idle_events
+                    base_cycles = clock.cycles
+                state.arrivals_left -= 1
+                if not open_loop:
+                    # the closed source reads the clock when it schedules
+                    # this client's next arrival
+                    self._pending_cycles = pending
+                    self._pending_idle_cycles = idle_pending
+                    self._pending_idle_events = idle_events
+                continue
+
+            state = by_id[index]
+            self._advance_clock_to(at)
+            queue = state.queue
+            controller = state.controller
+            if controller is not None and controller.observe_arrival(at) \
+                    and queue:
+                self._flush(state)      # lull: the queue will not fill
+            if not queue:
+                # a single-value range consumes nothing from the numpy bit
+                # stream, so skipping the draw is sequence-identical
+                state.target = (modules[0] if single else
+                                modules[state.rng.integer(0, last_module)])
+            state.arrivals_left -= 1
+            count = batch_size if state.arrivals_left else last_count
+            if not shed or broker.admit_delay(
+                    state.sessions[state.target.m_id],
+                    max(0.0, self._now_us() - at), count):
+                for _ in range(count):
+                    queue.append(self._draw_call(state, len(queue)))
+                if open_loop:
+                    state.scheduled_us.extend([at] * count)
+            # a shed arrival draws nothing; a client's last arrival still
+            # drains what it leaves queued
+            if controller is None or len(queue) >= controller.depth \
+                    or not state.arrivals_left:
+                self._flush(state)
+        if inline:
             self._pending_cycles = pending
             self._pending_idle_cycles = idle_pending
             self._pending_idle_events = idle_events
-            self._ff_flush()
-            self._dispatch_queue_slow(state, session, [(name, args)])
-            pending = self._pending_cycles
-            idle_pending = self._pending_idle_cycles
-            idle_events = self._pending_idle_events
-            base_cycles = clock.cycles
-        self._pending_cycles = pending
-        self._pending_idle_cycles = idle_pending
-        self._pending_idle_events = idle_events
+
+    def _attach_controllers(self) -> None:
+        """Give every client an AIMD controller over its flush depth."""
+        spec = self.spec
+        config = AdaptiveConfig(
+            max_depth=spec.adaptive_max_depth,
+            service_p95_target_us=spec.service_p95_target_us)
+        service_p95 = None
+        if spec.service_p95_target_us > 0.0:
+            # closed loop: the controllers consume the observed flush
+            # service-time tail straight from the telemetry plane (the
+            # spec validator pinned telemetry on for this mode)
+            registry = self.telemetry.registry
+
+            def service_p95() -> float:
+                return registry.merged_histogram(
+                    "flush_service_us").quantile(95)
+
+        start_us = self._now_us()
+        for state in self.clients:
+            state.controller = AdaptiveBatchController(
+                config, telemetry=self.telemetry, client=state.index,
+                start_us=start_us)
+            state.controller.service_p95_supplier = service_p95
 
     def _think_source(self, state: ClientState):
         """Per-client closed-loop think-time draw (``TrafficSpec.think``).
@@ -975,75 +1084,67 @@ class TrafficEngine:
         spec = self.spec
         if spec.think == "lognormal":
             return lambda: state.rng.lognormal(spec.mean_interval_us,
-                                               spec.think_sigma)
+                                               LOGNORMAL_THINK_SIGMA)
         if spec.think == "pareto":
             return lambda: state.rng.pareto(spec.mean_interval_us,
                                             spec.think_alpha)
         return lambda: state.rng.exponential(spec.mean_interval_us)
 
-    def _interarrival_source(self, state: ClientState):
-        """Per-client interarrival draw for the pre-drawn (open) schedules."""
-        spec = self.spec
-        if spec.arrival == "mmpp":
-            mmpp = TwoStateMMPP(state.rng,
-                                on_interval=spec.burst_interval_us,
-                                off_interval=spec.mean_interval_us,
-                                on_duration=spec.burst_on_us,
-                                off_duration=spec.burst_off_us)
-            return mmpp.next_interarrival
-        return lambda: state.rng.exponential(spec.mean_interval_us)
+    def _closed_arrivals(self) -> Iterator[Tuple[float, int]]:
+        """The closed-loop arrival source: one think-time heap.
 
-    def _open_schedule(self, events_per_client: int
-                       ) -> List[Tuple[float, int, int]]:
-        """Pre-draw every client's open-loop arrival heap.
-
-        Entries are ``(fire_time_us, tiebreak, client_index)``; the
-        tiebreak keeps ordering deterministic when two clients share a
-        fire time.  Shared by the static open/mmpp path (one event per
-        flush) and the adaptive path (one event per call), so the two can
-        never diverge on schedule semantics — the depth-1 cycle-identity
-        guarantee rests on that.
-
-        Returned **sorted**, which is exactly the order a heap would pop
-        (keys are unique thanks to the tiebreak): the static schedule
-        never grows mid-run, so the consumers iterate instead of popping.
-        Pure-exponential clients draw their gaps in one vectorized call —
-        bit-identical to the scalar loop (see ``exponential_array``).
+        Yields ``(time_us, client_index)``.  A client's next arrival is
+        drawn only when the loop asks for the next arrival, after the
+        client's flush, so it is scheduled from the completion time.  The
+        tiebreak keeps ordering deterministic when two clients share a time.
         """
-        times, indices = self._open_schedule_sorted(events_per_client)
-        # the middle element only ever served as the sort tiebreak; the
-        # schedule arrives pre-sorted, so the post-sort position is the
-        # (equally unique, equally ordered) stand-in
-        return list(zip(times, range(len(times)), indices))
+        heap: List[Tuple[float, int, int]] = []
+        base_us = self._now_us()
+        think = {s.index: self._think_source(s) for s in self.clients}
+        for tiebreak, state in enumerate(self.clients):
+            heapq.heappush(heap, (base_us + think[state.index](), tiebreak,
+                                  state.index))
+        tiebreak = len(heap)
+        by_id = self._client_by_id
+        while heap:
+            at, _, index = heapq.heappop(heap)
+            yield at, index
+            if by_id[index].arrivals_left:
+                heapq.heappush(heap, (self._now_us() + think[index](),
+                                      tiebreak, index))
+                tiebreak += 1
 
     def _open_schedule_sorted(self, events_per_client: int
                               ) -> Tuple[List[float], List[int]]:
-        """The open/mmpp schedule as parallel ``(times, indices)`` lists.
+        """The open/mmpp arrival source: every client's arrivals, drawn up
+        front and independent of completions, as parallel
+        ``(times, indices)`` lists in the order a heap keyed
+        ``(time, insertion order)`` would pop them.
 
-        Vectorized form of the tuple-list schedule, bit-identical by
-        construction at every step:
-
-        * gaps accumulate through ``np.cumsum`` seeded with ``base_us``
-          as element 0, which performs the same left-to-right float
-          additions as the scalar ``at += gap`` loop (verified);
-        * the global ordering is a **stable** argsort on fire time, which
-          equals sorting ``(time, insertion-order)`` tuples — the old
-          tiebreak was insertion order by construction.
-
-        Two parallel primitive lists instead of one tuple list keeps
-        10^7-event schedules out of the cyclic GC's way: floats and ints
-        are untracked, so full collections no longer crawl ten million
-        tracked tuples (measured ~2x end-to-end at 10^7 calls).
+        Bit-identical to a scalar loop: gaps accumulate through
+        ``np.cumsum`` seeded with ``base_us`` as element 0 (the same
+        left-to-right float additions as ``at += gap``), the ordering is a
+        **stable** argsort on fire time, and Poisson clients draw their gaps
+        in one vectorized call (see ``exponential_array``).  Two primitive
+        lists instead of one tuple list keep 10^7-event schedules out of the
+        cyclic GC's way (measured ~2x end-to-end at 10^7 calls) and ~9 MiB
+        off ff-steady's peak RSS (docs/performance.md, "One traffic loop").
         """
+        spec = self.spec
         base_us = self._now_us()
         per_client: List[np.ndarray] = []
         for state in self.clients:
-            if self.spec.arrival == "open":
+            if spec.arrival == "open":
                 gaps = state.rng.exponential_array(
-                    self.spec.mean_interval_us, events_per_client)
+                    spec.mean_interval_us, events_per_client)
             else:
-                draw = self._interarrival_source(state)
-                gaps = np.asarray([draw() for _ in range(events_per_client)])
+                mmpp = TwoStateMMPP(state.rng,
+                                    on_interval=spec.burst_interval_us,
+                                    off_interval=spec.mean_interval_us,
+                                    on_duration=spec.burst_on_us,
+                                    off_duration=spec.burst_off_us)
+                gaps = np.asarray([mmpp.next_interarrival()
+                                   for _ in range(events_per_client)])
             per_client.append(
                 np.cumsum(np.concatenate(((base_us,), gaps)))[1:])
         times = np.concatenate(per_client)
@@ -1053,220 +1154,12 @@ class TrafficEngine:
         order = np.argsort(times, kind="stable")
         return times[order].tolist(), indices[order].tolist()
 
-    def _run_adaptive(self) -> None:
-        """Open-loop arrivals, one call each, flushed by the AIMD controller.
-
-        Each client accumulates arrivals in a pending queue targeting one
-        module — chosen when the queue opens, so a depth-1 controller draws
-        the exact RNG sequence of the static single-call open loop and
-        stays cycle-identical to it.  The queue flushes when it reaches the
-        controller's current depth, and lull detection is **gap-based**: an
-        arrival gap at or beyond ``linger_us`` drains the queue at that
-        next arrival, so a burst's stragglers wait at most one lull (not an
-        age-based timer — holding a filling queue is the price of
-        amortization, and the recorded queueing delays state it honestly).
-        A client's last arrival drains whatever it leaves pending, so tail
-        calls are never deferred to another client's schedule.
-        """
-        spec = self.spec
-        events = self._open_schedule(spec.calls_per_client)
-        start_us = self._now_us()
-        controllers = {
-            state.index: AdaptiveBatchController(
-                AdaptiveConfig(
-                    max_depth=spec.adaptive_max_depth,
-                    service_p95_target_us=spec.service_p95_target_us),
-                telemetry=self.telemetry, client=state.index,
-                start_us=start_us)
-            for state in self.clients}
-        if spec.service_p95_target_us > 0.0:
-            # closed loop: the controllers consume the observed flush
-            # service-time tail straight from the telemetry plane (the
-            # spec validator pinned telemetry on for this mode)
-            registry = self.telemetry.registry
-
-            def service_p95() -> float:
-                return registry.merged_histogram(
-                    "flush_service_us").quantile(95)
-
-            for controller in controllers.values():
-                controller.service_p95_supplier = service_p95
-        pending: Dict[int, List[Tuple[str, Tuple]]] = \
-            {state.index: [] for state in self.clients}
-        arrivals: Dict[int, List[float]] = \
-            {state.index: [] for state in self.clients}
-        target: Dict[int, object] = {}
-
-        def flush(index: int) -> None:
-            queue = pending[index]
-            if not queue:
-                return
-            state = self._client_by_id[index]
-            session = state.pick_session(target[index].m_id)
-            now_us = self._now_us()
-            for at in arrivals[index]:
-                delay = max(0.0, now_us - at)
-                state.queue_delays_us.append(delay)
-                if self._observe_queue:
-                    self.extension.broker.record_queue_delay(session, delay)
-            self._dispatch_queue(state, session, queue)
-            controllers[index].on_flush(len(queue), self._now_us())
-            queue.clear()
-            arrivals[index].clear()
-
-        remaining: Dict[int, int] = \
-            {state.index: spec.calls_per_client for state in self.clients}
-        for at, _, index in events:
-            state = self._client_by_id[index]
-            self._advance_clock_to(at)
-            controller = controllers[index]
-            if controller.observe_arrival(at) and pending[index]:
-                flush(index)        # lull: the queue will not fill, drain it
-            if not pending[index]:
-                # a queue targets one module/session for its whole lifetime
-                # (single-module: the range-1 draw consumes no stream bits,
-                # so skipping it is sequence-identical)
-                target[index] = (
-                    self.modules[0] if len(self.modules) == 1 else
-                    self.modules[state.rng.integer(
-                        0, len(self.modules) - 1)])
-            pending[index].append(self._draw_call(state, len(pending[index])))
-            arrivals[index].append(at)
-            remaining[index] -= 1
-            if len(pending[index]) >= controller.depth or not remaining[index]:
-                flush(index)
-        for state in self.clients:
-            flush(state.index)      # safety net; the last arrival drained it
-        self._controllers = controllers
-
-    def _one_service_call(self, state: ClientState, *,
-                          scheduled_at: Optional[float] = None) -> None:
-        """One arrival, dispatched across the smodserve RPC surface.
-
-        The call crosses the front-end exactly as a remote client's would:
-        client stub encode, loopback datagram, server dispatch, binding
-        resolve (keyed shard probe), SecModule dispatch, reply.  Latency is
-        measured around the whole round trip, so service-plane runs report
-        the served call cost, not just the dispatch tail.
-        """
-        modules = self.modules
-        registered = (modules[0] if len(modules) == 1 else
-                      modules[state.rng.integer(0, len(modules) - 1)])
-        session = state.pick_session(registered.m_id)
-        if scheduled_at is not None:
-            delay = max(0.0, self._now_us() - scheduled_at)
-            if self._broker_shed and not \
-                    self.extension.broker.admit_delay(session, delay):
-                return
-            state.queue_delays_us.append(delay)
-            if self._observe_queue:
-                self.extension.broker.record_queue_delay(session, delay)
-        name, args = self._draw_call(state, 0)
-        func_id, arg_words = self._service_funcs[(registered.m_id, name)]
-        binding_id = self._service_bindings[state.index][registered.m_id]
-        stub = self._service_clients[state.index]
-        mark = self.machine.clock.checkpoint()
-        result = stub.call("serve_call", binding_id, registered.m_id,
-                           func_id, args[0] if arg_words and args else 0)
-        service_us = self.machine.clock.since(mark).microseconds(
-            self.machine.spec.mhz)
-        state.calls_issued += 1
-        state.latencies_us.append(service_us)
-        if result < 0:
-            state.calls_denied += 1
-
-    def _run_via_service(self) -> None:
-        """The service-plane driver: every call is one served RPC.
-
-        Batching, adaptive control and fast-forward windows are all off (the
-        spec validator pins the first two; the constructor pins the third):
-        a served call's cost is dominated by the transport round trip, and
-        a window's guards do not span the RPC boundary.  Each served call
-        still settles alone from its trace once its key is hot.
-        """
-        spec = self.spec
-        if spec.arrival in ("open", "mmpp"):
-            times, indices = self._open_schedule_sorted(
-                spec.calls_per_client)
-            for at, index in zip(times, indices):
-                state = self._client_by_id[index]
-                self._advance_clock_to(at)
-                self._one_service_call(state, scheduled_at=at)
-            return
-        events: List[Tuple[float, int, int]] = []
-        tiebreak = 0
-        base_us = self._now_us()
-        think = {s.index: self._think_source(s) for s in self.clients}
-        for state in self.clients:
-            first = base_us + think[state.index]()
-            heapq.heappush(events, (first, tiebreak, state.index))
-            tiebreak += 1
-        while events:
-            at, _, index = heapq.heappop(events)
-            state = self._client_by_id[index]
-            self._advance_clock_to(at)
-            self._one_service_call(state)
-            if state.calls_issued < spec.calls_per_client:
-                next_at = self._now_us() + think[state.index]()
-                heapq.heappush(events, (next_at, tiebreak, state.index))
-                tiebreak += 1
-
     def run(self) -> TrafficResult:
         """Drive the full call schedule and collect the result."""
         self.build()
         spec = self.spec
         start_mark = self.machine.clock.checkpoint()
-
-        # static paths: each arrival event flushes up to batch_size calls
-        flushes = math.ceil(spec.calls_per_client / spec.batch_size)
-        last_flush = (spec.calls_per_client -
-                      (flushes - 1) * spec.batch_size)
-
-        def flush_size(nth: int) -> int:
-            return spec.batch_size if nth < flushes - 1 else last_flush
-
-        if spec.via_service:
-            self._run_via_service()
-        elif spec.adaptive_batch:
-            self._run_adaptive()
-        elif spec.arrival in ("open", "mmpp"):
-            # pre-draw every arrival per client, independent of completions
-            if spec.batch_size == 1 and self._ff_enabled:
-                # every flush is depth 1; take the hoisted/inlined driver
-                times, indices = self._open_schedule_sorted(flushes)
-                self._run_open_depth1_ff(times, indices)
-            else:
-                events = self._open_schedule(flushes)
-                flushed: Dict[int, int] = {s.index: 0 for s in self.clients}
-                for at, _, index in events:
-                    state = self._client_by_id[index]
-                    self._advance_clock_to(at)
-                    count = flush_size(flushed[index])
-                    flushed[index] += 1
-                    self._one_flush(state, count, scheduled_at=at)
-        else:
-            # closed loop: the next event is drawn after each completion
-            events: List[Tuple[float, int, int]] = []
-            tiebreak = 0
-            base_us = self._now_us()
-            think = {s.index: self._think_source(s) for s in self.clients}
-            for state in self.clients:
-                first = base_us + think[state.index]()
-                heapq.heappush(events, (first, tiebreak, state.index))
-                tiebreak += 1
-            flushed = {s.index: 0 for s in self.clients}
-            while events:
-                at, _, index = heapq.heappop(events)
-                state = self._client_by_id[index]
-                self._advance_clock_to(at)
-                count = flush_size(flushed[index])
-                flushed[index] += 1
-                self._one_flush(state, count)
-                if state.calls_issued < spec.calls_per_client:
-                    next_at = self._now_us() + think[state.index]()
-                    heapq.heappush(events, (next_at, tiebreak, state.index))
-                    tiebreak += 1
-
+        self._drive()
         # settle every open fast-forward window before reading the clock
         self._ff_flush()
         if self.tracer.enabled:
@@ -1302,9 +1195,9 @@ class TrafficEngine:
             broker_stats=self.extension.broker.snapshot(),
             metrics=(self.telemetry.snapshot()
                      if self.telemetry.enabled else {}),
-            adaptive=({"per_client": [self._controllers[s.index].snapshot()
+            adaptive=({"per_client": [s.controller.snapshot()
                                       for s in self.clients]}
-                      if self._controllers else {}),
+                      if spec.adaptive_batch else {}),
             seat_fairness=(self.extension.broker.seat_delay_report()
                            if self.telemetry.enabled else {}),
             trace_spans=(self.tracer.spans()

@@ -1,0 +1,145 @@
+"""Property-based differential oracle over the traffic engine's knob space.
+
+Hypothesis draws small ``TrafficSpec`` values across every arrival source,
+flush policy and call sink the engine composes, and each draw must keep the
+determinism contract the hand-written differentials pin case by case:
+
+* construction either raises ``SimulationError`` or the run finishes;
+* fast-forward on accounts exactly as op by op (``accounting`` from
+  ``tests/secmodule/test_trace_replay.py``);
+* telemetry and tracing on account exactly as both off (the same
+  accounting, minus the metrics only telemetry fills);
+* every offered call is issued or shed at the seat queue;
+* there is one latency per issued call and, on open-loop runs, one
+  queueing delay per issued call.
+
+The run is derandomized, so tier-1 sees the same examples every time.  A
+shrunk failure belongs below as a named regression test.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import pathlib
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.errors import SimulationError
+from repro.secmodule.dispatch import DispatchConfig
+from repro.workloads.traffic import TrafficEngine, TrafficSpec
+
+_REPLAY_TESTS = (pathlib.Path(__file__).resolve().parents[1]
+                 / "secmodule" / "test_trace_replay.py")
+_module_spec = importlib.util.spec_from_file_location(
+    "_trace_replay_accounting", _REPLAY_TESTS)
+_replay = importlib.util.module_from_spec(_module_spec)
+_module_spec.loader.exec_module(_replay)
+accounting = _replay.accounting
+
+#: the same examples on every run, whatever a local example database holds
+ORACLE = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=100,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+_intervals = st.floats(min_value=0.5, max_value=60.0, allow_nan=False)
+
+
+@st.composite
+def traffic_specs(draw):
+    """Keyword arguments for one small ``TrafficSpec``."""
+    arrival, flush = draw(st.sampled_from(
+        [(a, f) for a in ("closed", "open", "mmpp")
+         for f in ("static", "aimd", "service")]))
+    kwargs = dict(
+        arrival=arrival,
+        clients=draw(st.integers(1, 3)),
+        modules=draw(st.integers(1, 3)),
+        calls_per_client=draw(st.integers(1, 16)),
+        handle_policy=draw(st.sampled_from(
+            ["per_session", "per_module", "pooled"])),
+        pool_max_sessions=draw(st.integers(1, 3)),
+        mean_interval_us=draw(_intervals),
+        burst_interval_us=draw(_intervals),
+        burst_on_us=draw(_intervals),
+        burst_off_us=draw(_intervals),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    if flush == "static":
+        kwargs["batch_size"] = draw(st.sampled_from([1, 2, 3, 4, 5]))
+    elif flush == "aimd":
+        kwargs.update(adaptive_batch=True,
+                      adaptive_max_depth=draw(st.sampled_from(range(1, 9))))
+    else:
+        kwargs["via_service"] = True
+    if arrival != "closed" and draw(st.booleans()):
+        kwargs["shed_deadline_us"] = draw(
+            st.floats(min_value=0.5, max_value=40.0, allow_nan=False))
+    return kwargs
+
+
+def _run(kwargs, *, config: DispatchConfig = DispatchConfig(), **extra):
+    engine = TrafficEngine(TrafficSpec(**kwargs, **extra),
+                           dispatch_config=config)
+    return engine, engine.run()
+
+
+def _without_metrics(engine, result):
+    books = accounting(engine, result)
+    del books["metrics"]
+    return books
+
+
+def check_contract(kwargs) -> None:
+    """Assert the determinism contract for one drawn spec."""
+    try:
+        spec = TrafficSpec(**kwargs)
+    except SimulationError:
+        return
+    ff_engine, ff = _run(kwargs)
+    op_engine, op = _run(kwargs,
+                         config=DispatchConfig(use_trace_replay=False))
+    assert accounting(ff_engine, ff) == accounting(op_engine, op)
+    seen_engine, seen = _run(kwargs, telemetry=True, tracing=True)
+    assert _without_metrics(seen_engine, seen) == \
+        _without_metrics(ff_engine, ff)
+
+    offered = spec.clients * spec.calls_per_client
+    assert ff.total_calls + ff.broker_stats["seat_sheds"] == offered
+    assert len(ff.latencies_us) == ff.total_calls
+    if spec.arrival != "closed":
+        assert len(ff.queue_delays_us) == ff.total_calls
+    else:
+        assert len(ff.queue_delays_us) == 0
+
+
+@ORACLE
+@given(kwargs=traffic_specs())
+def test_traffic_contract_holds_across_the_knob_space(kwargs):
+    check_contract(kwargs)
+
+
+class TestShedUnderAimd:
+    """Seat-queue shedding composes with AIMD batching."""
+
+    SPEC = dict(clients=4, modules=1, calls_per_client=64,
+                arrival="mmpp", mean_interval_us=30.0,
+                burst_interval_us=1.0, burst_on_us=80.0,
+                burst_off_us=240.0, shed_deadline_us=4.0,
+                seed=0x5EA7, adaptive_batch=True, adaptive_max_depth=8,
+                telemetry=True)
+
+    def test_every_offered_call_is_issued_or_shed(self):
+        _, result = _run(self.SPEC)
+        sheds = result.broker_stats["seat_sheds"]
+        assert sheds > 0
+        # a shed last arrival still flushes what its client left queued
+        assert result.total_calls + sheds == 4 * 64
+        assert len(result.queue_delays_us) == result.total_calls
+
+    def test_fast_forward_on_equals_off(self):
+        ff_engine, ff = _run(self.SPEC)
+        op_engine, op = _run(self.SPEC,
+                             config=DispatchConfig(use_trace_replay=False))
+        assert accounting(ff_engine, ff) == accounting(op_engine, op)
+        assert ff.adaptive == op.adaptive
