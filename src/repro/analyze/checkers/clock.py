@@ -2,8 +2,8 @@
 
 Every figure the reproduction regenerates is a cycle total; a direct
 ``VirtualClock.advance`` call anywhere outside the meter is a charge the
-per-operation histogram (and the telemetry mirror, and the trace-replay
-accounting) never sees — the totals drift from the op counts and the
+per-operation histogram (and the metrics read from it, and the
+trace-replay accounting) never sees — the totals drift from the op counts and the
 differential suite can no longer explain where cycles went.  All idle time
 and all operation costs must flow through :class:`repro.sim.costs.CostMeter`
 (``charge`` / ``charge_words`` / ``charge_each`` / ``charge_trace`` /

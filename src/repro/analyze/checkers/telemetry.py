@@ -1,12 +1,12 @@
 """TELEM: the observation plane never perturbs what it observes.
 
-The telemetry package's contract (PR 4) is that attaching a live
-:class:`~repro.telemetry.metrics.Telemetry` leaves every cycle total of a
-run byte-identical.  That holds only if nothing under ``telemetry/`` can
-reach the cost model: no import of :mod:`repro.sim.costs` (TELEM001), no
-call that charges or advances the clock (TELEM002).  Telemetry *receives*
-mirrored charge events through its ``op_charge`` hooks; it never originates
-them.
+The telemetry package's contract is that switching the observation plane
+(:class:`~repro.telemetry.metrics.Telemetry`) on leaves every cycle total
+of a run byte-identical.  That holds only if nothing under ``telemetry/``
+can reach the cost model: no import of :mod:`repro.sim.costs` (TELEM001),
+no call that charges or advances the clock (TELEM002).  The plane *reads*
+the per-operation counts of the meter it is handed when a snapshot is
+taken; it never originates a charge.
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
-from ..telemetry import NULL_TELEMETRY, Telemetry
 
 #: The paper's single-call dispatch latency in virtual microseconds — the
 #: natural scale for "are calls arriving faster than we can dispatch them".
@@ -99,10 +98,8 @@ class AdaptiveBatchController:
     """Per-client AIMD controller over the batched-dispatch queue depth."""
 
     def __init__(self, config: Optional[AdaptiveConfig] = None, *,
-                 telemetry: Telemetry = NULL_TELEMETRY,
                  client: object = 0, start_us: float = 0.0) -> None:
         self.config = config or AdaptiveConfig()
-        self.telemetry = telemetry
         self.client = client
         self.depth = self.config.initial_depth
         self.ewma_us: Optional[float] = None
@@ -145,12 +142,13 @@ class AdaptiveBatchController:
         self.arrivals += 1
         return lull
 
-    def on_flush(self, depth_used: int, now_us: float) -> None:
-        """Apply one AIMD step after a flush of ``depth_used`` calls."""
+    def on_flush(self, depth_used: int, now_us: float) -> Optional[int]:
+        """Apply one AIMD step after a flush of ``depth_used`` calls;
+        returns the new depth when it changed, for the owner to observe."""
         self.flushes += 1
         ewma = self.ewma_us
         if ewma is None:
-            return
+            return None
         config = self.config
         new_depth = self.depth
         if (config.service_p95_target_us > 0.0
@@ -177,8 +175,8 @@ class AdaptiveBatchController:
             if new_depth > self.max_depth_reached:
                 self.max_depth_reached = new_depth
             self.trajectory.append((now_us, new_depth))
-            if self.telemetry.enabled:
-                self.telemetry.record_depth(self.client, new_depth)
+            return new_depth
+        return None
 
     # ----------------------------------------------------------- observability
     def snapshot(self) -> Dict[str, object]:

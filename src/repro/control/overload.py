@@ -19,8 +19,8 @@ byte-identical:
 * :class:`CircuitBreaker` — per-backend closed → open → half-open over a
   sliding virtual-time window of call outcomes.  The front-end charges
   :data:`~repro.sim.costs.SERVE_BREAKER_CHECK` per consult and
-  :data:`~repro.sim.costs.SERVE_BREAKER_TRIP` per transition; transitions
-  are mirrored to telemetry and the tracer.
+  :data:`~repro.sim.costs.SERVE_BREAKER_TRIP` per transition, and
+  observes each transition the breaker returns.
 * deadline shedding — not a class here: the attachment pool and the
   handle broker compare a projected virtual wait against
   :attr:`OverloadConfig.deadline_us` and shed *at admission* (charging
@@ -43,8 +43,6 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
 from ..errors import SimulationError
-from ..telemetry.metrics import NULL_TELEMETRY, Telemetry
-from ..telemetry.tracing import NULL_TRACER, Tracer
 
 #: circuit-breaker states
 BREAKER_CLOSED = "closed"
@@ -177,13 +175,9 @@ class CircuitBreaker:
     touches the clock.
     """
 
-    def __init__(self, backend: str, config: OverloadConfig, *,
-                 telemetry: Telemetry = NULL_TELEMETRY,
-                 tracer: Tracer = NULL_TRACER) -> None:
+    def __init__(self, backend: str, config: OverloadConfig) -> None:
         self.backend = backend
         self.config = config
-        self.telemetry = telemetry
-        self.tracer = tracer
         self.state = BREAKER_CLOSED
         self._window: Deque[Tuple[float, bool]] = deque()
         self._failures = 0
@@ -215,10 +209,6 @@ class CircuitBreaker:
         else:                       # closing wipes the bad history
             self._window.clear()
             self._failures = 0
-        if self.telemetry.enabled:
-            self.telemetry.record_breaker_state(self.backend, state)
-        if self.tracer.enabled:
-            self.tracer.interval(f"serve.breaker.{state}", now_us, now_us)
         return state
 
     # ------------------------------------------------------------ operations
@@ -308,10 +298,8 @@ class OverloadController:
     before any trace machinery, and charges the admission ops itself.
     """
 
-    def __init__(self, config: OverloadConfig, *,
-                 telemetry: Telemetry = NULL_TELEMETRY) -> None:
+    def __init__(self, config: OverloadConfig) -> None:
         self.config = config
-        self.telemetry = telemetry
         self._buckets: Dict[int, TokenBucket] = {}
         # observability
         self.admitted = 0
@@ -336,8 +324,6 @@ class OverloadController:
             self.admitted += tokens
         else:
             self.refused += tokens
-        if self.telemetry.enabled:
-            self.telemetry.record_admission(client_pid, ok, n=tokens)
         return ok, refilled
 
     def snapshot(self) -> Dict[str, object]:

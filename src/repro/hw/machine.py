@@ -17,7 +17,7 @@ from ..sim.clock import VirtualClock
 from ..sim.costs import CostMeter, CostProfile, MODERN_X86_3GHZ, PENTIUM_III_599
 from ..sim.rng import DeterministicRNG
 from ..sim.trace import TraceBuffer
-from ..telemetry import NULL_TELEMETRY, Telemetry
+from ..telemetry import Telemetry
 from .cpu import CPU, CPUFeatureFlags
 from .tsc import TimestampCounter
 
@@ -122,23 +122,17 @@ class Machine:
         self.trace = TraceBuffer(self.clock, enabled=self.trace_enabled)
         self.rng = DeterministicRNG(self.seed)
         self.tsc = TimestampCounter(self.clock, self.spec.mhz)
-        self.telemetry: Telemetry = NULL_TELEMETRY
+        #: the observation plane, both sinks off; every component reads it
+        #: from here and ``enable_metrics`` / ``enable_spans`` switch it on
+        #: in place.  Recording never charges the clock, so a run's cycle
+        #: totals are the same with observation on or off.
+        self.telemetry = Telemetry(self.clock, self.spec.mhz,
+                                   meter=self.meter)
         # charge passthroughs used throughout the kernel: the meter's bound
         # methods themselves, so a charge costs no forwarding frame
         # (``charge_words(op, words)`` is ``charge(op, words)``: one event)
         self.charge = self.charge_words = self.meter.charge
         self.charge_each = self.meter.charge_each
-
-    def attach_telemetry(self, telemetry: Telemetry) -> Telemetry:
-        """Wire a telemetry plane into the machine's observation points.
-
-        Recording never charges the clock, so attaching telemetry leaves
-        every cycle total of a run unchanged (the paper figures stay
-        byte-identical with it on or off).
-        """
-        self.telemetry = telemetry
-        self.meter.telemetry = telemetry
-        return telemetry
 
     def idle(self, cycles: int) -> int:
         """Advance the clock for metered idle time (see CostMeter.idle)."""

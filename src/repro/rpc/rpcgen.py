@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import SimulationError
 from ..kernel.errno import Errno
 from ..kernel.proc import Proc
-from ..telemetry import NULL_TRACER, Tracer
 from .client import RpcClient
 from .portmap import Portmapper
 from .server import ProcedureHandler, RpcProgram, RpcServer
@@ -96,8 +95,8 @@ class BoundClient:
     def __init__(self, rpc_client: RpcClient, stubs: Dict[str, int]) -> None:
         self.rpc = rpc_client
         self._stubs = stubs
-        #: span tracing (pure observation; drivers wire a live tracer)
-        self.tracer: Tracer = NULL_TRACER
+        #: the machine's observation plane: one span per stub round trip
+        self.telemetry = rpc_client.kernel.machine.telemetry
         #: overload protection: ``retry_policy(procedure_name, args)``
         #: returns the :class:`~repro.control.overload.RetryBudget` (or
         #: None) guarding an EAGAIN reply's retries.  None = never retry,
@@ -121,10 +120,10 @@ class BoundClient:
         except KeyError:
             raise SimulationError(
                 f"interface defines no procedure {procedure_name!r}") from None
-        tracer = self.tracer
-        span = (tracer.start(f"rpc.{procedure_name}",
-                             client_id=self.rpc.proc.pid)
-                if tracer.enabled else None)
+        telemetry = self.telemetry
+        span = (telemetry.start(f"rpc.{procedure_name}",
+                                client_id=self.rpc.proc.pid)
+                if telemetry.enabled else None)
         result = self.rpc.clnt_call(number, list(args))
         policy = self.retry_policy
         if policy is not None and result == -int(Errno.EAGAIN):
@@ -144,7 +143,7 @@ class BoundClient:
                     and self.retry_observer is not None):
                 self.retry_observer(procedure_name, args, "exhausted")
         if span is not None:
-            tracer.finish(span)
+            telemetry.finish(span)
         return result
 
     def __getattr__(self, item: str):

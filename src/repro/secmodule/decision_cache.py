@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
-from ..telemetry import NULL_TELEMETRY, Telemetry
 from .policy import Policy, PolicyDecision
 
 #: Default per-session entry bound.  Far above the working set of every
@@ -95,9 +94,6 @@ class DecisionCache:
         #: ... and the entries those flushes served from the prefetched
         #: decisions; the difference is the per-entry charges saved
         self.batch_served = 0
-        #: mirrored hit/miss/eviction counters when a telemetry plane is
-        #: attached (recording never charges the virtual clock)
-        self.telemetry: Telemetry = NULL_TELEMETRY
         #: armed by the dispatcher while recording a trace: every hit's key
         #: lands here so a replay can repeat the exact LRU touches
         self._touch_log: Optional[List[Tuple[int, int]]] = None
@@ -116,15 +112,11 @@ class DecisionCache:
         entry = entries.get((m_id, func_id)) if entries is not None else None
         if entry is None or entry.policy_epoch != session.policy_epoch:
             self.misses += 1
-            if self.telemetry.enabled:
-                self.telemetry.cache_event("misses")
             return None
         entries.move_to_end((m_id, func_id))     # most recently used
         self.hits += 1
         if self._touch_log is not None:
             self._touch_log.append((m_id, func_id))
-        if self.telemetry.enabled:
-            self.telemetry.cache_event("hits")
         return entry.decision
 
     def lookup_batch(self, session, keys) -> Dict[Tuple[int, int], PolicyDecision]:
@@ -160,8 +152,6 @@ class DecisionCache:
         """Record entries answered from a batch prefetch (counted as hits)."""
         self.hits += count
         self.batch_served += count
-        if self.telemetry.enabled:
-            self.telemetry.cache_event("hits", count)
 
     @property
     def batch_saved_charges(self) -> int:
@@ -175,8 +165,6 @@ class DecisionCache:
         if key not in entries and len(entries) >= self.capacity_per_session:
             entries.popitem(last=False)          # least recently used
             self.evictions += 1
-            if self.telemetry.enabled:
-                self.telemetry.cache_event("evictions")
         entries[key] = CacheEntry(decision=decision,
                                   policy_epoch=session.policy_epoch)
         entries.move_to_end(key)
@@ -218,26 +206,19 @@ class DecisionCache:
                       batch_served: int = 0) -> None:
         """Fold one replayed span's counter deltas into the statistics.
 
-        Keeps ``snapshot()`` (and the mirrored telemetry counters) identical
-        between a replayed run and the op-by-op execution it stands in for.
+        Keeps ``snapshot()`` (and the ``decision_cache.*`` metrics read from
+        it) identical between a replayed run and the op-by-op execution it stands in for.
         """
         self.hits += hits
         self.misses += misses
         self.batch_epoch_checks += batch_epoch_checks
         self.batch_served += batch_served
-        if self.telemetry.enabled:
-            if hits:
-                self.telemetry.cache_event("hits", hits)
-            if misses:
-                self.telemetry.cache_event("misses", misses)
 
     # ------------------------------------------------------------ invalidation
     def invalidate_session(self, session_id: int) -> int:
         """Drop every entry belonging to one session (teardown path)."""
         dropped = len(self._sessions.pop(session_id, ()))
         self.invalidations += dropped
-        if dropped and self.telemetry.enabled:
-            self.telemetry.cache_event("invalidations", dropped)
         if self.trace_cache is not None:
             self.trace_cache.invalidate_session(session_id)
         return dropped
@@ -253,8 +234,6 @@ class DecisionCache:
         self._sessions = {sid: entries
                           for sid, entries in self._sessions.items() if entries}
         self.invalidations += dropped
-        if dropped and self.telemetry.enabled:
-            self.telemetry.cache_event("invalidations", dropped)
         if self.trace_cache is not None:
             self.trace_cache.invalidate_module(m_id)
         return dropped
@@ -263,8 +242,6 @@ class DecisionCache:
         count = len(self)
         self._sessions.clear()
         self.invalidations += count
-        if count and self.telemetry.enabled:
-            self.telemetry.cache_event("invalidations", count)
         if self.trace_cache is not None:
             self.trace_cache.invalidate_all()
         return count

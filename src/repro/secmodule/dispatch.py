@@ -36,8 +36,6 @@ from ..kernel.errno import Errno
 from ..kernel.proc import Proc
 from ..kernel.sysv_msg import Message
 from ..sim import costs
-from ..sim.clock import Stopwatch
-from ..telemetry import NULL_TELEMETRY, NULL_TRACER, Telemetry, Tracer
 from ..telemetry.tracing import TIER_OP_BY_OP, TIER_REPLAY
 from .decision_cache import DecisionCache, policy_is_cacheable
 from .module import CallEnvironment, SecFunction
@@ -383,10 +381,9 @@ class SmodDispatcher:
                             else TraceCache())
         # decision invalidations retire the traces recorded under them
         self.decision_cache.trace_cache = self.trace_cache
-        #: pure observation — recording never charges the virtual clock
-        self.telemetry: Telemetry = NULL_TELEMETRY
-        #: span tracing, same contract: observation only, null by default
-        self.tracer: Tracer = NULL_TRACER
+        #: the machine's observation plane (recording never charges the
+        #: virtual clock)
+        self.telemetry = kernel.machine.telemetry
         #: overload protection (token-bucket admission); None = unprotected,
         #: and the entry check compiles down to one attribute test
         self.overload: Optional[OverloadController] = None
@@ -409,6 +406,10 @@ class SmodDispatcher:
         machine = self.kernel.machine
         admitted, refilled = overload.admit(
             session.client.pid, machine.microseconds(), tokens)
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.record_admission(session.client.pid, admitted,
+                                       n=tokens)
         machine.charge(costs.SMOD_ADMIT_CHECK)
         if refilled:
             machine.charge(costs.SMOD_ADMIT_REFILL)
@@ -654,12 +655,12 @@ class SmodDispatcher:
         """Settle ``n`` spans of a hot ``entry`` as one closed-form charge.
 
         Everything ``n`` op-by-op executions of the span would apply,
-        applied in bulk: the scaled trace charge (cycles, events, op
-        histogram and the telemetry op mirror all multiply exactly), the
-        decision-cache credits (the per-span touches already ran in
-        :meth:`_can_settle`), the dispatcher/handle counters, per-module
-        ``note_calls``, and the dispatch-level telemetry histograms via
-        their bulk ``n`` parameter.  Function bodies are the caller's.
+        applied in bulk: the scaled trace charge (cycles, events and the op
+        histogram all multiply exactly), the decision-cache credits (the
+        per-span touches already ran in :meth:`_can_settle`), the
+        dispatcher/handle counters, per-module ``note_calls``, and the
+        dispatch-level telemetry histograms via their bulk ``n`` parameter.
+        Function bodies are the caller's.
         """
         machine = self.kernel.machine
         trace = entry.trace
@@ -722,7 +723,7 @@ class SmodDispatcher:
 
         :meth:`_settle` plus the window's own bookkeeping: the
         ``fast_forwards`` / ``fast_forward_calls`` counters and one
-        synthesized ``count=n`` tracer span for the whole window.
+        synthesized ``count=n`` span for the whole window.
         """
         if n <= 0:
             return
@@ -730,11 +731,11 @@ class SmodDispatcher:
         trace_cache = self.trace_cache
         trace_cache.fast_forwards += 1
         trace_cache.fast_forward_calls += n
-        tracer = self.tracer
-        if tracer.enabled:
+        telemetry = self.telemetry
+        if telemetry.enabled:
             # one synthesized span stands in for the whole window, so a
             # traced fast-forward run records O(windows) spans, not O(n)
-            tracer.aggregate(
+            telemetry.aggregate(
                 "dispatch.call" if entry.batch_plan is None
                 else "dispatch.batch",
                 span_us=(entry.trace.total_cycles
@@ -982,10 +983,10 @@ class SmodDispatcher:
         module, function = found
 
         machine = self.kernel.machine
-        tracer = self.tracer
-        span = (tracer.start("dispatch.call", client_id=session.client.pid,
-                             session_id=session.session_id)
-                if tracer.enabled else None)
+        telemetry = self.telemetry
+        span = (telemetry.start("dispatch.call", client_id=session.client.pid,
+                                session_id=session.session_id)
+                if telemetry.enabled else None)
         key = None
         if self._traceable(session, function, module, config, machine):
             shape = (module.m_id, function.func_id)
@@ -1000,16 +1001,13 @@ class SmodDispatcher:
                                if errno is not None else DispatchOutcome(
                                    value=function.impl(entry.env, *args)))
                     if span is not None:
-                        tracer.finish(span, tier=TIER_REPLAY)
+                        telemetry.finish(span, tier=TIER_REPLAY)
                     return outcome
                 if entry.state == TRACE_POISONED:
                     key = None        # recording this key again is pure waste
 
         recording = (self._begin_trace_recording(session)
                      if key is not None else None)
-        telemetry = self.telemetry
-        watch = (Stopwatch(machine.clock, machine.spec.mhz)
-                 if telemetry.enabled else None)
         try:
             machine.charge(costs.USER_CALL_OVERHEAD)
             stub = ClientStub(function_name, module.m_id, function.func_id,
@@ -1039,11 +1037,8 @@ class SmodDispatcher:
             self._finish_trace_recording(
                 recording, key, session, ((module, function, outcome.errno),),
                 config=config, batched=False)
-        if watch is not None:
-            telemetry.record_dispatch(session.session_id, module.name,
-                                      watch.elapsed_us())
         if span is not None:
-            tracer.finish(span, tier=TIER_OP_BY_OP)
+            telemetry.close_call(span, session.session_id, module.name)
         return outcome
 
     def call_batch(self, session: Session,
@@ -1095,10 +1090,11 @@ class SmodDispatcher:
                           admitted=True)])
 
         machine = self.kernel.machine
-        tracer = self.tracer
-        span = (tracer.start("dispatch.batch", client_id=session.client.pid,
-                             session_id=session.session_id)
-                if tracer.enabled else None)
+        telemetry = self.telemetry
+        span = (telemetry.start("dispatch.batch",
+                                client_id=session.client.pid,
+                                session_id=session.session_id)
+                if telemetry.enabled else None)
         # resolve every name once: the trace-eligibility check, the stub
         # build and the recorded batch plan all consume this list
         found_list = [session.find_function(name) for name, _ in calls]
@@ -1128,16 +1124,13 @@ class SmodDispatcher:
                             else DispatchOutcome(
                                 value=function.impl(env, *args)))
                     if span is not None:
-                        tracer.finish(span, tier=TIER_REPLAY)
+                        telemetry.finish(span, tier=TIER_REPLAY)
                     return BatchOutcome(outcomes=outcomes)
                 if entry.state == TRACE_POISONED:
                     key = None
 
         recording = (self._begin_trace_recording(session)
                      if key is not None else None)
-        telemetry = self.telemetry
-        watch = (Stopwatch(machine.clock, machine.spec.mhz)
-                 if telemetry.enabled else None)
         try:
             machine.charge(costs.USER_CALL_OVERHEAD)  # one flush, not per call
             outcomes: List[Optional[DispatchOutcome]] = [None] * len(calls)
@@ -1159,7 +1152,7 @@ class SmodDispatcher:
                 if recording is not None:
                     self._abort_trace_recording(recording)
                 if span is not None:
-                    tracer.finish(span, tier=TIER_OP_BY_OP)
+                    telemetry.finish(span, tier=TIER_OP_BY_OP)
                 return BatchOutcome(outcomes=list(outcomes))
 
             batch = batch_stub.push_batch(
@@ -1183,12 +1176,9 @@ class SmodDispatcher:
                     # a dead/foreign session is not a steady state to memoize
                     self._abort_trace_recording(recording)
                     recording = None
-                if watch is not None:
-                    telemetry.record_batch(session.session_id,
-                                           len(batch.frames),
-                                           watch.elapsed_us())
                 if span is not None:
-                    tracer.finish(span, tier=TIER_OP_BY_OP)
+                    telemetry.close_batch(span, session.session_id,
+                                          len(batch.frames))
                 return BatchOutcome(outcomes=list(outcomes),
                                     errno=result.errno)
 
@@ -1205,11 +1195,8 @@ class SmodDispatcher:
                       for (module, function), outcome
                       in zip(found_list, outcomes)),
                 config=config, batched=True)
-        if watch is not None:
-            telemetry.record_batch(session.session_id, len(pushed),
-                                   watch.elapsed_us())
         if span is not None:
-            tracer.finish(span, tier=TIER_OP_BY_OP)
+            telemetry.close_batch(span, session.session_id, len(pushed))
         return BatchOutcome(outcomes=list(outcomes))
 
     def _unwind_failed_call(self, session: Session,

@@ -37,7 +37,6 @@ from ..errors import SimulationError
 from ..kernel.proc import Proc, ProcFlag
 from ..sim import costs
 from ..sim.stats import jain_fairness_index
-from ..telemetry import NULL_TELEMETRY, NULL_TRACER, Telemetry, Tracer
 from .handle import Handle
 
 #: Policy kinds, in increasing order of sharing.
@@ -189,11 +188,9 @@ class HandleBroker:
         #: drivers consult :meth:`admit_delay` before dispatching)
         self.shed_deadline_us = 0.0
         self.seat_sheds = 0
-        #: per-seat queueing-delay histograms live here when a telemetry
-        #: plane is attached (pure observation, never charges the clock)
-        self.telemetry: Telemetry = NULL_TELEMETRY
-        #: span tracing, same contract: queue waits become spans, null off
-        self.tracer: Tracer = NULL_TRACER
+        #: the machine's observation plane: per-seat queueing delays and
+        #: sheds (pure observation, never charges the clock)
+        self.telemetry = kernel.machine.telemetry
         #: the dispatcher's trace cache (wired by SmodExtension): a seat
         #: joining or leaving a shared handle changes the routing cost every
         #: *other* seated session pays per call, so their recorded traces
@@ -366,29 +363,21 @@ class HandleBroker:
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.record_shed(f"handle:{session.handle.proc.pid}",
-                                  "seat_deadline", n=count)
-        tracer = self.tracer
-        if tracer.enabled:
-            now_us = tracer.now_us()
-            tracer.interval("broker.shed", now_us - delay_us, now_us,
-                            client_id=session.client.pid,
-                            session_id=session.session_id, count=count)
+                                  "seat_deadline", "broker.shed", delay_us,
+                                  client_id=session.client.pid,
+                                  session_id=session.session_id, n=count)
         return False
 
     # ------------------------------------------------------ seat-level telemetry
     def record_queue_delay(self, session, delay_us: float) -> None:
         """Fold one call's queueing delay into the (handle, client) seat
-        histogram.  No-op unless a telemetry plane is attached."""
+        histogram and a ``broker.queue_wait`` span.  No-op while
+        observation is off."""
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.record_queue_delay(session.handle.proc.pid,
-                                         session.client.pid, delay_us)
-        tracer = self.tracer
-        if tracer.enabled:
-            end_us = tracer.now_us()
-            tracer.interval("broker.queue_wait", end_us - delay_us, end_us,
-                            client_id=session.client.pid,
-                            session_id=session.session_id)
+                                         session.client.pid, delay_us,
+                                         session.session_id)
 
     def seat_delay_report(self) -> Dict[int, Dict[str, object]]:
         """Per-handle queueing-delay fairness across its seated clients.
@@ -396,10 +385,10 @@ class HandleBroker:
         For every handle with recorded seat delays: the client count, each
         client's mean and p95 queueing delay, and the Jain fairness index
         over the per-client mean delays (1.0 = perfectly even service).
-        Empty when no telemetry plane is attached or nothing was recorded.
+        Empty while metrics are off or when nothing was recorded.
         """
         telemetry = self.telemetry
-        if not telemetry.enabled:
+        if not telemetry.metrics:
             return {}
         by_handle: Dict[int, List] = {}
         for labels, histogram in telemetry.registry.histograms_named(

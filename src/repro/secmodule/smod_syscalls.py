@@ -35,8 +35,6 @@ from ..kernel.syscall import (
     SYS_smod_session_info,
     SYS_smod_start_session,
 )
-from ..telemetry import NULL_TELEMETRY, NULL_TRACER, Telemetry, Tracer
-from ..telemetry.tracing import make_tracer
 from .decision_cache import DecisionCache
 from .dispatch import DispatchConfig, SmodDispatcher
 from .handle_pool import HandleBroker, HandlePolicy
@@ -73,52 +71,9 @@ class SmodExtension:
         # seat changes on shared handles retire the affected call traces
         # (the dispatcher wired decision-cache invalidations in its ctor)
         self.broker.trace_cache = self.dispatcher.trace_cache
-        self.telemetry: Telemetry = NULL_TELEMETRY
-        self.tracer: Tracer = NULL_TRACER
+        # the machine's observation plane reads the cache's own counters
+        kernel.machine.telemetry.cache = self.decision_cache
         self._installed = False
-
-    # --------------------------------------------------------------- telemetry
-    def enable_telemetry(self,
-                         telemetry: Optional[Telemetry] = None) -> Telemetry:
-        """Attach a telemetry plane to every observation point at once.
-
-        Wires the machine (per-operation cost mirror), the dispatcher
-        (per-session latency + batch-flush depths), the decision cache
-        (hit/miss/eviction counters) and the handle broker (per-seat
-        queueing-delay histograms).  Recording is pure observation — cycle
-        totals are unchanged, the paper figures stay byte-identical.
-        """
-        tel = telemetry if telemetry is not None else Telemetry()
-        self.telemetry = tel
-        self.kernel.machine.attach_telemetry(tel)
-        self.dispatcher.telemetry = tel
-        self.decision_cache.telemetry = tel
-        self.broker.telemetry = tel
-        return tel
-
-    def enable_tracing(self, tracer: Optional[Tracer] = None, *,
-                       capacity: Optional[int] = None,
-                       sample_every: int = 1,
-                       seed: int = 0x51A9) -> Tracer:
-        """Attach a span tracer to every tap point at once.
-
-        Wires the dispatcher (``dispatch.call``/``dispatch.batch`` spans
-        with tier annotations) and the handle broker (``broker.queue_wait``
-        spans).  Like telemetry, tracing is pure observation: span
-        timestamps read the virtual clock, never charge it, so a traced
-        run's cycle totals are byte-identical to an untraced one.
-        """
-        if tracer is None:
-            machine = self.kernel.machine
-            kwargs = {"sample_every": sample_every, "seed": seed}
-            if capacity is not None:
-                kwargs["capacity"] = capacity
-            tracer = make_tracer(True, machine.clock, machine.spec.mhz,
-                                 **kwargs)
-        self.tracer = tracer
-        self.dispatcher.tracer = tracer
-        self.broker.tracer = tracer
-        return tracer
 
     # ------------------------------------------------------------- installation
     def install(self) -> "SmodExtension":

@@ -41,8 +41,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..sim import costs
-from ..telemetry.metrics import NULL_TELEMETRY, Telemetry
-from ..telemetry.tracing import NULL_TRACER, Tracer
 
 OVERFLOW_QUEUE = "queue"
 OVERFLOW_REFUSE = "refuse"
@@ -111,14 +109,12 @@ class AttachmentPool:
     """Bounded checkout/check-in pool over factory-built worker sessions."""
 
     def __init__(self, backend: str, factory: Callable[[], object], *,
-                 kernel, config: PoolConfig = PoolConfig(),
-                 telemetry: Telemetry = NULL_TELEMETRY) -> None:
+                 kernel, config: PoolConfig = PoolConfig()) -> None:
         self.backend = backend
         self.kernel = kernel
         self.config = config
-        self.telemetry = telemetry
-        #: span tracing (observation only; wired by the front-end)
-        self.tracer: Tracer = NULL_TRACER
+        #: the machine's observation plane (never charges the clock)
+        self.telemetry = kernel.machine.telemetry
         self._factory = factory
         #: (free_at_us, seq, attachment): seq breaks ties so attachments
         #: themselves are never compared
@@ -165,24 +161,18 @@ class AttachmentPool:
     def _grant(self, attachment: Attachment, start_us: float,
                wait_us: float) -> Checkout:
         attachment.checkouts += 1
-        if self.telemetry.enabled:
-            self.telemetry.record_pool_wait(self.backend, wait_us)
-        tracer = self.tracer
-        if tracer.enabled:
-            # the span covers the (virtual) time spent waiting on the pool;
-            # zero-wait grants record a zero-length marker at the grant
-            tracer.interval("pool.checkout", start_us - wait_us, start_us)
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.record_pool_wait(self.backend, wait_us, start_us)
         return Checkout(attachment=attachment, start_us=start_us,
                         wait_us=wait_us)
 
     def _refuse(self, now_us: float, wait_us: float,
                 reason: str) -> Checkout:
         self.refusals += 1
-        if self.telemetry.enabled:
-            self.telemetry.record_pool_refusal(self.backend)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.interval("pool.refuse", now_us, now_us)
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.record_pool_refusal(self.backend, now_us)
         return Checkout(attachment=None, start_us=now_us, wait_us=wait_us,
                         refused=True, reason=reason)
 
@@ -192,11 +182,10 @@ class AttachmentPool:
         charged SERVE_SHED standing in for building the refusal reply."""
         self._charge(costs.SERVE_SHED)
         self.sheds += 1
-        if self.telemetry.enabled:
-            self.telemetry.record_shed(self.backend, "deadline")
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.interval("pool.shed", now_us, now_us)
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.record_shed(self.backend, "deadline", "pool.shed",
+                                  at_us=now_us)
         return Checkout(attachment=None, start_us=now_us, wait_us=wait_us,
                         refused=True, reason="deadline shed")
 

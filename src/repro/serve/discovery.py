@@ -23,8 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..errors import SimulationError
 from ..secmodule.handle_pool import HandlePolicy
 from ..sim import costs
-from ..telemetry.metrics import NULL_TELEMETRY, Telemetry
-from ..telemetry.tracing import NULL_TRACER, Tracer
 
 #: backend lifecycle states
 STATE_UP = "up"
@@ -83,16 +81,15 @@ class HealthReport:
 class BackendRegistry:
     """Named-backend registry + health checker over the handle broker."""
 
-    def __init__(self, kernel, extension, *, charge_ops: bool = True,
-                 telemetry: Telemetry = NULL_TELEMETRY) -> None:
+    def __init__(self, kernel, extension, *,
+                 charge_ops: bool = True) -> None:
         self.kernel = kernel
         self.extension = extension
         #: charge the SERVE_* registry ops; off reproduces the direct
         #: (service-plane-compiled-out) charge sequence exactly
         self.charge_ops = charge_ops
-        self.telemetry = telemetry
-        #: span tracing (observation only; wired by the front-end)
-        self.tracer: Tracer = NULL_TRACER
+        #: the machine's observation plane (never charges the clock)
+        self.telemetry = kernel.machine.telemetry
         self._by_name: Dict[str, BackendRecord] = {}
         self._by_id: Dict[int, BackendRecord] = {}
         self._next_id = 1
@@ -122,8 +119,9 @@ class BackendRegistry:
             self.extension.broker.register_policy(module.name, parsed)
         self._by_name[name] = record
         self._by_id[record.backend_id] = record
-        if self.telemetry.enabled:
-            self.telemetry.record_backend_state(name, STATE_UP)
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.record_backend_state(name, STATE_UP)
         return record
 
     # -------------------------------------------------------------- resolution
@@ -133,13 +131,13 @@ class BackendRegistry:
         Resolution succeeds regardless of state — callers decide whether a
         draining or down backend may serve their operation.
         """
-        tracer = self.tracer
-        span = tracer.start("serve.resolve") if tracer.enabled else None
+        telemetry = self.telemetry
+        span = telemetry.start("serve.resolve") if telemetry.enabled else None
         if self.charge_ops:
             self.kernel.machine.charge(costs.SERVE_BACKEND_RESOLVE)
         self.resolutions += 1
         if span is not None:
-            tracer.finish(span)
+            telemetry.finish(span)
         if isinstance(ref, BackendRecord):
             return ref
         record = (self._by_id.get(ref) if isinstance(ref, int)
@@ -166,12 +164,12 @@ class BackendRegistry:
         ``down``; a (re)populated pool brings it back ``up``.  ``draining``
         is operator state and is never overridden by a probe.
         """
-        tracer = self.tracer
-        span = tracer.start("serve.health") if tracer.enabled else None
+        telemetry = self.telemetry
+        span = telemetry.start("serve.health") if telemetry.enabled else None
         if self.charge_ops:
             self.kernel.machine.charge(costs.SERVE_HEALTH_PROBE)
         if span is not None:
-            tracer.finish(span)
+            telemetry.finish(span)
         record = ref if isinstance(ref, BackendRecord) else (
             self._by_id.get(ref) if isinstance(ref, int)
             else self._by_name.get(ref))
@@ -184,8 +182,8 @@ class BackendRegistry:
             probed = STATE_DOWN if (members and not live) else STATE_UP
             if probed != record.state:
                 record.state = probed
-                if self.telemetry.enabled:
-                    self.telemetry.record_backend_state(record.name, probed)
+                if telemetry.enabled:
+                    telemetry.record_backend_state(record.name, probed)
         record.probes += 1
         self.probes += 1
         return HealthReport(backend=record.name, state=record.state,

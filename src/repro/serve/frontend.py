@@ -39,8 +39,6 @@ from ..secmodule.dispatch import DispatchConfig, DispatchOutcome
 from ..secmodule.session import (DEFAULT_TENANT, SessionDescriptor,
                                  build_requirements)
 from ..sim import costs
-from ..telemetry.metrics import NULL_TELEMETRY, Telemetry
-from ..telemetry.tracing import NULL_TRACER, Tracer
 from ..userland.process import Program
 from .attachment_pool import AttachmentPool, Checkout, PoolConfig
 from .discovery import (STATE_CODES, STATE_DOWN, STATE_UP, BackendRecord,
@@ -89,17 +87,14 @@ class ServiceFrontend:
     """Accepts clients, resolves backends, pools attachments, dispatches."""
 
     def __init__(self, kernel, extension, *,
-                 config: Optional[ServiceConfig] = None,
-                 telemetry: Telemetry = NULL_TELEMETRY) -> None:
+                 config: Optional[ServiceConfig] = None) -> None:
         self.kernel = kernel
         self.extension = extension
         self.config = config or ServiceConfig()
-        self.telemetry = telemetry
-        #: span tracing (observation only; see :meth:`attach_tracer`)
-        self.tracer: Tracer = NULL_TRACER
+        #: the machine's observation plane (never charges the clock)
+        self.telemetry = kernel.machine.telemetry
         self.registry = BackendRegistry(kernel, extension,
-                                        charge_ops=self.config.charge_ops,
-                                        telemetry=telemetry)
+                                        charge_ops=self.config.charge_ops)
         self._pools: Dict[str, AttachmentPool] = {}
         self._workers: Dict[str, Program] = {}
         self._bindings: Dict[int, Binding] = {}
@@ -124,20 +119,6 @@ class ServiceFrontend:
         self._retry_budgets: Dict[str, RetryBudget] = {}
 
     # --------------------------------------------------------------- plumbing
-    def attach_tracer(self, tracer: Tracer) -> None:
-        """Wire a span tracer through the whole service plane: the
-        front-end, the discovery registry, every attachment pool (current
-        and future), and the dispatcher/broker underneath."""
-        self.tracer = tracer
-        self.registry.tracer = tracer
-        for pool in self._pools.values():
-            pool.tracer = tracer
-        for record in self.registry.backends():
-            if record.breaker is not None:
-                record.breaker.tracer = tracer
-        self.extension.dispatcher.tracer = tracer
-        self.extension.broker.tracer = tracer
-
     def _now_us(self) -> float:
         return self._us_of(self.kernel.machine.clock.cycles)
 
@@ -169,16 +150,13 @@ class ServiceFrontend:
                 pool_config = replace(pool_config,
                                       shed_deadline_us=overload.deadline_us)
             if overload.breaker_enabled:
-                record.breaker = CircuitBreaker(
-                    name, overload, telemetry=self.telemetry,
-                    tracer=self.tracer)
+                record.breaker = CircuitBreaker(name, overload)
             if overload.retry_enabled:
                 self._retry_budgets[name] = RetryBudget(
                     overload.retry_budget, overload.retry_backoff_us)
         pool = AttachmentPool(
             name, lambda rec=record: self._worker_session(rec),
-            kernel=self.kernel, config=pool_config, telemetry=self.telemetry)
-        pool.tracer = self.tracer
+            kernel=self.kernel, config=pool_config)
         self._pools[name] = pool
         return record
 
@@ -219,12 +197,12 @@ class ServiceFrontend:
         deployments.  A front-end-spawned surrogate program stands in for
         remote clients that exist only across the RPC boundary.
         """
-        tracer = self.tracer
-        span = tracer.start("rpc.attach") if tracer.enabled else None
+        telemetry = self.telemetry
+        span = telemetry.start("rpc.attach") if telemetry.enabled else None
         record = self.registry.resolve(backend)
         if record.state != STATE_UP:
             if span is not None:
-                tracer.finish(span)
+                telemetry.finish(span)
             raise SimulationError(
                 f"backend {record.name!r} is {record.state}; "
                 f"not accepting new bindings")
@@ -233,7 +211,7 @@ class ServiceFrontend:
             client = Program.spawn(self.kernel,
                                    name or f"svc-client{binding_id}",
                                    uid=self.config.uid)
-        if span is not None:
+        if telemetry.spans:
             span.client_id = client.proc.pid
         sessions = self.extension.sessions
         if tenant != sessions.tenant_for(client.proc.pid):
@@ -244,7 +222,8 @@ class ServiceFrontend:
         except PermissionError as refused:
             # the kernel refused the session, e.g. no process-table slot
             # for the handle fork: a refusal like any other, not a crash
-            tracer.finish(span)
+            if span is not None:
+                telemetry.finish(span)
             raise SimulationError(
                 f"attach to backend {record.name!r} refused: {refused}"
             ) from refused
@@ -254,9 +233,10 @@ class ServiceFrontend:
         self._bindings[binding_id] = binding
         self._next_binding += 1
         self.attaches += 1
-        if span is not None:
+        if telemetry.spans:
             span.session_id = session.session_id
-            tracer.finish(span)
+        if span is not None:
+            telemetry.finish(span)
         return binding
 
     def detach(self, binding_id: int, *, kill_handle: bool = True) -> None:
@@ -286,26 +266,28 @@ class ServiceFrontend:
         binding = self._bindings.get(binding_id)
         if binding is None:
             return DispatchOutcome(errno=Errno.EINVAL)
-        tracer = self.tracer
-        span = (tracer.start("serve.call", client_id=binding.client.proc.pid,
-                             session_id=binding.session.session_id)
-                if tracer.enabled else None)
-        resolve = tracer.start("serve.resolve") if tracer.enabled else None
+        telemetry = self.telemetry
+        span = resolve = None
+        if telemetry.enabled:
+            span = telemetry.start("serve.call",
+                                   client_id=binding.client.proc.pid,
+                                   session_id=binding.session.session_id)
+            resolve = telemetry.start("serve.resolve")
         self._charge(costs.SERVE_BACKEND_RESOLVE)
         session = self.extension.sessions.lookup(
             binding.client.proc.pid, binding.session.session_id)
         if resolve is not None:
-            tracer.finish(resolve)
+            telemetry.finish(resolve)
         if session is None:
             if span is not None:
-                tracer.finish(span)
+                telemetry.finish(span)
             return DispatchOutcome(errno=Errno.EINVAL)
         binding.calls += 1
         self.bound_calls += 1
         outcome = self.extension.dispatcher.call(session, function_name,
                                                  *args, config=config)
         if span is not None:
-            tracer.finish(span)
+            telemetry.finish(span)
         return outcome
 
     def call_pooled(self, backend: Union[str, int, BackendRecord],
@@ -319,8 +301,8 @@ class ServiceFrontend:
         pool waits and refusals are decided against it.  Returns the
         dispatch outcome plus the checkout record (wait/refusal detail).
         """
-        tracer = self.tracer
-        span = tracer.start("serve.pooled") if tracer.enabled else None
+        telemetry = self.telemetry
+        span = telemetry.start("serve.pooled") if telemetry.enabled else None
         record = self.registry.resolve(backend)
         now_us = self._now_us() if arrival_us is None else arrival_us
         breaker = record.breaker
@@ -328,7 +310,7 @@ class ServiceFrontend:
             self._charge(costs.SERVE_BREAKER_CHECK)
             allowed, transition = breaker.allow(now_us)
             if transition is not None:
-                self._charge(costs.SERVE_BREAKER_TRIP)
+                self._breaker_transition(record.name, transition, now_us)
             if not allowed:
                 # open breaker: fail fast, never touch the pool — the
                 # whole point is that the refusal costs almost nothing
@@ -339,25 +321,25 @@ class ServiceFrontend:
                     refused=True,
                     reason=f"backend {record.name!r} breaker open")
                 if span is not None:
-                    tracer.finish(span)
+                    telemetry.finish(span)
                 return DispatchOutcome(errno=Errno.EAGAIN), refusal
         if record.state == STATE_DOWN:
             self.down_refusals += 1
             refusal = Checkout(attachment=None, start_us=now_us, wait_us=0.0,
                                refused=True,
                                reason=f"backend {record.name!r} is down")
-            self._breaker_outcome(breaker, now_us, False)
+            self._breaker_outcome(record, now_us, False)
             if span is not None:
-                tracer.finish(span)
+                telemetry.finish(span)
             return DispatchOutcome(errno=Errno.EAGAIN), refusal
         pool = self.pool(record.name)
         checkout = pool.checkout(now_us)
         if not checkout.ok:
-            self._breaker_outcome(breaker, now_us, False)
+            self._breaker_outcome(record, now_us, False)
             if span is not None:
-                tracer.finish(span)
+                telemetry.finish(span)
             return DispatchOutcome(errno=Errno.EAGAIN), checkout
-        if span is not None:
+        if telemetry.spans:
             span.session_id = checkout.attachment.session.session_id
         before_us = self._now_us()
         outcome = self.extension.dispatcher.call(
@@ -365,20 +347,28 @@ class ServiceFrontend:
         service_us = self._now_us() - before_us
         pool.checkin(checkout.attachment, checkout.start_us + service_us)
         self.pooled_calls += 1
-        self._breaker_outcome(breaker, now_us, outcome.ok)
+        self._breaker_outcome(record, now_us, outcome.ok)
         if span is not None:
-            tracer.finish(span)
+            telemetry.finish(span)
         return outcome, checkout
 
-    def _breaker_outcome(self, breaker: Optional[CircuitBreaker],
-                         now_us: float, ok: bool) -> None:
-        """Fold one call outcome into the backend's breaker (if any),
-        charging the trip op when the outcome causes a transition."""
+    def _breaker_outcome(self, record: BackendRecord, now_us: float,
+                         ok: bool) -> None:
+        """Fold one call outcome into the backend's breaker (if any)."""
+        breaker = record.breaker
         if breaker is None:
             return
         transition = breaker.record(now_us, ok)
         if transition is not None:
-            self._charge(costs.SERVE_BREAKER_TRIP)
+            self._breaker_transition(record.name, transition, now_us)
+
+    def _breaker_transition(self, backend: str, state: str,
+                            now_us: float) -> None:
+        """A breaker changed state: observe it and charge the trip op."""
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.record_breaker_state(backend, state, now_us)
+        self._charge(costs.SERVE_BREAKER_TRIP)
 
     # ---------------------------------------------------------------- status
     def status(self, *, probe: bool = True) -> Dict[str, object]:
@@ -592,8 +582,9 @@ class ServiceFrontend:
         return self._retry_budgets.get(record.name)
 
     def _note_retry(self, procedure_name: str, args, outcome: str) -> None:
-        if not self.telemetry.enabled:
+        telemetry = self.telemetry
+        if not telemetry.enabled:
             return
         record = self.registry.peek(args[0]) if args else None
         backend = record.name if record is not None else procedure_name
-        self.telemetry.record_retry(backend, outcome)
+        telemetry.record_retry(backend, outcome)

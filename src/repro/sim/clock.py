@@ -45,11 +45,10 @@ class ClockInterval:
 class Stopwatch:
     """Measure elapsed virtual microseconds without touching the clock.
 
-    The telemetry tap point at the simulated-cycle layer: the dispatcher's
-    latency taps construct one per observed call/flush and read
-    ``elapsed_us()`` at the exit points.  The reading is pure observation —
-    the clock is never charged, so a run with stopwatches active is
-    cycle-identical to one without.
+    ``elapsed_us()`` is ``(now - start) / mhz`` in cycles, the arithmetic
+    the observation plane's dispatch latencies keep.  The reading is pure
+    observation — the clock is never charged, so a run with stopwatches
+    active is cycle-identical to one without.
     """
 
     __slots__ = ("_clock", "_mhz", "_start_cycles")

@@ -346,10 +346,9 @@ class CallTrace:
 
     Built from the raw ``(operation, count)`` events a :class:`TraceRecorder`
     captured, it precomputes everything a replay needs: per-operation totals
-    (to keep the op histogram exact), per-operation cycles (for the telemetry
-    mirror), the grand cycle total (one clock advance) and the number of
-    individual charge events (so ``VirtualClock.events`` stays identical to
-    the op-by-op execution).
+    (to keep the op histogram exact), per-operation cycles, the grand cycle
+    total (one clock advance) and the number of individual charge events
+    (so ``VirtualClock.events`` stays identical to the op-by-op execution).
     """
 
     __slots__ = ("ops", "op_cycles", "total_cycles", "events")
@@ -361,7 +360,7 @@ class CallTrace:
             aggregated[operation] = aggregated.get(operation, 0) + count
         #: per-operation totals, in first-occurrence order
         self.ops: Tuple[Tuple[str, int], ...] = tuple(aggregated.items())
-        #: ``(operation, count, cycles)`` triples for the telemetry mirror
+        #: ``(operation, count, cycles)`` triples
         self.op_cycles: Tuple[Tuple[str, int, int], ...] = tuple(
             (operation, count, profile.cost(operation) * count)
             for operation, count in self.ops)
@@ -373,9 +372,9 @@ class CallTrace:
 
         Every field is an integer total, so multiplying by ``n`` is the
         closed form of charging the trace ``n`` times: cycles, the event
-        count, the per-op histogram merge and the telemetry mirror all come
-        out byte-identical to the loop they replace.  This is the analytic
-        fast-forward tier's charge unit.
+        count and the per-op histogram merge all come out byte-identical to
+        the loop they replace.  This is the analytic fast-forward tier's
+        charge unit.
         """
         if n < 0:
             raise ValueError(f"cannot scale a trace by negative n: {n}")
@@ -460,12 +459,6 @@ class CostMeter:
         self._advance = clock.advance
         #: armed by a :class:`TraceRecorder`: raw (operation, count) events
         self._trace_log: Optional[List[Tuple[str, int]]] = None
-        # the telemetry tap point: when a live Telemetry is attached every
-        # charge is mirrored into its per-operation counters (hook-level
-        # instrumentation); the shared null default makes the tap one
-        # attribute load and a never-taken branch
-        from ..telemetry import NULL_TELEMETRY
-        self.telemetry = NULL_TELEMETRY
 
     def charge(self, operation: str, count: int = 1) -> int:
         """Charge ``count`` occurrences of ``operation`` as one clock event."""
@@ -483,17 +476,14 @@ class CostMeter:
         self.op_counts[operation] += count
         if self._trace_log is not None:
             self._trace_log.append((operation, count))
-        if self.telemetry.enabled:
-            self.telemetry.op_charge(operation, count, cycles)
         return cycles
 
     def charge_each(self, operation: str, n: int) -> int:
         """Charge ``n`` back-to-back unit charges of ``operation`` in one call.
 
-        Exactly ``n`` calls of ``charge(operation)``: ``n`` clock events,
-        ``n`` ``(operation, 1)`` entries in an armed trace log (so recorded
-        traces and their signatures are unchanged), and one telemetry
-        mirror of the summed count and cycles, which is additive.  Used for
+        Exactly ``n`` calls of ``charge(operation)``: ``n`` clock events
+        and ``n`` ``(operation, 1)`` entries in an armed trace log (so
+        recorded traces and their signatures are unchanged).  Used for
         runs of per-word work such as stack words and XDR items.
         """
         if n <= 0:
@@ -508,8 +498,6 @@ class CostMeter:
         self.op_counts[operation] += n
         if self._trace_log is not None:
             self._trace_log += [(operation, 1)] * n
-        if self.telemetry.enabled:
-            self.telemetry.op_charge(operation, n, cycles)
         return cycles
 
     def charge_words(self, operation: str, words: int) -> int:
@@ -528,8 +516,7 @@ class CostMeter:
 
         Open-loop workloads wait for scheduled arrivals; that waiting is
         real simulated time but not a priced micro-operation, so it bypasses
-        the per-operation histogram and the telemetry mirror while still
-        flowing through the meter — the single charging authority.  One
+        the per-operation histogram while still flowing through the meter — the single charging authority.  One
         clock advance, one clock event: byte-identical to the charge paths'
         accounting granularity.
         """
@@ -565,16 +552,13 @@ class CostMeter:
 
         Guarantees byte-identical accounting with the op-by-op execution it
         replaces: one ``advance_many`` keeps cycles *and* the event count
-        exact, the per-operation histogram is merged from the trace's
-        totals, and an attached telemetry plane receives the same per-op
-        mirror it would have seen live.
+        exact, and the per-operation histogram is merged from the trace's
+        totals.
         """
         self.clock.advance_many(trace.total_cycles, trace.events)
         counts = self.op_counts
         for operation, count in trace.ops:
             counts[operation] += count
-        if self.telemetry.enabled:
-            self.telemetry.op_charge_bulk(trace.op_cycles)
         return trace.total_cycles
 
     def count(self, operation: str) -> int:

@@ -12,7 +12,7 @@ expected orderings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 
 @dataclass(frozen=True)
@@ -48,28 +48,23 @@ class TraceEvent:
 
 
 class TraceBuffer:
-    """An append-only list of :class:`TraceEvent` with simple querying.
+    """An append-only list of :class:`TraceEvent`.
 
     Tracing is off by default (``enabled=False``) so that the million-call
     microbenchmarks do not allocate an event per dispatch; the protocol
     tests and the Figure 1–3 reproductions flip it on for the handful of
-    operations they examine.
+    operations they examine, and iterate the events they recorded.
     """
 
-    def __init__(self, clock, enabled: bool = False, capacity: int | None = None) -> None:
+    def __init__(self, clock, enabled: bool = False) -> None:
         self._clock = clock
         self.enabled = enabled
-        self.capacity = capacity
         self._events: List[TraceEvent] = []
-        self.dropped = 0
 
     def emit(self, category: str, label: str, *, pid: Optional[int] = None,
              **detail: Any) -> Optional[TraceEvent]:
         """Record an event if tracing is enabled; return it (or ``None``)."""
         if not self.enabled:
-            return None
-        if self.capacity is not None and len(self._events) >= self.capacity:
-            self.dropped += 1
             return None
         event = TraceEvent(
             cycles=self._clock.cycles,
@@ -86,61 +81,3 @@ class TraceBuffer:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        return list(self._events)
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.dropped = 0
-
-    # -- queries -------------------------------------------------------------
-    def filter(self, *, category: str | None = None, label: str | None = None,
-               pid: int | None = None,
-               predicate: Callable[[TraceEvent], bool] | None = None) -> List[TraceEvent]:
-        """Return events matching all supplied criteria, in emission order."""
-        out = []
-        for event in self._events:
-            if category is not None and event.category != category:
-                continue
-            if label is not None and event.label != label:
-                continue
-            if pid is not None and event.pid != pid:
-                continue
-            if predicate is not None and not predicate(event):
-                continue
-            out.append(event)
-        return out
-
-    def labels(self, category: str | None = None) -> List[str]:
-        """Return the ordered label sequence (optionally within a category)."""
-        return [e.label for e in self._events
-                if category is None or e.category == category]
-
-    def first(self, label: str) -> Optional[TraceEvent]:
-        for event in self._events:
-            if event.label == label:
-                return event
-        return None
-
-    def assert_order(self, labels: List[str], category: str | None = None) -> bool:
-        """Check that ``labels`` appear in the buffer in the given relative order.
-
-        Other events may be interleaved.  Returns True/False rather than
-        raising, so it can be used both by tests and by report generation.
-        """
-        seq = self.labels(category)
-        position = 0
-        for wanted in labels:
-            try:
-                position = seq.index(wanted, position) + 1
-            except ValueError:
-                return False
-        return True
-
-    def render(self, *, category: str | None = None) -> str:
-        """Render events as a text block (used for figure regeneration)."""
-        lines = [e.describe() for e in self._events
-                 if category is None or e.category == category]
-        return "\n".join(lines)

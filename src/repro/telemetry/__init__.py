@@ -11,9 +11,11 @@ that observation plane:
   storing samples);
 * :class:`~repro.telemetry.metrics.MetricsRegistry`, a labelled registry of
   the above;
-* :class:`~repro.telemetry.metrics.Telemetry`, the facade the kernel layers
-  record through, and :data:`~repro.telemetry.metrics.NULL_TELEMETRY`, the
-  compiled-out default whose recording methods are no-ops.
+* :class:`~repro.telemetry.metrics.Telemetry`, the one observation plane
+  the layers tap once per event: it feeds the metrics registry when
+  metrics are on and the span flight recorder
+  (:class:`~repro.telemetry.tracing.Tracer`) when spans are on.  The
+  machine creates its plane with both off.
 
 Telemetry **never charges the virtual clock**: recording is observation
 only, so a run with telemetry enabled produces cycle totals identical to
@@ -22,39 +24,24 @@ byte-identical either way.
 """
 
 from .metrics import (
-    NULL_TELEMETRY,
     Counter,
     Gauge,
     LogHistogram,
     MetricsRegistry,
-    NullTelemetry,
     Telemetry,
-    make_telemetry,
     merge_telemetry_states,
     render_snapshot,
 )
-from .tracing import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    make_tracer,
-)
+from .tracing import Span, Tracer
 
 __all__ = [
     "Counter",
     "Gauge",
     "LogHistogram",
     "MetricsRegistry",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
-    "NullTracer",
-    "NULL_TRACER",
     "Span",
     "Telemetry",
     "Tracer",
-    "make_telemetry",
-    "make_tracer",
     "merge_telemetry_states",
     "render_snapshot",
 ]

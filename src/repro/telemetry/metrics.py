@@ -6,10 +6,10 @@ The design constraints, in order:
    meter; recording a sample is pure Python-side bookkeeping, so cycle
    totals are identical with telemetry on or off (the LSM-overhead
    literature's "measure without perturbing the measured path").
-2. **Compiled out by default.**  The shared :data:`NULL_TELEMETRY`
-   singleton answers every recording call with a no-op and allocates
-   nothing, so the paper-default benchmarks pay one attribute load and a
-   predictable branch per tap point.
+2. **Off by default.**  The machine's plane starts with both sinks off;
+   every tap site guards with ``if telemetry.enabled:`` and a disabled tap
+   allocates nothing, so the paper-default benchmarks pay one attribute
+   load and a predictable branch per tap point.
 3. **Streaming.**  :class:`LogHistogram` keeps geometric buckets, not
    samples: quantiles come with a bounded relative error
    (:attr:`LogHistogram.relative_error_bound`) at O(buckets) memory,
@@ -19,8 +19,9 @@ The design constraints, in order:
 from __future__ import annotations
 
 import math
-from bisect import insort
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from .tracing import DEFAULT_CAPACITY, TIER_OP_BY_OP, Span, Tracer
 
 #: Label set rendered into a stable key: ``(("client", 3), ("handle", 9))``.
 LabelItems = Tuple[Tuple[str, object], ...]
@@ -267,12 +268,6 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, LabelItems], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelItems], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelItems], LogHistogram] = {}
-        #: name -> the family's ``((repr(labels), creation), labels,
-        #: histogram)`` in the snapshot's sorted order, kept on creation so
-        #: reading a family (the AIMD controller's p95, every flush) never
-        #: re-sorts; the creation count breaks ties as the stable sort did
-        self._families: Dict[str, List[Tuple[Tuple[str, int], LabelItems,
-                                             LogHistogram]]] = {}
 
     def __len__(self) -> int:
         return (len(self._counters) + len(self._gauges) +
@@ -297,28 +292,24 @@ class MetricsRegistry:
         metric = self._histograms.get(key)
         if metric is None:
             metric = self._histograms[key] = LogHistogram()
-            order = (repr(key[1]), len(self._histograms))
-            insort(self._families.setdefault(name, []),
-                   (order, key[1], metric))
         return metric
 
     # ------------------------------------------------------------------- views
     def histograms_named(self, name: str, **match: object
                          ) -> List[Tuple[Dict[str, object], LogHistogram]]:
-        """Every histogram of family ``name`` whose labels include ``match``."""
+        """Every histogram of family ``name`` whose labels include
+        ``match``, in the snapshot's order: by ``repr(labels)``, creation
+        order breaking ties."""
         wanted = _label_key(match)
+        family = sorted(((labels, histogram) for (metric, labels), histogram
+                         in self._histograms.items() if metric == name),
+                        key=lambda item: repr(item[0]))
         out: List[Tuple[Dict[str, object], LogHistogram]] = []
-        for _, labels, histogram in self._families.get(name, ()):
+        for labels, histogram in family:
             label_map = dict(labels)
             if all(label_map.get(k) == v for k, v in wanted):
                 out.append((label_map, histogram))
         return out
-
-    def merged_histogram(self, name: str, **match: object) -> LogHistogram:
-        """Merge a histogram family into one view (e.g. the per-module view
-        of per-session dispatch-latency histograms)."""
-        return LogHistogram.merged(
-            histogram for _, histogram in self.histograms_named(name, **match))
 
     # ------------------------------------------------------------- shard state
     def export_state(self) -> Dict[str, Dict[str, object]]:
@@ -367,65 +358,163 @@ class MetricsRegistry:
                 "histograms": histograms}
 
 
-class Telemetry:
-    """The facade the simulated layers record through.
+#: the decision-cache counters the snapshot reads as ``decision_cache.*``
+_CACHE_COUNTERS = ("evictions", "hits", "invalidations", "misses")
 
-    Each ``record_*`` method names one tap point in the system; the layers
-    guard every call with ``if telemetry.enabled:`` so the disabled default
-    costs one attribute load per tap.  Recording never charges the virtual
-    clock — see the package docstring.
+
+class Telemetry:
+    """The observation plane: one tap per observed event, two sinks.
+
+    Each tap method names one observed event.  It updates the metrics
+    registry when the metrics sink is on and keeps a span in the flight
+    recorder (:class:`~repro.telemetry.tracing.Tracer`) when the span sink
+    is on.  The machine creates its plane with both sinks off and every
+    component reads the plane from ``kernel.machine``; :meth:`enable_metrics`
+    and :meth:`enable_spans` switch a sink on in place, so a component
+    built before the switch observes after it.  Sites guard every tap with
+    ``if telemetry.enabled:``, so the disabled path costs one attribute
+    load per tap.  Recording never charges the virtual clock — see the
+    package docstring.
+
+    Counters the simulator already keeps are read when the snapshot is
+    taken, not mirrored per event: ``ops`` from the cost meter's
+    per-operation counts and ``decision_cache.*`` from the decision cache's
+    own counters, each as the delta since metrics were switched on.
     """
 
-    #: class attribute so the null subclass can flip it without instance state
-    enabled: bool = True
-
-    def __init__(self) -> None:
+    def __init__(self, clock=None, mhz: float = 1.0, *,
+                 meter=None) -> None:
+        self._clock = clock
+        self._mhz = float(mhz)
+        self._inv_mhz = 1.0 / mhz
+        #: the cost meter whose per-operation counts ``ops`` reads
+        self.meter = meter
+        #: the decision cache whose counters ``decision_cache.*`` reads
+        self.cache = None
         self.registry = MetricsRegistry()
-        #: per-operation mirror of the cost meter (the costs.py tap point)
-        self.op_counts: Dict[str, int] = {}
-        self.op_cycles: Dict[str, int] = {}
+        #: every batched flush's service time, across sessions: the AIMD
+        #: controllers' p95 feed (not a registry metric, so never in the
+        #: snapshot)
+        self.flush_service = LogHistogram()
+        #: the flight recorder while spans are on
+        self.tracer: Optional[Tracer] = None
+        self.metrics = False
+        self.spans = False
+        #: either sink on: the one guard every tap site reads
+        self.enabled = False
+        self._op_base: Dict[str, int] = {}
+        self._cache_base: Tuple[int, ...] = (0,) * len(_CACHE_COUNTERS)
 
-    # ------------------------------------------------------- sim-layer taps
-    def op_charge(self, operation: str, count: int, cycles: int) -> None:
-        """Mirror one :class:`~repro.sim.costs.CostMeter` charge."""
-        self.op_counts[operation] = self.op_counts.get(operation, 0) + count
-        self.op_cycles[operation] = self.op_cycles.get(operation, 0) + cycles
+    # --------------------------------------------------------------- switches
+    def enable_metrics(self) -> "Telemetry":
+        """Switch the metrics sink on in place (idempotent).
 
-    def op_charge_bulk(self, items) -> None:
-        """Mirror a replayed :class:`~repro.sim.costs.CallTrace` in one call.
-
-        ``items`` is the trace's ``(operation, count, cycles)`` triples; the
-        resulting per-operation counters are exactly what the op-by-op
-        execution would have recorded.
+        The meter's and the decision cache's counters are read from here
+        on as deltas since this moment.
         """
-        counts = self.op_counts
-        cycles_map = self.op_cycles
-        for operation, count, cycles in items:
-            counts[operation] = counts.get(operation, 0) + count
-            cycles_map[operation] = cycles_map.get(operation, 0) + cycles
+        if not self.metrics:
+            meter = self.meter
+            self._op_base = (dict(meter.op_counts) if meter is not None
+                             else {})
+            self._cache_base = self._cache_counts()
+            self.metrics = self.enabled = True
+        return self
+
+    def enable_spans(self, *, capacity: int = DEFAULT_CAPACITY,
+                     sample_every: int = 1, seed: int = 0x51A9) -> Tracer:
+        """Switch the span sink on in place with a fresh flight recorder."""
+        if self._clock is None:
+            raise ValueError("a plane without a clock cannot keep spans")
+        self.tracer = Tracer(self._clock, self._mhz, capacity=capacity,
+                             sample_every=sample_every, seed=seed)
+        self.spans = self.enabled = True
+        return self.tracer
+
+    # --------------------------------------------------------- live intervals
+    def start(self, kind: str, *, client_id: int = -1,
+              session_id: int = -1):
+        """Open a live interval at the current cycles.
+
+        Returns the token its close takes: the span when spans are on
+        (it carries its start cycles), the start cycles when only metrics
+        are on (so a metrics-only run allocates no span), else None.
+        """
+        if self.spans:
+            return self.tracer.start(kind, client_id=client_id,
+                                     session_id=session_id)
+        return self._clock.cycles if self.metrics else None
+
+    def finish(self, token, *, tier: Optional[str] = None) -> None:
+        """Close a live interval that records no metric here."""
+        if token.__class__ is Span:
+            self.tracer.finish(token, tier=tier)
+
+    def close_call(self, token, session_id: int, module_name: str) -> None:
+        """Close a ``dispatch.call`` served op by op: one latency sample
+        and, when spans are on, the span."""
+        self._close(token, self.record_dispatch, session_id, module_name)
+
+    def close_batch(self, token, session_id: int, depth: int) -> None:
+        """Close a ``dispatch.batch`` flushed op by op: one flush sample
+        and, when spans are on, the span."""
+        self._close(token, self.record_batch, session_id, depth)
+
+    def _close(self, token, record, *labels) -> None:
+        # the sample keeps exact cycle arithmetic, (end - start) / MHz,
+        # apart from the span's cycles * (1 / MHz) endpoints
+        span = token if token.__class__ is Span else None
+        if self.metrics:
+            start = span.start_cycles if span is not None else token
+            record(*labels, (self._clock.cycles - start) / self._mhz)
+        if span is not None:
+            self.tracer.finish(span, tier=TIER_OP_BY_OP)
+
+    def aggregate(self, kind: str, *, span_us: float, n: int,
+                  client_id: int = -1, session_id: int = -1) -> None:
+        """One ``count=n`` span for a fast-forward window of ``n`` calls
+        (the window's metrics went in weighted by ``n``)."""
+        if self.spans:
+            self.tracer.aggregate(kind, span_us=span_us, n=n,
+                                  client_id=client_id, session_id=session_id)
+
+    def _wait_span(self, kind: str, wait_us: float,
+                   end_us: Optional[float] = None, *, client_id: int = -1,
+                   session_id: int = -1, count: int = 1) -> None:
+        """A span of known bounds: ``wait_us`` ending at ``end_us`` (the
+        clock's now when None); zero-length when ``wait_us`` is 0."""
+        if end_us is None:
+            end_us = self._clock.cycles * self._inv_mhz
+        self.tracer.interval(kind, end_us - wait_us, end_us,
+                             client_id=client_id, session_id=session_id,
+                             count=count)
 
     # --------------------------------------------------- dispatch-layer taps
     def record_dispatch(self, session_id: int, module_name: str,
                         latency_us: float, n: int = 1) -> None:
         """Per-session (and per-module) protected-call dispatch latency.
 
-        ``n`` is the fast-forward tier's bulk mirror: ``n`` identical
-        replays fold in as one bucket update with the same counts the
+        ``n`` is the fast-forward tier's bulk update: ``n`` identical
+        settles fold in as one bucket update with the same counts the
         per-call loop would have produced.
         """
-        self.registry.histogram("dispatch_latency_us", session=session_id,
-                                module=module_name).record(latency_us, n=n)
+        if self.metrics:
+            self.registry.histogram(
+                "dispatch_latency_us", session=session_id,
+                module=module_name).record(latency_us, n=n)
 
     def record_batch(self, session_id: int, depth: int,
                      service_us: float, n: int = 1) -> None:
         """One batched flush (or ``n`` identical fast-forwarded flushes):
         its depth, its service time, and the amortized per-entry latency
         folded into the session's dispatch histogram."""
+        if not self.metrics:
+            return
         registry = self.registry
         registry.histogram("batch_flush_depth",
                            session=session_id).record(depth, n=n)
         registry.histogram("flush_service_us",
                            session=session_id).record(service_us, n=n)
+        self.flush_service.record(service_us, n=n)
         if depth > 0:
             registry.histogram(
                 "dispatch_latency_us", session=session_id,
@@ -435,158 +524,150 @@ class Telemetry:
     def record_handle_queue(self, handle_pid: int, depth: int,
                             n: int = 1) -> None:
         """Frames drained by one handle receive (its request-queue depth)."""
-        self.registry.histogram("handle_queue_depth",
-                                handle=handle_pid).record(depth, n=n)
+        if self.metrics:
+            self.registry.histogram("handle_queue_depth",
+                                    handle=handle_pid).record(depth, n=n)
 
     def record_queue_delay(self, handle_pid: int, client_pid: int,
-                           delay_us: float) -> None:
-        """Queueing delay of one call, per (handle, client) seat."""
-        self.registry.histogram("pool_queue_delay_us", handle=handle_pid,
-                                client=client_pid).record(delay_us)
+                           delay_us: float, session_id: int = -1) -> None:
+        """Queueing delay of one call, per (handle, client) seat; the span
+        ``broker.queue_wait`` ends now."""
+        if self.metrics:
+            self.registry.histogram("pool_queue_delay_us", handle=handle_pid,
+                                    client=client_pid).record(delay_us)
+        if self.spans:
+            self._wait_span("broker.queue_wait", delay_us,
+                            client_id=client_pid, session_id=session_id)
 
     # ----------------------------------------------------- service-plane taps
     def record_pool_wait(self, backend: str, wait_us: float,
-                         n: int = 1) -> None:
-        """Virtual time one checkout waited for a pooled attachment."""
-        self.registry.histogram("serve_pool_wait_us",
-                                backend=backend).record(wait_us, n=n)
+                         start_us: float) -> None:
+        """Virtual time one checkout waited for a pooled attachment; the
+        span ``pool.checkout`` ends at the grant (zero-length when free)."""
+        if self.metrics:
+            self.registry.histogram("serve_pool_wait_us",
+                                    backend=backend).record(wait_us)
+        if self.spans:
+            self._wait_span("pool.checkout", wait_us, start_us)
 
-    def record_pool_refusal(self, backend: str) -> None:
+    def record_pool_refusal(self, backend: str, now_us: float) -> None:
         """One checkout refused because the attachment pool was exhausted."""
-        self.registry.counter("serve_pool_refusals", backend=backend).inc()
+        if self.metrics:
+            self.registry.counter("serve_pool_refusals",
+                                  backend=backend).inc()
+        if self.spans:
+            self._wait_span("pool.refuse", 0.0, now_us)
 
     def record_backend_state(self, backend: str, state: str) -> None:
         """A discovery-registry backend state transition (up/draining/down)."""
-        self.registry.counter(f"serve_backend_state.{state}",
-                              backend=backend).inc()
+        if self.metrics:
+            self.registry.counter(f"serve_backend_state.{state}",
+                                  backend=backend).inc()
 
     # ------------------------------------------------- overload-control taps
     def record_admission(self, client_pid: int, admitted: bool,
                          n: int = 1) -> None:
         """Token-bucket admission decisions at the dispatcher entry."""
-        verdict = "admitted" if admitted else "refused"
-        self.registry.counter(f"smod_admission.{verdict}",
-                              client=client_pid).inc(n)
+        if self.metrics:
+            verdict = "admitted" if admitted else "refused"
+            self.registry.counter(f"smod_admission.{verdict}",
+                                  client=client_pid).inc(n)
 
-    def record_shed(self, scope: str, reason: str, n: int = 1) -> None:
-        """Calls shed at admission (deadline or queue-depth protection)."""
-        self.registry.counter(f"serve_sheds.{reason}", scope=scope).inc(n)
+    def record_shed(self, scope: str, reason: str, kind: str,
+                    wait_us: float = 0.0, *, at_us: Optional[float] = None,
+                    client_id: int = -1, session_id: int = -1,
+                    n: int = 1) -> None:
+        """``n`` calls shed at admission (deadline or queue-depth
+        protection); the span ``kind`` covers the ``wait_us`` they queued,
+        ending at ``at_us`` (the clock's now when None)."""
+        if self.metrics:
+            self.registry.counter(f"serve_sheds.{reason}",
+                                  scope=scope).inc(n)
+        if self.spans:
+            self._wait_span(kind, wait_us, at_us, client_id=client_id,
+                            session_id=session_id, count=n)
 
-    def record_breaker_state(self, backend: str, state: str) -> None:
-        """A circuit-breaker transition (closed/open/half_open)."""
-        self.registry.counter(f"serve_breaker_state.{state}",
-                              backend=backend).inc()
+    def record_breaker_state(self, backend: str, state: str,
+                             now_us: float) -> None:
+        """A circuit-breaker transition (closed/open/half_open); the span
+        ``serve.breaker.<state>`` marks it."""
+        if self.metrics:
+            self.registry.counter(f"serve_breaker_state.{state}",
+                                  backend=backend).inc()
+        if self.spans:
+            self._wait_span(f"serve.breaker.{state}", 0.0, now_us)
 
     def record_retry(self, backend: str, outcome: str, n: int = 1) -> None:
         """RPC-stub retry-budget events: ``retried`` / ``exhausted``."""
-        self.registry.counter(f"serve_retries.{outcome}",
-                              backend=backend).inc(n)
-
-    # ------------------------------------------------------ cache-layer taps
-    def cache_event(self, kind: str, n: int = 1) -> None:
-        """One decision-cache event: ``hits``/``misses``/``evictions``/..."""
-        self.registry.counter(f"decision_cache.{kind}").inc(n)
+        if self.metrics:
+            self.registry.counter(f"serve_retries.{outcome}",
+                                  backend=backend).inc(n)
 
     # -------------------------------------------------- controller-layer taps
     def record_depth(self, client: object, depth: int) -> None:
-        """An adaptive controller's current batch depth."""
-        self.registry.gauge("adaptive_batch_depth", client=client).set(depth)
+        """An adaptive controller's new batch depth."""
+        if self.metrics:
+            self.registry.gauge("adaptive_batch_depth",
+                                client=client).set(depth)
 
     # ------------------------------------------------------------------ views
-    def module_latency(self, module_name: str) -> LogHistogram:
-        """Per-module dispatch latency: per-session histograms, merged."""
-        return self.registry.merged_histogram("dispatch_latency_us",
-                                              module=module_name)
+    def _cache_counts(self) -> Tuple[int, ...]:
+        cache = self.cache
+        if cache is None:
+            return (0,) * len(_CACHE_COUNTERS)
+        return tuple(getattr(cache, name) for name in _CACHE_COUNTERS)
+
+    @property
+    def op_counts(self) -> Dict[str, int]:
+        """Per-operation charge counts since metrics were switched on."""
+        meter = self.meter
+        if meter is None or not self.metrics:
+            return {}
+        base = self._op_base
+        out: Dict[str, int] = {}
+        for op, count in meter.op_counts.items():
+            delta = count - base.get(op, 0)
+            if delta:
+                out[op] = delta
+        return out
+
+    @property
+    def op_cycles(self) -> Dict[str, int]:
+        """Per-operation cycles since metrics were switched on."""
+        counts = self.op_counts
+        cost = self.meter.profile.cost if counts else None
+        return {op: cost(op) * count for op, count in counts.items()}
+
+    def _read_counters(self) -> Dict[str, Dict[str, int]]:
+        """Fold the read-at-snapshot counters in: ``decision_cache.*`` into
+        the registry (a key only once its delta is non-zero) and the
+        returned ``ops`` table."""
+        for name, now, base in zip(_CACHE_COUNTERS, self._cache_counts(),
+                                   self._cache_base):
+            if now != base:
+                self.registry.counter(f"decision_cache.{name}").value = \
+                    now - base
+        counts = self.op_counts
+        cost = self.meter.profile.cost if counts else None
+        return {op: {"count": counts[op], "cycles": cost(op) * counts[op]}
+                for op in sorted(counts)}
 
     def snapshot(self) -> Dict[str, object]:
+        """The metrics view (empty while the metrics sink is off)."""
+        if not self.metrics:
+            return {}
+        ops = self._read_counters()
         out: Dict[str, object] = dict(self.registry.snapshot())
-        if self.op_counts:
-            out["ops"] = {
-                op: {"count": self.op_counts[op],
-                     "cycles": self.op_cycles.get(op, 0)}
-                for op in sorted(self.op_counts)}
+        if ops:
+            out["ops"] = ops
         return out
 
     def export_state(self) -> Optional[Dict[str, object]]:
-        """Lossless picklable state (registry + op mirror) for shard merge."""
-        return {
-            "registry": self.registry.export_state(),
-            "ops": {op: {"count": self.op_counts[op],
-                         "cycles": self.op_cycles.get(op, 0)}
-                    for op in sorted(self.op_counts)},
-        }
-
-
-class NullTelemetry(Telemetry):
-    """The compiled-out default: every tap is a no-op, nothing accumulates.
-
-    The registry exists (so accidental unguarded reads don't crash) but the
-    overridden recording methods never touch it, keeping the disabled path
-    allocation-free.
-    """
-
-    enabled = False
-
-    def op_charge(self, operation: str, count: int, cycles: int) -> None:
-        pass
-
-    def op_charge_bulk(self, items) -> None:
-        pass
-
-    def record_dispatch(self, session_id: int, module_name: str,
-                        latency_us: float, n: int = 1) -> None:
-        pass
-
-    def record_batch(self, session_id: int, depth: int,
-                     service_us: float, n: int = 1) -> None:
-        pass
-
-    def record_handle_queue(self, handle_pid: int, depth: int,
-                            n: int = 1) -> None:
-        pass
-
-    def record_queue_delay(self, handle_pid: int, client_pid: int,
-                           delay_us: float) -> None:
-        pass
-
-    def record_pool_wait(self, backend: str, wait_us: float,
-                         n: int = 1) -> None:
-        pass
-
-    def record_pool_refusal(self, backend: str) -> None:
-        pass
-
-    def record_backend_state(self, backend: str, state: str) -> None:
-        pass
-
-    def record_admission(self, client_pid: int, admitted: bool,
-                         n: int = 1) -> None:
-        pass
-
-    def record_shed(self, scope: str, reason: str, n: int = 1) -> None:
-        pass
-
-    def record_breaker_state(self, backend: str, state: str) -> None:
-        pass
-
-    def record_retry(self, backend: str, outcome: str, n: int = 1) -> None:
-        pass
-
-    def cache_event(self, kind: str, n: int = 1) -> None:
-        pass
-
-    def record_depth(self, client: object, depth: int) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, object]:
-        return {}
-
-    def export_state(self) -> Optional[Dict[str, object]]:
-        return None
-
-
-#: The shared disabled instance every component starts wired to.
-NULL_TELEMETRY = NullTelemetry()
+        """Lossless picklable state (registry + ops) for shard merge."""
+        if not self.metrics:
+            return None
+        ops = self._read_counters()
+        return {"registry": self.registry.export_state(), "ops": ops}
 
 
 def merge_telemetry_states(
@@ -635,11 +716,6 @@ def merge_telemetry_states(
     if ops:
         out["ops"] = dict(sorted(ops.items()))
     return out
-
-
-def make_telemetry(enabled: bool) -> Telemetry:
-    """A live :class:`Telemetry` when enabled, the shared null otherwise."""
-    return Telemetry() if enabled else NULL_TELEMETRY
 
 
 def render_snapshot(snapshot: Dict[str, object], *,

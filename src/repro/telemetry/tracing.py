@@ -1,31 +1,29 @@
 """Virtual-time causal tracing: span trees over the simulated stack.
 
-The metrics plane (:mod:`repro.telemetry.metrics`) answers *how long*;
-this plane answers *where* and *why*: every protected call becomes an
-attributed span tree (``rpc.attach`` → ``serve.resolve`` →
-``pool.checkout`` → ``dispatch.call`` → ``broker.queue_wait``) with
-start/end stamped in **virtual microseconds**, the same move the Dapper /
-Pivot-Tracing lineage made for production RPC stacks.
+The metrics sink answers *how long*; the span sink answers *where* and
+*why*: every protected call becomes an attributed span tree
+(``rpc.attach`` → ``serve.resolve`` → ``pool.checkout`` → ``dispatch.call``
+→ ``broker.queue_wait``) with start/end stamped in **virtual
+microseconds**, the same move the Dapper / Pivot-Tracing lineage made for
+production RPC stacks.  Both sinks sit behind one observation plane,
+:class:`~repro.telemetry.metrics.Telemetry`: the layers tap the plane
+once per event, and the plane keeps the span here when spans are on.
 
-Design constraints, in order — the same contract the metrics plane keeps:
+Design constraints, in order — the same contract the metrics sink keeps:
 
-1. **Non-perturbing.**  The tracer never charges the virtual clock or the
-   cost meter; a span timestamp is a pure read of ``clock.cycles``
-   (the :class:`~repro.sim.clock.Stopwatch` idiom), so cycle totals are
-   byte-identical with tracing on or off.
-2. **Compiled out by default.**  The shared :data:`NULL_TRACER` singleton
-   answers every tap with an allocation-free no-op; instrumented sites
-   guard with ``if tracer.enabled:`` and pay one attribute load.
-3. **Bounded.**  Finished spans land in a fixed-capacity ring buffer (the
+1. **Non-perturbing.**  The recorder never charges the virtual clock or
+   the cost meter; a span timestamp is a pure read of ``clock.cycles``,
+   so cycle totals are byte-identical with spans on or off.
+2. **Bounded.**  Finished spans land in a fixed-capacity ring buffer (the
    **flight recorder**): the last N spans are always available, older
    spans are overwritten and counted in ``dropped`` — always-on tracing
    of a 10^7-call run stays O(capacity) memory.
-4. **Deterministic.**  Head sampling keeps whole request trees for 1-in-K
+3. **Deterministic.**  Head sampling keeps whole request trees for 1-in-K
    clients, decided per client id through a
    :class:`~repro.sim.rng.DeterministicRNG` child stream — no ambient
    entropy, so two runs of the same seed sample the same clients and the
    flight recorder's contents are reproducible.
-5. **Fast-forward aware.**  The analytic tier commits N identical calls in
+4. **Fast-forward aware.**  The analytic tier commits N identical calls in
    one clock charge; :meth:`Tracer.aggregate` mirrors that with one
    synthesized span carrying ``count=N``, so a traced fast-forward run
    stays tractable *and* cycle-identical.
@@ -55,11 +53,13 @@ class Span:
     dispatch tier served it; ``count`` > 1 marks a synthesized aggregate
     span standing in for that many identical calls (the fast-forward
     tier); ``unclosed`` marks a span force-closed at run end.
+    ``start_cycles`` is the clock reading a live span opened at, so the
+    metric its close records keeps exact cycle arithmetic.
     """
 
     __slots__ = ("span_id", "parent_id", "kind", "start_us", "end_us",
                  "client_id", "session_id", "tier", "count", "sampled",
-                 "unclosed")
+                 "unclosed", "start_cycles")
 
     def __init__(self, span_id: int, parent_id: Optional[int], kind: str,
                  start_us: float, *, client_id: int = -1,
@@ -76,6 +76,7 @@ class Span:
         self.count = count
         self.sampled = sampled
         self.unclosed = False
+        self.start_cycles = 0
 
     @property
     def duration_us(self) -> float:
@@ -104,18 +105,14 @@ class Span:
 
 
 class Tracer:
-    """The facade the simulated layers open spans through.
+    """The span sink: the flight recorder behind the observation plane.
 
-    Sites guard every tap with ``if tracer.enabled:`` (the metrics-plane
-    idiom), then call :meth:`start` / :meth:`finish` around live work,
+    The plane calls :meth:`start` / :meth:`finish` around live work,
     :meth:`interval` for a wait whose bounds are already known (queue
     delays), and :meth:`aggregate` for a fast-forward window.  Spans nest
     through an explicit stack — virtual time is single-threaded, so the
     innermost open span is always the causal parent.
     """
-
-    #: class attribute so the null subclass can flip it without state
-    enabled: bool = True
 
     def __init__(self, clock, mhz: float, *,
                  capacity: int = DEFAULT_CAPACITY,
@@ -181,9 +178,11 @@ class Tracer:
             parent_id = None
             sampled = self.client_sampled(client_id)
         self._span_seq += 1
-        span = Span(self._span_seq, parent_id, kind, self.now_us(),
+        cycles = self._clock.cycles
+        span = Span(self._span_seq, parent_id, kind, cycles * self._inv_mhz,
                     client_id=client_id, session_id=session_id, tier=tier,
                     sampled=sampled)
+        span.start_cycles = cycles
         self.started += 1
         stack.append(span)
         return span
@@ -312,72 +311,3 @@ class Tracer:
             "stats": self.stats(),
             "spans": [span.to_dict() for span in self.spans()],
         }
-
-
-class NullTracer(Tracer):
-    """The compiled-out default: every tap is an allocation-free no-op.
-
-    No clock, no ring, no RNG — construction takes nothing and the
-    overridden taps touch no instance state, so the disabled path is a
-    branch on the ``enabled`` class attribute and an early return.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:  # noqa: D401 - deliberately not calling super
-        pass
-
-    def now_us(self) -> float:
-        return 0.0
-
-    def client_sampled(self, client_id: int) -> bool:
-        return False
-
-    def start(self, kind: str, *, client_id: int = -1, session_id: int = -1,
-              tier: str = "") -> Optional[Span]:  # type: ignore[override]
-        return None
-
-    def finish(self, span: Optional[Span], *,
-               tier: Optional[str] = None) -> None:
-        pass
-
-    def interval(self, kind: str, start_us: float, end_us: float, *,
-                 client_id: int = -1, session_id: int = -1, tier: str = "",
-                 count: int = 1) -> Optional[Span]:
-        return None
-
-    def aggregate(self, kind: str, *, span_us: float, n: int,
-                  client_id: int = -1, session_id: int = -1,
-                  tier: str = TIER_FAST_FORWARD) -> Optional[Span]:
-        return None
-
-    def spans(self) -> List[Span]:
-        return []
-
-    def open_spans(self) -> List[Span]:
-        return []
-
-    def drain(self) -> int:
-        return 0
-
-    def stats(self) -> Dict[str, int]:
-        return {}
-
-    def snapshot(self) -> Dict[str, object]:
-        return {}
-
-
-#: The shared disabled instance every component starts wired to.
-NULL_TRACER = NullTracer()
-
-
-def make_tracer(enabled: bool, clock=None, mhz: float = 0.0, *,
-                capacity: int = DEFAULT_CAPACITY, sample_every: int = 1,
-                seed: int = 0x51A9) -> Tracer:
-    """A live :class:`Tracer` when enabled, the shared null otherwise."""
-    if not enabled:
-        return NULL_TRACER
-    if clock is None or mhz <= 0.0:
-        raise ValueError("a live tracer needs the virtual clock and MHz")
-    return Tracer(clock, mhz, capacity=capacity, sample_every=sample_every,
-                  seed=seed)

@@ -26,9 +26,9 @@ Closed-loop think times are exponential by default but may be heavy-tailed
 ``handle_policy`` knob registers a broker pool policy for every traffic
 module — ``"per_module"`` runs all of a module's sessions through one
 shared handle co-process instead of forking one per session.
-``telemetry=True`` attaches the telemetry plane (per-session latency
-histograms, batch-flush depths, cache and per-seat queueing-delay counters
-— pure observation, cycle totals unchanged).
+``telemetry=True`` switches the machine's metrics sink on (per-session
+latency histograms, batch-flush depths, cache and per-seat queueing-delay
+counters — pure observation, cycle totals unchanged).
 
 One event loop drives every run (:meth:`TrafficEngine._drive`).  The spec
 picks three parts once per run:
@@ -85,13 +85,6 @@ from ..secmodule.smod_syscalls import SmodExtension, install_secmodule
 from ..sim import costs
 from ..sim.rng import DeterministicRNG, TwoStateMMPP
 from ..sim.stats import mean, percentile
-from ..telemetry import (
-    NULL_TELEMETRY,
-    NULL_TRACER,
-    Telemetry,
-    Tracer,
-    make_telemetry,
-)
 from ..userland.process import Program
 
 #: call-mix weights: (function name, relative weight)
@@ -173,7 +166,7 @@ class TrafficSpec:
     #: in-process :class:`TrafficEngine` ignores this knob (it always runs
     #: the clients it was given).
     shards: int = 1
-    #: attach the span tracer (causal span trees with virtual-microsecond
+    #: switch the machine's span sink on (causal span trees with virtual-microsecond
     #: timestamps: dispatch/broker/service-plane/RPC tap points, ring-buffer
     #: flight recorder, per-request critical-path segments).  Pure
     #: observation like telemetry: span timestamps read the clock and never
@@ -183,7 +176,7 @@ class TrafficSpec:
     #: deterministic head sampling: keep spans for 1 in every K clients,
     #: decided per client id from a seeded child stream (1 = trace all)
     trace_sample_every: int = 1
-    #: flight-recorder capacity (spans retained); 0 takes the tracer default
+    #: flight-recorder capacity (spans retained); 0 takes the recorder default
     trace_capacity: int = 0
     #: route the run through the service plane: clients attach through a
     #: :class:`~repro.serve.frontend.ServiceFrontend` binding and every
@@ -480,17 +473,15 @@ class TrafficEngine:
         self.kernel = Kernel(machine=self.machine).boot()
         self.extension: SmodExtension = install_secmodule(self.kernel)
         self.extension.sessions.charge_shard_locks = spec.smp_shard_locks
-        self.telemetry: Telemetry = NULL_TELEMETRY
+        #: the machine's observation plane; the spec switches its sinks on
+        self.telemetry = self.machine.telemetry
         if spec.telemetry:
-            self.telemetry = self.extension.enable_telemetry(make_telemetry(True))
-        self.tracer: Tracer = NULL_TRACER
+            self.telemetry.enable_metrics()
         if spec.tracing:
             kwargs = {"sample_every": spec.trace_sample_every}
             if spec.trace_capacity:
                 kwargs["capacity"] = spec.trace_capacity
-            # wires the dispatcher and broker taps; the service-plane and
-            # RPC-stub taps are wired in build() once the front-end exists
-            self.tracer = self.extension.enable_tracing(**kwargs)
+            self.telemetry.enable_spans(**kwargs)
         self.rng = DeterministicRNG(spec.seed)
         #: global client indices this engine drives.  A shard worker passes
         #: its slice of the full run's clients; the ids seed the per-client
@@ -554,9 +545,6 @@ class TrafficEngine:
         # loop touches these a few times per simulated call)
         self._dispatcher = self.extension.dispatcher
         self._us_of = self.machine.meter.profile.microseconds
-        # record_queue_delay feeds both observation planes; hoist the
-        # either-enabled check out of the per-call loops
-        self._observe_queue = self.telemetry.enabled or self.tracer.enabled
         # broker seat-queue deadline shedding (default off: the gate stays
         # entirely out of the unprotected per-call paths)
         self._broker_shed = spec.shed_deadline_us > 0.0
@@ -589,10 +577,7 @@ class TrafficEngine:
             from ..serve.frontend import ServiceConfig, ServiceFrontend
             self.frontend = ServiceFrontend(
                 self.kernel, self.extension,
-                config=ServiceConfig(principal=spec.principal, uid=spec.uid),
-                telemetry=self.telemetry)
-            if self.tracer.enabled:
-                self.frontend.attach_tracer(self.tracer)
+                config=ServiceConfig(principal=spec.principal, uid=spec.uid))
             if spec.multi_session:
                 # one backend per module, mirroring the session topology
                 for registered in self.modules:
@@ -621,9 +606,8 @@ class TrafficEngine:
                                      for registered in record.modules})
                     for registered in record.modules:
                         state.sessions[registered.m_id] = binding.session
-                stub = self.frontend.make_client(program.proc)
-                stub.tracer = self.tracer
-                self._service_clients[c] = stub
+                self._service_clients[c] = self.frontend.make_client(
+                    program.proc)
             elif spec.multi_session:
                 # one session per module: N x M entries in the sharded table
                 for registered in self.modules:
@@ -851,15 +835,18 @@ class TrafficEngine:
             now_us = self._now_us()
             delays = state.queue_delays_us
             broker = self.extension.broker
+            observe = self.telemetry.enabled
             for at in scheduled:
                 delay = max(0.0, now_us - at)
                 delays.append(delay)
-                if self._observe_queue:
+                if observe:
                     broker.record_queue_delay(session, delay)
             scheduled.clear()
         self._sink(state, session, queue)
         if state.controller is not None:
-            state.controller.on_flush(len(queue), self._now_us())
+            depth = state.controller.on_flush(len(queue), self._now_us())
+            if depth is not None and self.telemetry.enabled:
+                self.telemetry.record_depth(state.index, depth)
         queue.clear()
 
     def _drive(self) -> None:
@@ -901,7 +888,7 @@ class TrafficEngine:
         modules = self.modules
         single = len(modules) == 1
         last_module = len(modules) - 1
-        observe_queue = self._observe_queue
+        observe_queue = self.telemetry.enabled
         broker = self.extension.broker
         shed = self._broker_shed
         if inline:
@@ -1059,19 +1046,17 @@ class TrafficEngine:
         service_p95 = None
         if spec.service_p95_target_us > 0.0:
             # closed loop: the controllers consume the observed flush
-            # service-time tail straight from the telemetry plane (the
-            # spec validator pinned telemetry on for this mode)
-            registry = self.telemetry.registry
+            # service-time tail straight from the metrics sink's running
+            # flush histogram (the spec validator pinned telemetry on)
+            flush_service = self.telemetry.flush_service
 
             def service_p95() -> float:
-                return registry.merged_histogram(
-                    "flush_service_us").quantile(95)
+                return flush_service.quantile(95)
 
         start_us = self._now_us()
         for state in self.clients:
             state.controller = AdaptiveBatchController(
-                config, telemetry=self.telemetry, client=state.index,
-                start_us=start_us)
+                config, client=state.index, start_us=start_us)
             state.controller.service_p95_supplier = service_p95
 
     def _think_source(self, state: ClientState):
@@ -1162,10 +1147,11 @@ class TrafficEngine:
         self._drive()
         # settle every open fast-forward window before reading the clock
         self._ff_flush()
-        if self.tracer.enabled:
+        telemetry = self.telemetry
+        if telemetry.spans:
             # a clean run leaves no open spans; force-close (and flag) any
             # stragglers so the recorder's view is complete
-            self.tracer.drain()
+            telemetry.tracer.drain()
         interval = self.machine.clock.since(start_mark)
         # array-to-array extends are raw memcpys — no 10^7-object churn
         latencies = array("d")
@@ -1193,17 +1179,15 @@ class TrafficEngine:
             session_count=len(self.extension.sessions),
             handle_count=self.extension.sessions.handle_count(),
             broker_stats=self.extension.broker.snapshot(),
-            metrics=(self.telemetry.snapshot()
-                     if self.telemetry.enabled else {}),
+            metrics=telemetry.snapshot(),
             adaptive=({"per_client": [s.controller.snapshot()
                                       for s in self.clients]}
                       if spec.adaptive_batch else {}),
-            seat_fairness=(self.extension.broker.seat_delay_report()
-                           if self.telemetry.enabled else {}),
-            trace_spans=(self.tracer.spans()
-                         if self.tracer.enabled else []),
-            trace_stats=(self.tracer.stats()
-                         if self.tracer.enabled else {}),
+            seat_fairness=self.extension.broker.seat_delay_report(),
+            trace_spans=(telemetry.tracer.spans()
+                         if telemetry.spans else []),
+            trace_stats=(telemetry.tracer.stats()
+                         if telemetry.spans else {}),
         )
 
     # ---------------------------------------------------------------- teardown

@@ -18,12 +18,6 @@ def machine():
 
 
 @pytest.fixture
-def traced_machine():
-    """A paper machine with event tracing enabled."""
-    return make_paper_machine(seed=1234, trace_enabled=True)
-
-
-@pytest.fixture
 def kernel(machine):
     """A booted kernel without the SecModule extension."""
     return Kernel(machine=machine).boot()

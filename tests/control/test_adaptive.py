@@ -8,14 +8,17 @@ from repro.telemetry import Telemetry
 from repro.workloads.traffic import TrafficSpec, run_traffic
 
 
-def _drive(controller, *, gap_us, arrivals, flush_every):
-    """Feed a fixed-rate arrival train, flushing every ``flush_every``."""
+def _drive(controller, *, gap_us, arrivals, flush_every, telemetry=None):
+    """Feed a fixed-rate arrival train, flushing every ``flush_every``;
+    like the traffic engine, record each depth change into ``telemetry``."""
     t = 0.0
     for index in range(arrivals):
         t += gap_us
         controller.observe_arrival(t)
         if (index + 1) % flush_every == 0:
-            controller.on_flush(flush_every, t)
+            depth = controller.on_flush(flush_every, t)
+            if depth is not None and telemetry is not None:
+                telemetry.record_depth(controller.client, depth)
     return t
 
 
@@ -68,10 +71,11 @@ class TestControllerUnit:
         assert controller.depth == controller.config.initial_depth
 
     def test_depth_changes_feed_the_telemetry_gauge(self):
-        telemetry = Telemetry()
+        telemetry = Telemetry().enable_metrics()
         controller = AdaptiveBatchController(
-            AdaptiveConfig(max_depth=8), telemetry=telemetry, client=3)
-        _drive(controller, gap_us=1.0, arrivals=32, flush_every=4)
+            AdaptiveConfig(max_depth=8), client=3)
+        _drive(controller, gap_us=1.0, arrivals=32, flush_every=4,
+               telemetry=telemetry)
         gauges = telemetry.snapshot()["gauges"]
         assert gauges["adaptive_batch_depth{client=3}"]["max"] == 8
 

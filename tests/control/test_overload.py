@@ -102,7 +102,7 @@ class _SpyTelemetry(Telemetry):
         self.breaker_states = []
         self.admissions = []
 
-    def record_breaker_state(self, backend, state):
+    def record_breaker_state(self, backend, state, now_us):
         self.breaker_states.append((backend, state))
 
     def record_admission(self, client_pid, admitted, n=1):
@@ -185,12 +185,18 @@ class TestCircuitBreaker:
         assert breaker.snapshot()["window"] == window
 
     def test_transitions_mirrored_to_telemetry(self):
+        """Every transition is returned, for the front-end to record."""
         telemetry = _SpyTelemetry()
-        breaker = CircuitBreaker("b", _config(), telemetry=telemetry)
+        breaker = CircuitBreaker("b", _config())
+
+        def observe(now_us, transition):
+            if transition is not None:
+                telemetry.record_breaker_state("b", transition, now_us)
+
         for t in range(1, 5):
-            breaker.record(float(t), False)
-        breaker.allow(60.0)
-        breaker.record(61.0, True)
+            observe(float(t), breaker.record(float(t), False))
+        observe(60.0, breaker.allow(60.0)[1])
+        observe(61.0, breaker.record(61.0, True))
         assert telemetry.breaker_states == [
             ("b", BREAKER_OPEN), ("b", BREAKER_HALF_OPEN),
             ("b", BREAKER_CLOSED)]
@@ -223,12 +229,13 @@ class TestOverloadController:
         assert controller.admitted == 2 and controller.refused == 1
 
     def test_admissions_mirrored_to_telemetry(self):
+        """Every verdict is returned, for the dispatcher to record."""
         telemetry = _SpyTelemetry()
         controller = OverloadController(
-            OverloadConfig(admission_rate_per_us=0.001, admission_burst=1.0),
-            telemetry=telemetry)
-        controller.admit(7, 0.0)
-        controller.admit(7, 0.0)
+            OverloadConfig(admission_rate_per_us=0.001, admission_burst=1.0))
+        for _ in range(2):
+            admitted, _ = controller.admit(7, 0.0)
+            telemetry.record_admission(7, admitted, n=1)
         assert telemetry.admissions == [(7, True, 1), (7, False, 1)]
 
     def test_snapshot_is_json_shaped(self):

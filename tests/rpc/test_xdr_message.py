@@ -17,7 +17,6 @@ from repro.rpc.message import (
 )
 from repro.rpc.xdr import XdrDecoder, XdrEncoder
 from repro.sim import costs
-from repro.telemetry import Telemetry
 
 
 class TestXdr:
@@ -288,7 +287,7 @@ class TestOnePassMatchesItemCoder:
         for encode, decode in ((message.encode, kind.decode),
                                (message._encode_items, kind._decode_items)):
             machine = make_paper_machine()
-            telemetry = machine.attach_telemetry(Telemetry())
+            telemetry = machine.telemetry.enable_metrics()
             recorder = machine.meter.record_trace()
             assert recorder.start()
             encode(machine)

@@ -216,7 +216,7 @@ class TestPerCallSettle:
     def test_traced_hot_call_is_one_replay_span(self):
         system = make_system(seed=29)
         warm_key(system, DispatchConfig())
-        tracer = system.extension.enable_tracing()
+        tracer = system.machine.telemetry.enable_spans()
         assert system.call("test_incr", 5) == 6
         assert [(span.kind, span.tier, span.count)
                 for span in tracer.spans()] == [
@@ -232,7 +232,7 @@ class TestPerCallSettle:
         calls = [("test_incr", (i,)) for i in range(3)]
         for _ in range(2):                       # record, then confirm
             dispatcher.call_batch(system.session, calls, config=config)
-        tracer = system.extension.enable_tracing()
+        tracer = system.machine.telemetry.enable_spans()
         outcome = dispatcher.call_batch(system.session, calls[::-1],
                                         config=config)
         assert outcome.values == [3, 2, 1]       # any permutation settles

@@ -179,49 +179,6 @@ class TestTraceBuffer:
         assert event.pid == 7
         assert event.detail["detail_module"] == "libc"
 
-    def test_filter_by_category_label_pid(self):
-        buffer, _ = self._buffer()
-        buffer.emit("a", "x", pid=1)
-        buffer.emit("a", "y", pid=2)
-        buffer.emit("b", "x", pid=1)
-        assert len(buffer.filter(category="a")) == 2
-        assert len(buffer.filter(label="x")) == 2
-        assert len(buffer.filter(category="a", pid=1)) == 1
-        assert len(buffer.filter(predicate=lambda e: e.pid == 2)) == 1
-
-    def test_assert_order(self):
-        buffer, _ = self._buffer()
-        for label in ("one", "noise", "two", "three"):
-            buffer.emit("seq", label)
-        assert buffer.assert_order(["one", "two", "three"])
-        assert not buffer.assert_order(["two", "one"])
-        assert not buffer.assert_order(["one", "missing"])
-
-    def test_capacity_limits_and_counts_drops(self):
-        clock = VirtualClock()
-        buffer = TraceBuffer(clock, enabled=True, capacity=2)
-        buffer.emit("c", "1")
-        buffer.emit("c", "2")
-        buffer.emit("c", "3")
-        assert len(buffer) == 2
-        assert buffer.dropped == 1
-
-    def test_first_and_labels_and_render(self):
-        buffer, _ = self._buffer()
-        buffer.emit("c", "alpha", pid=3)
-        buffer.emit("c", "beta")
-        assert buffer.first("alpha").pid == 3
-        assert buffer.first("missing") is None
-        assert buffer.labels() == ["alpha", "beta"]
-        rendered = buffer.render()
-        assert "alpha" in rendered and "beta" in rendered
-
-    def test_clear(self):
-        buffer, _ = self._buffer()
-        buffer.emit("c", "alpha")
-        buffer.clear()
-        assert len(buffer) == 0
-
 
 class TestTwoStateMMPP:
     def _source(self, seed=42, **overrides):

@@ -120,15 +120,15 @@ class TestChargeTrace:
     def test_replay_mirrors_telemetry(self):
         raw = ((costs.TRAP_ENTRY, 1), (costs.COPY_WORD, 4),
                (costs.TRAP_ENTRY, 1))
-        slow, _ = fresh_meter()
-        slow.telemetry = Telemetry()
+        slow, slow_clock = fresh_meter()
+        slow_telemetry = Telemetry(slow_clock, meter=slow).enable_metrics()
         for operation, count in raw:
             slow.charge(operation, count)
-        fast, _ = fresh_meter()
-        fast.telemetry = Telemetry()
+        fast, fast_clock = fresh_meter()
+        fast_telemetry = Telemetry(fast_clock, meter=fast).enable_metrics()
         fast.charge_trace(CallTrace(raw, PENTIUM_III_599))
-        assert slow.telemetry.op_counts == fast.telemetry.op_counts
-        assert slow.telemetry.op_cycles == fast.telemetry.op_cycles
+        assert slow_telemetry.op_counts == fast_telemetry.op_counts
+        assert slow_telemetry.op_cycles == fast_telemetry.op_cycles
 
     def test_replay_respects_frozen_clock(self):
         meter, clock = fresh_meter()
@@ -173,7 +173,7 @@ class TestChargeEach:
         for run in (lambda m: [m.charge(operation) for _ in range(n)],
                     lambda m: m.charge_each(operation, n)):
             meter, clock = fresh_meter()
-            meter.telemetry = Telemetry()
+            telemetry = Telemetry(clock, meter=meter).enable_metrics()
             meter.charge(costs.TRAP_ENTRY)      # a charge before the run
             if frozen:
                 clock.freeze()
@@ -181,12 +181,13 @@ class TestChargeEach:
             recorder.start()
             run(meter)
             meter.charge(costs.TRAP_ENTRY)      # and one after it
-            meters.append((meter, clock, recorder.stop()))
+            meters.append((meter, clock, recorder.stop(), telemetry))
         return meters
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
     def test_matches_unit_charges(self, n):
-        (slow, slow_clock, slow_raw), (fast, fast_clock, fast_raw) = \
+        ((slow, slow_clock, slow_raw, slow_telemetry),
+         (fast, fast_clock, fast_raw, fast_telemetry)) = \
             self.run_both(costs.USER_STACK_WORD, n)
         assert fast_clock.cycles == slow_clock.cycles
         assert fast_clock.events == slow_clock.events == 2 + n
@@ -194,8 +195,8 @@ class TestChargeEach:
         assert fast_raw == slow_raw
         assert (CallTrace(fast_raw, PENTIUM_III_599).events
                 == CallTrace(slow_raw, PENTIUM_III_599).events)
-        assert fast.telemetry.op_counts == slow.telemetry.op_counts
-        assert fast.telemetry.op_cycles == slow.telemetry.op_cycles
+        assert fast_telemetry.op_counts == slow_telemetry.op_counts
+        assert fast_telemetry.op_cycles == slow_telemetry.op_cycles
 
     def test_zero_touches_nothing(self):
         meter, clock = fresh_meter()
@@ -203,7 +204,7 @@ class TestChargeEach:
         assert clock.events == 0 and costs.USER_STACK_WORD not in meter.op_counts
 
     def test_frozen_clock(self):
-        (slow, slow_clock, slow_raw), (fast, fast_clock, fast_raw) = \
+        (slow, slow_clock, slow_raw, _), (fast, fast_clock, fast_raw, _) = \
             self.run_both(costs.SMOD_STACK_FIXUP_WORD, 5, frozen=True)
         assert (fast_clock.cycles, fast_clock.events) == \
             (slow_clock.cycles, slow_clock.events) == \

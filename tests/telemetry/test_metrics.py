@@ -1,4 +1,4 @@
-"""Telemetry plane: histogram correctness, registry views, null overhead."""
+"""Telemetry plane: histogram correctness, registry views, disabled overhead."""
 
 import gc
 import math
@@ -6,16 +6,16 @@ import sys
 
 import pytest
 
+from repro.hw.machine import make_paper_machine
+from repro.secmodule.decision_cache import DecisionCache
 from repro.sim.costs import CostMeter, PENTIUM_III_599
 from repro.sim.clock import Stopwatch, VirtualClock
 from repro.sim.rng import DeterministicRNG
 from repro.sim.stats import jain_fairness_index
 from repro.telemetry import (
-    NULL_TELEMETRY,
     LogHistogram,
     MetricsRegistry,
     Telemetry,
-    make_telemetry,
     render_snapshot,
 )
 
@@ -102,12 +102,14 @@ class TestRegistryAndViews:
         assert registry.snapshot()["counters"]["x{a=1}"] == 3
 
     def test_per_session_histograms_merge_into_per_module_view(self):
-        telemetry = Telemetry()
+        telemetry = Telemetry().enable_metrics()
         for session_id in (1, 2, 3):
             for call in range(session_id * 10):
                 telemetry.record_dispatch(session_id, "libm", 6.4 + call)
         telemetry.record_dispatch(9, "libother", 1.0)
-        merged = telemetry.module_latency("libm")
+        merged = LogHistogram.merged(
+            histogram for _, histogram in telemetry.registry.histograms_named(
+                "dispatch_latency_us", module="libm"))
         assert merged.count == 10 + 20 + 30
         # the view matches a single histogram fed every session's samples
         direct = LogHistogram()
@@ -117,8 +119,8 @@ class TestRegistryAndViews:
         assert merged.quantile(95) == direct.quantile(95)
 
     def test_family_views_keep_the_sorted_label_order(self):
-        """The per-family index yields exactly the old full-registry sort:
-        by ``repr(labels)``, insertion order breaking ties."""
+        """A family view yields exactly the full-registry sort: by
+        ``repr(labels)``, insertion order breaking ties."""
         registry = MetricsRegistry()
         rng = DeterministicRNG(7)
         labels = [{"session": s, "module": m}
@@ -142,18 +144,19 @@ class TestRegistryAndViews:
         assert [labels for labels, _ in
                 registry.histograms_named("flush_service_us", module="a")] \
             == [labels for labels, _ in reference if labels.get("module") == "a"]
-        merged = registry.merged_histogram("flush_service_us")
+        merged = LogHistogram.merged(histogram for _, histogram in view)
         assert merged.count == len(labels)
         assert merged.total == sum(range(1, len(labels) + 1))
         assert registry.histograms_named("missing") == []
 
     def test_snapshot_round_trips_and_renders(self):
-        telemetry = Telemetry()
+        telemetry = Telemetry().enable_metrics()
         telemetry.record_dispatch(1, "libm", 6.4)
         telemetry.record_batch(1, 8, 10.0)
         telemetry.record_handle_queue(5, 8)
         telemetry.record_queue_delay(5, 2, 0.25)
-        telemetry.cache_event("hits", 3)
+        telemetry.cache = DecisionCache()
+        telemetry.cache.note_batch_served(3)
         snapshot = telemetry.snapshot()
         assert snapshot["counters"]["decision_cache.hits"] == 3
         text = render_snapshot(snapshot)
@@ -163,8 +166,7 @@ class TestRegistryAndViews:
     def test_cost_meter_mirrors_charges_into_telemetry(self):
         clock = VirtualClock()
         meter = CostMeter(PENTIUM_III_599, clock)
-        telemetry = Telemetry()
-        meter.telemetry = telemetry
+        telemetry = Telemetry(clock, meter=meter).enable_metrics()
         before = clock.cycles
         meter.charge("trap_entry", 2)
         assert telemetry.op_counts["trap_entry"] == 2
@@ -194,25 +196,30 @@ class TestJainIndex:
 
 
 class TestNullTelemetry:
+    """The machine's plane with both sinks off."""
+
     def test_disabled_flag_and_empty_snapshot(self):
-        assert not NULL_TELEMETRY.enabled
-        assert NULL_TELEMETRY.snapshot() == {}
-        assert make_telemetry(False) is NULL_TELEMETRY
-        assert make_telemetry(True).enabled
+        machine = make_paper_machine()
+        telemetry = machine.telemetry
+        assert not telemetry.enabled
+        assert telemetry.snapshot() == {}
+        assert telemetry.export_state() is None
+        assert Telemetry().enable_metrics().enabled
 
     def test_disabled_recording_creates_no_metrics(self):
-        NULL_TELEMETRY.record_dispatch(1, "libm", 6.4)
-        NULL_TELEMETRY.record_batch(1, 8, 10.0)
-        NULL_TELEMETRY.record_handle_queue(5, 8)
-        NULL_TELEMETRY.record_queue_delay(5, 2, 0.25)
-        NULL_TELEMETRY.cache_event("hits")
-        NULL_TELEMETRY.op_charge("trap_entry", 1, 170)
-        NULL_TELEMETRY.record_depth(0, 16)
-        assert len(NULL_TELEMETRY.registry) == 0
-        assert NULL_TELEMETRY.op_counts == {}
+        machine = make_paper_machine()
+        telemetry = machine.telemetry
+        machine.charge("trap_entry")
+        telemetry.record_dispatch(1, "libm", 6.4)
+        telemetry.record_batch(1, 8, 10.0)
+        telemetry.record_handle_queue(5, 8)
+        telemetry.record_queue_delay(5, 2, 0.25)
+        telemetry.record_depth(0, 16)
+        assert len(telemetry.registry) == 0
+        assert telemetry.op_counts == {}
 
     def test_disabled_recording_is_zero_allocation(self):
-        telemetry = NULL_TELEMETRY
+        telemetry = make_paper_machine().telemetry
 
         def spin(n):
             for _ in range(n):
@@ -220,8 +227,8 @@ class TestNullTelemetry:
                 telemetry.record_batch(1, 8, 10.0)
                 telemetry.record_handle_queue(5, 8)
                 telemetry.record_queue_delay(5, 2, 0.25)
-                telemetry.cache_event("hits")
-                telemetry.op_charge("trap_entry", 1, 170)
+                telemetry.record_shed("b", "deadline", "pool.shed")
+                telemetry.record_depth(0, 16)
 
         spin(1000)                      # warm any lazily-built interpreter state
         gc.collect()

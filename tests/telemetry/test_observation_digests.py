@@ -55,28 +55,16 @@ DEMO_OVERLOAD = OverloadConfig(deadline_us=12.0, breaker_window_us=100.0,
 
 
 # ------------------------------------------------------------------ wiring
-def _observe(extension):
-    """Switch metrics and spans on for everything under ``extension``."""
-    return extension.enable_telemetry(), extension.enable_tracing()
+def _observe(machine) -> Telemetry:
+    """Switch metrics and spans on, in place, on the machine's plane."""
+    telemetry = machine.telemetry
+    telemetry.enable_metrics()
+    telemetry.enable_spans()
+    return telemetry
 
 
-def _frontend(kernel, extension, observed, **config) -> ServiceFrontend:
-    telemetry, tracer = observed
-    frontend = ServiceFrontend(kernel, extension,
-                               config=ServiceConfig(**config),
-                               telemetry=telemetry)
-    frontend.attach_tracer(tracer)
-    return frontend
-
-
-def _stub(frontend, observed, proc):
-    stub = frontend.make_client(proc)
-    stub.tracer = observed[1]
-    return stub
-
-
-def _overload(observed, config: OverloadConfig) -> OverloadController:
-    return OverloadController(config, telemetry=observed[0])
+def _frontend(kernel, extension, **config) -> ServiceFrontend:
+    return ServiceFrontend(kernel, extension, config=ServiceConfig(**config))
 
 
 # ------------------------------------------------------------------- cases
@@ -84,10 +72,10 @@ def _boot(seed: int):
     machine = make_paper_machine(seed=seed)
     kernel = Kernel(machine=machine).boot()
     extension = install_secmodule(kernel)
-    observed = _observe(extension)
+    _observe(machine)
     registered = extension.registry.register(
         build_test_module(), uid=0, protection=ProtectionMode.ENCRYPT)
-    return machine, kernel, extension, observed, registered
+    return machine, kernel, extension, registered
 
 
 def _now_us(machine) -> float:
@@ -97,8 +85,8 @@ def _now_us(machine) -> float:
 def case_frontend_overload():
     """The serve-status demo's front-end, overloaded: pooled calls 1 us
     apart, bound calls, then RPC stubs until a retry budget runs dry."""
-    machine, kernel, extension, observed, registered = _boot(0x0B5E)
-    frontend = _frontend(kernel, extension, observed,
+    machine, kernel, extension, registered = _boot(0x0B5E)
+    frontend = _frontend(kernel, extension,
                          pool=PoolConfig(max_attachments=2),
                          overload=DEMO_OVERLOAD)
     record = frontend.register_backend("secmodule", [registered])
@@ -112,8 +100,8 @@ def case_frontend_overload():
         frontend.call_bound(binding.binding_id, "test_incr", 7)
     frontend.detach(bindings[-1].binding_id)
     func_id = registered.definition.function("test_incr").func_id
-    stub = _stub(frontend, observed,
-                 Program.spawn(kernel, "rpc-client", uid=1000).proc)
+    stub = frontend.make_client(
+        Program.spawn(kernel, "rpc-client", uid=1000).proc)
     budget = frontend.retry_budget("secmodule")
     rpc_base_us = _now_us(machine)
     for index in range(200):
@@ -126,13 +114,13 @@ def case_frontend_overload():
             break
     stub.call("serve_attach", record.backend_id, 0)
     frontend.status()
-    return machine, observed
+    return machine
 
 
 def case_pool_refuses():
     """A pool that refuses on overflow, and one with no attachments."""
-    machine, kernel, extension, observed, registered = _boot(0x0B5F)
-    frontend = _frontend(kernel, extension, observed)
+    machine, kernel, extension, registered = _boot(0x0B5F)
+    frontend = _frontend(kernel, extension)
     full = frontend.register_backend(
         "refusing", [registered],
         pool=PoolConfig(max_attachments=1, overflow="refuse"))
@@ -143,13 +131,13 @@ def case_pool_refuses():
         frontend.call_pooled(full, "test_incr", index,
                              arrival_us=base_us + index * 0.5)
     frontend.call_pooled(empty, "test_incr", 1, arrival_us=base_us)
-    return machine, observed
+    return machine
 
 
 def case_backend_lifecycle():
     """A backend taken to draining, then down, then health-probed."""
-    machine, kernel, extension, observed, registered = _boot(0x0B60)
-    frontend = _frontend(kernel, extension, observed)
+    machine, kernel, extension, registered = _boot(0x0B60)
+    frontend = _frontend(kernel, extension)
     record = frontend.register_backend("lifecycle", [registered])
     frontend.call_pooled(record, "test_incr", 1)
     registry = frontend.registry
@@ -162,16 +150,15 @@ def case_backend_lifecycle():
         handle.kill()
     registry.health_check(record)
     frontend.status()
-    return machine, observed
+    return machine
 
 
 def case_admission():
     """A token bucket on the dispatcher: 10 single calls, then batches."""
     system = SecModuleSystem.create(seed=0x0B61, include_libc=False)
-    observed = _observe(system.extension)
-    system.extension.dispatcher.overload = _overload(
-        observed, OverloadConfig(admission_rate_per_us=0.0005,
-                                 admission_burst=2.0))
+    _observe(system.machine)
+    system.extension.dispatcher.overload = OverloadController(
+        OverloadConfig(admission_rate_per_us=0.0005, admission_burst=2.0))
     for index in range(10):
         system.call_outcome("test_incr", index)
     batch = DispatchConfig(batch_size=4)
@@ -181,13 +168,13 @@ def case_admission():
     system.machine.idle(int(20000 * system.machine.spec.mhz))
     dispatcher.call_batch(system.session, [("test_incr", (2,))] * 2,
                           config=batch)
-    return system.machine, observed
+    return system.machine
 
 
 def case_batch_early_returns():
     """A queue of unknown names only, and a queue rejected whole."""
     system = SecModuleSystem.create(seed=0x0B62, include_libc=False)
-    observed = _observe(system.extension)
+    _observe(system.machine)
     dispatcher = system.extension.dispatcher
     batch = DispatchConfig(batch_size=4)
     session = system.session
@@ -198,7 +185,7 @@ def case_batch_early_returns():
     system.extension.sessions.teardown(session, kill_handle=False)
     dispatcher.call_batch(session, [("test_incr", (2,)), ("test_null", ())],
                           config=batch)
-    return system.machine, observed
+    return system.machine
 
 
 def case_decision_cache():
@@ -208,7 +195,7 @@ def case_decision_cache():
                               PrincipalAllowPolicy(["alice"])])
     system = SecModuleSystem.create(seed=0x0B63, include_libc=False,
                                     policy=policy)
-    observed = _observe(system.extension)
+    _observe(system.machine)
     cache = system.extension.decision_cache
     cache.capacity_per_session = 1
     for name, args in (("test_incr", (1,)), ("test_incr", (2,)),
@@ -222,7 +209,7 @@ def case_decision_cache():
     m_id = next(iter(system.session.modules))
     kernel = system.kernel
     kernel.syscall(kernel.proc0, "smod_remove", m_id, None)
-    return system.machine, observed
+    return system.machine
 
 
 def case_aimd():
@@ -234,10 +221,10 @@ def case_aimd():
         burst_off_us=200.0, adaptive_batch=True, adaptive_max_depth=8,
         shed_deadline_us=4.0, telemetry=True, tracing=True, seed=0x0B64))
     engine.run()
-    return engine.machine, (engine.telemetry, engine.tracer)
+    return engine.machine
 
 
-CASES: Dict[str, Callable[[], Tuple]] = {
+CASES: Dict[str, Callable[[], object]] = {
     "frontend-overload": case_frontend_overload,
     "pool-refuses": case_pool_refuses,
     "backend-lifecycle": case_backend_lifecycle,
@@ -256,7 +243,9 @@ def _sha(value) -> str:
 
 def digest(name: str) -> Tuple[Dict[str, object], List[str]]:
     """Run one case; return its digest and the kinds of its kept spans."""
-    machine, (telemetry, tracer) = CASES[name]()
+    machine = CASES[name]()
+    telemetry = machine.telemetry
+    tracer = telemetry.tracer
     spans = tracer.spans()
     kinds: Dict[str, int] = {}
     for span in spans:

@@ -11,15 +11,14 @@ import sys
 
 import pytest
 
+from repro.hw.machine import make_paper_machine
 from repro.sim.clock import VirtualClock
+from repro.telemetry import Telemetry
 from repro.telemetry.tracing import (
-    NULL_TRACER,
-    NullTracer,
     Span,
     TIER_FAST_FORWARD,
     TIER_REPLAY,
     Tracer,
-    make_tracer,
 )
 from repro.telemetry.trace_export import (
     chrome_trace,
@@ -135,7 +134,7 @@ class TestFlightRecorder:
         with pytest.raises(ValueError):
             Tracer(clock, 1.0, sample_every=0)
         with pytest.raises(ValueError):
-            make_tracer(True)          # a live tracer needs clock + MHz
+            Telemetry().enable_spans()  # a live recorder needs the clock
 
 
 class TestSampling:
@@ -173,36 +172,37 @@ class TestSampling:
 
 
 class TestNullTracer:
+    """The machine's plane with the span sink off."""
+
     def test_shared_singleton_and_disabled(self):
-        assert make_tracer(False) is NULL_TRACER
-        assert NULL_TRACER.enabled is False
-        assert Tracer.enabled is True
+        telemetry = make_paper_machine().telemetry
+        assert telemetry.enabled is False
+        assert telemetry.spans is False and telemetry.tracer is None
+        assert isinstance(telemetry.enable_spans(), Tracer)
+        assert telemetry.enabled is True
 
     def test_every_tap_is_a_no_op(self):
-        tracer = NullTracer()
-        assert tracer.start("dispatch.call") is None
-        tracer.finish(None)
-        assert tracer.interval("broker.queue_wait", 0.0, 1.0) is None
-        assert tracer.aggregate("dispatch.call", span_us=1.0, n=5) is None
-        assert tracer.spans() == []
-        assert tracer.open_spans() == []
-        assert tracer.drain() == 0
-        assert tracer.stats() == {}
-        assert tracer.snapshot() == {}
-        assert tracer.client_sampled(0) is False
+        telemetry = make_paper_machine().telemetry
+        assert telemetry.start("dispatch.call") is None
+        telemetry.finish(None)
+        telemetry.record_queue_delay(5, 2, 1.0)
+        telemetry.record_pool_refusal("b", 0.0)
+        telemetry.aggregate("dispatch.call", span_us=1.0, n=5)
+        assert telemetry.tracer is None
+        assert telemetry.snapshot() == {}
 
     def test_disabled_path_is_allocation_free(self):
-        tracer = NULL_TRACER
+        telemetry = make_paper_machine().telemetry
 
         def spin(rounds: int) -> None:
             for _ in range(rounds):
-                if tracer.enabled:
-                    span = tracer.start("dispatch.call")
-                    tracer.finish(span)
-                if tracer.enabled:
-                    tracer.interval("broker.queue_wait", 0.0, 1.0)
-                if tracer.enabled:
-                    tracer.aggregate("dispatch.call", span_us=1.0, n=8)
+                if telemetry.enabled:
+                    span = telemetry.start("dispatch.call")
+                    telemetry.finish(span)
+                if telemetry.enabled:
+                    telemetry.record_queue_delay(5, 2, 1.0)
+                if telemetry.enabled:
+                    telemetry.aggregate("dispatch.call", span_us=1.0, n=8)
 
         spin(1000)                  # warm any lazily-built interpreter state
         gc.collect()
@@ -210,7 +210,7 @@ class TestNullTracer:
         spin(5000)
         gc.collect()
         after = sys.getallocatedblocks()
-        # matching the NULL_TELEMETRY contract: no retained allocations
+        # matching the metrics sink's contract: no retained allocations
         assert after - before <= 8
 
 
