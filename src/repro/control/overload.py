@@ -171,8 +171,8 @@ class CircuitBreaker:
     half-open and admits a bounded number of probes: one success closes
     it, one failure re-opens it.  ``allow``/``record`` return the state
     transition (or None) so the calling layer can charge
-    :data:`~repro.sim.costs.SERVE_BREAKER_TRIP` — the breaker itself never
-    touches the clock.
+    :data:`~repro.sim.costs.SERVE_BREAKER_TRIP` and observe it — the
+    breaker itself never touches the clock or the observation plane.
     """
 
     def __init__(self, backend: str, config: OverloadConfig) -> None:
@@ -295,7 +295,8 @@ class OverloadController:
 
     Buckets are created lazily per client pid with the configured
     rate/burst; the dispatcher consults :meth:`admit` at call entry,
-    before any trace machinery, and charges the admission ops itself.
+    before any trace machinery, and charges the admission ops and records
+    the verdict itself.
     """
 
     def __init__(self, config: OverloadConfig) -> None:

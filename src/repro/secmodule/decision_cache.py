@@ -207,7 +207,8 @@ class DecisionCache:
         """Fold one replayed span's counter deltas into the statistics.
 
         Keeps ``snapshot()`` (and the ``decision_cache.*`` metrics read from
-        it) identical between a replayed run and the op-by-op execution it stands in for.
+        its counters) identical between a replayed run and the op-by-op
+        execution it stands in for.
         """
         self.hits += hits
         self.misses += misses

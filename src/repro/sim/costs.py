@@ -516,9 +516,9 @@ class CostMeter:
 
         Open-loop workloads wait for scheduled arrivals; that waiting is
         real simulated time but not a priced micro-operation, so it bypasses
-        the per-operation histogram while still flowing through the meter — the single charging authority.  One
-        clock advance, one clock event: byte-identical to the charge paths'
-        accounting granularity.
+        the per-operation histogram while still flowing through the meter —
+        the single charging authority.  One clock advance, one clock event:
+        byte-identical to the charge paths' accounting granularity.
         """
         if cycles < 0:
             raise ValueError(f"cannot idle for negative cycles: {cycles}")
