@@ -23,7 +23,7 @@ from .proc import Proc, ProcState
 
 
 class ReadyQueue:
-    """FIFO ready queue keyed by pid: O(1) membership, removal and append.
+    """FIFO ready queue keyed by pid: O(1) membership, discard and append.
 
     ``Proc`` is a deep-equality dataclass, so a plain deque pays a full
     structural comparison per ``in``/``remove`` — superlinear once the run
@@ -40,9 +40,11 @@ class ReadyQueue:
     def append(self, proc: Proc) -> None:
         self._procs[proc.pid] = proc
 
-    def remove(self, proc: Proc) -> None:
-        if self._procs.pop(proc.pid, None) is None:
-            raise ValueError(f"pid {proc.pid} not in ready queue")
+    def discard(self, proc: Proc) -> None:
+        """Drop ``proc`` if it is queued; a proc that is not is left alone
+        (a switch, sleep or suspend finds its target off the queue more
+        often than on it, so this never raises)."""
+        self._procs.pop(proc.pid, None)
 
     def __contains__(self, proc: object) -> bool:
         pid = getattr(proc, "pid", None)
@@ -123,10 +125,7 @@ class Scheduler:
             return proc
         if previous is not None and previous.state is ProcState.RUNNING:
             previous.state = ProcState.RUNNABLE
-        try:
-            self.ready.remove(proc)
-        except ValueError:
-            pass
+        self.ready.discard(proc)
         proc.state = ProcState.RUNNING
         proc.wchan = None
         self.current = proc
@@ -141,16 +140,15 @@ class Scheduler:
         proc.state = ProcState.SLEEPING
         proc.wchan = wchan
         self._sleepers.setdefault(wchan, []).append(proc)
-        try:
-            self.ready.remove(proc)
-        except ValueError:
-            pass
+        self.ready.discard(proc)
         if self.current is proc:
             self.current = None
 
     def wakeup(self, wchan: str) -> List[Proc]:
         """Wake every process sleeping on ``wchan`` (wakeup)."""
-        woken = self._sleepers.pop(wchan, [])
+        woken = self._sleepers.pop(wchan, None)
+        if woken is None:
+            return []
         for proc in woken:
             if proc.alive:
                 self.machine.charge(costs.SCHED_WAKEUP)
@@ -170,10 +168,7 @@ class Scheduler:
         """Forcibly remove ``proc`` (and conceptually all its threads) from
         the ready queue for the duration of a protected call."""
         self._suspended.add(proc.pid)
-        try:
-            self.ready.remove(proc)
-        except ValueError:
-            pass
+        self.ready.discard(proc)
 
     def resume(self, proc: Proc) -> None:
         self._suspended.discard(proc.pid)
@@ -196,10 +191,7 @@ class Scheduler:
     # -- bookkeeping ------------------------------------------------------------
     def remove(self, proc: Proc) -> None:
         """Drop a (now dead) process from every scheduler structure."""
-        try:
-            self.ready.remove(proc)
-        except ValueError:
-            pass
+        self.ready.discard(proc)
         self._remove_sleeper(proc)
         if self.current is proc:
             self.current = None

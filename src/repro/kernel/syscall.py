@@ -15,7 +15,7 @@ the :mod:`repro.secmodule.smod_syscalls` module registers at boot).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Union
 
 from ..errors import SimulationError
 from ..hw.cpu import Ring
@@ -42,54 +42,62 @@ class SyscallTable:
     def __init__(self, machine, cpu) -> None:
         self.machine = machine
         self.cpu = cpu
-        self._by_name: Dict[str, SyscallEntry] = {}
-        self._by_number: Dict[int, SyscallEntry] = {}
+        #: every entry under its name *and* its number: names are strings
+        #: and numbers ints, so one probe resolves either
+        self._entries: Dict[Union[str, int], SyscallEntry] = {}
         #: dispatch counters, per syscall name (used by tests and reports)
         self.invocations: Dict[str, int] = {}
 
     # -- registration ------------------------------------------------------------
     def register(self, number: int, name: str, handler: SyscallHandler, *,
                  arg_words: int = 0, replace: bool = False) -> SyscallEntry:
-        if not replace and (name in self._by_name or number in self._by_number):
+        if not replace and (name in self._entries or number in self._entries):
             raise SimulationError(
                 f"syscall {name!r} / number {number} already registered")
         entry = SyscallEntry(number=number, name=name, handler=handler,
                              arg_words=arg_words)
-        self._by_name[name] = entry
-        self._by_number[number] = entry
+        self._entries[name] = entry
+        self._entries[number] = entry
         return entry
 
     def lookup(self, name_or_number) -> Optional[SyscallEntry]:
-        if isinstance(name_or_number, int):
-            return self._by_number.get(name_or_number)
-        return self._by_name.get(name_or_number)
+        return self._entries.get(name_or_number)
 
     # -- dispatch ------------------------------------------------------------------
     def invoke(self, kernel, proc: Proc, name_or_number, *args: Any) -> SyscallResult:
-        """Trap into the kernel and execute one system call for ``proc``."""
-        entry = self.lookup(name_or_number)
+        """Trap into the kernel and execute one system call for ``proc``.
+
+        The whole trap is this one frame: the entry resolves in one probe
+        and the ring transition is :meth:`CPU.enter_ring`'s swap, inlined.
+        """
+        entry = self._entries.get(name_or_number)
+        machine = self.machine
+        cpu = self.cpu
 
         # Trap entry: user -> kernel ring transition.
-        self.machine.charge(costs.TRAP_ENTRY)
-        previous_ring = self.cpu.enter_ring(Ring.KERNEL)
-        self.machine.charge(costs.SYSCALL_DEMUX)
+        machine.charge(costs.TRAP_ENTRY)
+        previous_ring = cpu.ring
+        cpu.ring = Ring.KERNEL
+        machine.charge(costs.SYSCALL_DEMUX)
 
         try:
             if entry is None:
                 return fail(Errno.ENOSYS)
+            name = entry.name
             if entry.arg_words:
-                self.machine.charge_words(costs.COPY_WORD, entry.arg_words)
-            self.invocations[entry.name] = self.invocations.get(entry.name, 0) + 1
+                machine.charge_words(costs.COPY_WORD, entry.arg_words)
+            invocations = self.invocations
+            invocations[name] = invocations.get(name, 0) + 1
             result = entry.handler(kernel, proc, *args)
             if not isinstance(result, SyscallResult):
                 raise SimulationError(
-                    f"syscall handler {entry.name!r} returned "
+                    f"syscall handler {name!r} returned "
                     f"{type(result).__name__}, not SyscallResult")
             return result
         finally:
             # Trap exit: back to the caller's ring.
-            self.cpu.enter_ring(previous_ring)
-            self.machine.charge(costs.TRAP_EXIT)
+            cpu.ring = previous_ring
+            machine.charge(costs.TRAP_EXIT)
 
     def count(self, name: str) -> int:
         return self.invocations.get(name, 0)

@@ -75,10 +75,15 @@ class MessageQueue:
     max_bytes: int = 16384
     messages: List[Message] = field(default_factory=list)
     removed: bool = False
+    #: the sleep channel of the queue's blocked receivers, named once
+    wchan: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.wchan = f"msgwait:{self.msqid}"
 
     @property
     def queued_bytes(self) -> int:
-        return sum(4 * m.words for m in self.messages)
+        return sum(4 * len(m.payload) for m in self.messages)
 
     def find(self, mtype: int) -> Optional[int]:
         """Index of the first message matching ``mtype`` (0 = any)."""
@@ -124,14 +129,10 @@ class SysVMsgSystem:
         del self._queues[msqid]
         self._by_key = {k: v for k, v in self._by_key.items() if v != msqid}
         # wake anyone blocked on it so they can observe EIDRM
-        self.scheduler.wakeup(self._wchan(msqid))
+        self.scheduler.wakeup(queue.wchan)
 
     def lookup(self, msqid: int) -> Optional[MessageQueue]:
         return self._queues.get(msqid)
-
-    @staticmethod
-    def _wchan(msqid: int) -> str:
-        return f"msgwait:{msqid}"
 
     # -- data path ---------------------------------------------------------------
     def msgsnd(self, proc: Proc, msqid: int, message: Message,
@@ -140,15 +141,21 @@ class SysVMsgSystem:
         queue = self._queues.get(msqid)
         if queue is None:
             raise KeyError(msqid)
-        if queue.queued_bytes + 4 * message.words > queue.max_bytes:
+        words = len(message.payload)
+        messages = queue.messages
+        # an empty queue holds no bytes: only the message itself can
+        # overflow it, so the sum over the queue runs only when it has one
+        if (4 * words + (queue.queued_bytes if messages else 0)
+                > queue.max_bytes):
             if flags & IPC_NOWAIT:
                 raise BlockingIOError(Errno.EAGAIN)
             raise SimulationError(
                 "queue full and blocking msgsnd is not needed by SecModule")
-        self.machine.charge(costs.MSGQ_SEND)
-        self.machine.charge_words(costs.MSGQ_PER_WORD, message.words)
-        queue.messages.append(message)
-        self.scheduler.wakeup(self._wchan(msqid))
+        machine = self.machine
+        machine.charge(costs.MSGQ_SEND)
+        machine.charge_words(costs.MSGQ_PER_WORD, words)
+        messages.append(message)
+        self.scheduler.wakeup(queue.wchan)
 
     def msgrcv(self, proc: Proc, msqid: int, mtype: int = 0,
                flags: int = 0) -> Optional[Message]:
@@ -162,22 +169,29 @@ class SysVMsgSystem:
         queue = self._queues.get(msqid)
         if queue is None:
             raise KeyError(msqid)
-        self.machine.charge(costs.MSGQ_RECV)
-        index = queue.find(mtype)
+        machine = self.machine
+        machine.charge(costs.MSGQ_RECV)
+        messages = queue.messages
+        # the synchronous dispatch finds its message at the head: take it
+        # there before scanning
+        if messages and (mtype == 0 or messages[0].mtype == mtype):
+            index: Optional[int] = 0
+        else:
+            index = queue.find(mtype)
         if index is None:
             if flags & IPC_NOWAIT:
                 raise BlockingIOError(Errno.ENOMSG)
             return None
-        message = queue.messages.pop(index)
-        self.machine.charge_words(costs.MSGQ_PER_WORD, message.words)
+        message = messages.pop(index)
+        machine.charge_words(costs.MSGQ_PER_WORD, len(message.payload))
         return message
 
     def block_receiver(self, proc: Proc, msqid: int) -> None:
         """Put ``proc`` to sleep until something is sent to ``msqid``."""
-        self.scheduler.sleep(proc, self._wchan(msqid))
-
-    def queues_owned_by(self, uid: int) -> List[MessageQueue]:
-        return [q for q in self._queues.values() if q.owner_uid == uid]
+        queue = self._queues.get(msqid)
+        if queue is None:
+            raise KeyError(msqid)
+        self.scheduler.sleep(proc, queue.wchan)
 
     def __len__(self) -> int:
         return len(self._queues)

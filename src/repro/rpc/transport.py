@@ -45,6 +45,11 @@ class UdpSocket:
     owner_pid: int
     port: int
     receive_queue: List[Datagram] = field(default_factory=list)
+    #: the sleep channel of the socket's blocked receiver, named once
+    wchan: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.wchan = f"udprecv:{self.sockfd}"
 
 
 class LoopbackNetwork:
@@ -115,11 +120,11 @@ class LoopbackNetwork:
                                            payload=payload))
         self.datagrams_sent += 1
         # wake a receiver blocked on this socket
-        self.kernel.sched.wakeup(f"udprecv:{dest.sockfd}")
+        self.kernel.sched.wakeup(dest.wchan)
         return True
 
     def block_receiver(self, proc: Proc, sock: UdpSocket) -> None:
-        self.kernel.sched.sleep(proc, f"udprecv:{sock.sockfd}")
+        self.kernel.sched.sleep(proc, sock.wchan)
 
 
 # ---------------------------------------------------------------------------

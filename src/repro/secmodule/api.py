@@ -275,15 +275,6 @@ class SecModuleSystem:
         return self.session.handle.proc
 
     @property
-    def handle_procs(self) -> List[Proc]:
-        """Distinct live handle co-processes, system-wide (broker view)."""
-        procs: List[Proc] = []
-        for session in self.extension.sessions.active_sessions():
-            if session.handle.proc not in procs:
-                procs.append(session.handle.proc)
-        return procs
-
-    @property
     def handle_count(self) -> int:
         return self.extension.sessions.handle_count()
 

@@ -84,6 +84,9 @@ class DecisionCache:
         #: session_id -> LRU-ordered {(m_id, func_id): CacheEntry}
         self._sessions: Dict[int, "OrderedDict[Tuple[int, int], CacheEntry]"] \
             = {}
+        #: live entries over every session, kept by each store, eviction
+        #: and invalidation (trace recording reads it twice per span)
+        self._entries = 0
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -102,7 +105,7 @@ class DecisionCache:
         self.trace_cache = None
 
     def __len__(self) -> int:
-        return sum(len(entries) for entries in self._sessions.values())
+        return self._entries
 
     # ------------------------------------------------------------------ access
     def lookup(self, session, m_id: int,
@@ -162,9 +165,12 @@ class DecisionCache:
               decision: PolicyDecision) -> None:
         entries = self._sessions.setdefault(session.session_id, OrderedDict())
         key = (m_id, func_id)
-        if key not in entries and len(entries) >= self.capacity_per_session:
-            entries.popitem(last=False)          # least recently used
-            self.evictions += 1
+        if key not in entries:
+            if len(entries) >= self.capacity_per_session:
+                entries.popitem(last=False)      # least recently used
+                self.evictions += 1
+            else:
+                self._entries += 1
         entries[key] = CacheEntry(decision=decision,
                                   policy_epoch=session.policy_epoch)
         entries.move_to_end(key)
@@ -219,6 +225,7 @@ class DecisionCache:
     def invalidate_session(self, session_id: int) -> int:
         """Drop every entry belonging to one session (teardown path)."""
         dropped = len(self._sessions.pop(session_id, ()))
+        self._entries -= dropped
         self.invalidations += dropped
         if self.trace_cache is not None:
             self.trace_cache.invalidate_session(session_id)
@@ -234,25 +241,22 @@ class DecisionCache:
             dropped += len(stale)
         self._sessions = {sid: entries
                           for sid, entries in self._sessions.items() if entries}
+        self._entries -= dropped
         self.invalidations += dropped
         if self.trace_cache is not None:
             self.trace_cache.invalidate_module(m_id)
         return dropped
 
     def invalidate_all(self) -> int:
-        count = len(self)
+        count = self._entries
         self._sessions.clear()
+        self._entries = 0
         self.invalidations += count
         if self.trace_cache is not None:
             self.trace_cache.invalidate_all()
         return count
 
     # ------------------------------------------------------------------- stats
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def session_entry_count(self, session_id: int) -> int:
         """Live entries for one session (observability for eviction tests)."""
         return len(self._sessions.get(session_id, ()))

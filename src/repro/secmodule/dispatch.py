@@ -32,19 +32,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..control.overload import OverloadController
 from ..errors import SimulationError
-from ..kernel.errno import Errno
+from ..kernel.errno import Errno, SyscallResult, fail, ok
 from ..kernel.proc import Proc
 from ..kernel.sysv_msg import Message
 from ..sim import costs
 from ..telemetry.tracing import TIER_OP_BY_OP, TIER_REPLAY
 from .decision_cache import DecisionCache, policy_is_cacheable
-from .module import CallEnvironment, SecFunction
+from .module import SecFunction
 from .registry import RegisteredModule
 from .session import Session
 from .stubs import (
     BatchCallFrame,
     BatchStub,
-    ClientStub,
     StubCallFrame,
     unwind_client_frame,
 )
@@ -63,6 +62,11 @@ class MarshallingMode(enum.Enum):
 
     SHARED_VM = "shared-vm"             # the paper's design: nothing to copy
     EXPLICIT_COPY = "explicit-copy"     # SysV-shm-style copy in and out
+
+
+#: the handle's reply to a single call: one part, one word (messages are
+#: never mutated once built, so every call sends this one)
+_SINGLE_REPLY = Message(mtype=2, payload=(1,))
 
 
 @dataclass(frozen=True)
@@ -605,9 +609,7 @@ class SmodDispatcher:
         entry.cache_batch_checks = cache.batch_epoch_checks - bc0
         entry.cache_batch_served = cache.batch_served - bs0
         entry.cache_touch_keys = touches
-        entry.env = CallEnvironment(kernel=self.kernel, session=session,
-                                    client=session.client,
-                                    handle=session.handle.proc)
+        entry.env = session.call_env
         entry.handle = session.handle
         entry.batch_plan = plan if batched else None
         entry.depth = len(plan)
@@ -757,9 +759,13 @@ class SmodDispatcher:
         """
         kernel = self.kernel
         machine = kernel.machine
+        msg = kernel.msg
+        sched = kernel.sched
         handle = session.handle.proc
         explicit_copy = config.marshalling is MarshallingMode.EXPLICIT_COPY
-        self._apply_hardening(session, config.hardening)
+        hardening = config.hardening
+        if hardening is not HardeningMode.NONE:
+            self._apply_hardening(session, hardening)
         # Everything between apply and undo can raise (the msg/sched plumbing,
         # the handle's receive); without the finally a SUSPEND_CLIENT-
         # hardened client would stay in Scheduler._suspended forever.
@@ -775,49 +781,50 @@ class SmodDispatcher:
                 machine.charge(costs.KMALLOC)
 
             # -- notify the handle and switch to it ----------------------------
-            kernel.msg.msgsnd(client, session.request_msqid, request)
-            kernel.sched.switch_to(handle)
-            if kernel.msg.msgrcv(handle, session.request_msqid, 1) is None:
+            msg.msgsnd(client, session.request_msqid, request)
+            sched.switch_to(handle)
+            if msg.msgrcv(handle, session.request_msqid, 1) is None:
                 raise SimulationError("handle woke without a queued request")
 
             # -- the handle executes on the shared stack -----------------------
-            result = receive(CallEnvironment(kernel=kernel, session=session,
-                                             client=client, handle=handle))
+            result = receive(session.call_env)
 
             # -- reply and switch back -----------------------------------------
-            kernel.msg.msgsnd(handle, session.reply_msqid, reply)
-            kernel.sched.switch_to(client)
-            kernel.msg.msgrcv(client, session.reply_msqid, 2)
+            msg.msgsnd(handle, session.reply_msqid, reply)
+            sched.switch_to(client)
+            msg.msgrcv(client, session.reply_msqid, 2)
             kernel.copyout(reply.part_count)    # one return value per part
             if explicit_copy:
                 machine.charge(costs.KFREE)
         finally:
-            self._undo_hardening(session, config.hardening)
+            if hardening is not HardeningMode.NONE:
+                self._undo_hardening(session, hardening)
         return result
 
     def sys_smod_call(self, client: Proc, session: Session,
                       frame: StubCallFrame, m_id: int, func_id: int, *,
-                      config: DispatchConfig = DispatchConfig()) -> DispatchOutcome:
-        """The kernel half of a protected call (already inside the trap)."""
+                      config: DispatchConfig = DispatchConfig()) -> SyscallResult:
+        """The kernel half of a protected call (already inside the trap):
+        the syscall's result, the function's return value or an errno."""
         machine = self.kernel.machine
 
         # -- validate the session and locate the function ---------------------
         machine.charge(costs.SMOD_SESSION_LOOKUP)
         if session is None or not session.established or session.torn_down:
             self.calls_denied += 1
-            return DispatchOutcome(errno=Errno.EINVAL)
+            return fail(Errno.EINVAL)
         if session.client is not client:
             # the handle is bound to p and only p (paper question 2)
             self.calls_denied += 1
-            return DispatchOutcome(errno=Errno.EPERM)
+            return fail(Errno.EPERM)
         module = session.modules.get(m_id)
         if module is None:
             self.calls_denied += 1
-            return DispatchOutcome(errno=Errno.ENOENT)
+            return fail(Errno.ENOENT)
         function = session.handle.lookup_function(m_id, func_id)
         if function is None:
             self.calls_denied += 1
-            return DispatchOutcome(errno=Errno.ENOENT)
+            return fail(Errno.ENOENT)
 
         # -- per-call credential/policy check ---------------------------------
         machine.charge(costs.SMOD_CRED_CHECK)
@@ -828,18 +835,18 @@ class SmodDispatcher:
                 self.calls_denied += 1
                 machine.trace.emit("smod.call", "policy_denied",
                                    pid=client.pid, detail_reason=reason)
-                return DispatchOutcome(errno=Errno.EACCES)
+                return fail(Errno.EACCES)
 
         result = self._round_trip(
             client, session, config,
             Message(mtype=1, payload=(m_id, func_id, frame.return_address)),
-            Message(mtype=2, payload=(1,)), (function.arg_words,),
+            _SINGLE_REPLY, (function.arg_words,),
             lambda env: session.handle.receive_call(
                 session.shared_stack, frame, function, env,
                 record_checkpoints=config.record_checkpoints))
         session.note_call(module)
         self.calls_dispatched += 1
-        return DispatchOutcome(value=result, frame=frame)
+        return ok(result)
 
     def sys_smod_call_batch(self, client: Proc, session: Session,
                             batch: BatchCallFrame, *,
@@ -1010,8 +1017,7 @@ class SmodDispatcher:
                      if key is not None else None)
         try:
             machine.charge(costs.USER_CALL_OVERHEAD)
-            stub = ClientStub(function_name, module.m_id, function.func_id,
-                              arg_words=function.arg_words)
+            stub = module.client_stub(function)
             frame = stub.push_call(
                 session.shared_stack, args,
                 record_checkpoints=config.record_checkpoints)
@@ -1022,7 +1028,7 @@ class SmodDispatcher:
             result = self.kernel.syscall(
                 session.client, "smod_call", frame, module.m_id,
                 function.func_id, config)
-            if result.failed:
+            if result.errno is not None:
                 # unwind the stub frame exactly as the error return path would
                 self._unwind_failed_call(session, frame)
                 outcome = DispatchOutcome(errno=result.errno, frame=frame)
@@ -1144,9 +1150,7 @@ class SmodDispatcher:
                     outcomes[index] = DispatchOutcome(errno=Errno.ENOENT)
                     continue
                 module, function = found
-                batch_stub.enqueue(
-                    ClientStub(name, module.m_id, function.func_id,
-                               arg_words=function.arg_words), args)
+                batch_stub.enqueue(module.client_stub(function), args)
                 pushed.append(index)
             if not len(batch_stub):
                 if recording is not None:

@@ -166,27 +166,25 @@ class Handle:
         """The secret segment serving one session (frame-level routing)."""
         return self._session_stacks.get(session_id, self.secret_stack)
 
-    def _charge_routing(self) -> None:
-        """Shared handles pay a routing-table walk per received request.
-
-        The walk is logarithmic in the number of seats (the table is a
-        small balanced tree in the real kernel); a handle serving one
-        session routes for free, keeping the paper path cycle-identical.
-        """
-        seats = len(self.attached_sessions)
-        if seats > 1:
-            self.kernel.machine.charge(costs.SMOD_POOL_ROUTE,
-                                       max(1, (seats - 1).bit_length()))
-
     # --------------------------------------------------------------- call path
     def _begin_receive(self, what: str, frame, depth: int) -> SimStack:
-        """A receive's handshake check, routing walk and queue-depth tap."""
+        """A receive's handshake check, routing walk and queue-depth tap.
+
+        Shared handles pay a routing-table walk per received request.  The
+        walk is logarithmic in the number of seats (the table is a small
+        balanced tree in the real kernel); a handle serving one session
+        routes for free, keeping the paper path cycle-identical.
+        """
         if not self.ready:
             raise SimulationError(
                 f"handle pid {self.proc.pid} received a {what} before the "
                 f"session handshake completed")
-        self._charge_routing()
-        telemetry = self.kernel.machine.telemetry
+        machine = self.kernel.machine
+        seats = len(self.attached_sessions)
+        if seats > 1:
+            machine.charge(costs.SMOD_POOL_ROUTE,
+                           max(1, (seats - 1).bit_length()))
+        telemetry = machine.telemetry
         if telemetry.enabled:
             telemetry.record_handle_queue(self.proc.pid, depth)
         return self.secret_stack_for(getattr(frame, "session_id", None))

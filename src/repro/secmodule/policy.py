@@ -19,6 +19,10 @@ This module provides that spectrum:
 Every policy reports how many *steps* a given evaluation performed; the
 dispatch path charges :data:`~repro.sim.costs.SMOD_POLICY_STEP` per step,
 which is what the policy-complexity ablation benchmark sweeps.
+
+A clause returns one prebuilt :class:`PolicyDecision` for each outcome
+whose reason is fixed, rather than building a new one per call: decisions
+are never mutated after an evaluation returns them.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class PolicyContext:
 
 @dataclass
 class PolicyDecision:
-    """Outcome of a policy evaluation."""
+    """Outcome of a policy evaluation (never mutated once returned)."""
 
     allowed: bool
     steps: int
@@ -83,9 +87,10 @@ class AlwaysAllowPolicy(Policy):
 
     name = "always-allow"
     static = True
+    _ALLOWED = PolicyDecision(allowed=True, steps=0, reason="always allowed")
 
     def evaluate(self, ctx: PolicyContext) -> PolicyDecision:   # noqa: ARG002
-        return PolicyDecision(allowed=True, steps=0, reason="always allowed")
+        return self._ALLOWED
 
 
 class DenyAllPolicy(Policy):
@@ -93,9 +98,10 @@ class DenyAllPolicy(Policy):
 
     name = "deny-all"
     static = True
+    _DENIED = PolicyDecision(allowed=False, steps=1, reason="denied by policy")
 
     def evaluate(self, ctx: PolicyContext) -> PolicyDecision:   # noqa: ARG002
-        return PolicyDecision(allowed=False, steps=1, reason="denied by policy")
+        return self._DENIED
 
 
 class UidAllowPolicy(Policy):
@@ -103,6 +109,7 @@ class UidAllowPolicy(Policy):
 
     name = "uid-allowlist"
     static = True
+    _ALLOWED = PolicyDecision(allowed=True, steps=1, reason="uid allowed")
 
     def __init__(self, allowed_uids: Sequence[int]) -> None:
         if not allowed_uids:
@@ -110,10 +117,10 @@ class UidAllowPolicy(Policy):
         self.allowed_uids = frozenset(int(u) for u in allowed_uids)
 
     def evaluate(self, ctx: PolicyContext) -> PolicyDecision:
-        allowed = ctx.uid in self.allowed_uids
-        return PolicyDecision(allowed=allowed, steps=1,
-                              reason="uid allowed" if allowed else
-                              f"uid {ctx.uid} not in allow-list")
+        if ctx.uid in self.allowed_uids:
+            return self._ALLOWED
+        return PolicyDecision(allowed=False, steps=1,
+                              reason=f"uid {ctx.uid} not in allow-list")
 
 
 class PrincipalAllowPolicy(Policy):
@@ -121,6 +128,7 @@ class PrincipalAllowPolicy(Policy):
 
     name = "principal-allowlist"
     static = True
+    _ALLOWED = PolicyDecision(allowed=True, steps=1, reason="principal allowed")
 
     def __init__(self, principals: Sequence[str]) -> None:
         if not principals:
@@ -128,10 +136,10 @@ class PrincipalAllowPolicy(Policy):
         self.principals = frozenset(principals)
 
     def evaluate(self, ctx: PolicyContext) -> PolicyDecision:
-        allowed = ctx.principal in self.principals
-        return PolicyDecision(allowed=allowed, steps=1,
-                              reason="principal allowed" if allowed else
-                              f"principal {ctx.principal!r} not allowed")
+        if ctx.principal in self.principals:
+            return self._ALLOWED
+        return PolicyDecision(allowed=False, steps=1,
+                              reason=f"principal {ctx.principal!r} not allowed")
 
 
 class FunctionDenyPolicy(Policy):
@@ -143,32 +151,37 @@ class FunctionDenyPolicy(Policy):
 
     name = "function-denylist"
     static = True
+    _PERMITTED = PolicyDecision(allowed=True, steps=1,
+                                reason="function permitted")
 
     def __init__(self, denied_functions: Sequence[str]) -> None:
         self.denied = frozenset(denied_functions)
 
     def evaluate(self, ctx: PolicyContext) -> PolicyDecision:
-        denied = ctx.function_name in self.denied
-        return PolicyDecision(allowed=not denied, steps=1,
-                              reason=f"function {ctx.function_name!r} denied"
-                              if denied else "function permitted")
+        if ctx.function_name not in self.denied:
+            return self._PERMITTED
+        return PolicyDecision(allowed=False, steps=1,
+                              reason=f"function {ctx.function_name!r} denied")
 
 
 class CallQuotaPolicy(Policy):
     """Allow at most N calls per session — the resource-drain scenario."""
 
     name = "call-quota"
+    _WITHIN = PolicyDecision(allowed=True, steps=1, reason="within quota")
 
     def __init__(self, max_calls: int) -> None:
         if max_calls <= 0:
             raise PolicyError("call quota must be positive")
         self.max_calls = max_calls
+        self._exhausted = PolicyDecision(
+            allowed=False, steps=1,
+            reason=f"quota of {max_calls} calls exhausted")
 
     def evaluate(self, ctx: PolicyContext) -> PolicyDecision:
-        allowed = ctx.calls_this_session < self.max_calls
-        return PolicyDecision(allowed=allowed, steps=1,
-                              reason="within quota" if allowed else
-                              f"quota of {self.max_calls} calls exhausted")
+        if ctx.calls_this_session < self.max_calls:
+            return self._WITHIN
+        return self._exhausted
 
 
 class TimeWindowPolicy(Policy):
@@ -179,6 +192,9 @@ class TimeWindowPolicy(Policy):
     """
 
     name = "time-window"
+    _INSIDE = PolicyDecision(allowed=True, steps=1, reason="inside window")
+    _OUTSIDE = PolicyDecision(allowed=False, steps=1,
+                              reason="outside permitted time window")
 
     def __init__(self, start_us: float, end_us: float) -> None:
         if end_us <= start_us:
@@ -187,10 +203,9 @@ class TimeWindowPolicy(Policy):
         self.end_us = end_us
 
     def evaluate(self, ctx: PolicyContext) -> PolicyDecision:
-        allowed = self.start_us <= ctx.now_us < self.end_us
-        return PolicyDecision(allowed=allowed, steps=1,
-                              reason="inside window" if allowed else
-                              "outside permitted time window")
+        if self.start_us <= ctx.now_us < self.end_us:
+            return self._INSIDE
+        return self._OUTSIDE
 
 
 class CredentialExpiryPolicy(Policy):
@@ -203,12 +218,15 @@ class CredentialExpiryPolicy(Policy):
     """
 
     name = "credential-expiry"
+    _VALID = PolicyDecision(allowed=True, steps=1,
+                            reason="credential still valid")
+    _EXPIRED = PolicyDecision(allowed=False, steps=1,
+                              reason="credential expired")
 
     def evaluate(self, ctx: PolicyContext) -> PolicyDecision:
-        expired = ctx.credential.is_expired(ctx.now_us)
-        return PolicyDecision(allowed=not expired, steps=1,
-                              reason="credential expired" if expired else
-                              "credential still valid")
+        if ctx.credential.is_expired(ctx.now_us):
+            return self._EXPIRED
+        return self._VALID
 
 
 class AttributePredicatePolicy(Policy):
@@ -232,11 +250,14 @@ class AttributePredicatePolicy(Policy):
         self.predicate = predicate
         self.weight = weight
         self.static = static
+        #: the two outcomes, indexed by the predicate's verdict
+        self._decisions = tuple(
+            PolicyDecision(allowed=allowed, steps=weight,
+                           reason=f"predicate {label!r} -> {allowed}")
+            for allowed in (False, True))
 
     def evaluate(self, ctx: PolicyContext) -> PolicyDecision:
-        allowed = bool(self.predicate(ctx.attributes))
-        return PolicyDecision(allowed=allowed, steps=self.weight,
-                              reason=f"predicate {self.label!r} -> {allowed}")
+        return self._decisions[bool(self.predicate(ctx.attributes))]
 
     def describe(self) -> str:
         return f"{self.name}({self.label})"
@@ -248,6 +269,10 @@ class CompositePolicy(Policy):
     Evaluation short-circuits on the first denial (like the paper's
     expectation that cost is proportional to the *required* check), but the
     steps already spent are still reported.
+
+    The chain is static when every clause is.  ``clauses`` is a tuple and no
+    clause's ``static`` changes after it is built, so the flag is computed
+    once here rather than on every read.
     """
 
     name = "composite"
@@ -256,10 +281,9 @@ class CompositePolicy(Policy):
         if not clauses:
             raise PolicyError("composite policy needs at least one clause")
         self.clauses: Tuple[Policy, ...] = tuple(clauses)
-
-    @property
-    def static(self) -> bool:   # type: ignore[override]
-        return all(clause.static for clause in self.clauses)
+        self.static = all(clause.static for clause in self.clauses)
+        #: the allowing decision per step total (one per chain in practice)
+        self._allowed: Dict[int, PolicyDecision] = {}
 
     def evaluate(self, ctx: PolicyContext) -> PolicyDecision:
         total_steps = 0
@@ -269,8 +293,12 @@ class CompositePolicy(Policy):
             if not decision.allowed:
                 return PolicyDecision(allowed=False, steps=total_steps,
                                       reason=f"{clause.describe()}: {decision.reason}")
-        return PolicyDecision(allowed=True, steps=total_steps,
-                              reason=f"all {len(self.clauses)} clauses allowed")
+        allowed = self._allowed.get(total_steps)
+        if allowed is None:
+            allowed = self._allowed[total_steps] = PolicyDecision(
+                allowed=True, steps=total_steps,
+                reason=f"all {len(self.clauses)} clauses allowed")
+        return allowed
 
     def describe(self) -> str:
         inner = ", ".join(c.describe() for c in self.clauses)

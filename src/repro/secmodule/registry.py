@@ -10,7 +10,7 @@ issuer, so a random user cannot unregister someone else's module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -19,6 +19,7 @@ from .credentials import Credential, validate_credential
 from .crypto import EncryptedModuleText, ModuleKey, encrypt_module_text
 from .module import SecModuleDefinition
 from .protection import ProtectionMode
+from .stubs import ClientStub
 
 
 @dataclass
@@ -35,6 +36,9 @@ class RegisteredModule:
     registered_at_us: float = 0.0
     #: how many sessions have been opened against this module (statistics)
     sessions_opened: int = 0
+    #: func_id -> the client stub every call of that function goes through
+    _client_stubs: Dict[int, ClientStub] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -43,6 +47,20 @@ class RegisteredModule:
     @property
     def version(self) -> int:
         return self.definition.version
+
+    def client_stub(self, function) -> ClientStub:
+        """The client stub of one of this module's functions.
+
+        A stub holds only the function's ids and the slots those ids make,
+        so one stub serves every call of the function; it is built on the
+        first call and lives as long as the registration.
+        """
+        stub = self._client_stubs.get(function.func_id)
+        if stub is None:
+            stub = self._client_stubs[function.func_id] = ClientStub(
+                function.name, self.m_id, function.func_id,
+                arg_words=function.arg_words)
+        return stub
 
 
 class ModuleRegistry:

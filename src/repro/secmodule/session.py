@@ -35,6 +35,7 @@ from ..sim import costs
 from .credentials import Credential, validate_credential
 from .handle import Handle
 from .handle_pool import HandleBroker
+from .module import CallEnvironment
 from .policy import PolicyContext
 from .protection import ClientTextGuard, apply_client_protection
 from .registry import ModuleRegistry, RegisteredModule
@@ -107,6 +108,11 @@ class Session:
     #: bumped whenever credential or quota state changes out-of-band; cached
     #: policy decisions recorded under an older epoch become stale
     policy_epoch: int = 0
+    #: what the handle's functions run against on every call of this
+    #: session; its kernel, client and handle never change, so it is built
+    #: once at establishment and goes with the session
+    call_env: Optional[CallEnvironment] = field(
+        default=None, repr=False, compare=False)
 
     def module_by_name(self, name: str) -> Optional[RegisteredModule]:
         for module in self.modules.values():
@@ -140,7 +146,7 @@ class Session:
             calls_this_session=(self.calls_per_module.get(module.m_id, 0)
                                 + pending_calls),
             args_words=args_words,
-            attributes=dict(attributes or {}),
+            attributes={} if attributes is None else dict(attributes),
         )
 
     def note_call(self, module: RegisteredModule) -> None:
@@ -497,6 +503,9 @@ class SessionManager:
             shared_stack=SimStack(name=f"shared-stack[s{self._next_id}]",
                                   machine=machine),
         )
+        session.call_env = CallEnvironment(kernel=self.kernel,
+                                           session=session, client=client,
+                                           handle=handle_proc)
         self._next_id += 1
         for module, credential in resolved:
             session.modules[module.m_id] = module
@@ -616,6 +625,9 @@ class SessionManager:
             return
         session.torn_down = True
         session.established = False
+        # the environment points back at the session; dropping it here lets
+        # reference counting free a torn-down session without the cycle GC
+        session.call_env = None
         client = session.client
         handle_proc = session.handle.proc
 

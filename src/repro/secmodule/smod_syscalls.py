@@ -197,12 +197,9 @@ class SmodExtension:
                        func_id: int,
                        config: Optional[DispatchConfig] = None) -> SyscallResult:
         session = self.sessions.session_for_call(proc, m_id, frame)
-        outcome = self.dispatcher.sys_smod_call(
+        return self.dispatcher.sys_smod_call(
             proc, session, frame, m_id, func_id,
             config=config or DispatchConfig())
-        if not outcome.ok:
-            return fail(outcome.errno)
-        return ok(outcome.value)
 
     def _sys_smod_call_batch(self, kernel, proc: Proc, batch,
                              config: Optional[DispatchConfig] = None

@@ -21,6 +21,11 @@ The simulation represents the shared stack as an explicit list of typed
 slots so each step above is a small, assertable transformation, and charges
 :data:`~repro.sim.costs.USER_STACK_WORD` /
 :data:`~repro.sim.costs.SMOD_STACK_FIXUP_WORD` per word moved.
+
+Slots are immutable, so the words that are the same on every call through
+one stub — step (2)'s four words and the return-address/frame-pointer pair
+that steps (1) and (4) push — are built once per stub and pushed as they
+are.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import repeat
 from operator import itemgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -56,11 +61,19 @@ class StackSlot(NamedTuple):
 #: StackSlot from a ``(kind, value)`` pair, without NamedTuple's Python frame
 _slot = partial(tuple.__new__, StackSlot)
 _kind = itemgetter(0)
+_value = itemgetter(1)
 
 _FP, _RET, _ARG = SlotKind.FRAME_POINTER, SlotKind.RETURN_ADDRESS, SlotKind.ARG
+_SAVED = SlotKind.SAVED
 #: step (2)'s words in push order; step (3)'s (all above arg1) topmost first
 _STEP2 = (SlotKind.MODULE_ID, SlotKind.FUNC_ID, _RET, _FP)
 _STEP3 = _STEP2[::-1] + (_FP, _RET)
+#: the secret-stack words step (3) saves and step (4) drops
+_STEP3_SAVED = (_SAVED,) * len(_STEP3)
+
+#: where the client stub's call frame says it returns to, unless told
+DEFAULT_RETURN_ADDRESS = 0x0804_8123
+DEFAULT_FRAME_POINTER = 0xCFBF_0000
 
 
 class SimStack:
@@ -78,22 +91,34 @@ class SimStack:
         self.capacity = capacity
         self.slots: List[StackSlot] = []
 
-    def _charge(self, op: Optional[str], words: int) -> None:
-        if self.machine is not None and op is not None:
-            # smod: allow(COST002)  forwarding wrapper; push/pop call sites
-            # pass USER_STACK_WORD / SMOD_STACK_FIXUP_WORD costs constants
-            self.machine.charge_each(op, words)
+    def push_slots(self, new: Sequence[StackSlot], *,
+                   cost_op: Optional[str] = costs.USER_STACK_WORD) -> None:
+        """Push ``new`` (a tuple or list of slots) as one run; overflow
+        raises after the words that fit, as a word-by-word push would."""
+        slots = self.slots
+        count = len(new)
+        fit = self.capacity - len(slots)
+        if count <= fit:                    # the common case: it all fits
+            slots += new
+            fit = count
+        elif fit > 0:
+            slots += new[:fit]
+        else:
+            fit = 0
+        machine = self.machine
+        if fit and machine is not None and cost_op is not None:
+            # smod: allow(COST002)  the push call sites pass USER_STACK_WORD
+            # or SMOD_STACK_FIXUP_WORD, both costs constants
+            machine.charge_each(cost_op, fit)
+        if fit < count:
+            raise SimulationError(f"stack {self.name!r} overflow")
 
     def push_words(self, kinds: Sequence[SlotKind], values: Sequence[Any], *,
                    cost_op: Optional[str] = costs.USER_STACK_WORD) -> None:
-        """Push ``values`` (typed by ``kinds``) as one run; overflow raises
-        after the words that fit, as a word-by-word push would."""
-        slots = self.slots
-        fit = max(0, min(len(values), self.capacity - len(slots)))
-        slots.extend(map(_slot, islice(zip(kinds, values), fit)))
-        self._charge(cost_op, fit)
-        if fit < len(values):
-            raise SimulationError(f"stack {self.name!r} overflow")
+        """Push ``values`` (typed by ``kinds``) as one run of new slots;
+        see :meth:`push_slots`."""
+        self.push_slots(tuple(map(_slot, zip(kinds, values))),
+                        cost_op=cost_op)
 
     def matching(self, expected: Sequence[Optional[SlotKind]]) -> int:
         """How many top words, topmost first, match ``expected`` (None: any)."""
@@ -105,19 +130,36 @@ class SimStack:
                 return index
         return len(kinds)
 
+    def pop_clean(self, expected: Sequence[Optional[SlotKind]], *,
+                  cost_op: Optional[str] = costs.USER_STACK_WORD
+                  ) -> List[StackSlot]:
+        """Pop the top words, topmost first, for as long as they match
+        ``expected`` (None: any), as one charged run; stops short, without
+        raising, at a word of the wrong kind or at the bottom."""
+        slots = self.slots
+        popped = slots[:-len(expected) - 1:-1]          # topmost first
+        if tuple(map(_kind, popped)) != expected:       # a word to stop at
+            popped = popped[:self.matching(expected)]
+        clean = len(popped)
+        if clean:
+            del slots[-clean:]
+            machine = self.machine
+            if machine is not None and cost_op is not None:
+                # smod: allow(COST002)  the pop call sites pass
+                # USER_STACK_WORD or SMOD_STACK_FIXUP_WORD, costs constants
+                machine.charge_each(cost_op, clean)
+        return popped
+
     def pop_words(self, expected: Sequence[Optional[SlotKind]], *,
                   cost_op: Optional[str] = costs.USER_STACK_WORD
                   ) -> List[StackSlot]:
         """Pop one word per ``expected`` kind (None: any) as one run, topmost
         first; a failing word raises after the clean words before it are
         popped and charged, as a word-by-word pop would."""
-        slots = self.slots
-        clean = self.matching(expected)
-        cut = len(slots) - clean
-        popped = slots[cut:][::-1]
-        del slots[cut:]
-        self._charge(cost_op, clean)
+        popped = self.pop_clean(expected, cost_op=cost_op)
+        clean = len(popped)
         if clean < len(expected):
+            slots = self.slots
             if not slots:
                 raise SimulationError(f"stack {self.name!r} underflow")
             raise SimulationError(
@@ -165,6 +207,9 @@ class StubCallFrame:
     args: Tuple[Any, ...]
     return_address: int
     frame_pointer: int
+    #: the two fields above as the slots step (1) pushed and step (4)
+    #: restores; the stub builds them once and every frame shares them
+    ret_fp: Tuple[StackSlot, ...]
     #: the shared stack the frame was pushed on — the simulation's stand-in
     #: for the ``framep`` address, which tells a multi-session kernel *which*
     #: of the client's shared regions the frame lives in
@@ -191,30 +236,45 @@ class ClientStub:
         self.module_id = module_id
         self.func_id = func_id
         self.arg_words = arg_words
+        self._fixed = self._fixed_slots(DEFAULT_RETURN_ADDRESS,
+                                        DEFAULT_FRAME_POINTER)
+
+    def _fixed_slots(self, return_address: int, frame_pointer: int) -> Tuple:
+        """``(ret, fp, ret/fp pair, step (2)'s words)``: the slots a call
+        through this stub pushes whatever its arguments."""
+        ret_fp = (_slot((_RET, return_address)), _slot((_FP, frame_pointer)))
+        return (return_address, frame_pointer, ret_fp,
+                (_slot((SlotKind.MODULE_ID, self.module_id)),
+                 _slot((SlotKind.FUNC_ID, self.func_id))) + ret_fp)
 
     @property
     def symbol(self) -> str:
         return f"SMOD_client_{self.function_name}"
 
     def push_call(self, stack: SimStack, args: Sequence[Any], *,
-                  return_address: int = 0x0804_8123,
-                  frame_pointer: int = 0xCFBF_0000,
+                  return_address: int = DEFAULT_RETURN_ADDRESS,
+                  frame_pointer: int = DEFAULT_FRAME_POINTER,
                   record_checkpoints: bool = False) -> StubCallFrame:
         """Perform Figure 3 steps (1) and (2) on ``stack``."""
+        fixed = self._fixed
+        if fixed[0] != return_address or fixed[1] != frame_pointer:
+            fixed = self._fixed = self._fixed_slots(return_address,
+                                                    frame_pointer)
+        ret_fp, step2 = fixed[2], fixed[3]
+        args = tuple(args)
         frame = StubCallFrame(module_id=self.module_id, func_id=self.func_id,
-                              args=tuple(args), return_address=return_address,
-                              frame_pointer=frame_pointer, stack=stack)
+                              args=args, return_address=return_address,
+                              frame_pointer=frame_pointer, ret_fp=ret_fp,
+                              stack=stack)
         # Step (1): the ordinary call left args (pushed right-to-left), the
         # return address, and the saved frame pointer on the stack.
-        stack.push_words((_ARG,) * len(frame.args) + (_RET, _FP),
-                         (*reversed(frame.args), return_address,
-                          frame_pointer))
+        stack.push_slots(tuple(map(_slot, zip(repeat(_ARG), reversed(args))))
+                         + ret_fp)
         if record_checkpoints:
             frame.checkpoints["step1"] = stack.snapshot()
         # Step (2): the stub pushes the identifier pair and duplicates the
         # top two elements so the kernel has the correct view of the frame.
-        stack.push_words(_STEP2, (self.module_id, self.func_id, return_address,
-                          frame_pointer), cost_op=costs.SMOD_STACK_FIXUP_WORD)
+        stack.push_slots(step2, cost_op=costs.SMOD_STACK_FIXUP_WORD)
         if record_checkpoints:
             frame.checkpoints["step2"] = stack.snapshot()
         return frame
@@ -331,15 +391,20 @@ def smod_stub_receive(stack: SimStack, frame: StubCallFrame, function,
     # Step (3): pop everything above arg1 — the duplicated fp/ret pair and
     # the identifier pair — saving them on the secret stack, then the
     # original fp/ret pair so only the args remain visible to the callee.
-    # a word the clean run stops at (wrong kind, full secret) raises alone
+    # The clean run stops where the secret stack fills; the word it stops
+    # at (wrong kind, bottom, full secret) then raises on its own.
     fixup = costs.SMOD_STACK_FIXUP_WORD
-    clean = min(stack.matching(_STEP3), secret.capacity - len(secret))
-    saved = stack.pop_words(_STEP3[:clean], cost_op=fixup)
-    secret.push_words((SlotKind.SAVED,) * clean,
-                      [slot.value for slot in saved], cost_op=fixup)
+    room = secret.capacity - len(secret.slots)
+    saved = stack.pop_clean(
+        _STEP3 if room >= len(_STEP3) else _STEP3[:max(0, room)],
+        cost_op=fixup)
+    secret.push_slots(tuple(map(_slot, zip(repeat(_SAVED),
+                                           map(_value, saved)))),
+                      cost_op=fixup)
+    clean = len(saved)
     if clean < len(_STEP3):
         slot = stack.pop(_STEP3[clean], cost_op=fixup)
-        secret.push(SlotKind.SAVED, slot.value, cost_op=fixup)
+        secret.push(_SAVED, slot.value, cost_op=fixup)
     if record_checkpoints:
         frame.checkpoints["step3"] = stack.snapshot()
 
@@ -349,9 +414,8 @@ def smod_stub_receive(stack: SimStack, frame: StubCallFrame, function,
 
     # Step (4): restore the exact words the client stub had seen so that the
     # eventual return lands back at the original call site.
-    secret.pop_words((SlotKind.SAVED,) * len(_STEP3), cost_op=fixup)
-    stack.push_words((_RET, _FP), (frame.return_address, frame.frame_pointer),
-                     cost_op=fixup)
+    secret.pop_words(_STEP3_SAVED, cost_op=fixup)
+    stack.push_slots(frame.ret_fp, cost_op=fixup)
     if record_checkpoints:
         frame.checkpoints["step4"] = stack.snapshot()
     return result

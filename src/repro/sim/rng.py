@@ -175,9 +175,6 @@ class DeterministicRNG:
         """
         return self._rng.exponential(mean, size)
 
-    def normal_array(self, mean: float, sigma: float, size: int) -> np.ndarray:
-        return self._rng.normal(mean, sigma, size)
-
     def permutation(self, n: int) -> np.ndarray:
         return self._rng.permutation(n)
 

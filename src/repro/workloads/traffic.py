@@ -769,23 +769,25 @@ class TrafficEngine:
         """The real dispatch tail: op-by-op execution or a per-call settle.
 
         Callers must have settled any open fast-forward state first (the
-        stopwatch below needs the true clock).
+        latency below reads the true clock).  The latency is the cycles the
+        dispatch charged over the MHz, the float a checkpoint interval's
+        ``microseconds`` gives.
         """
         count = len(queue)
-        mark = self.machine.clock.checkpoint()
+        clock = self.machine.clock
+        mark = clock.cycles
         if count == 1:
             name, args = queue[0]
-            outcome = self.extension.dispatcher.call(
+            outcome = self._dispatcher.call(
                 session, name, *args, config=self.config)
-            denied = 0 if outcome.ok else 1
+            denied = 0 if outcome.errno is None else 1
         else:
             config = (self.config if self.config.batch_size >= count
                       else replace(self.config, batch_size=count))
-            batch = self.extension.dispatcher.call_batch(
+            batch = self._dispatcher.call_batch(
                 session, queue, config=config)
             denied = batch.denied
-        service_us = self.machine.clock.since(mark).microseconds(
-            self.machine.spec.mhz)
+        service_us = (clock.cycles - mark) / self._mhz
         state.calls_issued += count
         state.latencies_us.extend([service_us / count] * count)
         state.calls_denied += denied
@@ -808,11 +810,11 @@ class TrafficEngine:
         func_id, arg_words = self._service_funcs[(m_id, name)]
         binding_id = self._service_bindings[state.index][m_id]
         stub = self._service_clients[state.index]
-        mark = self.machine.clock.checkpoint()
+        clock = self.machine.clock
+        mark = clock.cycles
         result = stub.call("serve_call", binding_id, m_id,
                            func_id, args[0] if arg_words and args else 0)
-        service_us = self.machine.clock.since(mark).microseconds(
-            self.machine.spec.mhz)
+        service_us = (clock.cycles - mark) / self._mhz
         state.calls_issued += 1
         state.latencies_us.append(service_us)
         if result < 0:

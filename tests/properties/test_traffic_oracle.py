@@ -13,12 +13,20 @@ determinism contract the hand-written differentials pin case by case:
 * there is one latency per issued call and, on open-loop runs, one
   queueing delay per issued call.
 
+A second strategy draws the same specs under every policy chain the engine
+builds (static, quota with a quota small enough to run out, expiry,
+deny-only) and every ``DispatchConfig(hardening, marshalling)`` of the
+3 x 2 grid, and asserts fast-forward on accounts exactly as op by op there
+too: the stateful chains, the suspend/resume and unmap hardenings and
+explicit-copy marshalling all run on the op-by-op path.
+
 The run is derandomized, so tier-1 sees the same examples every time.  A
 shrunk failure belongs below as a named regression test.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import pathlib
 
@@ -26,7 +34,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.secmodule.dispatch import DispatchConfig
+from repro.secmodule.dispatch import (DispatchConfig, HardeningMode,
+                                      MarshallingMode)
 from repro.workloads.traffic import TrafficEngine, TrafficSpec
 
 _REPLAY_TESTS = (pathlib.Path(__file__).resolve().parents[1]
@@ -78,6 +87,21 @@ def traffic_specs(draw):
     return kwargs
 
 
+@st.composite
+def policy_and_dispatch_draws(draw):
+    """A ``traffic_specs`` draw under a drawn policy chain, and a dispatch
+    config from the hardening x marshalling grid."""
+    kwargs = draw(traffic_specs())
+    kwargs["policy_kind"] = draw(st.sampled_from(
+        ["static", "quota", "expiry", "deny-only"]))
+    if kwargs["policy_kind"] == "quota":
+        kwargs["quota_calls"] = draw(st.integers(1, 8))
+    config = DispatchConfig(
+        hardening=draw(st.sampled_from(list(HardeningMode))),
+        marshalling=draw(st.sampled_from(list(MarshallingMode))))
+    return kwargs, config
+
+
 def _run(kwargs, *, config: DispatchConfig = DispatchConfig(), **extra):
     engine = TrafficEngine(TrafficSpec(**kwargs, **extra),
                            dispatch_config=config)
@@ -117,6 +141,20 @@ def check_contract(kwargs) -> None:
 @given(kwargs=traffic_specs())
 def test_traffic_contract_holds_across_the_knob_space(kwargs):
     check_contract(kwargs)
+
+
+@ORACLE
+@given(draw=policy_and_dispatch_draws())
+def test_tiers_agree_across_policies_and_dispatch_configs(draw):
+    kwargs, config = draw
+    try:
+        TrafficSpec(**kwargs)
+    except SimulationError:
+        return
+    ff_engine, ff = _run(kwargs, config=config)
+    op_engine, op = _run(kwargs, config=dataclasses.replace(
+        config, use_trace_replay=False))
+    assert accounting(ff_engine, ff) == accounting(op_engine, op)
 
 
 class TestShedUnderAimd:

@@ -266,3 +266,38 @@ class TestCapacityAndEviction:
         result = run_traffic(TrafficSpec(clients=4, modules=2,
                                          calls_per_client=8, seed=5))
         assert result.cache_stats["evictions"] == 0
+
+
+class TestRunningEntryCount:
+    """``len(cache)`` is a running count; it must equal the per-session sum
+    after every store, eviction and invalidation."""
+
+    @staticmethod
+    def per_session_sum(cache):
+        return sum(cache.session_entry_count(sid) for sid in range(1, 5))
+
+    def test_count_follows_every_mutation(self):
+        cache = DecisionCache(capacity_per_session=3)
+        sessions = [FakeSession(sid) for sid in range(1, 5)]
+        steps = []
+        for m_id in (1, 2):
+            for func_id in range(3):
+                for session in sessions:
+                    steps.append(lambda s=session, m=m_id, f=func_id:
+                                 cache.store(s, m, f, _decision()))
+        steps += [
+            lambda: cache.store(sessions[0], 2, 2, _decision()),   # in place
+            lambda: cache.invalidate_session(2),
+            lambda: cache.invalidate_session(2),                   # gone
+            lambda: cache.invalidate_module(2),
+            lambda: cache.store(sessions[2], 3, 0, _decision()),
+            lambda: cache.invalidate_module(9),                    # no match
+            lambda: cache.invalidate_all(),
+            lambda: cache.store(sessions[3], 1, 1, _decision()),
+        ]
+        for step in steps:
+            step()
+            assert len(cache) == self.per_session_sum(cache)
+            assert cache.snapshot()["entries"] == len(cache)
+        assert cache.evictions == 12       # 6 stores into 3 seats, x4
+        assert len(cache) == 1

@@ -432,3 +432,39 @@ def _push_frame(system):
 def _ids(system):
     module, function = system.session.find_function("test_incr")
     return module.m_id, function.func_id
+
+
+class TestRoundTripRaisesNothing:
+    """The op-by-op round trip signals nothing through exceptions: no
+    raise-and-catch in the scheduler, no closed generators in the policy
+    chain.  Every exception event ``sys.settrace`` reports inside the
+    ``repro`` package is counted; an ordinary call must make none."""
+
+    def test_op_by_op_quota_run_raises_nothing(self):
+        import repro
+        from repro.workloads.traffic import TrafficEngine, TrafficSpec
+
+        package = os.path.dirname(repro.__file__) + os.sep
+        engine = TrafficEngine(
+            TrafficSpec(clients=4, modules=2, calls_per_client=25,
+                        policy_kind="quota", quota_calls=20, seed=7),
+            dispatch_config=DispatchConfig(use_trace_replay=False))
+        engine.build()
+        raised = []
+
+        def tracer(frame, event, arg):
+            if event == "exception" and \
+                    frame.f_code.co_filename.startswith(package):
+                raised.append((arg[0].__name__, frame.f_code.co_name))
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            result = engine.run()
+        finally:
+            sys.settrace(previous)
+        assert result.total_calls == 100
+        # the quota runs out part-way, so denials are on the path too
+        assert 0 < result.denied_calls < 100
+        assert raised == []
