@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .config import AnalysisConfig
 from .core import Finding, SourceFile, all_checkers, rule_catalogue
@@ -36,12 +36,6 @@ class AnalysisContext:
 
     config: AnalysisConfig
     sources: List[SourceFile] = field(default_factory=list)
-
-    def source_for(self, rel_path: str) -> Optional[SourceFile]:
-        for source in self.sources:
-            if source.rel_path == rel_path:
-                return source
-        return None
 
 
 @dataclass

@@ -87,10 +87,6 @@ class CPU:
                 f"ring {self.ring.name}"
             )
 
-    @property
-    def cycles_per_microsecond(self) -> float:
-        return self.mhz
-
     def identity_line(self) -> str:
         """The dmesg-style cpu0 line of Figure 7."""
         return (

@@ -149,9 +149,6 @@ class ProcTable:
     def all_procs(self) -> List[Proc]:
         return [p for p in self._procs.values() if p.state is not ProcState.DEAD]
 
-    def living(self) -> List[Proc]:
-        return [p for p in self._procs.values() if p.alive]
-
     def children_of(self, pid: int) -> List[Proc]:
         return [p for p in self.all_procs() if p.ppid == pid]
 

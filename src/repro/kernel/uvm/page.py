@@ -19,7 +19,7 @@ machine so a runaway simulation fails the way a real 512 MB box would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from ...errors import SimulationError
 from .layout import PAGE_SIZE
@@ -155,9 +155,6 @@ class AMap:
                 new_anon.page.write(0, anon.page.read(0, PAGE_SIZE))
             clone.slots[slot] = new_anon
         return clone
-
-    def populated_slots(self) -> Iterator[int]:
-        return iter(sorted(self.slots))
 
     def __len__(self) -> int:
         return len(self.slots)

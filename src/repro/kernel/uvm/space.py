@@ -128,9 +128,6 @@ class VMSpace:
     def shared_entries(self) -> List[VMMapEntry]:
         return [e for e in self.vm_map if e.shared]
 
-    def entries_named(self, prefix: str) -> List[VMMapEntry]:
-        return [e for e in self.vm_map if e.name.startswith(prefix)]
-
     # ------------------------------------------------------------------ obreak
     def sys_obreak(self, new_break: int, *, smod_pair: bool = False) -> int:
         """Grow (or shrink) the heap to ``new_break``.

@@ -523,11 +523,12 @@ class SmodDispatcher:
                      for e in session.client.vmspace.shared_entries())
 
     def _can_settle(self, entry: TraceEntry, session: Session) -> bool:
-        """May one more span of ``entry`` settle from its trace right now?
+        """May spans of ``entry`` settle from its trace right now?
 
-        The hot-entry check every settle shares, one span at a time: the
-        key is HOT, every guard still holds (cheap integer compares), and
-        the decision-cache touches the recorded span performs repeat — they
+        The one hot-entry check: every per-call settle runs it, a window
+        runs it when it opens and again at the engine's barrier.  The key
+        is HOT, every guard still holds (cheap integer compares), and the
+        decision-cache touches the recorded span performs repeat — they
         are *applied here*, so the cache's LRU order and touch accounting
         match the op-by-op execution.  A touch that no longer repeats bumps
         ``fallbacks``; every False sends the span down the op-by-op path.
@@ -699,9 +700,9 @@ class SmodDispatcher:
     # ------------------------------------------------------------ fast-forward
     def fast_forward_probe(self, session: Session,
                            key: Tuple) -> Optional[TraceEntry]:
-        """May the traffic engine add the span keyed ``key`` to a window?
+        """May the traffic engine open a window for the span keyed ``key``?
 
-        The window tier's per-span check: :meth:`_can_settle`, behind two
+        The check that opens a window: :meth:`_can_settle`, behind two
         refusals that only windows need.  A live event trace wants the
         per-op emits a settle skips, and active admission control decides
         per call — folding n calls into one window would bypass it (a
@@ -719,9 +720,27 @@ class SmodDispatcher:
             return None
         return entry
 
+    def fast_forward_recheck(self, key: Tuple, entry: TraceEntry,
+                             session: Session) -> None:
+        """Re-check the open window of ``entry`` at the engine's barrier.
+
+        A call that joins an open window is not probed, so the barrier
+        makes the probe's touches once per window: the trace-cache
+        ``lookup`` and, through :meth:`_can_settle`, the recorded
+        decision-cache touches.  Run over the windows in last-use order,
+        it leaves both caches' LRU orders as a probe per call would.
+        Nothing a probe reads changes between two barriers, so a check
+        that fails here is a bug: it raises instead of settling.
+        """
+        if self.trace_cache.lookup(key) is not entry or \
+                not self._can_settle(entry, session):
+            raise SimulationError(
+                f"fast-forward window {key!r} no longer settles at the "
+                f"barrier: a guard input changed between two barriers")
+
     def fast_forward_commit(self, entry: TraceEntry, session: Session,
                             n: int) -> None:
-        """Settle a window of ``n`` probed spans of ``entry``.
+        """Settle a window of ``n`` checked spans of ``entry``.
 
         :meth:`_settle` plus the window's own bookkeeping: the
         ``fast_forwards`` / ``fast_forward_calls`` counters and one

@@ -234,9 +234,6 @@ class Assertion:
     compliance: str = MAX_TRUST
     comment: str = ""
 
-    def is_policy(self) -> bool:
-        return self.authorizer == POLICY_AUTHORIZER
-
 
 @dataclass
 class ComplianceResult:

@@ -10,7 +10,7 @@ before handing control to ``smod_client_main``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..errors import SimulationError
 from ..kernel.cred import Ucred, unprivileged
@@ -114,7 +114,3 @@ class Program:
                 f"crt0: smod_handle_info failed ({result.errno.name})")
         self.crt_record.handshake_complete = True
         return session_id
-
-    def run_client_main(self, main: Callable[["Program"], int]) -> int:
-        """Invoke the program's ``smod_client_main`` equivalent."""
-        return main(self)

@@ -259,11 +259,6 @@ class ShardedTrafficResult:
     def trace_stats(self) -> Dict[str, int]:
         return _sum_dicts([o.trace_stats for o in self.outcomes])
 
-    @property
-    def worker_wall_seconds(self) -> float:
-        """Longest single worker (the parallel wall-clock lower bound)."""
-        return max((o.wall_seconds for o in self.outcomes), default=0.0)
-
 
 def shard_runs(spec: TrafficSpec,
                dispatch_config: Optional[DispatchConfig] = None

@@ -513,9 +513,11 @@ class TrafficEngine:
         self._mix_last = self._mix_names[-1]
         # ---- analytic fast-forward state -----------------------------------
         # HOT (session, shape, config) spans accumulate here instead of
-        # replaying one by one; `_ff_flush` settles them as one closed-form
-        # charge per key.  `_pending_cycles` is the total deferred virtual
-        # time (spans + idle), so `_now_us` stays exact mid-window.
+        # replaying one by one; the first span of a key probes it, later
+        # ones join unprobed, and `_ff_flush` re-checks and settles each
+        # key as one closed-form charge.  `_pending_cycles` is the total
+        # deferred virtual time (spans + idle), so `_now_us` stays exact
+        # mid-window.
         self._ff_enabled = (self.config.use_trace_replay
                             and not spec.via_service
                             # shed decisions are per call; the closed-form
@@ -533,13 +535,18 @@ class TrafficEngine:
         self._pending_cycles = 0
         self._pending_idle_cycles = 0
         self._pending_idle_events = 0
-        #: key -> [entry, accumulated span count, session]
+        #: key -> [entry, accumulated span count, session, last use], in
+        #: first-use order; last use is the `_ff_uses` of the key's latest
+        #: span
         self._ff_windows: Dict[Tuple, List] = {}
+        #: spans added to windows so far: the clock that orders last uses
+        self._ff_uses = 0
         #: (session_id, function name) -> (m_id, func_id), mirroring
         #: ``session.find_function`` so the probe resolves keys in O(1)
         self._ff_resolve: Dict[Tuple[int, str], Tuple[int, int]] = {}
-        #: batch depth -> the DispatchConfig `_dispatch_queue` would build
-        self._ff_configs: Dict[int, DispatchConfig] = {}
+        #: batch depth -> the DispatchConfig a flush of that depth runs
+        #: under (`_config_for`)
+        self._depth_configs: Dict[int, DispatchConfig] = {}
         self._mhz = float(self.machine.spec.mhz)
         # hot-loop caches: bound methods/objects resolved once (the run
         # loop touches these a few times per simulated call)
@@ -671,30 +678,58 @@ class TrafficEngine:
         Runs before any dispatch that needs the true clock (an op-by-op
         execution or a per-call settle) and at the end of the run.
         Accumulated idle waits settle as one ``idle_many`` (cycles *and*
-        event count exact); each open window settles as one scaled-trace
-        commit.
+        event count exact).  Then every open window is re-checked, in
+        last-use order, and settles as one scaled-trace commit, in
+        first-use order.
+
+        Between two barriers the engine only draws, queues, defers charges
+        and records observations, so nothing a probe reads can change: a
+        window's joined spans skip the probe, and the re-check makes the
+        cache touches they skipped.  Last-use order leaves the trace and
+        decision caches in the LRU order a probe per span would leave.
+        Commit order feeds telemetry's float totals and the aggregate
+        spans.
         """
         if self._pending_idle_events:
             self.machine.meter.idle_many(self._pending_idle_cycles,
                                          self._pending_idle_events)
             self._pending_idle_cycles = 0
             self._pending_idle_events = 0
-        if self._ff_windows:
+        windows = self._ff_windows
+        if windows:
             dispatcher = self.extension.dispatcher
-            for entry, count, session in self._ff_windows.values():
+            for key, (entry, _, session, _) in sorted(
+                    windows.items(), key=lambda item: item[1][3]):
+                dispatcher.fast_forward_recheck(key, entry, session)
+            for entry, count, session, _ in windows.values():
                 dispatcher.fast_forward_commit(entry, session, count)
-            self._ff_windows.clear()
+            windows.clear()
         self._pending_cycles = 0
+
+    def _config_for(self, count: int) -> DispatchConfig:
+        """The DispatchConfig a flush of ``count`` calls runs under.
+
+        One object per depth, so every trace key of a depth carries the
+        same config (configs compare by value either way).
+        """
+        config = self._depth_configs.get(count)
+        if config is None:
+            config = (self.config if self.config.batch_size >= count
+                      else replace(self.config, batch_size=count))
+            self._depth_configs[count] = config
+        return config
 
     def _ff_offer(self, state: ClientState, session,
                   queue: List[Tuple[str, Tuple]], count: int) -> bool:
-        """Try to absorb one flush into an open fast-forward window.
+        """Try to absorb one flush into a fast-forward window.
 
-        Builds the same trace key the dispatcher would, asks it to admit
-        the span (`fast_forward_probe` revalidates every trace guard *and*
-        performs the span's decision-cache touches, so per-span cache state
-        matches a per-call settle exactly), and accumulates the charge.
-        Returns False when the span must take the dispatch path instead.
+        Builds the same trace key the dispatcher would.  A key with an
+        open window takes the span unprobed; otherwise the dispatcher must
+        admit it (`fast_forward_probe` checks every trace guard *and*
+        performs the span's decision-cache touches) and the span opens the
+        key's window.  Either way the span's last use is stamped and its
+        charge accumulated.  Returns False when the span must take the
+        dispatch path instead.
         """
         resolve = self._ff_resolve
         sid = session.session_id
@@ -713,24 +748,19 @@ class TrafficEngine:
             config = self.config
             shape: Tuple = pairs[0]
         else:
-            config = self._ff_configs.get(count)
-            if config is None:
-                config = (self.config if self.config.batch_size >= count
-                          else replace(self.config, batch_size=count))
-                self._ff_configs[count] = config
+            config = self._config_for(count)
             shape = tuple(sorted(pairs))
         key = (sid, shape, config)
-        entry = self._dispatcher.fast_forward_probe(session, key)
-        if entry is None:
-            return False
         window = self._ff_windows.get(key)
         if window is None:
-            self._ff_windows[key] = window = [entry, 1, session]
-        else:
-            # keep the freshest entry: a re-recorded key stays byte-equal
-            # (the probe's guards proved it) but guard fields may be newer
-            window[0] = entry
-            window[1] += 1
+            entry = self._dispatcher.fast_forward_probe(session, key)
+            if entry is None:
+                return False
+            self._ff_windows[key] = window = [entry, 0, session, 0]
+        entry = window[0]
+        window[1] += 1
+        self._ff_uses += 1
+        window[3] = self._ff_uses
         self._pending_cycles += entry.trace.total_cycles
         # a per-call settle advances the clock by exactly the trace's
         # cycles, so this division reproduces its latency float for float
@@ -782,10 +812,8 @@ class TrafficEngine:
                 session, name, *args, config=self.config)
             denied = 0 if outcome.errno is None else 1
         else:
-            config = (self.config if self.config.batch_size >= count
-                      else replace(self.config, batch_size=count))
             batch = self._dispatcher.call_batch(
-                session, queue, config=config)
+                session, queue, config=self._config_for(count))
             denied = batch.denied
         service_us = (clock.cycles - mark) / self._mhz
         state.calls_issued += count
@@ -861,11 +889,11 @@ class TrafficEngine:
         flush, when the policy calls for one.
 
         Static depth-1 runs with fast-forward on take the inline arm: the
-        same observable sequence (RNG draws, delay records, probe guard
-        checks and cache touches, accumulated charges, fallback order) with
-        every hop inlined and the deferred-charge accumulators mirrored
-        into locals.  At 10^7-call sizes the frames it saves *are* the
-        simulation time (docs/performance.md, "One traffic loop").
+        same observable sequence (RNG draws, delay records, a probe per
+        window opened, last-use stamps, accumulated charges, fallback
+        order) with every hop inlined and the deferred-charge accumulators
+        mirrored into locals.  At 10^7-call sizes the frames it saves *are*
+        the simulation time (docs/performance.md, "One traffic loop").
         """
         spec = self.spec
         # arrival source: each client gets ceil(calls / batch_size) arrivals
@@ -924,6 +952,8 @@ class TrafficEngine:
             pending = self._pending_cycles
             idle_pending = self._pending_idle_cycles
             idle_events = self._pending_idle_events
+            # the last-use clock too; only the windows' stamps read it
+            uses = self._ff_uses
             # clock.cycles only moves on the slow path; cache it
             base_cycles = clock.cycles
 
@@ -965,17 +995,19 @@ class TrafficEngine:
                         module, function = found
                         pair = (module.m_id, function.func_id)
                         resolve[(sid, name)] = pair
-                entry = None
+                window = None
                 if pair is not None:
                     key = (sid, pair, config)
-                    entry = probe(session, key)
-                if entry is not None:
                     window = windows.get(key)
                     if window is None:
-                        windows[key] = [entry, 1, session]
-                    else:
-                        window[0] = entry
-                        window[1] += 1
+                        entry = probe(session, key)
+                        if entry is not None:
+                            windows[key] = window = [entry, 0, session, 0]
+                if window is not None:
+                    window[1] += 1
+                    uses += 1
+                    window[3] = uses
+                    entry = window[0]
                     cycles = entry.trace.total_cycles
                     pending += cycles
                     state.calls_issued += 1
@@ -1038,6 +1070,7 @@ class TrafficEngine:
             self._pending_cycles = pending
             self._pending_idle_cycles = idle_pending
             self._pending_idle_events = idle_events
+            self._ff_uses = uses
 
     def _attach_controllers(self) -> None:
         """Give every client an AIMD controller over its flush depth."""
