@@ -36,7 +36,43 @@ from ..workloads.microbench import (
     run_smod_function,
     run_smod_testincr,
 )
+from ..workloads.policies import (
+    PolicySweepPoint,
+    run_keynote_policy,
+    run_policy_chain_sweep,
+)
 from .report import render_table
+
+
+# ---------------------------------------------------------------------------
+# Policy complexity (§5)
+# ---------------------------------------------------------------------------
+
+@dataclass
+class PolicyAblationReport:
+    """The synthetic policy-chain sweep beside the KeyNote delegation sweep."""
+
+    sweep_points: List[PolicySweepPoint]
+    keynote_points: List[PolicySweepPoint]
+    #: least-squares slope of the synthetic chains' us/call per clause
+    per_clause_cost_us: float
+
+    def render(self) -> str:
+        rows = [[p.label, p.complexity, f"{p.mean_us_per_call:.3f}"]
+                for p in self.sweep_points + self.keynote_points]
+        text = render_table(
+            ["policy", "complexity", "microsec/CALL"], rows,
+            title="Policy complexity sweep (synthetic chains + KeyNote)")
+        return (text + f"\n\nper-clause cost (synthetic chain slope): "
+                f"{self.per_clause_cost_us:.4f} us/clause")
+
+
+def run_policy_ablation() -> PolicyAblationReport:
+    """Measure SMOD(test-incr) under synthetic chains and KeyNote chains."""
+    sweep = run_policy_chain_sweep()
+    return PolicyAblationReport(sweep_points=sweep.points,
+                                keynote_points=run_keynote_policy().points,
+                                per_clause_cost_us=sweep.per_clause_cost_us())
 
 
 # ---------------------------------------------------------------------------

@@ -181,8 +181,3 @@ def run_batch_sweep(*, sizes: Sequence[int] = DEFAULT_SIZES,
             traps=meter.count(costs.TRAP_ENTRY) - traps_before,
         ))
     return report
-
-
-def run_abl_batch() -> BatchReport:
-    """Harness entry point (the ``abl-batch`` experiment id)."""
-    return run_batch_sweep()

@@ -138,32 +138,6 @@ def _is_guarded(path: str) -> bool:
     return any(marker in lowered for marker in CYCLE_MARKERS)
 
 
-def _is_canonical_defaults(params) -> bool:
-    """True for the harness marker ``{"defaults": true}``.
-
-    ``run_experiment`` (the ``repro all`` / ``repro <experiment-id>``
-    spellings) always runs an experiment's canonical defaults and records
-    this marker instead of resolved values, so it is comparable with any
-    non-smoke export of the same experiment.
-    """
-    return params == {"defaults": True}
-
-
-def _params_compatible(old_params, new_params) -> bool:
-    """May these two runs be meaningfully compared?
-
-    Resolved parameter trees must match exactly.  The harness's canonical
-    ``{"defaults": true}`` marker is compatible with any run whose resolved
-    params do not carry a truthy ``fast`` flag — a smoke run against a
-    canonical baseline is still refused.
-    """
-    for mine, theirs in ((old_params, new_params),
-                         (new_params, old_params)):
-        if _is_canonical_defaults(mine):
-            return not (isinstance(theirs, dict) and theirs.get("fast"))
-    return to_text(old_params) == to_text(new_params)
-
-
 def compare_payloads(old: Dict, new: Dict, *,
                      old_path: str = "<old>", new_path: str = "<new>",
                      rel_tol: float = 0.0) -> BenchDiff:
@@ -177,7 +151,7 @@ def compare_payloads(old: Dict, new: Dict, *,
         raise BenchDiffError(
             f"cannot diff different experiments: "
             f"{old.get('experiment')!r} vs {new.get('experiment')!r}")
-    if not _params_compatible(old.get("params"), new.get("params")):
+    if to_text(old.get("params")) != to_text(new.get("params")):
         raise BenchDiffError(
             f"run parameters differ ({old.get('params')} vs "
             f"{new.get('params')}): comparing differently-sized runs is "

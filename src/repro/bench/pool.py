@@ -280,7 +280,7 @@ def _measure_fairness(*, seats: int = FAIRNESS_SEATS,
                       sessions: int = FAIRNESS_SESSIONS,
                       calls_per_session: int = FAIRNESS_CALLS_PER_SESSION,
                       mean_interval_us: float = FAIRNESS_MEAN_INTERVAL_US,
-                      seed: int = 0x900_1) -> PoolFairness:
+                      seed: int) -> PoolFairness:
     """The telemetry leg: open-loop contention over pooled handles.
 
     A telemetry-enabled traffic run (recording never charges the clock, so
@@ -320,8 +320,3 @@ def run_pool_sweep(*, seats: Sequence[int] = DEFAULT_SEATS,
     if fairness:
         report.fairness = _measure_fairness(seed=seed)
     return report
-
-
-def run_abl_pool() -> PoolReport:
-    """Harness entry point (the ``abl-pool`` experiment id)."""
-    return run_pool_sweep()

@@ -312,8 +312,3 @@ def run_serve_sweep(*, sessions: Sequence[int] = DEFAULT_SESSIONS,
             count, tenants=tenants,
             sessions_per_client=sessions_per_client, seed=seed))
     return report
-
-
-def run_abl_serve() -> ServeReport:
-    """Harness entry point (the ``abl-serve`` experiment id)."""
-    return run_serve_sweep()

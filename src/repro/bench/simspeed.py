@@ -348,8 +348,3 @@ def run_simspeed(*, calls: int = DEFAULT_CALLS,
             gc.enable()
             gc.collect()
     return report
-
-
-def run_abl_simspeed() -> SimspeedReport:
-    """Harness entry point (the ``abl-simspeed`` experiment id)."""
-    return run_simspeed()

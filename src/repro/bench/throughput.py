@@ -161,8 +161,3 @@ def run_throughput(*, clients: int = DEFAULT_CLIENTS,
             use_decision_cache=True))
     return ThroughputReport(spec=spec, cached=cached, uncached=uncached,
                             open_loop=open_loop)
-
-
-def run_abl_throughput() -> ThroughputReport:
-    """Harness entry point (the ``abl-throughput`` experiment id)."""
-    return run_throughput()

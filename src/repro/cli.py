@@ -15,7 +15,8 @@ command line::
 
 Experiment and bench commands also write a machine-readable
 ``BENCH_<experiment id>.json`` into the working directory (suppress with
-``--no-export``); ``repro stats`` reads those files back.
+``--no-export``); ``repro stats`` reads those files back.  They exit 1,
+naming the check on stderr, when a report fails one of its checks.
 """
 
 from __future__ import annotations
@@ -24,49 +25,37 @@ import argparse
 import glob
 import json
 import sys
-import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bench.adaptive import DEFAULT_DEPTHS, run_adaptive_bench
-from .bench.batch import DEFAULT_CALLS, DEFAULT_SIZES, run_batch_sweep
-from .bench.diff import BenchDiffError, diff_files
-from .bench.figure8 import reproduce_figure8
+from .bench.diff import BenchDiffError, diff_files, load_payload
 from .bench.harness import (
     EXPERIMENTS,
-    experiment_payload,
-    export_payload,
+    ExperimentRun,
+    Flag,
     full_report,
     run_all,
     run_experiment,
 )
-from .bench.overload import (
-    DEFAULT_ADMIT_CALLS,
-    DEFAULT_RATIOS as OVERLOAD_RATIOS,
-    FAST_ADMIT_CALLS,
-    FAST_RATIOS as OVERLOAD_FAST_RATIOS,
-    DEFAULT_CALLS as OVERLOAD_CALLS,
-    FAST_CALLS as OVERLOAD_FAST_CALLS,
-    run_overload_sweep,
-)
-from .bench.pool import (
-    DEFAULT_CALLS_PER_SESSION,
-    DEFAULT_SEATS,
-    DEFAULT_SESSIONS,
-    run_pool_sweep,
-)
-from .bench.serve import (
-    DEFAULT_SESSIONS as SERVE_SESSIONS,
-    DEFAULT_SESSIONS_PER_CLIENT,
-    DEFAULT_TENANTS,
-    FAST_SESSIONS,
-    run_serve_sweep,
-)
-from .bench.simspeed import DEFAULT_CALLS as SIMSPEED_CALLS, run_simspeed
-from .bench.throughput import run_throughput
 from .secmodule.api import SecModuleSystem
 from .telemetry import render_snapshot
 from .workloads.traffic import TrafficSpec, run_traffic
+
+
+def _add_experiment_parser(subparsers, name: str, help: Optional[str],
+                           experiment_id: str, flags: Sequence[Flag]) -> None:
+    """A command that runs one experiment, ``flags`` setting its params."""
+    sub = subparsers.add_parser(name, help=help)
+    sub.set_defaults(experiment=experiment_id)
+    for flag in flags:
+        if flag.type is bool:
+            sub.add_argument(flag.name, dest=flag.param, action="store_true",
+                             default=None, help=flag.help)
+            continue
+        metavar = (None if flag.choices
+                   else flag.name.lstrip("-").upper().replace("-", "_"))
+        sub.add_argument(flag.name, dest=flag.param, type=flag.type,
+                         choices=flag.choices, metavar=metavar, help=flag.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,111 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     all_parser.add_argument("--only", nargs="*", default=None,
                             help="restrict to these experiment ids")
 
-    fig8_parser = subparsers.add_parser("fig8", help="the Figure 8 table")
-    fig8_parser.add_argument("--trials", type=int, default=None)
-    fig8_parser.add_argument("--sample-calls", type=int, default=None)
-    fig8_parser.add_argument("--seed", type=int, default=42)
-
     bench_parser = subparsers.add_parser(
         "bench", help="workload benchmarks (beyond the paper's figures)")
     bench_sub = bench_parser.add_subparsers(dest="bench_command")
-    tp = bench_sub.add_parser(
-        "throughput", help="multi-client traffic engine + decision cache")
-    tp.add_argument("--clients", type=int, default=32,
-                    help="number of concurrent clients")
-    tp.add_argument("--modules", type=int, default=2,
-                    help="number of protected modules")
-    tp.add_argument("--sample-calls", type=int, default=24,
-                    help="calls issued per client")
-    tp.add_argument("--policy", default="static",
-                    choices=["static", "quota", "expiry", "deny-only"],
-                    help="policy chain attached to every module")
-    tp.add_argument("--seed", type=int, default=0xB07_7E57)
-    tp.add_argument("--fast", action="store_true",
-                    help="CI smoke: skip the open-loop leg")
-
-    pp = bench_sub.add_parser(
-        "pool", help="handle pooling: sessions/handle vs process count")
-    pp.add_argument("--seats", default=",".join(map(str, DEFAULT_SEATS)),
-                    help="comma-separated seats-per-handle values to sweep")
-    pp.add_argument("--sessions", type=int, default=DEFAULT_SESSIONS,
-                    help="sessions established per point")
-    pp.add_argument("--calls", type=int, default=DEFAULT_CALLS_PER_SESSION,
-                    help="protected calls per session in the call phase")
-    pp.add_argument("--seed", type=int, default=0x900_1)
-    pp.add_argument("--fast", action="store_true",
-                    help="CI smoke: fewer seats and sessions")
-
-    vp = bench_sub.add_parser(
-        "serve", help="service plane: attach/lookup/pool costs vs "
-                      "live-session count (abl-serve)")
-    vp.add_argument("--sessions",
-                    default=",".join(map(str, SERVE_SESSIONS)),
-                    help="comma-separated live-session counts to sweep "
-                         "(reaches 10^6: --sessions 1000000)")
-    vp.add_argument("--tenants", type=int, default=DEFAULT_TENANTS,
-                    help="tenants the sharded session table is split across")
-    vp.add_argument("--sessions-per-client", type=int,
-                    default=DEFAULT_SESSIONS_PER_CLIENT,
-                    help="sessions each surrogate client program holds")
-    vp.add_argument("--seed", type=int, default=0x5E21)
-    vp.add_argument("--fast", action="store_true",
-                    help="CI smoke: two small sweep points")
-
-    bp = bench_sub.add_parser(
-        "batch", help="batched dispatch: latency/call vs queue depth")
-    bp.add_argument("--sizes", default=",".join(map(str, DEFAULT_SIZES)),
-                    help="comma-separated queue depths to sweep")
-    bp.add_argument("--calls", type=int, default=DEFAULT_CALLS,
-                    help="protected calls measured per point")
-    bp.add_argument("--seed", type=int, default=0xBA7C_4)
-    bp.add_argument("--fast", action="store_true",
-                    help="CI smoke: fewer sizes and calls")
-
-    ap = bench_sub.add_parser(
-        "adaptive", help="AIMD batch controller vs static queue depths")
-    ap.add_argument("--depths", default=",".join(map(str, DEFAULT_DEPTHS)),
-                    help="comma-separated static depths for the baseline sweep")
-    ap.add_argument("--calls", type=int, default=None,
-                    help="calls in the adaptive steady leg")
-    ap.add_argument("--seed", type=int, default=0xADA_57)
-    ap.add_argument("--fast", action="store_true",
-                    help="CI smoke: fewer depths and calls")
-
-    sp = bench_sub.add_parser(
-        "simspeed", help="simulator wall-clock speed: op-by-op vs "
-                         "fast-forward, serial and sharded (exit 1 when the "
-                         "tiers or worker counts disagree)")
-    sp.add_argument("--calls", type=int, default=SIMSPEED_CALLS,
-                    help="fast-forward-tier protected calls (10^5 to 10^7; "
-                         "slower tiers are capped)")
-    sp.add_argument("--clients", type=int, default=4)
-    sp.add_argument("--modules", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0x51A_57)
-    sp.add_argument("--shards", type=int, default=2,
-                    help="independent client groups for the sharded legs "
-                         "(1 skips them)")
-    sp.add_argument("--workers", type=int, default=2,
-                    help="worker processes for the parallel sharded leg "
-                         "(merged accounting must match workers=1 exactly)")
-    sp.add_argument("--fast", action="store_true",
-                    help="CI smoke: a few thousand calls per leg")
-
-    op = bench_sub.add_parser(
-        "overload", help="overload protection: goodput/tail-latency knee "
-                         "past saturation, shedding off vs on "
-                         "(abl-overload)")
-    op.add_argument("--ratios",
-                    default=",".join(f"{r:g}" for r in OVERLOAD_RATIOS),
-                    help="comma-separated offered-load ratios "
-                         "(offered rate / pool capacity)")
-    op.add_argument("--calls", type=int, default=OVERLOAD_CALLS,
-                    help="open-loop arrivals offered per (leg, ratio) point")
-    op.add_argument("--admit-calls", type=int, default=DEFAULT_ADMIT_CALLS,
-                    help="bound calls offered in the admission-control leg")
-    op.add_argument("--seed", type=int, default=0x0AD_10)
-    op.add_argument("--fast", action="store_true",
-                    help="CI smoke: fewer ratios and calls")
+    for spec in EXPERIMENTS.values():
+        if spec.bench is not None:
+            _add_experiment_parser(bench_sub, spec.bench, spec.help,
+                                   spec.experiment_id, spec.flags)
 
     dp = bench_sub.add_parser(
         "diff", help="regression gate: compare two BENCH_<id>.json exports")
@@ -289,11 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--sample-calls", type=int, default=8)
     st.add_argument("--seed", type=int, default=0xB07_7E57)
 
-    for experiment_id in EXPERIMENTS:
-        if experiment_id == "fig8":
-            continue
-        subparsers.add_parser(experiment_id,
-                              help=EXPERIMENTS[experiment_id].title)
+    # `repro <id>` is flagless unless no bench alias carries its flags (fig8)
+    for spec in EXPERIMENTS.values():
+        if spec.bench is None:
+            _add_experiment_parser(subparsers, spec.experiment_id,
+                                   spec.help or spec.title,
+                                   spec.experiment_id, spec.flags)
+        else:
+            _add_experiment_parser(subparsers, spec.experiment_id,
+                                   spec.title, spec.experiment_id, ())
     return parser
 
 
@@ -306,89 +201,49 @@ def _emit(text: str, output: Optional[str]) -> None:
         print(text)
 
 
-#: bench subcommand -> the experiment id its JSON export is filed under
-_BENCH_EXPERIMENT_IDS = {
-    "throughput": "abl-throughput",
-    "batch": "abl-batch",
-    "pool": "abl-pool",
-    "serve": "abl-serve",
-    "adaptive": "abl-adaptive",
-    "simspeed": "abl-simspeed",
-    "overload": "abl-overload",
-}
-
-
-def _export_bench(bench_command: str, report: object, rendered: str,
-                  params: Dict[str, object],
-                  wall_seconds: Optional[float] = None) -> str:
-    """Write a bench subcommand's result as its experiment's BENCH json."""
-    experiment_id = _BENCH_EXPERIMENT_IDS[bench_command]
-    spec = EXPERIMENTS[experiment_id]
-    return export_payload(
-        experiment_payload(experiment_id, spec.title, spec.kind,
-                           report, rendered, params=params,
-                           wall_seconds=wall_seconds))
-
-
-def _update_baselines(baselines_dir: str) -> List[str]:
+def _update_baselines(baselines_dir: str
+                      ) -> List[Tuple[str, ExperimentRun]]:
     """Regenerate every committed baseline from its recorded params.
 
     Each ``BENCH_<id>.json`` under ``baselines_dir`` names its experiment
     and the exact parameters it was generated with, so an intentional
     cost-model change becomes one command: rerun each with those params,
-    rewrite the file and ``git add`` it for the next commit.
+    rewrite the file and ``git add`` it for the next commit.  Every file is
+    read and its parameters checked before any is rewritten.
     """
     import subprocess
 
     paths = sorted(glob.glob(str(Path(baselines_dir) / "BENCH_*.json")))
     if not paths:
         raise BenchDiffError(f"no BENCH_*.json baselines in {baselines_dir}")
-    staged: List[str] = []
+    jobs = []
     for path in paths:
-        with open(path, encoding="utf-8") as stream:
-            payload = json.load(stream)
-        experiment = payload.get("experiment")
-        params = payload.get("params") or {}
-        started = time.perf_counter()
-        if experiment == "fig8":
-            report = reproduce_figure8(trials=params.get("trials"),
-                                       sample_calls=params.get("sample_calls"),
-                                       seed=params.get("seed", 42))
-        elif experiment == "abl-batch":
-            report = run_batch_sweep(sizes=tuple(params["sizes"]),
-                                     calls=params["calls"],
-                                     seed=params["seed"])
-        elif experiment == "abl-serve":
-            report = run_serve_sweep(
-                sessions=tuple(params["sessions"]),
-                tenants=params["tenants"],
-                sessions_per_client=params["sessions_per_client"],
-                seed=params["seed"])
-        elif experiment == "abl-overload":
-            report = run_overload_sweep(
-                ratios=tuple(params["ratios"]),
-                calls=params["calls"],
-                admit_calls=params["admit_calls"],
-                seed=params["seed"])
-        else:
+        payload = load_payload(path)
+        spec = EXPERIMENTS.get(payload["experiment"])
+        if spec is None:
             raise BenchDiffError(
-                f"{path}: no regenerator for experiment {experiment!r} — "
-                "teach _update_baselines about it before committing a "
-                "baseline for it")
-        wall_seconds = time.perf_counter() - started
-        spec = EXPERIMENTS[experiment]
-        export_payload(
-            experiment_payload(experiment, spec.title, spec.kind, report,
-                               report.render(), params=params,
-                               wall_seconds=wall_seconds),
-            baselines_dir)
-        staged.append(path)
-    result = subprocess.run(["git", "add", "--"] + staged,
+                f"{path}: unknown experiment {payload['experiment']!r}")
+        params = payload.get("params") or {}
+        spec.resolve(params)          # raises on a parameter it does not take
+        jobs.append((path, spec.experiment_id, params))
+    staged = [(path, run_experiment(experiment_id, params,
+                                    export_dir=baselines_dir))
+              for path, experiment_id, params in jobs]
+    result = subprocess.run(["git", "add", "--"] + paths,
                             capture_output=True, text=True)
     if result.returncode != 0:
         print(f"warning: git add failed: {result.stderr.strip()}",
               file=sys.stderr)
     return staged
+
+
+def _exit_for_checks(runs: List[ExperimentRun]) -> int:
+    """Name every failed check on stderr; 1 when there is one, else 0."""
+    failed = [f"{run.spec.experiment_id}: check failed: {name}"
+              for run in runs for name in run.failed_checks]
+    for line in failed:
+        print(line, file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _render_payload_value(key: str, value: object, indent: int,
@@ -616,27 +471,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     if command == "all":
         runs = run_all(args.only, export_dir=export_dir)
         _emit(full_report(runs), args.output)
-        return 0
+        return _exit_for_checks(runs)
 
-    if command == "fig8":
-        fig8_started = time.perf_counter()
-        table = reproduce_figure8(trials=args.trials,
-                                  sample_calls=args.sample_calls,
-                                  seed=args.seed)
-        wall_seconds = time.perf_counter() - fig8_started
-        rendered = table.render()
-        if export_dir is not None:
-            spec = EXPERIMENTS["fig8"]
-            export_payload(
-                experiment_payload("fig8", spec.title, spec.kind, table,
-                                   rendered,
-                                   params={"trials": args.trials,
-                                           "sample_calls": args.sample_calls,
-                                           "seed": args.seed},
-                                   wall_seconds=wall_seconds),
-                export_dir)
-        _emit(rendered, args.output)
-        return 0
+    experiment = getattr(args, "experiment", None)
+    if experiment is not None:
+        values = vars(args)
+        given = {flag.param: values[flag.param]
+                 for flag in EXPERIMENTS[experiment].flags
+                 if values.get(flag.param) is not None}
+        run = run_experiment(experiment, given, export_dir=export_dir)
+        _emit(run.rendered, args.output)
+        return _exit_for_checks([run])
 
     if command == "analyze":
         from .analyze import analyze_tree, iter_rules
@@ -712,132 +557,29 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if command == "bench":
-        if args.bench_command == "diff":
-            if args.update:
-                try:
-                    staged = _update_baselines(args.baselines_dir)
-                except (BenchDiffError, OSError,
-                        json.JSONDecodeError) as exc:
-                    print(f"bench diff --update error: {exc}",
-                          file=sys.stderr)
-                    return 2
-                _emit("\n".join(f"regenerated and staged {path}"
-                                for path in staged), args.output)
-                return 0
-            if not args.old or not args.new:
-                parser.error("bench diff needs OLD and NEW exports "
-                             "(or --update)")
+        if args.bench_command != "diff":
+            names = [spec.bench for spec in EXPERIMENTS.values() if spec.bench]
+            parser.error("usage: repro bench {" + ",".join(names)
+                         + ",diff} [options]")
+        if args.update:
             try:
-                diff = diff_files(args.old, args.new, rel_tol=args.rel_tol)
-            except (BenchDiffError, OSError, json.JSONDecodeError) as exc:
-                print(f"bench diff error: {exc}", file=sys.stderr)
+                staged = _update_baselines(args.baselines_dir)
+            except (OSError, ValueError) as exc:
+                print(f"bench diff --update error: {exc}", file=sys.stderr)
                 return 2
-            _emit(diff.render(), args.output)
-            return 0 if diff.ok else 1
-        bench_started = time.perf_counter()
-        if args.bench_command == "throughput":
-            params = {"clients": args.clients, "modules": args.modules,
-                      "calls_per_client": args.sample_calls,
-                      "policy_kind": args.policy, "seed": args.seed,
-                      "fast": args.fast}
-            report = run_throughput(clients=args.clients, modules=args.modules,
-                                    calls_per_client=args.sample_calls,
-                                    policy_kind=args.policy, seed=args.seed,
-                                    fast=args.fast)
-        elif args.bench_command == "batch":
-            sizes = tuple(int(s) for s in args.sizes.split(",") if s)
-            calls = args.calls
-            if args.fast:
-                # shrink only what the user left at the defaults
-                if sizes == DEFAULT_SIZES:
-                    sizes = (1, 4, 16)
-                calls = min(calls, 48)
-            params = {"sizes": sizes, "calls": calls, "seed": args.seed,
-                      "fast": args.fast}
-            report = run_batch_sweep(sizes=sizes, calls=calls, seed=args.seed)
-        elif args.bench_command == "pool":
-            seats = tuple(int(s) for s in args.seats.split(",") if s)
-            sessions = args.sessions
-            if args.fast:
-                # shrink only what the user left at the defaults
-                if seats == DEFAULT_SEATS:
-                    seats = (1, 4, 16)
-                sessions = min(sessions, 16)
-            params = {"seats": seats, "sessions": sessions,
-                      "calls_per_session": args.calls, "seed": args.seed,
-                      "fast": args.fast}
-            report = run_pool_sweep(seats=seats, sessions=sessions,
-                                    calls_per_session=args.calls,
-                                    seed=args.seed)
-        elif args.bench_command == "serve":
-            serve_sessions = tuple(int(s) for s in args.sessions.split(",")
-                                   if s)
-            if args.fast and serve_sessions == SERVE_SESSIONS:
-                # shrink only what the user left at the defaults
-                serve_sessions = FAST_SESSIONS
-            params = {"sessions": serve_sessions, "tenants": args.tenants,
-                      "sessions_per_client": args.sessions_per_client,
-                      "seed": args.seed, "fast": args.fast}
-            report = run_serve_sweep(
-                sessions=serve_sessions, tenants=args.tenants,
-                sessions_per_client=args.sessions_per_client,
-                seed=args.seed)
-        elif args.bench_command == "adaptive":
-            depths = tuple(int(s) for s in args.depths.split(",") if s)
-            kwargs = {"depths": depths, "seed": args.seed}
-            if args.calls is not None:
-                kwargs["adaptive_calls"] = args.calls
-            if args.fast:
-                # shrink only what the user left at the defaults
-                if depths == DEFAULT_DEPTHS:
-                    kwargs["depths"] = (1, 4, 16)
-                kwargs.setdefault("adaptive_calls", 256)
-                kwargs.update(static_calls=96, mmpp_calls=256)
-            params = dict(kwargs, fast=args.fast)
-            report = run_adaptive_bench(**kwargs)
-        elif args.bench_command == "simspeed":
-            params = {"calls": args.calls, "clients": args.clients,
-                      "modules": args.modules, "seed": args.seed,
-                      "shards": args.shards, "workers": args.workers,
-                      "fast": args.fast}
-            report = run_simspeed(calls=args.calls, clients=args.clients,
-                                  modules=args.modules, seed=args.seed,
-                                  shards=args.shards, workers=args.workers,
-                                  fast=args.fast)
-        elif args.bench_command == "overload":
-            ratios = tuple(float(s) for s in args.ratios.split(",") if s)
-            calls = args.calls
-            admit_calls = args.admit_calls
-            if args.fast:
-                # shrink only what the user left at the defaults
-                if ratios == OVERLOAD_RATIOS:
-                    ratios = OVERLOAD_FAST_RATIOS
-                calls = min(calls, OVERLOAD_FAST_CALLS)
-                admit_calls = min(admit_calls, FAST_ADMIT_CALLS)
-            params = {"ratios": ratios, "calls": calls,
-                      "admit_calls": admit_calls, "seed": args.seed,
-                      "fast": args.fast}
-            report = run_overload_sweep(ratios=ratios, calls=calls,
-                                        admit_calls=admit_calls,
-                                        seed=args.seed)
-        else:
-            parser.error("usage: repro bench "
-                         "{throughput,batch,pool,serve,adaptive,simspeed,"
-                         "overload,diff} [options]")
-        wall_seconds = time.perf_counter() - bench_started
-        rendered = report.render()
-        if export_dir is not None:
-            _export_bench(args.bench_command, report, rendered, params,
-                          wall_seconds)
-        _emit(rendered, args.output)
-        if args.bench_command == "simspeed" and not report.identical:
-            return 1        # a tier-accounting divergence is a failure
-        return 0
-
-    if command in EXPERIMENTS:
-        run = run_experiment(command, export_dir=export_dir)
-        _emit(run.rendered, args.output)
-        return 0
+            _emit("\n".join(f"regenerated and staged {path}"
+                            for path, _ in staged), args.output)
+            return _exit_for_checks([run for _, run in staged])
+        if not args.old or not args.new:
+            parser.error("bench diff needs OLD and NEW exports "
+                         "(or --update)")
+        try:
+            diff = diff_files(args.old, args.new, rel_tol=args.rel_tol)
+        except (BenchDiffError, OSError, json.JSONDecodeError) as exc:
+            print(f"bench diff error: {exc}", file=sys.stderr)
+            return 2
+        _emit(diff.render(), args.output)
+        return 0 if diff.ok else 1
 
     parser.error(f"unknown command {command!r}")
     return 2

@@ -123,19 +123,6 @@ class TestCompare:
         with pytest.raises(BenchDiffError):
             compare_payloads(make_payload(), smoke)
 
-    def test_harness_defaults_marker_compatible_with_resolved_defaults(self):
-        """`repro <id>` exports record {"defaults": true}; they must remain
-        diffable against a baseline that recorded resolved default params."""
-        harness_run = make_payload()
-        harness_run["params"] = {"defaults": True}
-        diff = compare_payloads(make_payload(), harness_run)
-        assert diff.ok
-        # ... but not against a smoke run
-        smoke = make_payload()
-        smoke["params"] = {"calls": 16, "fast": True}
-        with pytest.raises(BenchDiffError):
-            compare_payloads(smoke, harness_run)
-
     def test_schema_drift_reported(self):
         new = make_payload()
         new["data"]["new_metric"] = 5
@@ -183,10 +170,17 @@ class TestCli:
                                                    monkeypatch, capsys):
         """A tier-accounting divergence must fail the CI smoke, not just
         print MISMATCH."""
-        import repro.cli
-        from repro.bench.simspeed import (
-            FAST_FORWARD, OP_BY_OP, SimspeedLeg, SimspeedReport)
+        import dataclasses
+        import functools
 
+        import repro.cli
+        from repro.bench.harness import EXPERIMENTS
+        from repro.bench.simspeed import (
+            FAST_FORWARD, OP_BY_OP, SimspeedLeg, SimspeedReport, run_simspeed)
+
+        # keeps run_simspeed's signature, which the registry reads the
+        # canonical parameters from
+        @functools.wraps(run_simspeed)
         def diverging(**_):
             report = SimspeedReport(calls=8, clients=4, modules=1, seed=0,
                                     identity_calls=8, workers_identical=True)
@@ -201,7 +195,8 @@ class TestCli:
             return report
 
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(repro.cli, "run_simspeed", diverging)
+        monkeypatch.setitem(EXPERIMENTS, "abl-simspeed", dataclasses.replace(
+            EXPERIMENTS["abl-simspeed"], runner=diverging))
         assert repro.cli.main(["--no-export", "bench", "simspeed",
                                "--fast"]) == 1
         assert "MISMATCH" in capsys.readouterr().out

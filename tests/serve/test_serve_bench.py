@@ -57,7 +57,7 @@ class TestServeSweep:
     def test_registered_in_the_harness(self):
         spec = EXPERIMENTS["abl-serve"]
         assert spec.kind == "ablation"
-        assert spec.runner is run_serve_sweep.__globals__["run_abl_serve"]
+        assert spec.runner is run_serve_sweep
 
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):
