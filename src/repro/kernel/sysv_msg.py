@@ -16,6 +16,7 @@ behaviour through the scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -52,9 +53,9 @@ class Message:
     def batched(cls, mtype: int,
                 parts: List[Tuple[int, ...]]) -> "Message":
         """Pack several per-call payloads into one multi-part message."""
-        packed = tuple(tuple(part) for part in parts)
-        flat = tuple(word for part in packed for word in part)
-        return cls(mtype=mtype, payload=flat, parts=packed)
+        packed = tuple(map(tuple, parts))
+        return cls(mtype=mtype, payload=tuple(chain.from_iterable(packed)),
+                   parts=packed)
 
     @property
     def part_count(self) -> int:

@@ -197,10 +197,14 @@ TRACE_MISMATCH_LIMIT = 8
 
 
 class TraceEntry:
-    """One recorded dispatch span: its charge sequence and state deltas."""
+    """One recorded dispatch span: its charges and state deltas."""
 
     __slots__ = (
-        "state", "strikes", "raw_ops", "trace",
+        "state", "strikes", "trace",
+        # what a confirming execution must repeat, built once with the
+        # entry: the charges (a single call's exact sequence, a batch's
+        # (event count, sorted op totals)) and the state deltas
+        "charge_sig", "effects_sig",
         # guards revalidated before every replay
         "policy_epoch", "handle_epoch", "cache_epoch", "hardening_sig",
         # state deltas the slow path would have applied
@@ -210,7 +214,7 @@ class TraceEntry:
         # settle plumbing
         "env", "handle", "m_ids",
         # batch flushes keep ``batch_plan`` (one (module, function, errno)
-        # triple per entry) for the confirm signature; None for singles
+        # triple per entry); None for singles
         "batch_plan", "any_executed", "depth",
         # per-module executed-call counts for the bulk ``note_calls``
         # (count 0 when all of a module's calls were denied), and the
@@ -219,41 +223,23 @@ class TraceEntry:
         "note_plan", "plan_by_pair",
     )
 
-    def effects_signature(self) -> Tuple:
-        """Everything beyond the charge sequence that must repeat exactly.
+    def touches_for(self, pairs: Optional[Sequence[Tuple[int, int]]]
+                    ) -> Tuple:
+        """The decision-cache touches a settle of the queue ``pairs``
+        makes (its ``(m_id, func_id)`` pairs in submission order).
 
-        Batch flushes under a canonical (sorted-shape) key legitimately
-        observe their per-entry plan and decision-cache touches in a
-        different *order* per permutation, so those fields compare as
-        multisets; the totals they charge are permutation-invariant.
+        A recorded batch span touched each cached decision of its queue
+        once, in the queue's first-occurrence order (the flush's one
+        prefetch), so a settle of any permutation of the shape touches the
+        same keys in *its* queue's order.  A single call's touch, or a
+        settle without its queue at hand (``pairs`` None), repeats as
+        recorded.
         """
-        if self.batch_plan is None:
-            plan_sig: object = self.plan_by_pair
-            touches: Tuple = self.cache_touch_keys
-        else:
-            plan_sig = tuple(sorted(
-                (module.m_id, function.func_id,
-                 "" if errno is None else errno.name)
-                for module, function, errno in self.batch_plan))
-            touches = tuple(sorted(self.cache_touch_keys))
-        return (self.dispatched, self.denied, self.served,
-                self.cache_hits, self.cache_misses, self.cache_batch_checks,
-                self.cache_batch_served, touches, plan_sig)
-
-    def charge_signature(self) -> object:
-        """The charge sequence, canonicalized the same way.
-
-        Single-call spans must repeat their exact op sequence; batch spans
-        under a sorted-shape key may interleave per-entry ops differently
-        per permutation, so they compare as (event count, op totals) —
-        which is precisely what the aggregated replay charge applies.
-        """
-        if self.batch_plan is None:
-            return self.raw_ops
-        totals: Dict[str, int] = {}
-        for operation, count in self.raw_ops:
-            totals[operation] = totals.get(operation, 0) + count
-        return (len(self.raw_ops), tuple(sorted(totals.items())))
+        touches = self.cache_touch_keys
+        if pairs is None or self.batch_plan is None or len(touches) < 2:
+            return touches
+        return tuple(pair for pair in dict.fromkeys(pairs)
+                     if pair in touches)
 
 
 class TraceCache:
@@ -522,16 +508,18 @@ class SmodDispatcher:
         return tuple(e.pages
                      for e in session.client.vmspace.shared_entries())
 
-    def _can_settle(self, entry: TraceEntry, session: Session) -> bool:
+    def _can_settle(self, entry: TraceEntry, session: Session,
+                    touches: Tuple) -> bool:
         """May spans of ``entry`` settle from its trace right now?
 
         The one hot-entry check: every per-call settle runs it, a window
         runs it when it opens and again at the engine's barrier.  The key
         is HOT, every guard still holds (cheap integer compares), and the
-        decision-cache touches the recorded span performs repeat — they
-        are *applied here*, so the cache's LRU order and touch accounting
-        match the op-by-op execution.  A touch that no longer repeats bumps
-        ``fallbacks``; every False sends the span down the op-by-op path.
+        decision-cache touches the span performs (``touches``, from
+        :meth:`TraceEntry.touches_for`) repeat — they are *applied here*,
+        so the cache's LRU order and touch accounting match the op-by-op
+        execution.  A touch that no longer repeats bumps ``fallbacks``;
+        every False sends the span down the op-by-op path.
         """
         if entry.state != TRACE_HOT:
             return False
@@ -546,15 +534,22 @@ class SmodDispatcher:
         if entry.hardening_sig is not None and \
                 entry.hardening_sig != self._shared_entry_signature(session):
             return False
-        if entry.cache_touch_keys and not self.decision_cache.replay_touch(
-                session, entry.cache_touch_keys):
+        if touches and not self.decision_cache.replay_touch(session,
+                                                            touches):
             self.trace_cache.fallbacks += 1
             return False
         return True
 
-    def _begin_trace_recording(self, session: Session):
-        """Arm the meter's charge log and snapshot every affected counter."""
-        recorder = self.kernel.machine.meter.record_trace()
+    def _begin_trace_recording(self, session: Session, *, batched: bool):
+        """Arm a recorder and snapshot every affected counter.
+
+        A single call's span records its exact charge sequence; a batch
+        flush's span records the meter's delta (see
+        :class:`~repro.sim.costs.DeltaRecorder`).  None when the recorder
+        refuses to start.
+        """
+        meter = self.kernel.machine.meter
+        recorder = meter.record_delta() if batched else meter.record_trace()
         if not recorder.start():
             return None
         cache = self.decision_cache
@@ -578,10 +573,12 @@ class SmodDispatcher:
         """Turn one recorded slow execution into a (confirming) trace entry.
 
         ``plan`` is one ``(module, function, errno)`` triple per call of
-        the span, in submission order (a single call has one).
+        the span, in submission order (a single call has one).  A span
+        that cannot be repeated stores no entry, so the key records again
+        next time.
         """
         recorder, before = recording
-        raw_ops = recorder.stop()
+        charges = recorder.stop()
         touches = self.decision_cache.stop_touch_log()
         cache = self.decision_cache
         (d0, n0, s0, h0, m0, bc0, bs0, ev0, inv0, len0) = before
@@ -589,12 +586,19 @@ class SmodDispatcher:
                 or len(cache) != len0):
             # the span changed the decision cache's *structure* (a first-call
             # store, an eviction): not steady state yet — a replay could not
-            # repeat it.  The next execution records again.
+            # repeat it.
             return
+        if batched:
+            if charges is None:
+                # the delta does not stand for the span's charges: a frozen
+                # clock, or an idle or bare clock advance inside the span
+                return
+            events, ops, _ = charges
+            charges = (events, ops)
         entry = TraceEntry()
         entry.state = TRACE_CONFIRMING
         entry.strikes = 0
-        entry.raw_ops = raw_ops
+        entry.charge_sig = charges
         entry.trace = None
         entry.policy_epoch = session.policy_epoch
         entry.handle_epoch = session.handle.trace_epoch
@@ -618,17 +622,38 @@ class SmodDispatcher:
         # (a single call's telemetry names its module either way)
         executed: Dict[int, List] = {}
         entry.plan_by_pair = {}
+        pairs = []
         for module, function, errno in plan:
             slot = executed.get(module.m_id)
             if slot is None:
                 executed[module.m_id] = slot = [module, 0]
             if errno is None:
                 slot[1] += 1
-            entry.plan_by_pair[(module.m_id, function.func_id)] = errno
+            pair = (module.m_id, function.func_id)
+            pairs.append(pair)
+            entry.plan_by_pair[pair] = errno
+        if batched and entry.touches_for(pairs) != touches:
+            # not one touch per key in the queue's order: a settle of
+            # another permutation could not repeat it
+            return
         entry.m_ids = frozenset(executed)
         entry.note_plan = tuple((module, count)
                                 for module, count in executed.values())
         entry.any_executed = any(count for _, count in entry.note_plan)
+        if batched:
+            # a canonically-keyed batch observes its plan and touches in
+            # its own permutation's order, so both compare as multisets;
+            # the totals it charges are permutation-invariant
+            plan_sig: object = tuple(sorted(
+                (module.m_id, function.func_id, 0 if errno is None else errno)
+                for module, function, errno in plan))
+            touch_sig = tuple(sorted(touches))
+        else:
+            plan_sig, touch_sig = entry.plan_by_pair, touches
+        entry.effects_sig = (
+            entry.dispatched, entry.denied, entry.served, entry.cache_hits,
+            entry.cache_misses, entry.cache_batch_checks,
+            entry.cache_batch_served, touch_sig, plan_sig)
         self._observe_trace(key, entry)
 
     def _observe_trace(self, key: Tuple, entry: TraceEntry) -> None:
@@ -636,12 +661,18 @@ class SmodDispatcher:
         cache = self.trace_cache
         existing = cache.lookup(key)
         if (existing is not None and existing.state != TRACE_POISONED
-                and existing.charge_signature() == entry.charge_signature()
-                and existing.effects_signature() == entry.effects_signature()):
-            # a second execution reproduced the sequence exactly: promote
+                and existing.charge_sig == entry.charge_sig
+                and existing.effects_sig == entry.effects_sig):
+            # a second execution reproduced the span exactly: promote
             # (the guards are refreshed from this, newest, execution)
             entry.state = TRACE_HOT
-            entry.trace = self.kernel.machine.meter.build_trace(entry.raw_ops)
+            meter = self.kernel.machine.meter
+            if entry.batch_plan is None:
+                entry.trace = meter.build_trace(entry.charge_sig)
+            else:
+                events, ops = entry.charge_sig
+                entry.trace = costs.CallTrace.from_totals(ops, events,
+                                                          meter.profile)
             cache.confirms += 1
             cache.store(key, entry)
             return
@@ -716,24 +747,30 @@ class SmodDispatcher:
         if overload is not None and overload.admission_active:
             return None
         entry = self.trace_cache.lookup(key)
-        if entry is None or not self._can_settle(entry, session):
+        if entry is None or not self._can_settle(entry, session,
+                                                 entry.cache_touch_keys):
             return None
         return entry
 
     def fast_forward_recheck(self, key: Tuple, entry: TraceEntry,
-                             session: Session) -> None:
+                             session: Session,
+                             pairs: Optional[Sequence[Tuple[int, int]]]
+                             ) -> None:
         """Re-check the open window of ``entry`` at the engine's barrier.
 
         A call that joins an open window is not probed, so the barrier
         makes the probe's touches once per window: the trace-cache
-        ``lookup`` and, through :meth:`_can_settle`, the recorded
-        decision-cache touches.  Run over the windows in last-use order,
-        it leaves both caches' LRU orders as a probe per call would.
-        Nothing a probe reads changes between two barriers, so a check
-        that fails here is a bug: it raises instead of settling.
+        ``lookup`` and, through :meth:`_can_settle`, the decision-cache
+        touches of the window's last flush, whose ``(m_id, func_id)``
+        pairs in submission order are ``pairs``.  Run over the windows in
+        last-use order, it leaves both caches' LRU orders as a probe per
+        call would.  Nothing a probe reads changes between two barriers,
+        so a check that fails here is a bug: it raises instead of
+        settling.
         """
         if self.trace_cache.lookup(key) is not entry or \
-                not self._can_settle(entry, session):
+                not self._can_settle(entry, session,
+                                     entry.touches_for(pairs)):
             raise SimulationError(
                 f"fast-forward window {key!r} no longer settles at the "
                 f"barrier: a guard input changed between two barriers")
@@ -881,7 +918,8 @@ class SmodDispatcher:
         while draining the super-frame.
         """
         machine = self.kernel.machine
-        n = len(batch.frames)
+        frames = batch.frames
+        n = len(frames)
 
         # -- validate the session once ----------------------------------------
         machine.charge(costs.SMOD_SESSION_LOOKUP)
@@ -901,18 +939,26 @@ class SmodDispatcher:
         prefetched: Dict[Tuple[int, int], object] = {}
         if config.per_call_policy_check and config.use_decision_cache:
             keys = []
-            for frame in batch.frames:
-                module = session.modules.get(frame.module_id)
+            # each distinct pair once, in first-occurrence order: the order
+            # the prefetch touches the cache in
+            for key in dict.fromkeys((frame.module_id, frame.func_id)
+                                     for frame in frames):
+                module = session.modules.get(key[0])
                 if module is None or not policy_is_cacheable(
                         module.definition.policy):
                     continue
-                keys.append((frame.module_id, frame.func_id))
+                keys.append(key)
             if keys:
                 prefetched = self.decision_cache.lookup_batch(session, keys)
                 if prefetched:
                     machine.charge(costs.SMOD_POLICY_CACHE_HIT)
 
         # -- per-entry lookup + credential/policy check -------------------------
+        # Each entry charges SMOD_BATCH_ENTRY and, once its function is
+        # found, SMOD_CRED_CHECK.  The walk owes them as two runs, charged
+        # before anything reads the clock (an uncached policy check, a
+        # logged denial) and at its end: inside the flush's span they may
+        # be regrouped, since nothing reads the clock between them.
         outcomes: List[Optional[DispatchOutcome]] = [None] * n
         #: per entry: (function, allowed) — the handle's drain plan
         plan: List[Tuple[Optional[SecFunction], bool]] = []
@@ -921,68 +967,90 @@ class SmodDispatcher:
         #: is validated before any entry runs, so quota/count clauses must
         #: see each entry against the count including its predecessors
         pending: Dict[int, int] = {}
-        for index, frame in enumerate(batch.frames):
-            machine.charge(costs.SMOD_BATCH_ENTRY)
-            module = session.modules.get(frame.module_id)
-            function = (session.handle.lookup_function(
-                frame.module_id, frame.func_id) if module is not None else None)
-            if module is None or function is None:
+        modules = session.modules
+        lookup_function = session.handle.lookup_function
+        check = config.per_call_policy_check
+        walked = checked = served = granted = 0
+        for index, frame in enumerate(frames):
+            walked += 1
+            m_id = frame.module_id
+            module = modules.get(m_id)
+            function = (lookup_function(m_id, frame.func_id)
+                        if module is not None else None)
+            if function is None:
                 self.calls_denied += 1
                 outcomes[index] = DispatchOutcome(errno=Errno.ENOENT,
                                                   frame=frame)
                 plan.append((None, False))
                 entry_modules.append(None)
                 continue
-            machine.charge(costs.SMOD_CRED_CHECK)
-            if config.per_call_policy_check:
-                decision = prefetched.get((frame.module_id, frame.func_id))
+            checked += 1
+            if check:
+                decision = prefetched.get((m_id, frame.func_id))
                 if decision is not None:
                     # already validated by the batch epoch check: no
                     # per-entry charge
-                    self.decision_cache.note_batch_served()
+                    served += 1
                     allowed, reason = decision.allowed, decision.reason
                 else:
+                    self._charge_walk(walked, checked)
+                    walked = checked = 0
                     allowed, reason = self._policy_check_cached(
                         session, module, function, config,
-                        pending_calls=pending.get(frame.module_id, 0))
+                        pending_calls=pending.get(m_id, 0))
                 if not allowed:
                     self.calls_denied += 1
-                    machine.trace.emit("smod.call", "policy_denied",
-                                       pid=client.pid, detail_reason=reason)
+                    if machine.trace.enabled:
+                        self._charge_walk(walked, checked)
+                        walked = checked = 0
+                        machine.trace.emit("smod.call", "policy_denied",
+                                           pid=client.pid,
+                                           detail_reason=reason)
                     outcomes[index] = DispatchOutcome(errno=Errno.EACCES,
                                                       frame=frame)
                     plan.append((None, False))
                     entry_modules.append(None)
                     continue
-            pending[frame.module_id] = pending.get(frame.module_id, 0) + 1
+            pending[m_id] = pending.get(m_id, 0) + 1
+            granted += 1
             plan.append((function, True))
             entry_modules.append(module)
+        self._charge_walk(walked, checked)
+        if served:
+            self.decision_cache.note_batch_served(served)
 
-        if not any(allowed for _, allowed in plan):
+        if not granted:
             # nothing to execute: skip hardening, the message round trip and
             # both context switches — a fully-denied queue costs what the
             # single path charges denied calls, the unwind.  Frames are
             # popped topmost (first submission) first.
-            for frame in batch.frames:
+            for frame in frames:
                 unwind_client_frame(session.shared_stack, frame)
-            return BatchOutcome(outcomes=list(outcomes))
+            return BatchOutcome(outcomes=outcomes)
 
         results = self._round_trip(
             client, session, config,
             Message.batched(1, [
                 (frame.module_id, frame.func_id, frame.return_address)
-                for frame in batch.frames]),
-            Message.batched(2, [(1,) for _, allowed in plan if allowed]),
+                for frame in frames]),
+            Message.batched(2, [(1,)] * granted),
             [function.arg_words for function, allowed in plan if allowed],
             lambda env: session.handle.receive_batch(
                 session.shared_stack, batch, plan, env))
 
         for index, value in results.items():
             outcomes[index] = DispatchOutcome(value=value,
-                                              frame=batch.frames[index])
+                                              frame=frames[index])
             session.note_call(entry_modules[index])
-            self.calls_dispatched += 1
-        return BatchOutcome(outcomes=list(outcomes))
+        self.calls_dispatched += len(results)
+        return BatchOutcome(outcomes=outcomes)
+
+    def _charge_walk(self, walked: int, checked: int) -> None:
+        """Charge what the batch walk owes: ``walked`` SMOD_BATCH_ENTRY and
+        ``checked`` SMOD_CRED_CHECK unit charges, one run each."""
+        machine = self.kernel.machine
+        machine.charge_each(costs.SMOD_BATCH_ENTRY, walked)
+        machine.charge_each(costs.SMOD_CRED_CHECK, checked)
 
     # ---------------------------------------------------------------- user path
     def call(self, session: Session, function_name: str, *args: Any,
@@ -1019,7 +1087,7 @@ class SmodDispatcher:
             key = (session.session_id, shape, config)
             entry = self.trace_cache.lookup(key)
             if entry is not None:
-                if self._can_settle(entry, session):
+                if self._can_settle(entry, session, entry.cache_touch_keys):
                     self._settle(entry, session, 1)
                     self.trace_cache.replays += 1
                     errno = entry.plan_by_pair[shape]
@@ -1032,7 +1100,7 @@ class SmodDispatcher:
                 if entry.state == TRACE_POISONED:
                     key = None        # recording this key again is pure waste
 
-        recording = (self._begin_trace_recording(session)
+        recording = (self._begin_trace_recording(session, batched=False)
                      if key is not None else None)
         try:
             machine.charge(costs.USER_CALL_OVERHEAD)
@@ -1127,23 +1195,24 @@ class SmodDispatcher:
         if all(found is not None for found in found_list) and all(
                 self._traceable(session, function, module, config, machine)
                 for module, function in found_list):
+            pairs = [(module.m_id, function.func_id)
+                     for module, function in found_list]
             # canonical batch shape: *sorted* (m_id, func_id) pairs, so every
             # permutation of the same multiset of entries shares one trace —
             # the per-entry charges and state deltas are permutation-
             # invariant sums, and outcomes settle by pair, not position
-            shape = tuple(sorted((module.m_id, function.func_id)
-                                 for module, function in found_list))
-            key = (session.session_id, shape, config)
+            key = (session.session_id, tuple(sorted(pairs)), config)
             entry = self.trace_cache.lookup(key)
             if entry is not None:
-                if self._can_settle(entry, session):
+                if self._can_settle(entry, session,
+                                    entry.touches_for(pairs)):
                     self._settle(entry, session, 1)
                     self.trace_cache.replays += 1
                     env, plan = entry.env, entry.plan_by_pair
                     outcomes = []
-                    for (module, function), (_, args) in zip(found_list,
-                                                             calls):
-                        errno = plan[(module.m_id, function.func_id)]
+                    for pair, (_, function), (_, args) in zip(
+                            pairs, found_list, calls):
+                        errno = plan[pair]
                         outcomes.append(
                             DispatchOutcome(errno=errno) if errno is not None
                             else DispatchOutcome(
@@ -1154,7 +1223,7 @@ class SmodDispatcher:
                 if entry.state == TRACE_POISONED:
                     key = None
 
-        recording = (self._begin_trace_recording(session)
+        recording = (self._begin_trace_recording(session, batched=True)
                      if key is not None else None)
         try:
             machine.charge(costs.USER_CALL_OVERHEAD)  # one flush, not per call
@@ -1178,12 +1247,8 @@ class SmodDispatcher:
                     telemetry.finish(span, tier=TIER_OP_BY_OP)
                 return BatchOutcome(outcomes=list(outcomes))
 
-            batch = batch_stub.push_batch(
-                session.shared_stack,
-                record_checkpoints=config.record_checkpoints)
-            batch.session_id = session.session_id
-            for frame in batch.frames:
-                frame.session_id = session.session_id
+            batch = batch_stub.push_batch(session.shared_stack,
+                                          session_id=session.session_id)
             result = self.kernel.syscall(session.client, "smod_call_batch",
                                          batch, config)
             if result.failed:

@@ -29,7 +29,6 @@ from .stubs import (
     BatchCallFrame,
     SimStack,
     StubCallFrame,
-    returned_frame_kinds,
     smod_stub_receive,
     unwind_client_frame,
 )
@@ -214,33 +213,32 @@ class Handle:
         ``plan`` is one ``(function, allowed)`` pair per entry of ``batch``
         (submission order).  The stub pushed the queue newest-first, so the
         topmost frame is the *first* submission and the drain executes the
-        queue in FIFO order; each allowed entry relays through the ordinary
-        :func:`smod_stub_receive` on the secret stack and its remains (args
-        + restored ret/fp) are then popped as stub fix-up work — in a batch
-        the client never revisits individual frames, so the handle, not the
-        client stub, leaves the stack clean.  Denied entries unwind with the
-        exact denied-call pops of the single path.
+        queue in FIFO order; each allowed entry relays through
+        :func:`smod_stub_receive` in its drain mode, which also pops the
+        entry's remains (restored ret/fp, then args) as stub fix-up work —
+        in a batch the client never revisits individual frames, so the
+        handle, not the client stub, leaves the stack clean.  Denied
+        entries unwind with the exact denied-call pops of the single path.
 
         Returns ``{entry index: result}`` for the entries that executed.
         """
-        if self.ready and len(plan) != len(batch.frames):
+        frames = batch.frames
+        if self.ready and len(plan) != len(frames):
             raise SimulationError(
                 f"batch plan names {len(plan)} entries for "
-                f"{len(batch.frames)} frames")
+                f"{len(frames)} frames")
         # one routing-table walk serves the whole queue (all entries of a
         # super-frame belong to one session)
-        secret = self._begin_receive("batch", batch, len(batch.frames))
+        secret = self._begin_receive("batch", batch, len(frames))
         results: Dict[int, Any] = {}
         for index, (frame, (function, allowed)) in enumerate(
-                zip(batch.frames, plan)):
+                zip(frames, plan)):
             if not allowed or function is None:
                 unwind_client_frame(shared_stack, frame)
                 continue
             results[index] = smod_stub_receive(
-                shared_stack, frame, function, env, secret_stack=secret)
-            # drain the executed frame's remains: restored fp/ret, then args
-            shared_stack.pop_words(returned_frame_kinds(frame),
-                                   cost_op=costs.SMOD_STACK_FIXUP_WORD)
+                shared_stack, frame, function, env, secret_stack=secret,
+                drain=True)
             self.calls_served += 1
         return results
 

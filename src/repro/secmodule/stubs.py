@@ -68,6 +68,8 @@ _SAVED = SlotKind.SAVED
 #: step (2)'s words in push order; step (3)'s (all above arg1) topmost first
 _STEP2 = (SlotKind.MODULE_ID, SlotKind.FUNC_ID, _RET, _FP)
 _STEP3 = _STEP2[::-1] + (_FP, _RET)
+#: the same words bottom first, as they lie in a stack's slot list
+_STEP3_UP = _STEP3[::-1]
 #: the secret-stack words step (3) saves and step (4) drops
 _STEP3_SAVED = (_SAVED,) * len(_STEP3)
 
@@ -247,6 +249,15 @@ class ClientStub:
                 (_slot((SlotKind.MODULE_ID, self.module_id)),
                  _slot((SlotKind.FUNC_ID, self.func_id))) + ret_fp)
 
+    def _slots_for(self, return_address: int, frame_pointer: int) -> Tuple:
+        """:meth:`_fixed_slots` for one call frame, rebuilt only when the
+        frame returns elsewhere than the last one did."""
+        fixed = self._fixed
+        if fixed[0] != return_address or fixed[1] != frame_pointer:
+            fixed = self._fixed = self._fixed_slots(return_address,
+                                                    frame_pointer)
+        return fixed
+
     @property
     def symbol(self) -> str:
         return f"SMOD_client_{self.function_name}"
@@ -256,11 +267,7 @@ class ClientStub:
                   frame_pointer: int = DEFAULT_FRAME_POINTER,
                   record_checkpoints: bool = False) -> StubCallFrame:
         """Perform Figure 3 steps (1) and (2) on ``stack``."""
-        fixed = self._fixed
-        if fixed[0] != return_address or fixed[1] != frame_pointer:
-            fixed = self._fixed = self._fixed_slots(return_address,
-                                                    frame_pointer)
-        ret_fp, step2 = fixed[2], fixed[3]
+        _, _, ret_fp, step2 = self._slots_for(return_address, frame_pointer)
         args = tuple(args)
         frame = StubCallFrame(module_id=self.module_id, func_id=self.func_id,
                               args=args, return_address=return_address,
@@ -337,7 +344,7 @@ class BatchStub:
     through a single ``sys_smod_call_batch`` trap, amortizing the trap and
     the two context switches over the whole queue.  Queueing is free at the
     stub level (the args were going onto the stack anyway); the flush pushes
-    every queued frame with the ordinary single-call stack discipline.
+    every queued frame in the ordinary single-call layout.
     """
 
     def __init__(self) -> None:
@@ -354,30 +361,57 @@ class BatchStub:
         return sum(len(args) + 6 for _, args in self.queue)
 
     def push_batch(self, stack: SimStack, *,
-                   record_checkpoints: bool = False) -> BatchCallFrame:
+                   session_id: Optional[int] = None) -> BatchCallFrame:
         """Flush the queue: push newest first, so the oldest call is topmost
         and the handle's stack-ordered drain runs the queue FIFO.
 
         The capacity check happens **before** the first push: a queue that
         cannot fit must fail cleanly rather than overflow halfway through
-        and strand a partial super-frame on the shared stack.
+        and strand a partial super-frame on the shared stack.  Then every
+        frame's step (1) and (2) words go on in one extend, charged as two
+        runs: one :data:`~repro.sim.costs.USER_STACK_WORD` run of
+        Σ(args + 2) and one :data:`~repro.sim.costs.SMOD_STACK_FIXUP_WORD`
+        run of 4 per frame.  The slots, cycles, events and op counts are
+        those of pushing frame by frame; only the order of the two ops
+        inside the flush's span differs, and nothing reads the clock in
+        between.  ``session_id`` goes on the super-frame and every frame.
         """
-        if stack.depth() + self.words_needed() > stack.capacity:
+        needed = self.words_needed()
+        if stack.depth() + needed > stack.capacity:
             raise SimulationError(
-                f"batch of {len(self.queue)} calls ({self.words_needed()} "
+                f"batch of {len(self.queue)} calls ({needed} "
                 f"words) cannot fit on stack {stack.name!r} "
                 f"(depth {stack.depth()}/{stack.capacity}); flush a smaller "
                 f"queue")
-        frames = [stub.push_call(stack, args,
-                                 record_checkpoints=record_checkpoints)
-                  for stub, args in reversed(self.queue)]
+        frames = []
+        slots: List[StackSlot] = []
+        for stub, args in reversed(self.queue):
+            _, _, ret_fp, step2 = stub._slots_for(DEFAULT_RETURN_ADDRESS,
+                                                  DEFAULT_FRAME_POINTER)
+            frames.append(StubCallFrame(
+                module_id=stub.module_id, func_id=stub.func_id, args=args,
+                return_address=DEFAULT_RETURN_ADDRESS,
+                frame_pointer=DEFAULT_FRAME_POINTER, ret_fp=ret_fp,
+                stack=stack, session_id=session_id))
+            slots += map(_slot, zip(repeat(_ARG), reversed(args)))
+            slots += ret_fp
+            slots += step2
+        stack.slots += slots
+        machine = stack.machine
+        if machine is not None:
+            fixups = 4 * len(frames)
+            machine.charge_each(costs.USER_STACK_WORD, needed - fixups)
+            machine.charge_each(costs.SMOD_STACK_FIXUP_WORD, fixups)
         self.queue.clear()
-        return BatchCallFrame(frames=frames[::-1], stack=stack)
+        frames.reverse()
+        return BatchCallFrame(frames=frames, stack=stack,
+                              session_id=session_id)
 
 
 def smod_stub_receive(stack: SimStack, frame: StubCallFrame, function,
                       env, *, secret_stack: Optional[SimStack] = None,
-                      record_checkpoints: bool = False) -> Any:
+                      record_checkpoints: bool = False,
+                      drain: bool = False) -> Any:
     """The handle-side stub (Figure 3 steps (3) and (4), and Figure 5's
     ``smod_stub_receive(shmsegp, funcp)``).
 
@@ -385,40 +419,91 @@ def smod_stub_receive(stack: SimStack, frame: StubCallFrame, function,
     bookkeeping happens there so it cannot disturb the shared stack (the
     paper is explicit about this — the stub "sets the stack to the shared
     stack before relaying the call").
+
+    ``drain=True`` is the handle's batch drain: after step (4) the frame's
+    remains — the restored ret/fp pair, then the args — are popped as stub
+    fix-up work, since in a batch the client never revisits single frames.
+
+    Each step is one charged run of fix-up words when the stacks pass its
+    checks.  Step (3) checks the six words above arg1 and the secret
+    stack's room, moves the six words and charges 12.  Step (4) checks the
+    six saved words, the shared stack's room for ret/fp and, when
+    draining, the args' kinds, then charges 8, or 10 + args when draining:
+    the ret/fp pair step (4) pushes is the pair the drain pops next, so
+    neither move happens.  A stack that fails a check takes the
+    word-by-word steps from that point, so it charges the same words and
+    raises the same :class:`SimulationError`.  Back-to-back runs of one op
+    log, count and tick the clock exactly as one run does.
     """
     secret = secret_stack if secret_stack is not None else SimStack("secret")
+    machine = stack.machine
+    one_meter = secret.machine is machine
+    slots = stack.slots
+    saved = secret.slots
 
     # Step (3): pop everything above arg1 — the duplicated fp/ret pair and
     # the identifier pair — saving them on the secret stack, then the
     # original fp/ret pair so only the args remain visible to the callee.
-    # The clean run stops where the secret stack fills; the word it stops
-    # at (wrong kind, bottom, full secret) then raises on its own.
-    fixup = costs.SMOD_STACK_FIXUP_WORD
-    room = secret.capacity - len(secret.slots)
-    saved = stack.pop_clean(
-        _STEP3 if room >= len(_STEP3) else _STEP3[:max(0, room)],
-        cost_op=fixup)
-    secret.push_slots(tuple(map(_slot, zip(repeat(_SAVED),
-                                           map(_value, saved)))),
-                      cost_op=fixup)
-    clean = len(saved)
-    if clean < len(_STEP3):
-        slot = stack.pop(_STEP3[clean], cost_op=fixup)
-        secret.push(_SAVED, slot.value, cost_op=fixup)
+    top = slots[-6:]
+    if (one_meter and len(saved) + 6 <= secret.capacity
+            and tuple(map(_kind, top)) == _STEP3_UP):
+        del slots[-6:]
+        saved += map(_slot, zip(repeat(_SAVED), map(_value, reversed(top))))
+        if machine is not None:
+            machine.charge_each(costs.SMOD_STACK_FIXUP_WORD, 12)
+    else:
+        _step3_words(stack, secret)
     if record_checkpoints:
         frame.checkpoints["step3"] = stack.snapshot()
 
     # The callee runs against the shared stack: it sees args exactly as a
     # normal (non-SecModule) call would, and may read/write any client data.
-    result = function.invoke(env, *frame.args)
+    args = frame.args
+    result = function.invoke(env, *args)
 
     # Step (4): restore the exact words the client stub had seen so that the
     # eventual return lands back at the original call site.
-    secret.pop_words(_STEP3_SAVED, cost_op=fixup)
-    stack.push_slots(frame.ret_fp, cost_op=fixup)
+    slots = stack.slots
+    saved = secret.slots
+    n = len(args)
+    if (one_meter and tuple(map(_kind, saved[-6:])) == _STEP3_SAVED
+            and len(slots) + 2 <= stack.capacity
+            and (not drain or not n
+                 or tuple(map(_kind, slots[-n:])) == (_ARG,) * n)):
+        del saved[-6:]
+        if not drain:
+            slots += frame.ret_fp
+        elif n:
+            del slots[-n:]
+        if machine is not None:
+            machine.charge_each(costs.SMOD_STACK_FIXUP_WORD,
+                                10 + n if drain else 8)
+    else:
+        secret.pop_words(_STEP3_SAVED, cost_op=costs.SMOD_STACK_FIXUP_WORD)
+        stack.push_slots(frame.ret_fp, cost_op=costs.SMOD_STACK_FIXUP_WORD)
+        if drain:
+            stack.pop_words(returned_frame_kinds(frame),
+                            cost_op=costs.SMOD_STACK_FIXUP_WORD)
     if record_checkpoints:
         frame.checkpoints["step4"] = stack.snapshot()
     return result
+
+
+def _step3_words(stack: SimStack, secret: SimStack) -> None:
+    """Step (3) on stacks that fail its checks, word-accurate: the clean
+    run stops where the secret stack fills, and the word it stops at
+    (wrong kind, bottom, full secret) then raises on its own."""
+    room = secret.capacity - len(secret.slots)
+    saved = stack.pop_clean(
+        _STEP3 if room >= len(_STEP3) else _STEP3[:max(0, room)],
+        cost_op=costs.SMOD_STACK_FIXUP_WORD)
+    secret.push_slots(tuple(map(_slot, zip(repeat(_SAVED),
+                                           map(_value, saved)))),
+                      cost_op=costs.SMOD_STACK_FIXUP_WORD)
+    clean = len(saved)
+    if clean < len(_STEP3):
+        slot = stack.pop(_STEP3[clean], cost_op=costs.SMOD_STACK_FIXUP_WORD)
+        secret.push(_SAVED, slot.value, cost_op=costs.SMOD_STACK_FIXUP_WORD)
 
 
 @dataclass(frozen=True)

@@ -342,13 +342,17 @@ def get_profile(name: str) -> CostProfile:
 
 
 class CallTrace:
-    """An aggregated record of one span's charge sequence.
+    """An aggregated record of one span's charges.
 
     Built from the raw ``(operation, count)`` events a :class:`TraceRecorder`
-    captured, it precomputes everything a replay needs: per-operation totals
-    (to keep the op histogram exact), per-operation cycles, the grand cycle
-    total (one clock advance) and the number of individual charge events
-    (so ``VirtualClock.events`` stays identical to the op-by-op execution).
+    captured, or from the op totals and event count a
+    :class:`DeltaRecorder` took (:meth:`from_totals`), it precomputes
+    everything a replay needs: per-operation totals (to keep the op
+    histogram exact), per-operation cycles, the grand cycle total (one
+    clock advance) and the number of individual charge events (so
+    ``VirtualClock.events`` stays identical to the op-by-op execution).
+    Nothing reads the order of :attr:`ops`: a replay only adds its totals
+    into the meter's histogram.
     """
 
     __slots__ = ("ops", "op_cycles", "total_cycles", "events")
@@ -358,14 +362,27 @@ class CallTrace:
         aggregated: Dict[str, int] = {}
         for operation, count in raw_ops:
             aggregated[operation] = aggregated.get(operation, 0) + count
-        #: per-operation totals, in first-occurrence order
-        self.ops: Tuple[Tuple[str, int], ...] = tuple(aggregated.items())
+        self._fill(tuple(aggregated.items()), len(raw_ops), profile)
+
+    @classmethod
+    def from_totals(cls, ops: Sequence[Tuple[str, int]], events: int,
+                    profile: CostProfile) -> "CallTrace":
+        """The trace of a span that charged ``ops`` (per-operation totals)
+        in ``events`` clock events."""
+        trace = cls.__new__(cls)
+        trace._fill(tuple(ops), events, profile)
+        return trace
+
+    def _fill(self, ops: Tuple[Tuple[str, int], ...], events: int,
+              profile: CostProfile) -> None:
+        #: per-operation totals
+        self.ops: Tuple[Tuple[str, int], ...] = ops
         #: ``(operation, count, cycles)`` triples
         self.op_cycles: Tuple[Tuple[str, int, int], ...] = tuple(
             (operation, count, profile.cost(operation) * count)
-            for operation, count in self.ops)
+            for operation, count in ops)
         self.total_cycles: int = sum(c for _, _, c in self.op_cycles)
-        self.events: int = len(raw_ops)
+        self.events: int = events
 
     def scaled(self, n: int) -> "CallTrace":
         """The exact aggregate of ``n`` back-to-back replays of this trace.
@@ -394,13 +411,13 @@ class CallTrace:
 
 
 class TraceRecorder:
-    """Captures the exact charge sequence of one dispatch span.
+    """Captures the exact charge sequence of one single-call span.
 
     ``start`` arms the meter's trace log; every subsequent :meth:`CostMeter.
     charge` appends its ``(operation, count)`` pair until ``stop`` disarms
-    it and returns the raw sequence.  Recording never nests: a second
-    ``start`` while armed returns False and the inner span simply stays part
-    of the outer recording.
+    it and returns the raw sequence.  Recording never nests, with either
+    recorder: a second ``start`` while one is armed returns False and the
+    inner span simply stays part of the outer recording.
     """
 
     def __init__(self, meter: "CostMeter") -> None:
@@ -408,9 +425,11 @@ class TraceRecorder:
         self._armed = False
 
     def start(self) -> bool:
-        if self.meter._trace_log is not None:
+        meter = self.meter
+        if meter._recording:
             return False
-        self.meter._trace_log = []
+        meter._recording = True
+        meter._trace_log = []
         self._armed = True
         return True
 
@@ -418,15 +437,73 @@ class TraceRecorder:
         if not self._armed:
             return ()
         raw = self.meter._trace_log or []
-        self.meter._trace_log = None
-        self._armed = False
+        self.abort()
         return tuple(raw)
 
     def abort(self) -> None:
         """Disarm without keeping the partial sequence (error paths)."""
         if self._armed:
             self.meter._trace_log = None
+            self.meter._recording = False
             self._armed = False
+
+
+class DeltaRecorder:
+    """Captures one batch span as the meter's delta.
+
+    ``start`` snapshots the meter's op counts and the clock's cycles and
+    events; ``stop`` returns the difference as ``(events, op totals,
+    cycles)``, the totals sorted by operation.  Charges cost nothing extra
+    while it is armed.  The delta stands for the span's charges only when
+    the clock counted all of them and nothing else, so ``start`` refuses
+    under a frozen clock, and ``stop`` returns None when the clock is
+    frozen or when the op totals, priced by the profile, differ from the
+    clock's cycle delta (an ``idle`` or a bare clock advance inside the
+    span).  It shares the trace log's never-nest rule.
+    """
+
+    def __init__(self, meter: "CostMeter") -> None:
+        self.meter = meter
+        self._before: Optional[Tuple[Dict[str, int], int, int]] = None
+
+    def start(self) -> bool:
+        meter = self.meter
+        clock = meter.clock
+        if meter._recording or clock._frozen:
+            return False
+        meter._recording = True
+        self._before = (dict(meter.op_counts), clock.cycles, clock.events)
+        return True
+
+    def stop(self) -> Optional[Tuple[int, Tuple[Tuple[str, int], ...], int]]:
+        before = self._before
+        if before is None:
+            return None
+        self.abort()
+        counts, cycles, events = before
+        meter = self.meter
+        clock = meter.clock
+        if clock._frozen:
+            return None
+        prices = meter._costs
+        ops = []
+        priced = 0
+        for operation, count in meter.op_counts.items():
+            delta = count - counts.get(operation, 0)
+            if delta:
+                ops.append((operation, delta))
+                priced += prices[operation] * delta
+        cycles = clock.cycles - cycles
+        if priced != cycles:
+            return None
+        ops.sort()
+        return (clock.events - events, tuple(ops), cycles)
+
+    def abort(self) -> None:
+        """Disarm without taking the delta (error paths)."""
+        if self._before is not None:
+            self._before = None
+            self.meter._recording = False
 
 
 class CostMeter:
@@ -447,6 +524,10 @@ class CostMeter:
     :meth:`charge` and :meth:`charge_words` are one event each whatever
     their count; :meth:`charge_each` is ``n`` events (``n`` back-to-back
     unit charges); :meth:`charge_trace` replays the recorded event count.
+    Back-to-back runs of one op may merge into one :meth:`charge_each`,
+    and inside one batch span runs may be regrouped where nothing reads
+    the clock between them: the span's totals, events and cycles stay as
+    they were (docs/performance.md, "Charge granularity").
     """
 
     def __init__(self, profile: CostProfile, clock) -> None:
@@ -459,6 +540,8 @@ class CostMeter:
         self._advance = clock.advance
         #: armed by a :class:`TraceRecorder`: raw (operation, count) events
         self._trace_log: Optional[List[Tuple[str, int]]] = None
+        #: a recorder of either kind is armed (recordings never nest)
+        self._recording = False
 
     def charge(self, operation: str, count: int = 1) -> int:
         """Charge ``count`` occurrences of ``operation`` as one clock event."""
@@ -540,8 +623,13 @@ class CostMeter:
         return self.clock.advance_many(cycles, events)
 
     def record_trace(self) -> TraceRecorder:
-        """A recorder bound to this meter (the dispatch fast path's tap)."""
+        """A charge-sequence recorder bound to this meter (a single call's
+        span)."""
         return TraceRecorder(self)
+
+    def record_delta(self) -> DeltaRecorder:
+        """A delta recorder bound to this meter (a batch flush's span)."""
+        return DeltaRecorder(self)
 
     def build_trace(self, raw_ops: Sequence[Tuple[str, int]]) -> CallTrace:
         """Aggregate a recorded charge sequence under this meter's profile."""

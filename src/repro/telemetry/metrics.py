@@ -95,7 +95,7 @@ class LogHistogram:
     DEFAULT_BASE = 2.0 ** 0.25
 
     __slots__ = ("base", "_log_base", "_buckets", "count", "total",
-                 "zeros", "_min", "_max")
+                 "zeros", "_min", "_max", "_sorted")
 
     def __init__(self, base: float = DEFAULT_BASE) -> None:
         if base <= 1.0:
@@ -108,6 +108,8 @@ class LogHistogram:
         self.zeros = 0
         self._min = math.inf
         self._max = -math.inf
+        #: the bucket indices in order, kept until a bucket is added
+        self._sorted: Optional[List[int]] = None
 
     @property
     def relative_error_bound(self) -> float:
@@ -129,7 +131,13 @@ class LogHistogram:
             self.zeros += n
             return
         index = int(math.floor(math.log(value) / self._log_base))
-        self._buckets[index] = self._buckets.get(index, 0) + n
+        buckets = self._buckets
+        held = buckets.get(index)
+        if held is None:
+            buckets[index] = n
+            self._sorted = None
+        else:
+            buckets[index] = held + n
 
     # ----------------------------------------------------------------- queries
     @property
@@ -165,7 +173,10 @@ class LogHistogram:
         seen = self.zeros
         if rank <= seen:
             return 0.0
-        for index in sorted(self._buckets):
+        order = self._sorted
+        if order is None:
+            order = self._sorted = sorted(self._buckets)
+        for index in order:
             seen += self._buckets[index]
             if seen >= rank:
                 representative = self.base ** (index + 0.5)
@@ -219,8 +230,14 @@ class LogHistogram:
             raise ValueError(
                 f"cannot merge histograms with bases {self.base} and "
                 f"{other.base}")
+        buckets = self._buckets
         for index, n in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + n
+            held = buckets.get(index)
+            if held is None:
+                buckets[index] = n
+                self._sorted = None
+            else:
+                buckets[index] = held + n
         self.count += other.count
         self.total += other.total
         self.zeros += other.zeros
@@ -402,6 +419,13 @@ class Telemetry:
         self.spans = False
         #: either sink on: the one guard every tap site reads
         self.enabled = False
+        #: the per-event taps' histograms by label values, each created in
+        #: the registry at its first use (the snapshot sorts by name and
+        #: labels, so creation order only breaks ties)
+        self._queue_delays: Dict[Tuple[int, int], LogHistogram] = {}
+        self._flushes: Dict[int, Tuple[LogHistogram, LogHistogram]] = {}
+        self._batched: Dict[int, LogHistogram] = {}
+        self._handle_queues: Dict[int, LogHistogram] = {}
         self._op_base: Dict[str, int] = {}
         self._cache_base: Tuple[int, ...] = (0,) * len(_CACHE_COUNTERS)
 
@@ -509,32 +533,48 @@ class Telemetry:
         folded into the session's dispatch histogram."""
         if not self.metrics:
             return
-        registry = self.registry
-        registry.histogram("batch_flush_depth",
-                           session=session_id).record(depth, n=n)
-        registry.histogram("flush_service_us",
-                           session=session_id).record(service_us, n=n)
+        flush = self._flushes.get(session_id)
+        if flush is None:
+            registry = self.registry
+            flush = self._flushes[session_id] = (
+                registry.histogram("batch_flush_depth", session=session_id),
+                registry.histogram("flush_service_us", session=session_id))
+        flush[0].record(depth, n=n)
+        flush[1].record(service_us, n=n)
         self.flush_service.record(service_us, n=n)
         if depth > 0:
-            registry.histogram(
-                "dispatch_latency_us", session=session_id,
-                module="(batched)").record(service_us / depth, n=depth * n)
+            batched = self._batched.get(session_id)
+            if batched is None:
+                batched = self._batched[session_id] = self.registry.histogram(
+                    "dispatch_latency_us", session=session_id,
+                    module="(batched)")
+            batched.record(service_us / depth, n=depth * n)
 
     # ----------------------------------------------------- handle-layer taps
     def record_handle_queue(self, handle_pid: int, depth: int,
                             n: int = 1) -> None:
         """Frames drained by one handle receive (its request-queue depth)."""
         if self.metrics:
-            self.registry.histogram("handle_queue_depth",
-                                    handle=handle_pid).record(depth, n=n)
+            histogram = self._handle_queues.get(handle_pid)
+            if histogram is None:
+                histogram = self._handle_queues[handle_pid] = \
+                    self.registry.histogram("handle_queue_depth",
+                                            handle=handle_pid)
+            histogram.record(depth, n=n)
 
     def record_queue_delay(self, handle_pid: int, client_pid: int,
                            delay_us: float, session_id: int = -1) -> None:
         """Queueing delay of one call, per (handle, client) seat; the span
         ``broker.queue_wait`` ends now."""
         if self.metrics:
-            self.registry.histogram("pool_queue_delay_us", handle=handle_pid,
-                                    client=client_pid).record(delay_us)
+            seat = (handle_pid, client_pid)
+            histogram = self._queue_delays.get(seat)
+            if histogram is None:
+                histogram = self._queue_delays[seat] = \
+                    self.registry.histogram("pool_queue_delay_us",
+                                            handle=handle_pid,
+                                            client=client_pid)
+            histogram.record(delay_us)
         if self.spans:
             self._wait_span("broker.queue_wait", delay_us,
                             client_id=client_pid, session_id=session_id)

@@ -535,9 +535,10 @@ class TrafficEngine:
         self._pending_cycles = 0
         self._pending_idle_cycles = 0
         self._pending_idle_events = 0
-        #: key -> [entry, accumulated span count, session, last use], in
-        #: first-use order; last use is the `_ff_uses` of the key's latest
-        #: span
+        #: key -> [entry, accumulated span count, session, last use, last
+        #: pairs], in first-use order; last use is the `_ff_uses` of the
+        #: key's latest span, last pairs that span's (m_id, func_id) pairs
+        #: in submission order (None from the inline depth-1 arm)
         self._ff_windows: Dict[Tuple, List] = {}
         #: spans added to windows so far: the clock that orders last uses
         self._ff_uses = 0
@@ -685,8 +686,9 @@ class TrafficEngine:
         Between two barriers the engine only draws, queues, defers charges
         and records observations, so nothing a probe reads can change: a
         window's joined spans skip the probe, and the re-check makes the
-        cache touches they skipped.  Last-use order leaves the trace and
-        decision caches in the LRU order a probe per span would leave.
+        cache touches they skipped, in the order of the window's last
+        flush.  Last-use order leaves the trace and decision caches in the
+        LRU order a probe per span would leave.
         Commit order feeds telemetry's float totals and the aggregate
         spans.
         """
@@ -698,10 +700,10 @@ class TrafficEngine:
         windows = self._ff_windows
         if windows:
             dispatcher = self.extension.dispatcher
-            for key, (entry, _, session, _) in sorted(
+            for key, (entry, _, session, _, pairs) in sorted(
                     windows.items(), key=lambda item: item[1][3]):
-                dispatcher.fast_forward_recheck(key, entry, session)
-            for entry, count, session, _ in windows.values():
+                dispatcher.fast_forward_recheck(key, entry, session, pairs)
+            for entry, count, session, _, _ in windows.values():
                 dispatcher.fast_forward_commit(entry, session, count)
             windows.clear()
         self._pending_cycles = 0
@@ -727,9 +729,9 @@ class TrafficEngine:
         open window takes the span unprobed; otherwise the dispatcher must
         admit it (`fast_forward_probe` checks every trace guard *and*
         performs the span's decision-cache touches) and the span opens the
-        key's window.  Either way the span's last use is stamped and its
-        charge accumulated.  Returns False when the span must take the
-        dispatch path instead.
+        key's window.  Either way the span's last use and pairs are
+        stamped and its charge accumulated.  Returns False when the span
+        must take the dispatch path instead.
         """
         resolve = self._ff_resolve
         sid = session.session_id
@@ -756,11 +758,12 @@ class TrafficEngine:
             entry = self._dispatcher.fast_forward_probe(session, key)
             if entry is None:
                 return False
-            self._ff_windows[key] = window = [entry, 0, session, 0]
+            self._ff_windows[key] = window = [entry, 0, session, 0, None]
         entry = window[0]
         window[1] += 1
         self._ff_uses += 1
         window[3] = self._ff_uses
+        window[4] = pairs
         self._pending_cycles += entry.trace.total_cycles
         # a per-call settle advances the clock by exactly the trace's
         # cycles, so this division reproduces its latency float for float
@@ -1002,7 +1005,8 @@ class TrafficEngine:
                     if window is None:
                         entry = probe(session, key)
                         if entry is not None:
-                            windows[key] = window = [entry, 0, session, 0]
+                            windows[key] = window = [entry, 0, session, 0,
+                                                     None]
                 if window is not None:
                     window[1] += 1
                     uses += 1

@@ -247,6 +247,35 @@ class TestBatchSizeOneParity:
 
 
 class TestBatchOrderingAndQuota:
+    def test_policy_reads_the_clock_of_its_entry(self):
+        """The walk charges its per-entry words as runs, but a policy that
+        reads the clock sees every charge of the entries before it and of
+        its own entry, as a per-entry charge would leave them."""
+        from repro.secmodule.policy import Policy, PolicyDecision
+
+        class ClockWatch(Policy):
+            name = "clock-watch"
+
+            def __init__(self):
+                self.seen = []
+
+            def evaluate(self, ctx):
+                self.seen.append(ctx.now_us)
+                return PolicyDecision(allowed=True, steps=1, reason="seen")
+
+        watch = ClockWatch()
+        system = make_system(policy=watch)
+        del watch.seen[:]                  # session set-up evaluates too
+        system.extension.dispatcher.call_batch(
+            system.session, incr_batch(4),
+            config=DispatchConfig(batch_size=4))
+        profile = system.machine.meter.profile
+        gaps = [round((later - earlier) * profile.mhz)
+                for earlier, later in zip(watch.seen, watch.seen[1:])]
+        assert gaps == [profile.cost(costs.SMOD_POLICY_STEP)
+                        + profile.cost(costs.SMOD_BATCH_ENTRY)
+                        + profile.cost(costs.SMOD_CRED_CHECK)] * 3
+
     def test_entries_execute_in_submission_order(self):
         """The stub pushes newest-first so the handle's LIFO drain runs the
         queue FIFO — side-effecting call sequences keep their meaning."""

@@ -12,6 +12,8 @@ breaking identity.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.secmodule.api import SecModuleSystem
@@ -21,6 +23,7 @@ from repro.secmodule.dispatch import (
     TRACE_HOT,
     TraceCache,
 )
+from repro.secmodule.policy import FunctionDenyPolicy
 from repro.sim import costs
 from repro.workloads.traffic import TrafficEngine, TrafficSpec
 
@@ -189,6 +192,93 @@ class TestStateMachine:
         system = make_system()
         values = [system.call("test_incr", i * 7) for i in range(6)]
         assert values == [i * 7 + 1 for i in range(6)]
+
+
+class TestBatchSpans:
+    """A batch span records the meter's delta; its settle touches the
+    decision cache in the order of the queue it settles."""
+
+    CONFIG = DispatchConfig(batch_size=3)
+    RECORDED = [("test_incr", (1,)), ("test_add", (1, 2)),
+                ("test_null", ())]
+    PERMUTED = [("test_null", ()), ("test_incr", (5,)), ("test_add", (3, 4))]
+
+    def system(self, *, use_trace_replay=True):
+        system = make_system(policy=FunctionDenyPolicy(["test_null"]))
+        config = replace(self.CONFIG, use_trace_replay=use_trace_replay)
+        # the first flush stores the three decisions: it records nothing
+        system.extension.dispatcher.call_batch(system.session, self.RECORDED,
+                                               config=config)
+        return system, config
+
+    def test_a_frozen_clock_stores_no_entry(self):
+        system, config = self.system()
+        dispatcher = system.extension.dispatcher
+        cache = dispatcher.trace_cache
+        records, entries = cache.records, len(cache)
+        clock = system.machine.clock
+        clock.freeze()
+        outcome = dispatcher.call_batch(system.session, self.RECORDED,
+                                        config=config)
+        clock.unfreeze()
+        assert outcome.values == [2, 3, None]
+        assert (cache.records, len(cache)) == (records, entries)
+        # the key records again next time
+        dispatcher.call_batch(system.session, self.RECORDED, config=config)
+        assert cache.records == records + 1
+
+    def test_touches_out_of_queue_order_store_no_entry(self):
+        """Stale decisions are looked up per entry: each repeated key is
+        touched at its second occurrence, not in the queue's order, so no
+        settle of another permutation could repeat the span."""
+        system, config = self.system()
+        dispatcher = system.extension.dispatcher
+        session = system.session
+        m_id = next(iter(session.credentials))
+        session.replace_credential(m_id, session.credentials[m_id])
+        cache = dispatcher.trace_cache
+        records = cache.records
+        queue = [("test_incr", (1,)), ("test_add", (1, 2)),
+                 ("test_add", (3, 4)), ("test_incr", (2,))]
+        outcome = dispatcher.call_batch(session, queue,
+                                        config=replace(config, batch_size=4))
+        assert outcome.values == [2, 3, 7, 3]
+        assert cache.records == records
+
+    def test_hot_batch_entry_keeps_no_log(self):
+        system, config = self.system()
+        dispatcher = system.extension.dispatcher
+        for _ in range(2):
+            dispatcher.call_batch(system.session, self.RECORDED,
+                                  config=config)
+        (entry,) = [e for e in dispatcher.trace_cache._entries.values()
+                    if e.batch_plan is not None]
+        assert entry.state == TRACE_HOT
+        events, ops = entry.charge_sig
+        assert ops == tuple(sorted(ops))
+        assert entry.trace.events == events
+        assert sorted(entry.trace.ops) == list(ops)
+
+    def decision_order(self, system):
+        cache = system.extension.dispatcher.decision_cache
+        return list(cache._sessions[system.session.session_id])
+
+    def test_per_call_settle_touches_in_its_queue_order(self):
+        orders = []
+        for use_trace_replay in (True, False):
+            system, config = self.system(use_trace_replay=use_trace_replay)
+            dispatcher = system.extension.dispatcher
+            for calls in (self.RECORDED, self.RECORDED, self.PERMUTED):
+                outcome = dispatcher.call_batch(system.session, calls,
+                                                config=config)
+            assert outcome.values == [None, 6, 7]
+            assert dispatcher.trace_cache.replays == int(use_trace_replay)
+            orders.append(self.decision_order(system))
+        assert orders[0] == orders[1]
+        module = system.session.find_function("test_null")[0]
+        by_name = module.definition.function
+        assert orders[0] == [(module.m_id, by_name(name).func_id)
+                             for name, _ in self.PERMUTED]
 
 
 class TestInvalidation:

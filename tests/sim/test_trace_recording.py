@@ -99,6 +99,101 @@ class TestTraceRecording:
         again.stop()
 
 
+class TestDeltaRecording:
+    """A batch span records the meter's delta: (events, sorted op totals,
+    cycles), or None when the clock did not count exactly its charges."""
+
+    def charge_some(self, meter):
+        meter.charge(costs.TRAP_ENTRY)
+        meter.charge_each(costs.USER_STACK_WORD, 5)
+        meter.charge(costs.COPY_WORD, 4)
+        meter.charge(costs.TRAP_ENTRY)
+
+    def test_delta_equals_the_log(self):
+        logged, _ = fresh_meter()
+        log = logged.record_trace()
+        log.start()
+        self.charge_some(logged)
+        trace = CallTrace(log.stop(), PENTIUM_III_599)
+
+        meter, clock = fresh_meter()
+        meter.charge(costs.CONTEXT_SWITCH)          # history before the span
+        recorder = meter.record_delta()
+        assert recorder.start()
+        self.charge_some(meter)
+        events, ops, cycles = recorder.stop()
+        assert events == trace.events == 8
+        assert ops == tuple(sorted(trace.ops))
+        assert cycles == trace.total_cycles
+        replay = CallTrace.from_totals(ops, events, PENTIUM_III_599)
+        assert (replay.events, replay.total_cycles) == (events, cycles)
+
+    def test_refuses_a_frozen_clock_at_start(self):
+        meter, clock = fresh_meter()
+        clock.freeze()
+        assert not meter.record_delta().start()
+        # the refusal leaves nothing armed
+        assert meter.record_trace().start()
+
+    def test_refuses_a_clock_frozen_at_the_end(self):
+        meter, clock = fresh_meter()
+        recorder = meter.record_delta()
+        assert recorder.start()
+        self.charge_some(meter)
+        clock.freeze()
+        assert recorder.stop() is None
+        assert meter.record_delta().start() is False   # still frozen
+        clock.unfreeze()
+        assert meter.record_delta().start()
+
+    def test_refuses_a_freeze_inside_the_span(self):
+        meter, clock = fresh_meter()
+        recorder = meter.record_delta()
+        recorder.start()
+        clock.freeze()
+        meter.charge(costs.TRAP_ENTRY)          # counted, but not clocked
+        clock.unfreeze()
+        meter.charge(costs.TRAP_EXIT)
+        assert recorder.stop() is None
+
+    @pytest.mark.parametrize("advance", [
+        lambda meter: meter.idle(40),
+        lambda meter: meter.idle_many(40, 2),
+        lambda meter: meter.clock.advance(7),
+    ], ids=["idle", "idle_many", "bare-advance"])
+    def test_refuses_an_idle_inside_the_span(self, advance):
+        meter, _ = fresh_meter()
+        recorder = meter.record_delta()
+        recorder.start()
+        meter.charge(costs.TRAP_ENTRY)
+        advance(meter)
+        meter.charge(costs.TRAP_EXIT)
+        assert recorder.stop() is None
+
+    def test_never_nests_with_the_log(self):
+        meter, _ = fresh_meter()
+        delta = meter.record_delta()
+        log = meter.record_trace()
+        assert delta.start()
+        assert not log.start()
+        assert not meter.record_delta().start()
+        meter.charge(costs.TRAP_ENTRY)
+        assert meter._trace_log is None         # no log behind the delta
+        assert delta.stop()[0] == 1
+        assert log.start()
+        assert not meter.record_delta().start()
+        log.stop()
+        assert meter.record_delta().start()
+
+    def test_abort_disarms(self):
+        meter, _ = fresh_meter()
+        recorder = meter.record_delta()
+        recorder.start()
+        recorder.abort()
+        assert recorder.stop() is None
+        assert meter.record_trace().start()
+
+
 class TestChargeTrace:
     def run_both(self, raw):
         """Execute a sequence op by op and as a replay; return both meters."""

@@ -92,6 +92,56 @@ class TestLogHistogram:
         with pytest.raises(ValueError):
             LogHistogram(base=2.0).merge(LogHistogram(base=1.5))
 
+    @staticmethod
+    def _fresh_quantile(histogram, p):
+        """The rank walk over freshly sorted bucket keys."""
+        if histogram.count == 0:
+            return 0.0
+        rank = max(1, math.ceil(p / 100.0 * histogram.count))
+        seen = histogram.zeros
+        if rank <= seen:
+            return 0.0
+        for index in sorted(histogram._buckets):
+            seen += histogram._buckets[index]
+            if seen >= rank:
+                value = min(histogram.base ** (index + 0.5), histogram._max)
+                if histogram._min > 0.0:
+                    value = max(value, histogram._min)
+                return value
+        return histogram._max
+
+    def assert_fresh(self, histogram):
+        for p in (0, 1, 25, 50, 90, 95, 99, 100):
+            assert histogram.quantile(p) == self._fresh_quantile(histogram,
+                                                                 p)
+
+    def test_quantile_after_record_merge_and_from_state(self):
+        rng = DeterministicRNG(11)
+        histogram = LogHistogram()
+        for round_ in range(6):
+            # each round reads the quantiles (keeping the sorted keys),
+            # then records into old and new buckets, both sides of them
+            self.assert_fresh(histogram)
+            for _ in range(50):
+                histogram.record(rng.exponential(2.0 ** round_))
+            histogram.record(10.0 ** (round_ - 3))
+            histogram.record(10.0 ** (round_ + 3), n=3)
+            self.assert_fresh(histogram)
+        other = LogHistogram()
+        for value in (1e-9, 0.0, 5e8, 3.0):
+            other.record(value)
+        histogram.merge(other)
+        self.assert_fresh(histogram)
+        histogram.merge(LogHistogram())
+        self.assert_fresh(histogram)
+        state = histogram.export_state()
+        state["buckets"][-500] = 7
+        state["count"] += 7
+        rebuilt = LogHistogram.from_state(state)
+        self.assert_fresh(rebuilt)
+        rebuilt.record(1e12)
+        self.assert_fresh(rebuilt)
+
 
 class TestRegistryAndViews:
     def test_labelled_metrics_are_stable_identities(self):

@@ -13,10 +13,11 @@ read these orders, so this file pins them:
   matches a SHA-256 taken under per-call probing.
 
 A barrier that touched its windows in first-use order breaks both.  A
-batch settle repeats the decision-cache touches of the permutation it
-recorded, not of the one it settles, so under AIMD the tiers' decision
-orders can differ for a reason the barrier does not cause; the AIMD spec
-here is one where they agree.  Regenerate the digests (only for a
+batch settle must also touch its keys in the first-occurrence order of
+the queue it settles, not of the permutation its trace recorded: the
+barrier's re-check in the order of the window's last flush.  The two
+shallow AIMD specs end a session's decision order differently when a
+settle repeats the recorded order.  Regenerate the digests (only for a
 deliberate re-baseline) with::
 
     PYTHONPATH=src python tests/workloads/test_ff_lru_order.py
@@ -45,12 +46,22 @@ SPECS: Dict[str, TrafficSpec] = {
     "open-three-modules-seed7": TrafficSpec(
         clients=3, modules=3, calls_per_client=120, arrival="open",
         mean_interval_us=6.0, seed=7),
+    "aimd-mmpp-depth2": TrafficSpec(
+        clients=3, modules=2, calls_per_client=160, arrival="mmpp",
+        adaptive_batch=True, adaptive_max_depth=2, mean_interval_us=6.0),
+    "aimd-mmpp-depth3": TrafficSpec(
+        clients=3, modules=2, calls_per_client=160, arrival="mmpp",
+        adaptive_batch=True, adaptive_max_depth=3, mean_interval_us=4.0),
 }
 
 #: spec name -> SHA-256 of the trace cache's final key order
 TRACE_ORDER_SHA256: Dict[str, str] = {
     "aimd-mmpp":
         "4060c6b79fcedb0a310b3f8d4ef75538bf1665d0cb9f25e7fa73c88704df994c",
+    "aimd-mmpp-depth2":
+        "70b640cc963769c7b238e365891c0345c142151fc7816a7dc2bd10a3a62972c2",
+    "aimd-mmpp-depth3":
+        "3fe5051dc56463e60ad433579fc1cb21a703d14127031197634512c327bb6ab0",
     "closed":
         "129fe43d094e316d19b293b520fd3df78cce24eb305eb4a4e841f5dfa4a09d43",
     "open-three-modules-seed7":

@@ -70,6 +70,14 @@ SPECS: Dict[str, Dict[str, object]] = {
     "open-one-function-batch8": dict(_OPEN, modules=1, calls_per_client=40,
                                      batch_size=8,
                                      call_mix=(("test_incr", 1.0),)),
+    "open-batch32": dict(_OPEN, calls_per_client=70, batch_size=32),
+    # the batch drain on per-seat secret stacks
+    "mmpp-batch8-pooled": dict(_MMPP, calls_per_client=33, batch_size=8,
+                               handle_policy="pooled", pool_max_sessions=2),
+    # every queued call denied: no round trip, only the unwind
+    "open-denied-batch4": dict(_OPEN, modules=1, calls_per_client=18,
+                               batch_size=4,
+                               call_mix=(("test_null", 1.0),)),
     "open-telemetry": dict(_OPEN, telemetry=True),
     "mmpp-traced": dict(_MMPP, tracing=True),
     # AIMD flush policy
@@ -79,6 +87,14 @@ SPECS: Dict[str, Dict[str, object]] = {
     "aimd-max-depth1": dict(_OPEN, adaptive_batch=True,
                             adaptive_max_depth=1),
     "aimd-traced": dict(_MMPP, **_AIMD, tracing=True),
+    # super-frames deeper than _AIMD's cap: flushes reach 53 calls
+    "aimd-mmpp-depth64-telemetry-p95": dict(
+        _MMPP, calls_per_client=400, burst_interval_us=0.5,
+        burst_on_us=200.0, adaptive_batch=True, adaptive_max_depth=64,
+        telemetry=True, service_p95_target_us=40.0),
+    "aimd-open-depth64": dict(_OPEN, calls_per_client=300,
+                              mean_interval_us=1.0, adaptive_batch=True,
+                              adaptive_max_depth=64),
     # service-plane RPC sink
     "service-closed": dict(_CLOSED, via_service=True),
     "service-open": dict(_OPEN, via_service=True),
