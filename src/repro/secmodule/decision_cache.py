@@ -85,8 +85,11 @@ class DecisionCache:
         self._sessions: Dict[int, "OrderedDict[Tuple[int, int], CacheEntry]"] \
             = {}
         #: live entries over every session, kept by each store, eviction
-        #: and invalidation (trace recording reads it twice per span)
+        #: and invalidation
         self._entries = 0
+        #: decisions stored, fresh or replacing a stale one (trace recording
+        #: reads it twice per span: a span that stored is not steady state)
+        self.stores = 0
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -174,6 +177,7 @@ class DecisionCache:
         entries[key] = CacheEntry(decision=decision,
                                   policy_epoch=session.policy_epoch)
         entries.move_to_end(key)
+        self.stores += 1
 
     # ----------------------------------------------------------- trace replay
     def start_touch_log(self) -> None:

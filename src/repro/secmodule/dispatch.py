@@ -557,8 +557,7 @@ class SmodDispatcher:
         snapshot = (self.calls_dispatched, self.calls_denied,
                     session.handle.calls_served,
                     cache.hits, cache.misses, cache.batch_epoch_checks,
-                    cache.batch_served, cache.evictions, cache.invalidations,
-                    len(cache))
+                    cache.batch_served, cache.invalidations, cache.stores)
         return (recorder, snapshot)
 
     def _abort_trace_recording(self, recording) -> None:
@@ -581,12 +580,11 @@ class SmodDispatcher:
         charges = recorder.stop()
         touches = self.decision_cache.stop_touch_log()
         cache = self.decision_cache
-        (d0, n0, s0, h0, m0, bc0, bs0, ev0, inv0, len0) = before
-        if (cache.evictions != ev0 or cache.invalidations != inv0
-                or len(cache) != len0):
-            # the span changed the decision cache's *structure* (a first-call
-            # store, an eviction): not steady state yet — a replay could not
-            # repeat it.
+        (d0, n0, s0, h0, m0, bc0, bs0, inv0, st0) = before
+        if cache.invalidations != inv0 or cache.stores != st0:
+            # the span changed the decision cache (a first-call store, a
+            # stale decision replaced, an eviction, which only a store
+            # makes): not steady state yet — a replay could not repeat it.
             return
         if batched:
             if charges is None:

@@ -9,8 +9,13 @@ table regenerates bit-identically from the same seed.
 from __future__ import annotations
 
 import functools
+from typing import Tuple
 
 import numpy as np
+
+#: ``next_double`` scales the top 53 bits of one raw 64-bit draw by 2**-53
+_DOUBLE_SCALE = 1.0 / 9007199254740992.0
+_LOW32 = 0xFFFF_FFFF
 
 
 class DeterministicRNG:
@@ -39,6 +44,8 @@ class DeterministicRNG:
         #: may call this directly to skip the :meth:`random01` frame
         self.next_double = functools.partial(bits.next_double, bits.state)
         self._next_uint32 = functools.partial(bits.next_uint32, bits.state)
+        #: raw 64-bit draws in bulk, the stream both routines above read
+        self._random_raw = self._rng.bit_generator.random_raw
 
     def child(self, label: str) -> "DeterministicRNG":
         """Derive an independent stream named by ``label``.
@@ -174,6 +181,78 @@ class DeterministicRNG:
         list round-trip.
         """
         return self._rng.exponential(mean, size)
+
+    def integer_double_rounds(self, span: int, n: int
+                              ) -> Tuple[np.ndarray, np.ndarray]:
+        """``n`` rounds of ``(integer(0, span), next_double())`` at once.
+
+        Returns the integers (``int64``) and the doubles (``float64``) the
+        scalar loop draws, and leaves the bit generator's state as that
+        loop leaves it, PCG64's buffered upper half (``has_uint32`` and
+        ``uinteger``) included.  The draws come from one ``random_raw``
+        call: a double is the top 53 bits of one raw draw times 2**-53,
+        and integers take 32-bit halves as ``next_uint32`` serves them,
+        the low half of a fresh raw draw and then, at the next integer, its
+        buffered upper half.  So two rounds take three raw draws, and a
+        half buffered at entry serves the first round.  A span of 0 draws
+        no integer, as in :meth:`integer`.
+
+        Each integer runs numpy's Lemire rule (``buffered_bounded_lemire_
+        uint32``) vectorized.  A half that rule rejects costs one more
+        half, which shifts every later round, so when any round would
+        reject, the state is restored and the scalar loop draws the
+        rounds instead.  Only a span whose ``span + 1`` is not a power of
+        two can reject, with probability below ``(span + 1) / 2**32`` per
+        round.  Spans outside the 32-bit path take the scalar loop too.
+        """
+        if n <= 0:
+            return np.zeros(0, np.int64), np.zeros(0)
+        if not 0 <= span < _LOW32:
+            return self._scalar_rounds(span, n)
+        if not span:
+            raw = self._random_raw(n)
+            return np.zeros(n, np.int64), (raw >> 11) * _DOUBLE_SCALE
+        bit_generator = self._rng.bit_generator
+        state = bit_generator.state
+        lead = 1 if state["has_uint32"] else 0
+        pairs, odd = divmod(n - lead, 2)
+        raw = self._random_raw(lead + 3 * pairs + 2 * odd)
+        halves = np.empty(n, np.uint64)
+        doubles = np.empty(n, np.uint64)
+        if lead:
+            halves[0] = state["uinteger"]
+            doubles[0] = raw[0]
+        body = raw[lead:]
+        fresh = body[0::3]
+        halves[lead::2] = fresh & _LOW32
+        halves[lead + 1::2] = fresh[:pairs] >> 32
+        doubles[lead::2] = body[1::3]
+        doubles[lead + 1::2] = body[2::3]
+        excl = span + 1
+        m = halves * np.uint64(excl)
+        threshold = (_LOW32 - span) % excl
+        if threshold and ((m & _LOW32) < threshold).any():
+            bit_generator.state = state
+            return self._scalar_rounds(span, n)
+        end = bit_generator.state
+        # the last fresh draw buffers its upper half; an even count of
+        # fresh rounds has served it, and one round served by the half
+        # buffered at entry keeps that half's value
+        end["has_uint32"] = odd
+        if len(fresh):
+            end["uinteger"] = int(fresh[-1] >> 32)
+        bit_generator.state = end
+        return (m >> 32).astype(np.int64), (doubles >> 11) * _DOUBLE_SCALE
+
+    def _scalar_rounds(self, span: int, n: int
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`integer_double_rounds` drawn one round at a time."""
+        integers = np.empty(n, np.int64)
+        doubles = np.empty(n)
+        for i in range(n):
+            integers[i] = self.integer(0, span)
+            doubles[i] = self.next_double()
+        return integers, doubles
 
     def permutation(self, n: int) -> np.ndarray:
         return self._rng.permutation(n)

@@ -48,7 +48,10 @@ picks three parts once per run:
 
 Parts compose: seat-queue shedding (``shed_deadline_us``) acts on open-loop
 arrivals under either flush policy.  Static depth-1 runs with fast-forward
-on take the loop's inline arm, the same steps with every hop inlined.
+on take the loop's inline arm, the same steps with every hop inlined, and
+each arrival brings its call as an entry of a per-run call table: the
+open/MMPP source draws every client's calls in bulk with its schedule,
+the closed source draws each one as it pops the arrival.
 """
 
 from __future__ import annotations
@@ -99,6 +102,10 @@ TRAFFIC_FUNCTIONS: Tuple[str, ...] = ("test_incr", "getpid", "test_null")
 
 #: lognormal think: sigma of the underlying normal (tail weight)
 LOGNORMAL_THINK_SIGMA = 1.0
+
+#: call-table rows turned into entries per step of an open schedule: the
+#: row numbers of one chunk exist as Python ints at a time, not 10^7
+_ROW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -500,17 +507,17 @@ class TrafficEngine:
         self._built = False
         self._mix_names = [name for name, _ in spec.call_mix]
         self._mix_weights = [weight for _, weight in spec.call_mix]
-        # precomputed weighted-choice tables for the loop's inline arm:
-        # thresholds built by the same incremental float addition
-        # weighted_choice performs, so the walk is comparison-identical
+        # weighted_choice's draw and thresholds, for the inline arm's call
+        # table: the thresholds are built by the same incremental float
+        # addition weighted_choice performs, so a walk is comparison-
+        # identical
         self._mix_total = float(sum(self._mix_weights))
         acc = 0.0
-        cum = []
-        for name, weight in spec.call_mix:
+        thresholds = []
+        for weight in self._mix_weights:
             acc += weight
-            cum.append((name, acc))
-        self._mix_cum = cum
-        self._mix_last = self._mix_names[-1]
+            thresholds.append(acc)
+        self._mix_thresholds = thresholds
         # ---- analytic fast-forward state -----------------------------------
         # HOT (session, shape, config) spans accumulate here instead of
         # replaying one by one; the first span of a key probes it, later
@@ -543,7 +550,7 @@ class TrafficEngine:
         #: spans added to windows so far: the clock that orders last uses
         self._ff_uses = 0
         #: (session_id, function name) -> (m_id, func_id), mirroring
-        #: ``session.find_function`` so the probe resolves keys in O(1)
+        #: ``session.find_function`` so `_ff_offer` resolves keys in O(1)
         self._ff_resolve: Dict[Tuple[int, str], Tuple[int, int]] = {}
         #: batch depth -> the DispatchConfig a flush of that depth runs
         #: under (`_config_for`)
@@ -895,8 +902,12 @@ class TrafficEngine:
         same observable sequence (RNG draws, delay records, a probe per
         window opened, last-use stamps, accumulated charges, fallback
         order) with every hop inlined and the deferred-charge accumulators
-        mirrored into locals.  At 10^7-call sizes the frames it saves *are*
-        the simulation time (docs/performance.md, "One traffic loop").
+        mirrored into locals.  Both arrival sources hand the arm an entry
+        of the run's call table (`_call_table`) instead of a client index:
+        the open/MMPP source pre-draws each client's module picks and call
+        draws with its schedule, the closed source draws them as it pops
+        the arrival.  At 10^7-call sizes the frames it saves *are* the
+        simulation time (docs/performance.md, "One traffic loop").
         """
         spec = self.spec
         # arrival source: each client gets ceil(calls / batch_size) arrivals
@@ -905,17 +916,19 @@ class TrafficEngine:
         last_count = spec.calls_per_client - (per_client - 1) * batch_size
         for state in self.clients:
             state.arrivals_left = per_client
+        inline = batch_size == 1 and self._ff_enabled and \
+            not spec.adaptive_batch
+        table = self._call_table() if inline else None
         open_loop = spec.arrival != "closed"
         if open_loop:
-            times, indices = self._open_schedule_sorted(per_client)
-            arrivals: Iterator[Tuple[float, int]] = zip(times, indices)
+            times, items = self._open_schedule_sorted(per_client, table)
+            # (time, client index), or (time, call-table entry) inline
+            arrivals: Iterator[Tuple[float, object]] = zip(times, items)
         else:
-            arrivals = self._closed_arrivals()
+            arrivals = self._closed_arrivals(table)
         # flush policy: static batches unless the AIMD controller owns it
         if spec.adaptive_batch:
             self._attach_controllers()
-        inline = batch_size == 1 and self._ff_enabled and \
-            not spec.adaptive_batch
 
         by_id = self._client_by_id
         modules = self.modules
@@ -932,23 +945,8 @@ class TrafficEngine:
             profile_mhz = machine.meter.profile.mhz
             spec_mhz = machine.spec.mhz
             mhz = self._mhz
-            resolve = self._ff_resolve
             windows = self._ff_windows
             probe = self._dispatcher.fast_forward_probe
-            config = self.config
-            mix_total = self._mix_total
-            mix_cum = self._mix_cum
-            mix_last = self._mix_last
-            # per-client hoists: bound methods, the sessions in module
-            # order and the first one, so the arm touches no attribute
-            # chains
-            ctx = {}
-            for cid, state in by_id.items():
-                picks = [state.sessions[m.m_id] for m in modules]
-                ctx[cid] = (state, state.rng.next_double, state.rng.integer,
-                            state.queue_delays_us.append,
-                            state.latencies_us.append,
-                            picks, picks[0], picks[0].session_id)
             # deferred-charge accumulators mirrored into locals; written
             # back around every slow-path excursion, before a closed source
             # schedules the next arrival, and at loop exit
@@ -960,10 +958,9 @@ class TrafficEngine:
             # clock.cycles only moves on the slow path; cache it
             base_cycles = clock.cycles
 
-        for at, index in arrivals:
+        for at, item in arrivals:
             if inline:
-                (state, next_double, integer, delay_append, lat_append,
-                 picks, session, sid) = ctx[index]
+                state, delay_append, lat_append, session, name, key = item
                 # -- _advance_clock_to(at), inlined ----------------------
                 now = (base_cycles + pending) / profile_mhz
                 if at > now:
@@ -972,9 +969,6 @@ class TrafficEngine:
                     idle_pending += idle
                     idle_events += 1
                     now = (base_cycles + pending) / profile_mhz
-                if not single:
-                    session = picks[integer(0, last_module)]
-                    sid = session.session_id
                 if open_loop:
                     delay = now - at
                     if delay < 0.0:
@@ -982,25 +976,9 @@ class TrafficEngine:
                     delay_append(delay)
                     if observe_queue:
                         broker.record_queue_delay(session, delay)
-                # -- the weighted call draw, thresholds walked exactly as
-                # weighted_choice walks them ------------------------------
-                draw = mix_total * next_double()
-                name = mix_last
-                for candidate, threshold in mix_cum:
-                    if draw < threshold:
-                        name = candidate
-                        break
                 # -- the sink: fast-forward offer, else settle and dispatch
-                pair = resolve.get((sid, name))
-                if pair is None:
-                    found = session.find_function(name)
-                    if found is not None:
-                        module, function = found
-                        pair = (module.m_id, function.func_id)
-                        resolve[(sid, name)] = pair
                 window = None
-                if pair is not None:
-                    key = (sid, pair, config)
+                if key is not None:
                     window = windows.get(key)
                     if window is None:
                         entry = probe(session, key)
@@ -1044,7 +1022,7 @@ class TrafficEngine:
                     self._pending_idle_events = idle_events
                 continue
 
-            state = by_id[index]
+            state = by_id[item]
             self._advance_clock_to(at)
             queue = state.queue
             controller = state.controller
@@ -1114,17 +1092,58 @@ class TrafficEngine:
                                             spec.think_alpha)
         return lambda: state.rng.exponential(spec.mean_interval_us)
 
-    def _closed_arrivals(self) -> Iterator[Tuple[float, int]]:
+    def _call_table(self) -> List[Tuple]:
+        """The inline arm's call table, one entry per (client, module,
+        call-mix function), in that order.
+
+        An entry holds everything the arm touches for one call: the
+        client's state, its queue-delay and latency appends, the session
+        the module pick lands on, the function name, and the trace key the
+        dispatcher builds for the call, or None when the session does not
+        resolve the name (the call takes the dispatch path).
+        """
+        config = self.config
+        table = []
+        for state in self.clients:
+            delay_append = state.queue_delays_us.append
+            lat_append = state.latencies_us.append
+            for registered in self.modules:
+                session = state.sessions[registered.m_id]
+                for name in self._mix_names:
+                    found = session.find_function(name)
+                    key = None
+                    if found is not None:
+                        module, function = found
+                        key = (session.session_id,
+                               (module.m_id, function.func_id), config)
+                    table.append((state, delay_append, lat_append, session,
+                                  name, key))
+        return table
+
+    def _table_row(self, position: int) -> int:
+        """The first call-table row of the client at ``position``."""
+        return position * len(self.modules) * len(self._mix_names)
+
+    def _closed_arrivals(self, table: Optional[List[Tuple]] = None
+                         ) -> Iterator[Tuple[float, object]]:
         """The closed-loop arrival source: one think-time heap.
 
-        Yields ``(time_us, client_index)``.  A client's next arrival is
-        drawn only when the loop asks for the next arrival, after the
-        client's flush, so it is scheduled from the completion time.  The
-        tiebreak keeps ordering deterministic when two clients share a time.
+        Yields ``(time_us, client_index)``, or with a call ``table``
+        ``(time_us, entry)``: the popped client's module pick and call
+        draw, drawn at the pop and before the client's next think time,
+        so each client draws think, pick, draw in turn.  A
+        client's next arrival is drawn only when the loop asks for the
+        next arrival, after the client's flush, so it is scheduled from
+        the completion time.  The tiebreak keeps ordering deterministic
+        when two clients share a time.
         """
         heap: List[Tuple[float, int, int]] = []
         base_us = self._now_us()
         think = {s.index: self._think_source(s) for s in self.clients}
+        if table is not None:
+            draws = {state.index: self._call_draw(state, table,
+                                                  self._table_row(position))
+                     for position, state in enumerate(self.clients)}
         for tiebreak, state in enumerate(self.clients):
             heapq.heappush(heap, (base_us + think[state.index](), tiebreak,
                                   state.index))
@@ -1132,18 +1151,60 @@ class TrafficEngine:
         by_id = self._client_by_id
         while heap:
             at, _, index = heapq.heappop(heap)
-            yield at, index
+            yield at, (index if table is None else draws[index]())
             if by_id[index].arrivals_left:
                 heapq.heappush(heap, (self._now_us() + think[index](),
                                       tiebreak, index))
                 tiebreak += 1
 
-    def _open_schedule_sorted(self, events_per_client: int
-                              ) -> Tuple[List[float], List[int]]:
+    def _call_draw(self, state: ClientState, table: List[Tuple], row: int):
+        """A function drawing the client's next call-table entry: the
+        module pick (``integer``, which draws nothing over one module),
+        then the call-mix double walked over ``weighted_choice``'s
+        thresholds."""
+        integer = state.rng.integer
+        next_double = state.rng.next_double
+        span = len(self.modules) - 1
+        width = len(self._mix_names)
+        total = self._mix_total
+        thresholds = list(enumerate(self._mix_thresholds))
+        last = width - 1
+
+        def draw() -> Tuple:
+            base = row + integer(0, span) * width
+            value = total * next_double()
+            for offset, threshold in thresholds:
+                if value < threshold:
+                    return table[base + offset]
+            return table[base + last]
+        return draw
+
+    def _call_rows(self, state: ClientState, row: int,
+                   n: int) -> np.ndarray:
+        """The client's next ``n`` call-table rows, drawn in bulk: the
+        rounds :meth:`_call_draw` would draw one by one
+        (``integer_double_rounds``), each call-mix double placed by a
+        right-sided ``searchsorted`` over the thresholds (the first
+        threshold above it, as the walk finds it)."""
+        width = len(self._mix_names)
+        picks, doubles = state.rng.integer_double_rounds(
+            len(self.modules) - 1, n)
+        offsets = np.searchsorted(self._mix_thresholds,
+                                  self._mix_total * doubles, side="right")
+        np.minimum(offsets, width - 1, out=offsets)
+        return row + picks * width + offsets
+
+    def _open_schedule_sorted(self, events_per_client: int,
+                              table: Optional[List[Tuple]] = None
+                              ) -> Tuple[List[float], List]:
         """The open/mmpp arrival source: every client's arrivals, drawn up
         front and independent of completions, as parallel
         ``(times, indices)`` lists in the order a heap keyed
-        ``(time, insertion order)`` would pop them.
+        ``(time, insertion order)`` would pop them.  With a call ``table``
+        the second list holds each arrival's entry instead of its client
+        index: a client's module picks and call draws follow its
+        interarrival gaps in its stream, so they are drawn in bulk right
+        after them (:meth:`_call_rows`).
 
         Bit-identical to a scalar loop: gaps accumulate through
         ``np.cumsum`` seeded with ``base_us`` as element 0 (the same
@@ -1153,11 +1214,14 @@ class TrafficEngine:
         lists instead of one tuple list keep 10^7-event schedules out of the
         cyclic GC's way (measured ~2x end-to-end at 10^7 calls) and ~9 MiB
         off ff-steady's peak RSS (docs/performance.md, "One traffic loop").
+        Rows become entries a chunk at a time, so no list of 10^7 row
+        numbers is ever built.
         """
         spec = self.spec
         base_us = self._now_us()
         per_client: List[np.ndarray] = []
-        for state in self.clients:
+        rows: List[np.ndarray] = []
+        for position, state in enumerate(self.clients):
             if spec.arrival == "open":
                 gaps = state.rng.exponential_array(
                     spec.mean_interval_us, events_per_client)
@@ -1171,12 +1235,28 @@ class TrafficEngine:
                                    for _ in range(events_per_client)])
             per_client.append(
                 np.cumsum(np.concatenate(((base_us,), gaps)))[1:])
+            rows.append(
+                np.full(events_per_client, state.index, dtype=np.int64)
+                if table is None else
+                self._call_rows(state, self._table_row(position),
+                                events_per_client))
+        # each intermediate goes as soon as the next step has what it
+        # needs: at 10^7 calls the schedule sets the run's peak RSS
         times = np.concatenate(per_client)
-        indices = np.concatenate([
-            np.full(events_per_client, state.index, dtype=np.int64)
-            for state in self.clients])
+        del per_client
         order = np.argsort(times, kind="stable")
-        return times[order].tolist(), indices[order].tolist()
+        times = times[order]
+        picked = np.concatenate(rows)[order]
+        del rows, order
+        if table is None:
+            return times.tolist(), picked.tolist()
+        entry_of = table.__getitem__
+        entries: List[Tuple] = []
+        for start in range(0, len(picked), _ROW_CHUNK):
+            entries.extend(map(entry_of,
+                               picked[start:start + _ROW_CHUNK].tolist()))
+        del picked
+        return times.tolist(), entries
 
     def run(self) -> TrafficResult:
         """Drive the full call schedule and collect the result."""

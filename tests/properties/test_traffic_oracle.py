@@ -1,8 +1,10 @@
 """Property-based differential oracle over the traffic engine's knob space.
 
 Hypothesis draws small ``TrafficSpec`` values across every arrival source,
-flush policy and call sink the engine composes, and each draw must keep the
-determinism contract the hand-written differentials pin case by case:
+flush policy and call sink the engine composes, over 1-5 modules and a call
+mix of one to three of the traffic functions with drawn weights, and each
+draw must keep the determinism contract the hand-written differentials pin
+case by case:
 
 * construction either raises ``SimulationError`` or the run finishes;
 * fast-forward on accounts exactly as op by op (``accounting`` from
@@ -18,7 +20,11 @@ builds (static, quota with a quota small enough to run out, expiry,
 deny-only) and every ``DispatchConfig(hardening, marshalling)`` of the
 3 x 2 grid, and asserts fast-forward on accounts exactly as op by op there
 too: the stateful chains, the suspend/resume and unmap hardenings and
-explicit-copy marshalling all run on the op-by-op path.
+explicit-copy marshalling all run on the op-by-op path.  A third draws
+the specs fast-forward runs through the inline depth-1 arm, whose calls come
+from a call table drawn in bulk, and asserts op by op (the general arm,
+drawing one call at a time) accounts alike and leaves every client's bit
+generator in the same state.
 
 The run is derandomized, so tier-1 sees the same examples every time.  A
 shrunk failure belongs below as a named regression test.
@@ -36,7 +42,8 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.secmodule.dispatch import (DispatchConfig, HardeningMode,
                                       MarshallingMode)
-from repro.workloads.traffic import TrafficEngine, TrafficSpec
+from repro.workloads.traffic import (TRAFFIC_FUNCTIONS, TrafficEngine,
+                                     TrafficSpec)
 
 _REPLAY_TESTS = (pathlib.Path(__file__).resolve().parents[1]
                  / "secmodule" / "test_trace_replay.py")
@@ -52,6 +59,7 @@ ORACLE = settings(derandomize=True, database=None, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
 
 _intervals = st.floats(min_value=0.5, max_value=60.0, allow_nan=False)
+_weights = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
 
 
 @st.composite
@@ -60,11 +68,16 @@ def traffic_specs(draw):
     arrival, flush = draw(st.sampled_from(
         [(a, f) for a in ("closed", "open", "mmpp")
          for f in ("static", "aimd", "service")]))
+    functions = draw(st.lists(st.sampled_from(TRAFFIC_FUNCTIONS),
+                              min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(_weights, min_size=len(functions),
+                            max_size=len(functions)))
     kwargs = dict(
         arrival=arrival,
         clients=draw(st.integers(1, 3)),
-        modules=draw(st.integers(1, 3)),
+        modules=draw(st.integers(1, 5)),
         calls_per_client=draw(st.integers(1, 16)),
+        call_mix=tuple(zip(functions, weights)),
         handle_policy=draw(st.sampled_from(
             ["per_session", "per_module", "pooled"])),
         pool_max_sessions=draw(st.integers(1, 3)),
@@ -141,6 +154,36 @@ def check_contract(kwargs) -> None:
 @given(kwargs=traffic_specs())
 def test_traffic_contract_holds_across_the_knob_space(kwargs):
     check_contract(kwargs)
+
+
+@st.composite
+def inline_arm_specs(draw):
+    """A ``traffic_specs`` draw that fast-forward runs through the inline
+    depth-1 arm: static batches of one, no shedding, no service plane."""
+    kwargs = draw(traffic_specs())
+    for knob in ("adaptive_batch", "adaptive_max_depth", "via_service",
+                 "shed_deadline_us"):
+        kwargs.pop(knob, None)
+    kwargs["batch_size"] = 1
+    return kwargs
+
+
+def _stream_states(engine):
+    return [state.rng._rng.bit_generator.state for state in engine.clients]
+
+
+@settings(ORACLE, max_examples=60)
+@given(kwargs=inline_arm_specs())
+def test_inline_arm_draws_what_the_general_arm_draws(kwargs):
+    """The inline arm takes its calls from a table drawn in bulk (open and
+    MMPP) or at each pop (closed); op by op, the general arm draws them
+    one by one.  Both runs account alike and leave every client's bit
+    generator in the same state."""
+    ff_engine, ff = _run(kwargs)
+    op_engine, op = _run(kwargs,
+                         config=DispatchConfig(use_trace_replay=False))
+    assert accounting(ff_engine, ff) == accounting(op_engine, op)
+    assert _stream_states(ff_engine) == _stream_states(op_engine)
 
 
 @ORACLE

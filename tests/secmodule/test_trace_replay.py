@@ -281,6 +281,65 @@ class TestBatchSpans:
                              for name, _ in self.PERMUTED]
 
 
+class TestStaleDecisionSpans:
+    """A span that replaces a stale decision stores it, so it is not steady
+    state: it records no trace.  Replacing a stale decision changes neither
+    the cache's length nor its evictions nor its invalidations; the cache's
+    ``stores`` count is what shows it."""
+
+    BATCH = [("test_incr", (1,)), ("test_add", (1, 2)),
+             ("test_incr", (2,)), ("test_add", (3, 4))]
+
+    def run(self, flush, *, use_trace_replay):
+        """Flush once, twice replace the credential and flush, then flush
+        once more; return the cycles and the decision-cache hits and
+        misses."""
+        system = make_system(seed=4242,
+                             policy=FunctionDenyPolicy(["test_null"]))
+        session = system.session
+        config = DispatchConfig(batch_size=4,
+                                use_trace_replay=use_trace_replay)
+        flush(system, config)
+        for _ in range(2):
+            m_id = next(iter(session.credentials))
+            session.replace_credential(m_id, session.credentials[m_id])
+            flush(system, config)
+        flush(system, config)
+        cache = system.extension.dispatcher.decision_cache
+        return system.machine.clock.cycles, cache.hits, cache.misses
+
+    def test_a_batch_span_that_replaced_stale_decisions_settles_nothing(self):
+        def flush(system, config):
+            system.extension.dispatcher.call_batch(system.session,
+                                                   self.BATCH, config=config)
+
+        for use_trace_replay in (True, False):
+            assert self.run(flush, use_trace_replay=use_trace_replay) == \
+                (81_621, 10, 6)
+
+    def test_a_single_call_that_replaced_a_stale_decision_settles_nothing(
+            self):
+        def flush(system, config):
+            system.extension.dispatcher.call(
+                system.session, "test_incr", 1,
+                config=replace(config, batch_size=1))
+
+        for use_trace_replay in (True, False):
+            assert self.run(flush, use_trace_replay=use_trace_replay) == \
+                (75_185, 1, 3)
+
+    def test_every_store_is_counted(self):
+        system = make_system(policy=FunctionDenyPolicy(["test_null"]))
+        cache = system.extension.dispatcher.decision_cache
+        system.call("test_incr", 1)
+        assert (cache.stores, len(cache)) == (1, 1)
+        session = system.session
+        m_id = next(iter(session.credentials))
+        session.replace_credential(m_id, session.credentials[m_id])
+        system.call("test_incr", 2)
+        assert (cache.stores, len(cache)) == (2, 1)
+
+
 class TestInvalidation:
     def test_policy_epoch_bump_forces_slow_path(self):
         """replace_credential must retire the hot trace (and identity holds)."""

@@ -1,5 +1,7 @@
 """Tests for the deterministic RNG and the trace buffer."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,104 @@ class TestDrawsMatchNumpy:
         twin = np.random.default_rng(3)
         for _ in range(200):
             assert rng.choice(seq) == seq[twin.integers(0, len(seq))]
+        assert rng._rng.bit_generator.state == twin.bit_generator.state
+
+
+def _numpy_rounds(twin, span, n):
+    """``n`` rounds of (``integers(0, span + 1)``, ``random()``) drawn one
+    by one from a numpy ``Generator``."""
+    integers, doubles = [], []
+    for _ in range(n):
+        integers.append(int(twin.integers(0, span + 1)))
+        doubles.append(twin.random())
+    return integers, doubles
+
+
+class TestIntegerDoubleRounds:
+    """``integer_double_rounds`` draws what the scalar loop draws, and
+    leaves the bit generator (its buffered upper half included) where the
+    scalar loop leaves it."""
+
+    SIZES = (0, 1, 2, 3, 4097, 6000)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("span", range(8))
+    def test_rounds_equal_numpy_draw_for_draw(self, span, buffered):
+        for seed, n in itertools.product((5, 0xFFFF_FFFF), self.SIZES):
+            rng = DeterministicRNG(seed)
+            twin = np.random.default_rng(seed)
+            if buffered:
+                # an integer takes a fresh draw and buffers its upper half,
+                # which the first round's integer must take
+                assert rng.integer(0, 2) == twin.integers(0, 3)
+            assert rng._rng.bit_generator.state["has_uint32"] == buffered
+            integers, doubles = rng.integer_double_rounds(span, n)
+            assert integers.dtype == np.int64
+            assert (integers.tolist(), doubles.tolist()) == \
+                _numpy_rounds(twin, span, n), (seed, n)
+            assert rng._rng.bit_generator.state == \
+                twin.bit_generator.state, (seed, n)
+
+    def test_a_rejected_buffered_half_takes_the_scalar_loop(self):
+        """A buffered half of 0 is below the threshold of span 2
+        (2**32 mod 3 = 1): numpy rejects it and draws again."""
+        rng = DeterministicRNG(21)
+        twin = np.random.default_rng(21)
+        for bit_generator in (rng._rng.bit_generator, twin.bit_generator):
+            state = bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            bit_generator.state = state
+        integers, doubles = rng.integer_double_rounds(2, 501)
+        assert (integers.tolist(), doubles.tolist()) == \
+            _numpy_rounds(twin, 2, 501)
+        assert rng._rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("span", [2, 4, 6])
+    def test_a_rejected_raw_draw_takes_the_scalar_loop(self, span,
+                                                       monkeypatch):
+        """A stubbed raw stream whose fresh draw would reject sends the
+        draw back to the scalar loop from the state it started in."""
+        rng = DeterministicRNG(33)
+        twin = np.random.default_rng(33)
+        real = rng._random_raw
+        fallbacks = []
+
+        def rejecting_raw(size):
+            raw = real(size)
+            raw[-2] &= np.uint64(0xFFFF_FFFF_0000_0000)   # a low half of 0
+            return raw
+
+        def scalar_rounds(span, n):
+            fallbacks.append(n)
+            return DeterministicRNG._scalar_rounds(rng, span, n)
+
+        monkeypatch.setattr(rng, "_random_raw", rejecting_raw)
+        monkeypatch.setattr(rng, "_scalar_rounds", scalar_rounds)
+        integers, doubles = rng.integer_double_rounds(span, 7)
+        assert fallbacks == [7]
+        assert (integers.tolist(), doubles.tolist()) == \
+            _numpy_rounds(twin, span, 7)
+        assert rng._rng.bit_generator.state == twin.bit_generator.state
+
+    def test_a_power_of_two_span_never_rejects(self, monkeypatch):
+        """With span + 1 a power of two the threshold is 0: a low half
+        of 0 is accepted (and picks 0) without the scalar loop."""
+        rng = DeterministicRNG(33)
+        real = rng._random_raw
+        monkeypatch.setattr(rng, "_random_raw",
+                            lambda size: real(size) & np.uint64(
+                                0xFFFF_FFFF_0000_0000))
+        monkeypatch.setattr(rng, "_scalar_rounds", None)
+        integers, _ = rng.integer_double_rounds(3, 7)
+        # rounds 0, 2, 4 and 6 take the low half of a fresh draw
+        assert integers[0::2].tolist() == [0, 0, 0, 0]
+
+    def test_spans_beyond_32_bits_draw_through_the_scalar_loop(self):
+        rng = DeterministicRNG(8)
+        twin = np.random.default_rng(8)
+        integers, doubles = rng.integer_double_rounds(2**40, 5)
+        assert (integers.tolist(), doubles.tolist()) == \
+            _numpy_rounds(twin, 2**40, 5)
         assert rng._rng.bit_generator.state == twin.bit_generator.state
 
 

@@ -1,0 +1,106 @@
+"""The inline depth-1 arm's call table and the draws that index it.
+
+Fast-forward runs of static depth-1 traffic take their calls from a table
+with one entry per (client, module, call-mix function).  The open and MMPP
+sources draw each client's rows in bulk with its schedule
+(``_call_rows``); the closed source draws one row per popped arrival
+(``_call_draw``).  Both must pick the row the scalar draw picks: the
+module pick, then the call-mix double placed on ``weighted_choice``'s
+thresholds.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.workloads import traffic
+from repro.workloads.traffic import TrafficEngine, TrafficSpec
+
+#: thresholds 1.0, 2.0 and 4.0 over a total of 4.0
+MIX = (("test_incr", 1.0), ("getpid", 1.0), ("test_null", 2.0))
+
+
+def _engine(**kwargs) -> TrafficEngine:
+    spec = dict(clients=2, modules=3, calls_per_client=8, call_mix=MIX)
+    spec.update(kwargs)
+    return TrafficEngine(TrafficSpec(**spec)).build()
+
+
+def test_one_entry_per_client_module_and_function():
+    engine = _engine()
+    table = engine._call_table()
+    assert len(table) == 2 * 3 * 3
+    rows = iter(table)
+    for position, state in enumerate(engine.clients):
+        assert engine._table_row(position) == position * 9
+        for registered in engine.modules:
+            session = state.sessions[registered.m_id]
+            for name, _ in MIX:
+                entry_state, delay_append, lat_append, entry_session, \
+                    entry_name, key = next(rows)
+                assert entry_state is state
+                assert delay_append == state.queue_delays_us.append
+                assert lat_append == state.latencies_us.append
+                assert (entry_session, entry_name) == (session, name)
+                module, function = session.find_function(name)
+                assert key == (session.session_id,
+                               (module.m_id, function.func_id),
+                               engine.config)
+
+
+class _ScriptedRNG:
+    """Scripted rounds of (module pick, call-mix double), served one by
+    one or in bulk."""
+
+    def __init__(self, rounds):
+        self.rounds = list(rounds)
+
+    def integer(self, low, high):
+        return self.rounds[0][0]
+
+    def next_double(self):
+        return self.rounds.pop(0)[1]
+
+    def integer_double_rounds(self, span, n):
+        picks, doubles = zip(*self.rounds[:n])
+        del self.rounds[:n]
+        return np.array(picks, np.int64), np.array(doubles)
+
+
+def test_bulk_rows_place_each_double_as_the_walk_does():
+    """A double that lands exactly on a threshold belongs to the next
+    function; one just below the total to the last."""
+    engine = _engine()
+    table = engine._call_table()
+    doubles = [0.0, 0.2499999999999999, 0.25, 0.5, 0.75,
+               1.0 - 2.0 ** -53]
+    rounds = [(pick, double) for pick in range(3) for double in doubles]
+    state = engine.clients[1]
+    row = engine._table_row(1)
+    state.rng = _ScriptedRNG(rounds)
+    bulk = engine._call_rows(state, row, len(rounds)).tolist()
+    state.rng = _ScriptedRNG(rounds)
+    draw = engine._call_draw(state, table, row)
+    one_by_one = [table.index(draw()) for _ in rounds]
+    assert bulk == one_by_one
+    offsets = [0, 0, 1, 2, 2, 2]
+    assert bulk == [row + 3 * pick + offset
+                    for pick in range(3) for offset in offsets]
+
+
+def _accounting(engine, result):
+    return (engine.machine.clock.cycles, engine.machine.clock.events,
+            result.latencies_us.tobytes(), result.queue_delays_us.tobytes(),
+            result.cache_stats,
+            [state.rng._rng.bit_generator.state for state in engine.clients])
+
+
+def test_rows_become_entries_the_same_in_any_chunk_size(monkeypatch):
+    spec = TrafficSpec(clients=3, modules=2, calls_per_client=40,
+                       arrival="mmpp", mean_interval_us=30.0,
+                       burst_interval_us=1.5)
+    whole = TrafficEngine(spec)
+    expected = _accounting(whole, whole.run())
+    monkeypatch.setattr(traffic, "_ROW_CHUNK", 7)
+    chunked = TrafficEngine(spec)
+    assert _accounting(chunked, chunked.run()) == expected

@@ -65,6 +65,14 @@ SPECS: Dict[str, Dict[str, object]] = {
     "open-depth1": dict(_OPEN),
     "mmpp-depth1-one-module": dict(_MMPP, modules=1),
     "mmpp-depth1": dict(_MMPP),
+    # module picks over spans whose Lemire threshold is nonzero
+    "open-depth1-three-modules": dict(_OPEN, modules=3),
+    "open-depth1-five-modules": dict(_OPEN, modules=5),
+    "mmpp-depth1-three-modules": dict(_MMPP, modules=3),
+    "open-depth1-one-session": dict(_OPEN, multi_session=False),
+    "open-depth1-one-function": dict(_OPEN, call_mix=(("getpid", 1.0),)),
+    # more (client, module, function) triples than a byte can number
+    "open-depth1-many-clients": dict(_OPEN, clients=100, calls_per_client=8),
     "open-batch3": dict(_OPEN, batch_size=3),
     "mmpp-batch4": dict(_MMPP, calls_per_client=17, batch_size=4),
     "open-one-function-batch8": dict(_OPEN, modules=1, calls_per_client=40,
