@@ -57,6 +57,7 @@ SPECS: Dict[str, Dict[str, object]] = {
     "closed-pareto": dict(_CLOSED, think="pareto"),
     "closed-one-session": dict(_CLOSED, multi_session=False),
     "closed-quota": dict(_CLOSED, policy_kind="quota", quota_calls=4),
+    "closed-quota-default": dict(_CLOSED, policy_kind="quota"),
     "closed-pooled": dict(_CLOSED, handle_policy="pooled",
                           pool_max_sessions=2),
     "closed-traced": dict(_CLOSED, tracing=True),
@@ -111,6 +112,8 @@ SPECS: Dict[str, Dict[str, object]] = {
                                           tracing=True),
     "service-one-session": dict(_CLOSED, via_service=True,
                                 multi_session=False),
+    "service-mmpp-observed": dict(_MMPP, via_service=True, telemetry=True,
+                                  tracing=True),
     # seat-queue shedding
     "shed-mmpp-depth1": dict(_MMPP, modules=1, mean_interval_us=60.0,
                              burst_interval_us=6.0, shed_deadline_us=4.0),
