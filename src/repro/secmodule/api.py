@@ -40,7 +40,7 @@ from ..hw.machine import Machine, make_paper_machine
 from ..kernel.kernel import Kernel
 from ..kernel.proc import Proc
 from ..userland.process import Program
-from .credentials import Credential
+from .credentials import DEFAULT_PRINCIPAL, DEFAULT_UID, Credential
 from .dispatch import DispatchConfig, DispatchOutcome
 from .handle_pool import HandlePolicy
 from .libc_conversion import build_test_module, convert_libc
@@ -54,11 +54,6 @@ from .toolchain.link import link_secmodule_client
 from .toolchain.packer import PackResult
 from .toolchain.register import RegistrationTool
 from .toolchain.stubgen import StubSet
-
-#: Default principal name for the single-client convenience setup.
-DEFAULT_PRINCIPAL = "alice"
-#: Default uid of the client process.
-DEFAULT_UID = 1000
 
 
 def _map_library_images(program: Program,

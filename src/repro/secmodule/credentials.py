@@ -22,6 +22,11 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Optional
 
+#: The client principal, and its uid, that the single-client system, the
+#: traffic engine and the service plane's clients present.
+DEFAULT_PRINCIPAL = "alice"
+DEFAULT_UID = 1000
+
 
 def _digest(secret: bytes, *parts: object) -> str:
     hasher = hashlib.sha256()

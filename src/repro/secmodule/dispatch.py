@@ -71,13 +71,16 @@ _SINGLE_REPLY = Message(mtype=2, payload=(1,))
 
 @dataclass(frozen=True)
 class DispatchConfig:
-    """Per-call-path configuration (defaults reproduce the paper's setup)."""
+    """Per-call-path configuration (defaults reproduce the paper's setup).
 
+    Every protected call checks its module's policy, the paper's design
+    point; the fields choose how that check and the call around it run.
+    """
+
+    #: the §4.4 countermeasure applied around each kernel-side call
     hardening: HardeningMode = HardeningMode.NONE
+    #: how arguments travel between client and handle
     marshalling: MarshallingMode = MarshallingMode.SHARED_VM
-    #: evaluate the module policy on every call (the paper's design point;
-    #: turning it off isolates the pure dispatch cost in ablations)
-    per_call_policy_check: bool = True
     #: memoize static policy decisions per (session, module, function);
     #: disable for paper-faithful runs.  With the paper's zero-step
     #: always-allow policy the cache never engages, so the default stays
@@ -111,8 +114,8 @@ class DispatchConfig:
         # output depends on the value, and an unpickled config recomputes
         # it under the receiving process's string salt (see __reduce__)
         object.__setattr__(self, "_cached_hash", hash(
-            (self.hardening, self.marshalling, self.per_call_policy_check,
-             self.use_decision_cache, self.batch_size, self.use_trace_replay,
+            (self.hardening, self.marshalling, self.use_decision_cache,
+             self.batch_size, self.use_trace_replay,
              self.record_checkpoints)))
 
     def __hash__(self) -> int:
@@ -408,21 +411,8 @@ class SmodDispatcher:
         return admitted
 
     def _policy_check(self, session: Session, module: RegisteredModule,
-                      function: SecFunction, *,
+                      function: SecFunction, config: DispatchConfig, *,
                       pending_calls: int = 0) -> Tuple[bool, str]:
-        machine = self.kernel.machine
-        ctx = session.policy_context(
-            module, function.name, now_us=machine.microseconds(),
-            args_words=function.arg_words, pending_calls=pending_calls)
-        decision = module.definition.policy.evaluate(ctx)
-        if decision.steps:
-            machine.charge(costs.SMOD_POLICY_STEP, decision.steps)
-        return decision.allowed, decision.reason
-
-    def _policy_check_cached(self, session: Session, module: RegisteredModule,
-                             function: SecFunction,
-                             config: DispatchConfig, *,
-                             pending_calls: int = 0) -> Tuple[bool, str]:
         """Per-call policy check, memoized for static chains.
 
         A hit costs one :data:`~repro.sim.costs.SMOD_POLICY_CACHE_HIT` charge
@@ -430,27 +420,27 @@ class SmodDispatcher:
         that (a) declare themselves static and (b) actually cost at least one
         step are stored — memoizing the paper's zero-step always-allow
         baseline would make a hit *more* expensive than the evaluation.
+        ``pending_calls`` (a batch's calls granted ahead of this one) only
+        moves dynamic chains: a static chain reads no call counts.
         """
-        policy = module.definition.policy
-        if not config.use_decision_cache or not policy_is_cacheable(policy):
-            # dynamic chains are the only ones that can read call counts, so
-            # the batch's pending-call offset only matters on this branch
-            return self._policy_check(session, module, function,
-                                      pending_calls=pending_calls)
-        cached = self.decision_cache.lookup(session, module.m_id,
-                                            function.func_id)
-        if cached is not None:
-            self.kernel.machine.charge(costs.SMOD_POLICY_CACHE_HIT)
-            return cached.allowed, cached.reason
         machine = self.kernel.machine
+        policy = module.definition.policy
+        cacheable = config.use_decision_cache and policy_is_cacheable(policy)
+        if cacheable:
+            cached = self.decision_cache.lookup(session, module.m_id,
+                                                function.func_id)
+            if cached is not None:
+                machine.charge(costs.SMOD_POLICY_CACHE_HIT)
+                return cached.allowed, cached.reason
         ctx = session.policy_context(
             module, function.name, now_us=machine.microseconds(),
-            args_words=function.arg_words)
+            args_words=function.arg_words, pending_calls=pending_calls)
         decision = policy.evaluate(ctx)
         if decision.steps:
             machine.charge(costs.SMOD_POLICY_STEP, decision.steps)
-            self.decision_cache.store(session, module.m_id, function.func_id,
-                                      decision)
+            if cacheable:
+                self.decision_cache.store(session, module.m_id,
+                                          function.func_id, decision)
         return decision.allowed, decision.reason
 
     def _apply_hardening(self, session: Session,
@@ -498,8 +488,7 @@ class SmodDispatcher:
                 and not machine.trace.enabled
                 and function.fixed_cost
                 and session.established and not session.torn_down
-                and (not config.per_call_policy_check
-                     or policy_is_cacheable(module.definition.policy)))
+                and policy_is_cacheable(module.definition.policy))
 
     @staticmethod
     def _shared_entry_signature(session: Session) -> Tuple[int, ...]:
@@ -882,14 +871,13 @@ class SmodDispatcher:
 
         # -- per-call credential/policy check ---------------------------------
         machine.charge(costs.SMOD_CRED_CHECK)
-        if config.per_call_policy_check:
-            allowed, reason = self._policy_check_cached(session, module,
-                                                        function, config)
-            if not allowed:
-                self.calls_denied += 1
-                machine.trace.emit("smod.call", "policy_denied",
-                                   pid=client.pid, detail_reason=reason)
-                return fail(Errno.EACCES)
+        allowed, reason = self._policy_check(session, module, function,
+                                             config)
+        if not allowed:
+            self.calls_denied += 1
+            machine.trace.emit("smod.call", "policy_denied",
+                               pid=client.pid, detail_reason=reason)
+            return fail(Errno.EACCES)
 
         result = self._round_trip(
             client, session, config,
@@ -935,7 +923,7 @@ class SmodDispatcher:
         # checks; entries the prefetch cannot answer fall back to the
         # ordinary per-entry path below.
         prefetched: Dict[Tuple[int, int], object] = {}
-        if config.per_call_policy_check and config.use_decision_cache:
+        if config.use_decision_cache:
             keys = []
             # each distinct pair once, in first-occurrence order: the order
             # the prefetch touches the cache in
@@ -967,7 +955,6 @@ class SmodDispatcher:
         pending: Dict[int, int] = {}
         modules = session.modules
         lookup_function = session.handle.lookup_function
-        check = config.per_call_policy_check
         walked = checked = served = granted = 0
         for index, frame in enumerate(frames):
             walked += 1
@@ -983,32 +970,30 @@ class SmodDispatcher:
                 entry_modules.append(None)
                 continue
             checked += 1
-            if check:
-                decision = prefetched.get((m_id, frame.func_id))
-                if decision is not None:
-                    # already validated by the batch epoch check: no
-                    # per-entry charge
-                    served += 1
-                    allowed, reason = decision.allowed, decision.reason
-                else:
+            decision = prefetched.get((m_id, frame.func_id))
+            if decision is not None:
+                # already validated by the batch epoch check: no per-entry
+                # charge
+                served += 1
+                allowed, reason = decision.allowed, decision.reason
+            else:
+                self._charge_walk(walked, checked)
+                walked = checked = 0
+                allowed, reason = self._policy_check(
+                    session, module, function, config,
+                    pending_calls=pending.get(m_id, 0))
+            if not allowed:
+                self.calls_denied += 1
+                if machine.trace.enabled:
                     self._charge_walk(walked, checked)
                     walked = checked = 0
-                    allowed, reason = self._policy_check_cached(
-                        session, module, function, config,
-                        pending_calls=pending.get(m_id, 0))
-                if not allowed:
-                    self.calls_denied += 1
-                    if machine.trace.enabled:
-                        self._charge_walk(walked, checked)
-                        walked = checked = 0
-                        machine.trace.emit("smod.call", "policy_denied",
-                                           pid=client.pid,
-                                           detail_reason=reason)
-                    outcomes[index] = DispatchOutcome(errno=Errno.EACCES,
-                                                      frame=frame)
-                    plan.append((None, False))
-                    entry_modules.append(None)
-                    continue
+                    machine.trace.emit("smod.call", "policy_denied",
+                                       pid=client.pid, detail_reason=reason)
+                outcomes[index] = DispatchOutcome(errno=Errno.EACCES,
+                                                  frame=frame)
+                plan.append((None, False))
+                entry_modules.append(None)
+                continue
             pending[m_id] = pending.get(m_id, 0) + 1
             granted += 1
             plan.append((function, True))

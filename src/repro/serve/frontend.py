@@ -35,6 +35,7 @@ from ..errors import SimulationError
 from ..kernel.errno import Errno
 from ..rpc.rpcgen import (BoundClient, GeneratedService, InterfaceDefinition,
                           generate_service)
+from ..secmodule.credentials import DEFAULT_PRINCIPAL, DEFAULT_UID
 from ..secmodule.dispatch import DispatchConfig, DispatchOutcome
 from ..secmodule.session import (DEFAULT_TENANT, SessionDescriptor,
                                  build_requirements)
@@ -46,7 +47,7 @@ from .discovery import (STATE_CODES, STATE_DOWN, STATE_UP, BackendRecord,
 
 #: the smodserve RPC program number (testincr is 0x20000101)
 SERVE_PROG = 0x20000201
-#: default service port (the RPC baseline owns 2049)
+#: the service port, bound by a root server (the RPC baseline owns 2049)
 SERVE_PORT = 3049
 
 
@@ -54,13 +55,8 @@ SERVE_PORT = 3049
 class ServiceConfig:
     """Front-end configuration (frozen: one service, one shape)."""
 
-    port: int = SERVE_PORT
-    server_uid: int = 0
     #: default attachment-pool shape for backends registered without one
     pool: PoolConfig = PoolConfig()
-    #: credential presented by worker sessions and front-end-spawned clients
-    principal: str = "alice"
-    uid: int = 1000
     #: charge the SERVE_* ops (False = cycle-transparent service plane)
     charge_ops: bool = True
     #: raise the kernel's process-table cap (10^6-session runs need one
@@ -130,9 +126,8 @@ class ServiceFrontend:
 
     def _descriptor(self, record: BackendRecord) -> SessionDescriptor:
         return SessionDescriptor(
-            build_requirements(record.modules,
-                               principal=self.config.principal,
-                               uid=self.config.uid),
+            build_requirements(record.modules, principal=DEFAULT_PRINCIPAL,
+                               uid=DEFAULT_UID),
             allow_multiple=True)
 
     # --------------------------------------------------------------- backends
@@ -179,7 +174,7 @@ class ServiceFrontend:
         if worker is None:
             worker = Program.spawn(self.kernel,
                                    f"serve-worker[{record.name}]",
-                                   uid=self.config.uid)
+                                   uid=DEFAULT_UID)
             self._workers[record.name] = worker
         session_id = worker.smod_crt0_startup(self.extension,
                                               self._descriptor(record))
@@ -210,7 +205,7 @@ class ServiceFrontend:
         if client is None:
             client = Program.spawn(self.kernel,
                                    name or f"svc-client{binding_id}",
-                                   uid=self.config.uid)
+                                   uid=DEFAULT_UID)
         if telemetry.spans:
             span.client_id = client.proc.pid
         sessions = self.extension.sessions
@@ -546,8 +541,7 @@ class ServiceFrontend:
         """Install the RPC surface (idempotent); local paths never need it."""
         if self._service is None:
             self._service = generate_service(self.kernel, self.interface(),
-                                             server_uid=self.config.server_uid,
-                                             port=self.config.port)
+                                             port=SERVE_PORT)
         return self._service
 
     @property

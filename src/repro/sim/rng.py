@@ -127,24 +127,6 @@ class DeterministicRNG:
         mu = np.log(mean) - sigma * sigma / 2.0
         return float(self._rng.lognormal(mu, sigma))
 
-    def pareto(self, mean: float, alpha: float) -> float:
-        """A classic (type I) Pareto draw with the given mean.
-
-        ``alpha`` is the tail index; ``alpha <= 1`` has no finite mean, so
-        it is rejected.  The scale is derived as
-        ``x_m = mean * (alpha - 1) / alpha`` so, like :meth:`lognormal`,
-        the draw matches the exponential think time in offered load while
-        adding the power-law tail the web-traffic literature measures.
-        """
-        if mean <= 0:
-            raise ValueError("pareto needs mean > 0")
-        if alpha <= 1.0:
-            raise ValueError(
-                "pareto tail index alpha must exceed 1 for a finite mean")
-        x_m = mean * (alpha - 1.0) / alpha
-        # numpy's pareto() samples the Lomax form: (x + 1) ~ Pareto(alpha, 1)
-        return float(x_m * (self._rng.pareto(alpha) + 1.0))
-
     def weighted_choice(self, items, weights):
         """Choose one of ``items`` with the given relative weights."""
         if len(items) != len(weights) or not items:

@@ -12,6 +12,13 @@ calls:
 * ``test_null`` — *denied* by the modules' function-denylist clause, so a
   configurable slice of the traffic exercises the EACCES unwind path.
 
+Every client presents the one client credential
+(:data:`~repro.secmodule.credentials.DEFAULT_PRINCIPAL`, uid
+:data:`~repro.secmodule.credentials.DEFAULT_UID`), and the session table
+charges its shard locks (the SMP kernel build; the paper's uniprocessor
+figures never build a traffic engine).  A service-plane run attaches each
+client to one backend per module, in the default tenant.
+
 Arrival is **closed-loop** (each client issues its next call after an
 exponential think time following the previous completion), **open-loop**
 (each client's arrivals are a pre-drawn Poisson process, independent of
@@ -22,7 +29,7 @@ randomness comes from per-client child streams of one
 same interleaving, call mix and cycle totals.
 
 Closed-loop think times are exponential by default but may be heavy-tailed
-(``think="lognormal"``/``"pareto"``, same mean, fatter tail), and the
+(``think="lognormal"``: same mean, fatter tail), and the
 ``handle_policy`` knob registers a broker pool policy for every traffic
 module — ``"per_module"`` runs all of a module's sessions through one
 shared handle co-process instead of forking one per session.
@@ -70,6 +77,7 @@ from ..errors import SimulationError
 from ..hw.machine import Machine, make_paper_machine
 from ..kernel.kernel import Kernel
 from ..obj.image import make_function_image
+from ..secmodule.credentials import DEFAULT_PRINCIPAL, DEFAULT_UID
 from ..secmodule.dispatch import DispatchConfig
 from ..secmodule.handle_pool import HandlePolicy
 from ..secmodule.module import CallEnvironment, SecModuleDefinition
@@ -103,6 +111,11 @@ TRAFFIC_FUNCTIONS: Tuple[str, ...] = ("test_incr", "getpid", "test_null")
 #: lognormal think: sigma of the underlying normal (tail weight)
 LOGNORMAL_THINK_SIGMA = 1.0
 
+#: the "quota" chain's per-session quota: far above any run's call count,
+#: so the clause costs its step and keeps the chain off the decision cache
+#: without ever denying
+TRAFFIC_QUOTA_CALLS = 1 << 30
+
 #: call-table rows turned into entries per step of an open schedule: the
 #: row numbers of one chunk exist as Python ints at a time, not 10^7
 _ROW_CHUNK = 1 << 16
@@ -127,11 +140,9 @@ class TrafficSpec:
     burst_on_us: float = 120.0
     burst_off_us: float = 480.0
     #: closed-loop think-time distribution: "exponential" (the classic
-    #: M/M/1-style loop), "lognormal" or "pareto" (heavy-tailed think times;
-    #: same mean, fatter tail).  Open-loop/mmpp schedules ignore this.
+    #: M/M/1-style loop) or "lognormal" (heavy-tailed think times; same
+    #: mean, fatter tail).  Open-loop/mmpp schedules ignore this.
     think: str = "exponential"
-    #: pareto think: tail index (must exceed 1 for a finite mean)
-    think_alpha: float = 2.5
     #: calls queued per flush: 1 issues every call through the paper's
     #: single-call path; >1 flushes queues through sys_smod_call_batch
     batch_size: int = 1
@@ -153,18 +164,9 @@ class TrafficSpec:
     handle_policy: str = "per_session"
     #: per-handle session cap when handle_policy="pooled"
     pool_max_sessions: int = 8
-    #: one session per module per client (the multi-session engine); when
-    #: False each client opens a single session naming every module
-    multi_session: bool = True
-    #: charge the per-shard lock-acquisition micro-op on session-table
-    #: touches (the SMP build of the kernel; the paper's uniprocessor
-    #: figures compile it out)
-    smp_shard_locks: bool = True
     #: policy chain attached to every traffic module: "static" (cacheable),
     #: "quota", "expiry", or "deny-only"
     policy_kind: str = "static"
-    #: quota for policy_kind="quota"
-    quota_calls: int = 1 << 30
     #: partition the clients into this many independent groups for the
     #: sharded parallel runner (:mod:`repro.workloads.shard`).  Clients are
     #: assigned round-robin (client ``i`` → shard ``i % shards``); each
@@ -191,9 +193,6 @@ class TrafficSpec:
     #: default — the paper's figures never construct a front-end and their
     #: charge sequence is untouched (asserted differentially).
     via_service: bool = False
-    #: service-plane runs: spread clients round-robin over this many
-    #: tenants (>1 switches the session table hierarchical)
-    service_tenants: int = 1
     #: broker seat-queue deadline shedding (overload protection): an
     #: open-loop arrival whose queueing delay already exceeds this is shed
     #: at admission — one charged SERVE_SHED instead of a full dispatch
@@ -206,8 +205,6 @@ class TrafficSpec:
     #: (function name, relative weight) per drawn call: names from
     #: TRAFFIC_FUNCTIONS, weights positive
     call_mix: Tuple[Tuple[str, float], ...] = DEFAULT_CALL_MIX
-    uid: int = 1000
-    principal: str = "alice"
     seed: int = 0xB07_7E57
 
     def __post_init__(self) -> None:
@@ -218,10 +215,8 @@ class TrafficSpec:
                 "shards must be between 1 and the client count")
         if self.arrival not in ("closed", "open", "mmpp"):
             raise SimulationError(f"unknown arrival mode {self.arrival!r}")
-        if self.think not in ("exponential", "lognormal", "pareto"):
+        if self.think not in ("exponential", "lognormal"):
             raise SimulationError(f"unknown think-time model {self.think!r}")
-        if self.think == "pareto" and self.think_alpha <= 1.0:
-            raise SimulationError("pareto think times need think_alpha > 1")
         if self.batch_size < 1:
             raise SimulationError("batch_size must be at least 1")
         if self.adaptive_batch:
@@ -251,8 +246,6 @@ class TrafficSpec:
             if self.adaptive_batch:
                 raise SimulationError(
                     "via_service and adaptive_batch are mutually exclusive")
-            if self.service_tenants < 1:
-                raise SimulationError("service_tenants must be >= 1")
         if self.shed_deadline_us < 0.0:
             raise SimulationError("shed_deadline_us must be >= 0")
         if self.shed_deadline_us > 0.0 and self.arrival not in ("open",
@@ -282,8 +275,6 @@ class TrafficSpec:
             if not weight > 0.0:
                 raise SimulationError(
                     f"call_mix weight of {name!r} must be positive")
-        if self.quota_calls < 1:
-            raise SimulationError("quota_calls must be at least 1")
         # raises on an unknown policy spec
         self.broker_policy()
 
@@ -302,15 +293,15 @@ def traffic_policy(spec: TrafficSpec) -> Policy:
     disqualifies the whole chain from the decision cache.
     """
     static_clauses: List[Policy] = [
-        UidAllowPolicy([spec.uid]),
-        PrincipalAllowPolicy([spec.principal]),
+        UidAllowPolicy([DEFAULT_UID]),
+        PrincipalAllowPolicy([DEFAULT_PRINCIPAL]),
         FunctionDenyPolicy(["test_null"]),
     ]
     if spec.policy_kind == "static":
         return CompositePolicy(static_clauses)
     if spec.policy_kind == "quota":
         return CompositePolicy(static_clauses +
-                               [CallQuotaPolicy(spec.quota_calls)])
+                               [CallQuotaPolicy(TRAFFIC_QUOTA_CALLS)])
     if spec.policy_kind == "expiry":
         return CompositePolicy(static_clauses + [CredentialExpiryPolicy()])
     if spec.policy_kind == "deny-only":
@@ -355,7 +346,7 @@ class ClientState:
 
     index: int
     program: Program
-    #: m_id -> session (multi-session) or the single shared session
+    #: m_id -> the client's session on that module
     sessions: Dict[int, object] = field(default_factory=dict)
     rng: Optional[DeterministicRNG] = None
     calls_issued: int = 0
@@ -427,11 +418,19 @@ class TrafficResult:
 
         ``latencies_us`` is chronological per client, so for a one-client
         run this is the converged-state cost after a controller's ramp-up;
-        multi-client runs get the per-client tails concatenated.
+        multi-client runs get the per-client tails concatenated.  A shed
+        call records no latency, so after a shed the concatenation no
+        longer splits into ``calls_per_client`` runs per client: that
+        raises.
         """
         if not 0.0 < fraction <= 1.0:
             raise SimulationError("tail fraction must be in (0, 1]")
         per_client = self.spec.calls_per_client
+        if len(self.latencies_us) != self.spec.clients * per_client:
+            raise SimulationError(
+                f"per-client tails need {per_client} latencies from each "
+                f"of {self.spec.clients} clients; the run recorded "
+                f"{len(self.latencies_us)} (shed calls record none)")
         tail: List[float] = []
         for start in range(0, len(self.latencies_us), per_client):
             chunk = self.latencies_us[start:start + per_client]
@@ -479,7 +478,8 @@ class TrafficEngine:
         self.machine = machine or make_paper_machine(seed=spec.seed)
         self.kernel = Kernel(machine=self.machine).boot()
         self.extension: SmodExtension = install_secmodule(self.kernel)
-        self.extension.sessions.charge_shard_locks = spec.smp_shard_locks
+        # the SMP kernel build: session-table touches pay their shard lock
+        self.extension.sessions.charge_shard_locks = True
         #: the machine's observation plane; the spec switches its sinks on
         self.telemetry = self.machine.telemetry
         if spec.telemetry:
@@ -589,63 +589,44 @@ class TrafficEngine:
         if spec.via_service:
             # deferred import: the service plane is compiled out of every
             # non-service run, and the import itself stays off their path
-            from ..serve.frontend import ServiceConfig, ServiceFrontend
-            self.frontend = ServiceFrontend(
-                self.kernel, self.extension,
-                config=ServiceConfig(principal=spec.principal, uid=spec.uid))
-            if spec.multi_session:
-                # one backend per module, mirroring the session topology
-                for registered in self.modules:
-                    service_backends.append(self.frontend.register_backend(
-                        registered.name, [registered], policy=broker_policy))
-            else:
-                service_backends.append(self.frontend.register_backend(
-                    "traffic", self.modules, policy=broker_policy))
+            from ..serve.frontend import ServiceFrontend
+            self.frontend = ServiceFrontend(self.kernel, self.extension)
+            # one backend per module, mirroring the session topology
             for registered in self.modules:
+                service_backends.append(self.frontend.register_backend(
+                    registered.name, [registered], policy=broker_policy))
                 for function in registered.definition.functions():
                     self._service_funcs[(registered.m_id, function.name)] = \
                         (function.func_id, function.arg_words)
 
         for c in self.client_ids:
             program = Program.spawn(self.kernel, f"traffic-client{c}",
-                                    uid=spec.uid)
+                                    uid=DEFAULT_UID)
             state = ClientState(index=c, program=program,
                                 rng=self.rng.child(f"client:{c}"))
             if spec.via_service:
-                tenant = c % spec.service_tenants
                 bindings = self._service_bindings.setdefault(c, {})
-                for record in service_backends:
-                    binding = self.frontend.attach(record, tenant=tenant,
-                                                   client=program)
-                    bindings.update({registered.m_id: binding.binding_id
-                                     for registered in record.modules})
-                    for registered in record.modules:
-                        state.sessions[registered.m_id] = binding.session
+                for registered, record in zip(self.modules, service_backends):
+                    binding = self.frontend.attach(record, client=program)
+                    bindings[registered.m_id] = binding.binding_id
+                    state.sessions[registered.m_id] = binding.session
                 self._service_clients[c] = self.frontend.make_client(
                     program.proc)
-            elif spec.multi_session:
+            else:
                 # one session per module: N x M entries in the sharded table
                 for registered in self.modules:
-                    session = self._start_session(program, [registered],
-                                                  allow_multiple=True)
-                    state.sessions[registered.m_id] = session
-            else:
-                session = self._start_session(program, self.modules,
-                                              allow_multiple=False)
-                for registered in self.modules:
-                    state.sessions[registered.m_id] = session
+                    state.sessions[registered.m_id] = \
+                        self._start_session(program, registered)
             self.clients.append(state)
             self._client_by_id[state.index] = state
         self._built = True
         return self
 
-    def _start_session(self, program: Program, registered_modules,
-                       *, allow_multiple: bool):
+    def _start_session(self, program: Program, registered):
         descriptor = SessionDescriptor(
-            build_requirements(registered_modules,
-                               principal=self.spec.principal,
-                               uid=self.spec.uid),
-            allow_multiple=allow_multiple)
+            build_requirements([registered], principal=DEFAULT_PRINCIPAL,
+                               uid=DEFAULT_UID),
+            allow_multiple=True)
         session_id = program.smod_crt0_startup(self.extension, descriptor)
         return self.extension.sessions.get(session_id)
 
@@ -1080,16 +1061,13 @@ class TrafficEngine:
         """Per-client closed-loop think-time draw (``TrafficSpec.think``).
 
         The exponential default reproduces the original engine draw for
-        draw; lognormal/pareto keep the same mean think time but add the
-        heavy tail, so a seed change is the only way totals move.
+        draw; lognormal keeps the same mean think time but adds the heavy
+        tail, so a seed change is the only way totals move.
         """
         spec = self.spec
         if spec.think == "lognormal":
             return lambda: state.rng.lognormal(spec.mean_interval_us,
                                                LOGNORMAL_THINK_SIGMA)
-        if spec.think == "pareto":
-            return lambda: state.rng.pareto(spec.mean_interval_us,
-                                            spec.think_alpha)
         return lambda: state.rng.exponential(spec.mean_interval_us)
 
     def _call_table(self) -> List[Tuple]:

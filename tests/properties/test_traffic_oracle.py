@@ -16,8 +16,8 @@ case by case:
   queueing delay per issued call.
 
 A second strategy draws the same specs under every policy chain the engine
-builds (static, quota with a quota small enough to run out, expiry,
-deny-only) and every ``DispatchConfig(hardening, marshalling)`` of the
+builds (static, quota, expiry, deny-only) and every
+``DispatchConfig(hardening, marshalling)`` of the
 3 x 2 grid, and asserts fast-forward on accounts exactly as op by op there
 too: the stateful chains, the suspend/resume and unmap hardenings and
 explicit-copy marshalling all run on the op-by-op path.  A third draws
@@ -107,8 +107,6 @@ def policy_and_dispatch_draws(draw):
     kwargs = draw(traffic_specs())
     kwargs["policy_kind"] = draw(st.sampled_from(
         ["static", "quota", "expiry", "deny-only"]))
-    if kwargs["policy_kind"] == "quota":
-        kwargs["quota_calls"] = draw(st.integers(1, 8))
     config = DispatchConfig(
         hardening=draw(st.sampled_from(list(HardeningMode))),
         marshalling=draw(st.sampled_from(list(MarshallingMode))))

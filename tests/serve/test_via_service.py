@@ -31,12 +31,6 @@ class TestViaService:
         assert result.total_calls == 32
         assert len(result.queue_delays_us) == 32
 
-    def test_multi_tenant_traffic_spreads_sessions(self):
-        spec = TrafficSpec(clients=4, modules=1, calls_per_client=4,
-                           via_service=True, service_tenants=2, seed=7)
-        result = run_traffic(spec)
-        assert result.total_calls == 16
-
     def test_deterministic_across_runs(self):
         spec = TrafficSpec(clients=3, modules=2, calls_per_client=5,
                            via_service=True, seed=42)
@@ -52,8 +46,6 @@ class TestViaService:
         with pytest.raises(SimulationError, match="mutually exclusive"):
             TrafficSpec(clients=2, via_service=True, adaptive_batch=True,
                         arrival="open")
-        with pytest.raises(SimulationError, match="service_tenants"):
-            TrafficSpec(clients=2, via_service=True, service_tenants=0)
 
 
 class TestCompiledOut:

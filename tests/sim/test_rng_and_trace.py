@@ -82,32 +82,6 @@ class TestHeavyTailedThinkSamplers:
         with pytest.raises(ValueError):
             rng.lognormal(1.0, -0.1)
 
-    def test_pareto_deterministic_per_seed(self):
-        a = DeterministicRNG(654)
-        b = DeterministicRNG(654)
-        assert [a.pareto(25.0, 2.5) for _ in range(10)] == \
-            [b.pareto(25.0, 2.5) for _ in range(10)]
-
-    def test_pareto_mean_and_scale_floor(self):
-        rng = DeterministicRNG(6)
-        draws = [rng.pareto(25.0, 2.5) for _ in range(20000)]
-        x_m = 25.0 * 1.5 / 2.5
-        assert all(d >= x_m for d in draws)        # the Pareto scale floor
-        assert abs(sum(draws) / len(draws) - 25.0) / 25.0 < 0.1
-
-    def test_pareto_heavier_tail_than_exponential(self):
-        rng = DeterministicRNG(8)
-        pareto = sorted(rng.pareto(25.0, 1.5) for _ in range(5000))
-        exp = sorted(rng.exponential(25.0) for _ in range(5000))
-        assert pareto[-1] > exp[-1]                # extreme draws reach further
-
-    def test_pareto_validation(self):
-        rng = DeterministicRNG(5)
-        with pytest.raises(ValueError):
-            rng.pareto(25.0, 1.0)                  # infinite-mean tail index
-        with pytest.raises(ValueError):
-            rng.pareto(-1.0, 2.0)
-
 
 #: spans of ``integer(low, low + span)``: the 32-bit Lemire path at its
 #: edges (0 draws nothing, 2**31 + 12345 rejects about half its draws,

@@ -100,11 +100,6 @@ class TestViaService:
         assert {"rpc.attach", "rpc.serve_call", "serve.call",
                 "serve.resolve", "dispatch.call"} <= kinds
 
-    def test_closed_loop_multi_tenant(self):
-        assert_traced_identical(
-            clients=4, modules=2, calls_per_client=12, via_service=True,
-            service_tenants=2)
-
     def test_spans_form_trees(self):
         result = assert_traced_identical(
             clients=2, modules=1, calls_per_client=8, arrival="mmpp",

@@ -54,9 +54,6 @@ SPECS: Dict[str, Dict[str, object]] = {
     "closed-depth1-one-module": dict(_CLOSED, modules=1, calls_per_client=24),
     "closed-batch4": dict(_CLOSED, calls_per_client=9, batch_size=4),
     "closed-lognormal": dict(_CLOSED, think="lognormal"),
-    "closed-pareto": dict(_CLOSED, think="pareto"),
-    "closed-one-session": dict(_CLOSED, multi_session=False),
-    "closed-quota": dict(_CLOSED, policy_kind="quota", quota_calls=4),
     "closed-quota-default": dict(_CLOSED, policy_kind="quota"),
     "closed-pooled": dict(_CLOSED, handle_policy="pooled",
                           pool_max_sessions=2),
@@ -70,7 +67,6 @@ SPECS: Dict[str, Dict[str, object]] = {
     "open-depth1-three-modules": dict(_OPEN, modules=3),
     "open-depth1-five-modules": dict(_OPEN, modules=5),
     "mmpp-depth1-three-modules": dict(_MMPP, modules=3),
-    "open-depth1-one-session": dict(_OPEN, multi_session=False),
     "open-depth1-one-function": dict(_OPEN, call_mix=(("getpid", 1.0),)),
     # more (client, module, function) triples than a byte can number
     "open-depth1-many-clients": dict(_OPEN, clients=100, calls_per_client=8),
@@ -107,11 +103,6 @@ SPECS: Dict[str, Dict[str, object]] = {
     # service-plane RPC sink
     "service-closed": dict(_CLOSED, via_service=True),
     "service-open": dict(_OPEN, via_service=True),
-    "service-mmpp-tenants-observed": dict(_MMPP, via_service=True,
-                                          service_tenants=2, telemetry=True,
-                                          tracing=True),
-    "service-one-session": dict(_CLOSED, via_service=True,
-                                multi_session=False),
     "service-mmpp-observed": dict(_MMPP, via_service=True, telemetry=True,
                                   tracing=True),
     # seat-queue shedding

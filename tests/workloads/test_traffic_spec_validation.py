@@ -57,14 +57,8 @@ def test_non_positive_call_mix_weight_is_rejected(weight):
         TrafficSpec(call_mix=(("test_incr", 1.0), ("getpid", weight)))
 
 
-@pytest.mark.parametrize("policy_kind", ["quota", "static"])
-def test_quota_below_one_is_rejected(policy_kind):
-    with pytest.raises(SimulationError, match="quota_calls"):
-        TrafficSpec(policy_kind=policy_kind, quota_calls=0)
-
-
 def test_valid_edges_still_construct():
     TrafficSpec(arrival="mmpp", mean_interval_us=0.5, burst_interval_us=0.5,
                 burst_on_us=0.5, burst_off_us=0.5)
-    TrafficSpec(policy_kind="quota", quota_calls=1,
+    TrafficSpec(policy_kind="quota",
                 call_mix=(("getpid", 0.25), ("test_null", 0.75)))
