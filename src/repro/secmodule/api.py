@@ -42,7 +42,6 @@ from ..kernel.proc import Proc
 from ..userland.process import Program
 from .credentials import DEFAULT_PRINCIPAL, DEFAULT_UID, Credential
 from .dispatch import DispatchConfig, DispatchOutcome
-from .handle_pool import HandlePolicy
 from .libc_conversion import build_test_module, convert_libc
 from .module import SecModuleDefinition
 from .policy import Policy

@@ -17,10 +17,10 @@ case by case:
 
 A second strategy draws the same specs under every policy chain the engine
 builds (static, quota, expiry, deny-only) and every
-``DispatchConfig(hardening, marshalling)`` of the
-3 x 2 grid, and asserts fast-forward on accounts exactly as op by op there
-too: the stateful chains, the suspend/resume and unmap hardenings and
-explicit-copy marshalling all run on the op-by-op path.  A third draws
+``DispatchConfig(hardening, marshalling)`` of the 3 x 2 grid, and asserts
+fast-forward on accounts exactly as op by op there too: the stateful
+chains, the suspend/resume and unmap hardenings and explicit-copy
+marshalling all run on the op-by-op path.  A third draws
 the specs fast-forward runs through the inline depth-1 arm, whose calls come
 from a call table drawn in bulk, and asserts op by op (the general arm,
 drawing one call at a time) accounts alike and leaves every client's bit
