@@ -19,7 +19,7 @@ depth:
 * in between, hold.
 
 Lull detection is **gap-based**: when the gap since the previous arrival
-reaches :attr:`AdaptiveConfig.linger_us`, :meth:`observe_arrival` returns
+reaches :data:`LINGER_US`, :meth:`observe_arrival` returns
 True and the engine drains whatever is queued at that arrival (and a
 client's final arrival drains its own leftovers), so a burst's stragglers
 wait at most one lull.  There is deliberately no age-based flush timer —
@@ -41,6 +41,12 @@ from ..errors import SimulationError
 #: natural scale for "are calls arriving faster than we can dispatch them".
 SINGLE_CALL_DISPATCH_US = 6.4
 
+#: gap-based lull bound, virtual microseconds: an arrival gap at or beyond
+#: this drains the pending queue at that next arrival (stragglers wait at
+#: most one lull; deliberately not an age-based timer — see the module
+#: docs)
+LINGER_US = 24.0
+
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
@@ -59,10 +65,6 @@ class AdaptiveConfig:
     increase_step: int = 4
     #: multiplicative decrease divisor per flush
     decrease_factor: float = 2.0
-    #: gap-based lull bound: an arrival gap at or beyond this drains the
-    #: pending queue at that next arrival (stragglers wait at most one
-    #: lull; deliberately not an age-based timer — see the module docs)
-    linger_us: float = 24.0
     #: closed-loop service-time feed: when set (>0) *and* a
     #: ``service_p95_supplier`` is wired on the controller, a flush whose
     #: observed service-time p95 exceeds this target shrinks the depth
@@ -88,8 +90,6 @@ class AdaptiveConfig:
         if self.increase_step < 1 or self.decrease_factor <= 1.0:
             raise SimulationError(
                 "AIMD needs increase_step >= 1 and decrease_factor > 1")
-        if self.linger_us <= 0:
-            raise SimulationError("linger_us must be positive")
         if self.service_p95_target_us < 0.0:
             raise SimulationError("service_p95_target_us must be >= 0")
 
@@ -137,7 +137,7 @@ class AdaptiveBatchController:
                 alpha = self.config.ewma_alpha
                 self.ewma_us = (gap if self.ewma_us is None
                                 else alpha * gap + (1.0 - alpha) * self.ewma_us)
-                lull = gap >= self.config.linger_us
+                lull = gap >= LINGER_US
         self._last_arrival_us = now_us
         self.arrivals += 1
         return lull

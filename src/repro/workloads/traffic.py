@@ -55,10 +55,14 @@ picks three parts once per run:
 
 Parts compose: seat-queue shedding (``shed_deadline_us``) acts on open-loop
 arrivals under either flush policy.  Static depth-1 runs with fast-forward
-on take the loop's inline arm, the same steps with every hop inlined, and
-each arrival brings its call as an entry of a per-run call table: the
-open/MMPP source draws every client's calls in bulk with its schedule,
-the closed source draws each one as it pops the arrival.
+on take the loop's inline arm, and each arrival brings its call as an
+entry of a per-run call table.  With an open/MMPP source the arm is an
+array arm: every client's calls are drawn in bulk with its schedule, and
+the arrivals between two fallbacks to the dispatch path are settled in
+numpy, a chunk of the schedule at a time, with no Python step per
+arrival.  With the closed source the arm is scalar, the loop's steps with
+every hop inlined: it draws each call as it pops the arrival, whose time
+depends on the previous completion.
 """
 
 from __future__ import annotations
@@ -116,9 +120,22 @@ LOGNORMAL_THINK_SIGMA = 1.0
 #: without ever denying
 TRAFFIC_QUOTA_CALLS = 1 << 30
 
-#: call-table rows turned into entries per step of an open schedule: the
-#: row numbers of one chunk exist as Python ints at a time, not 10^7
-_ROW_CHUNK = 1 << 16
+#: arrivals of an open schedule the array arm settles per step: its
+#: per-arrival temporaries exist for one chunk at a time (ff-steady's
+#: peak RSS read 54.7 MiB with chunks of 2^17 arrivals, 51.4 with 2^14,
+#: 50.4 before the array arm)
+_ARRIVAL_CHUNK = 1 << 14
+
+#: clock candidates the array arm repairs per chunk before it finishes
+#: the chunk with the scalar recurrence (`_scalar_starts`): each repair
+#: recomputes the rest of the chunk, so no input costs much more than
+#: the scalar step
+_CHUNK_REPAIRS = 8
+
+#: arrivals the array arm first looks ahead for keys to probe after a
+#: fallback; each further look takes four times as many, so a run of
+#: fallbacks costs a short scan each, not one of the whole chunk
+_PROBE_SPAN = 64
 
 
 @dataclass(frozen=True)
@@ -463,6 +480,77 @@ class TrafficResult:
         return text
 
 
+def _lindley_starts(at: np.ndarray, cycles: np.ndarray, x: int,
+                    spec_mhz: float) -> np.ndarray:
+    """Candidate start cycles of a window run: the clock step's max-plus
+    (Lindley) form.
+
+    Arrival n, scheduled at ``at[n]`` and charging ``cycles[n]``, starts
+    at ``C_n + max(x, max over k <= n of (rint(at_k * spec_mhz) - C_k))``
+    with ``C`` the exclusive running sum of ``cycles``: it waits for its
+    time or for its predecessor, whichever is later.  The scalar step
+    rounds the wait, not the arrival time, through the profile's MHz, so
+    a candidate can be off: `TrafficEngine._clock_starts` checks each.
+    """
+    served = np.empty(len(at), np.int64)
+    served[0] = 0
+    np.cumsum(cycles[:-1], out=served[1:])
+    starts = np.rint(at * spec_mhz).astype(np.int64)
+    starts -= served
+    np.maximum.accumulate(starts, out=starts)
+    np.maximum(starts, x, out=starts)
+    starts += served
+    return starts
+
+
+def _scalar_starts(at: List[float], cycles: List[int], x: int,
+                   profile_mhz: float, spec_mhz: float
+                   ) -> Tuple[List[int], List[bool]]:
+    """The clock step, one arrival at a time, from ``x`` cycles: each
+    arrival's start cycle and whether it idled.
+
+    An arrival later than now (``x / profile_mhz``) idles the wait
+    rounded to cycles at the spec's MHz, and counts one idle event even
+    when that rounds to zero; then its ``cycles`` are charged.
+    """
+    starts: List[int] = []
+    idled: List[bool] = []
+    for at_n, cycles_n in zip(at, cycles):
+        now = x / profile_mhz
+        waits = at_n > now
+        if waits:
+            x += int(round((at_n - now) * spec_mhz))
+        starts.append(x)
+        idled.append(waits)
+        x += cycles_n
+    return starts, idled
+
+
+@dataclass
+class _KeyViews:
+    """The call table as the array arm reads it: each row's trace key and
+    client as arrays, and each key's window.
+
+    Key ids index the per-key lists and arrays; the rows without a trace
+    key map to the extra id ``len(keys)``, whose window is never open.
+    """
+
+    #: call-table row -> key id
+    row_key: np.ndarray
+    #: call-table row -> client position in ``TrafficEngine.clients``
+    row_client: np.ndarray
+    keys: List[Tuple]
+    sessions: List
+    states: List[ClientState]
+    #: key id -> its open window (as in ``_ff_windows``), stale once shut
+    windows: List[Optional[List]]
+    #: key id -> whether its window is open since the last barrier
+    is_open: np.ndarray
+    #: key id -> its window entry's trace cycles and latency float
+    cycles: np.ndarray
+    latency: np.ndarray
+
+
 class TrafficEngine:
     """Builds the system and drives one deterministic traffic run."""
 
@@ -556,6 +644,10 @@ class TrafficEngine:
         #: under (`_config_for`)
         self._depth_configs: Dict[int, DispatchConfig] = {}
         self._mhz = float(self.machine.spec.mhz)
+        #: clock candidates the array arm repaired (`_clock_starts`), and
+        #: the repairs its current chunk has left
+        self._clock_repairs = 0
+        self._repairs_left = _CHUNK_REPAIRS
         # hot-loop caches: bound methods/objects resolved once (the run
         # loop touches these a few times per simulated call)
         self._dispatcher = self.extension.dispatcher
@@ -879,16 +971,18 @@ class TrafficEngine:
         check (open-loop runs), the draw of the arrival's calls and the
         flush, when the policy calls for one.
 
-        Static depth-1 runs with fast-forward on take the inline arm: the
-        same observable sequence (RNG draws, delay records, a probe per
-        window opened, last-use stamps, accumulated charges, fallback
-        order) with every hop inlined and the deferred-charge accumulators
-        mirrored into locals.  Both arrival sources hand the arm an entry
-        of the run's call table (`_call_table`) instead of a client index:
-        the open/MMPP source pre-draws each client's module picks and call
-        draws with its schedule, the closed source draws them as it pops
-        the arrival.  At 10^7-call sizes the frames it saves *are* the
-        simulation time (docs/performance.md, "One traffic loop").
+        Static depth-1 runs with fast-forward on take the inline arm, which
+        keeps the same observable sequence (RNG draws, delay records, a
+        probe per window opened, last-use stamps, accumulated charges,
+        fallback order) and takes each arrival's call from the run's call
+        table (`_call_table`).  An open/MMPP source hands the whole
+        schedule to the array arm (`_drive_arrays`), which settles the
+        arrivals between two fallbacks in numpy.  The closed source takes
+        the scalar arm below: the loop's steps with every hop inlined and
+        the deferred-charge accumulators mirrored into locals, drawing each
+        call as it pops the arrival.  At 10^7-call sizes the frames they
+        save *are* the simulation time (docs/performance.md, "One traffic
+        loop").
         """
         spec = self.spec
         # arrival source: each client gets ceil(calls / batch_size) arrivals
@@ -899,13 +993,16 @@ class TrafficEngine:
             state.arrivals_left = per_client
         inline = batch_size == 1 and self._ff_enabled and \
             not spec.adaptive_batch
-        table = self._call_table() if inline else None
         open_loop = spec.arrival != "closed"
+        if inline and open_loop:
+            self._drive_arrays(per_client)
+            return
+        table = self._call_table() if inline else None
         if open_loop:
-            times, items = self._open_schedule_sorted(per_client, table)
-            # (time, client index), or (time, call-table entry) inline
-            arrivals: Iterator[Tuple[float, object]] = zip(times, items)
+            times, indices = self._open_schedule_sorted(per_client)
+            arrivals: Iterator[Tuple[float, object]] = zip(times, indices)
         else:
+            # (time, client index), or (time, call-table entry) inline
             arrivals = self._closed_arrivals(table)
         # flush policy: static batches unless the AIMD controller owns it
         if spec.adaptive_batch:
@@ -915,7 +1012,6 @@ class TrafficEngine:
         modules = self.modules
         single = len(modules) == 1
         last_module = len(modules) - 1
-        observe_queue = self.telemetry.enabled
         broker = self.extension.broker
         shed = self._broker_shed
         if inline:
@@ -929,8 +1025,8 @@ class TrafficEngine:
             windows = self._ff_windows
             probe = self._dispatcher.fast_forward_probe
             # deferred-charge accumulators mirrored into locals; written
-            # back around every slow-path excursion, before a closed source
-            # schedules the next arrival, and at loop exit
+            # back after every arrival, which the closed source reads when
+            # it schedules the client's next one
             pending = self._pending_cycles
             idle_pending = self._pending_idle_cycles
             idle_events = self._pending_idle_events
@@ -941,7 +1037,7 @@ class TrafficEngine:
 
         for at, item in arrivals:
             if inline:
-                state, delay_append, lat_append, session, name, key = item
+                state, _, lat_append, session, name, key = item
                 # -- _advance_clock_to(at), inlined ----------------------
                 now = (base_cycles + pending) / profile_mhz
                 if at > now:
@@ -949,14 +1045,6 @@ class TrafficEngine:
                     pending += idle
                     idle_pending += idle
                     idle_events += 1
-                    now = (base_cycles + pending) / profile_mhz
-                if open_loop:
-                    delay = now - at
-                    if delay < 0.0:
-                        delay = 0.0
-                    delay_append(delay)
-                    if observe_queue:
-                        broker.record_queue_delay(session, delay)
                 # -- the sink: fast-forward offer, else settle and dispatch
                 window = None
                 if key is not None:
@@ -977,11 +1065,6 @@ class TrafficEngine:
                     lat_append(cycles / mhz)
                     state.calls_denied += entry.denied
                 else:
-                    # arguments never enter the trace key and are not drawn
-                    # from the RNG: synthesizing them only here is
-                    # draw-for-draw identical to _draw_call
-                    args = ((state.calls_issued,) if name == "test_incr"
-                            else ())
                     # settle through the real flush: sync the mirrored
                     # state out, dispatch, then re-sync (the flush zeroed
                     # the accumulators and the call advanced the clock)
@@ -989,18 +1072,15 @@ class TrafficEngine:
                     self._pending_idle_cycles = idle_pending
                     self._pending_idle_events = idle_events
                     self._ff_flush()
-                    self._dispatch_queue_slow(state, session, [(name, args)])
+                    self._dispatch_fallback(state, session, name)
                     pending = self._pending_cycles
                     idle_pending = self._pending_idle_cycles
                     idle_events = self._pending_idle_events
                     base_cycles = clock.cycles
                 state.arrivals_left -= 1
-                if not open_loop:
-                    # the closed source reads the clock when it schedules
-                    # this client's next arrival
-                    self._pending_cycles = pending
-                    self._pending_idle_cycles = idle_pending
-                    self._pending_idle_events = idle_events
+                self._pending_cycles = pending
+                self._pending_idle_cycles = idle_pending
+                self._pending_idle_events = idle_events
                 continue
 
             state = by_id[item]
@@ -1030,10 +1110,277 @@ class TrafficEngine:
                     or not state.arrivals_left:
                 self._flush(state)
         if inline:
-            self._pending_cycles = pending
-            self._pending_idle_cycles = idle_pending
-            self._pending_idle_events = idle_events
             self._ff_uses = uses
+
+    def _dispatch_fallback(self, state: ClientState, session,
+                           name: str) -> None:
+        """Dispatch an inline arm's call that no window takes, on a
+        settled engine.
+
+        Arguments never enter the trace key and are not drawn from the
+        RNG: synthesizing them only here is draw-for-draw identical to
+        `_draw_call`.
+        """
+        args = (state.calls_issued,) if name == "test_incr" else ()
+        self._dispatch_queue_slow(state, session, [(name, args)])
+
+    # ------------------------------------------------------------- array arm
+    def _drive_arrays(self, per_client: int) -> None:
+        """The inline arm over an open/MMPP schedule, in numpy.
+
+        Between two barriers an arrival's step is integer and float
+        arithmetic on what the schedule fixes in advance: its time, its
+        call-table row, and the trace cycles of its key's window.  So the
+        arm walks the schedule a chunk (`_ARRIVAL_CHUNK`) at a time and
+        splits each chunk at its **fallback arrivals**, those whose row has
+        no trace key or whose probe fails.  The arrivals between two are a
+        **window run**: all of them join open windows, and
+        `_settle_run` accounts for the whole run at once.  A fallback
+        arrival idles to its time, records its delay, settles the barrier
+        and dispatches through `_dispatch_queue_slow`.
+
+        Probes run ahead of the arrivals that join their windows
+        (`_probe_ahead`), in the order the keys first appear, which is the
+        order a step per arrival reaches them in, so windows open (and
+        commit) in first-use order.  That is sound because nothing a probe
+        reads changes between two barriers, and `_ff_flush`'s re-check
+        raises if it ever does.
+        """
+        table = self._call_table()
+        times, rows = self._open_schedule_sorted(per_client, rows=True)
+        views = self._key_views(table)
+        observe = self.telemetry.enabled
+        record_delay = self.extension.broker.record_queue_delay
+        clock = self.machine.clock
+        profile_mhz = self.machine.meter.profile.mhz
+        spec_mhz = self.machine.spec.mhz
+        for start in range(0, len(times), _ARRIVAL_CHUNK):
+            at = times[start:start + _ARRIVAL_CHUNK]
+            chunk_rows = rows[start:start + _ARRIVAL_CHUNK]
+            kid = views.row_key[chunk_rows]
+            self._repairs_left = _CHUNK_REPAIRS
+            pos = 0
+            while pos < len(at):
+                end = self._probe_ahead(views, kid, pos)
+                if end > pos:
+                    self._settle_run(views, at[pos:end], chunk_rows[pos:end],
+                                     kid[pos:end])
+                if end == len(at):
+                    break
+                # the fallback arrival: the clock step, its delay, the
+                # barrier and the dispatch path
+                at_n = at.item(end)
+                state, delay_append, _, session, name, _ = \
+                    table[chunk_rows.item(end)]
+                # -- _advance_clock_to(at_n), inlined
+                before = clock.cycles + self._pending_cycles
+                now = before / profile_mhz
+                if at_n > now:
+                    idle = int(round((at_n - now) * spec_mhz))
+                    self._pending_cycles += idle
+                    self._pending_idle_cycles += idle
+                    self._pending_idle_events += 1
+                    now = (before + idle) / profile_mhz
+                delay = max(0.0, now - at_n)
+                delay_append(delay)
+                if observe:
+                    record_delay(session, delay)
+                if self._ff_windows:
+                    views.is_open[:] = False    # the barrier shuts them all
+                self._ff_flush()
+                self._dispatch_fallback(state, session, name)
+                state.arrivals_left -= 1
+                pos = end + 1
+
+    def _key_views(self, table: List[Tuple]) -> _KeyViews:
+        """The array arm's views of the call ``table``, every window shut."""
+        keys: List[Tuple] = []
+        key_ids: Dict[Tuple, int] = {}
+        sessions: List = []
+        states: List[ClientState] = []
+        row_key = []
+        for state, _, _, session, _, key in table:
+            if key is not None and key not in key_ids:
+                key_ids[key] = len(keys)
+                keys.append(key)
+                sessions.append(session)
+                states.append(state)
+            row_key.append(-1 if key is None else key_ids[key])
+        keyless = len(keys)
+        ids = np.array(row_key, np.int64)
+        ids[ids < 0] = keyless
+        clients = len(self.clients)
+        return _KeyViews(
+            row_key=ids.astype(np.min_scalar_type(keyless)),
+            # small unsigned positions: numpy's stable sort on them (the
+            # per-client split of `_settle_run`) is a radix sort
+            row_client=np.repeat(
+                np.arange(clients, dtype=np.min_scalar_type(clients - 1)),
+                len(table) // clients),
+            keys=keys, sessions=sessions, states=states,
+            windows=[None] * keyless,
+            is_open=np.zeros(keyless + 1, np.bool_),
+            cycles=np.zeros(keyless + 1, np.int64),
+            latency=np.zeros(keyless + 1, np.float64))
+
+    def _probe_ahead(self, views: _KeyViews, kid: np.ndarray,
+                     pos: int) -> int:
+        """Open the windows of the arrivals from ``pos`` on; return the
+        position of the first fallback arrival, or ``len(kid)``.
+
+        Each key with no open window is probed where it first appears, in
+        arrival order, and the first that fails (or a row with no trace
+        key) is the fallback.  The arrival at ``pos`` goes first on its
+        own: after a barrier its key is always shut, and where every probe
+        fails that is the only one.  Then the look ahead grows from
+        `_PROBE_SPAN` arrivals.  Every key still shut in a span first
+        appears there, since those before it were opened.
+        """
+        is_open = views.is_open
+        keyless = len(views.keys)
+        k = kid.item(pos)
+        if not is_open[k] and (k == keyless
+                               or not self._open_window(views, k)):
+            return pos
+        low = pos + 1
+        span = _PROBE_SPAN
+        while low < len(kid):
+            ahead = kid[low:low + span]
+            waiting = np.flatnonzero(~is_open[ahead])
+            probed = set()
+            for index, k in zip(waiting.tolist(), ahead[waiting].tolist()):
+                if k in probed:
+                    continue
+                probed.add(k)
+                if k == keyless or not self._open_window(views, k):
+                    return low + index
+            low += span
+            span *= 4
+        return len(kid)
+
+    def _open_window(self, views: _KeyViews, k: int) -> bool:
+        """Probe key ``k``; open its window when the probe admits it."""
+        session = views.sessions[k]
+        key = views.keys[k]
+        entry = self._dispatcher.fast_forward_probe(session, key)
+        if entry is None:
+            return False
+        self._ff_windows[key] = views.windows[k] = [entry, 0, session, 0,
+                                                    None]
+        views.is_open[k] = True
+        views.cycles[k] = entry.trace.total_cycles
+        views.latency[k] = entry.trace.total_cycles / self._mhz
+        return True
+
+    def _settle_run(self, views: _KeyViews, at: np.ndarray,
+                    rows: np.ndarray, kid: np.ndarray) -> None:
+        """Account for a window run exactly as a step per arrival would.
+
+        The run's idle waits and trace cycles join the deferred totals.
+        Each arrival's queue delay is its start over the profile's MHz
+        less its time (never below zero), its latency its trace cycles
+        over the MHz.  Each client gets its arrivals' delays and latencies
+        appended in arrival order, as raw doubles, and its issue, denial
+        and arrival counts.  Each window gets its joins and the last-use
+        stamp of its last one.  With the observation plane on, each delay
+        reaches the broker's seat histograms in arrival order.
+        """
+        n = len(at)
+        cycles = views.cycles[kid]
+        base = self.machine.clock.cycles
+        start_cycles = base + self._pending_cycles
+        starts, idled = self._clock_starts(at, cycles, start_cycles)
+        end_cycles = int(starts[-1]) + int(cycles[-1])
+        self._pending_cycles = end_cycles - base
+        self._pending_idle_cycles += (end_cycles - start_cycles
+                                      - int(cycles.sum()))
+        self._pending_idle_events += int(np.count_nonzero(idled))
+        delays = starts / self.machine.meter.profile.mhz
+        delays -= at
+        np.maximum(delays, 0.0, out=delays)
+        if self.telemetry.enabled:
+            record_delay = self.extension.broker.record_queue_delay
+            sessions = views.sessions
+            for k, delay in zip(kid.tolist(), delays.tolist()):
+                record_delay(sessions[k], delay)
+        # per client, in arrival order
+        clients = views.row_client[rows]
+        order = np.argsort(clients, kind="stable")
+        counts = np.bincount(clients, minlength=len(self.clients))
+        ends = np.cumsum(counts).tolist()
+        delays = delays[order]
+        latencies = views.latency[kid[order]]
+        for position in np.flatnonzero(counts).tolist():
+            end = ends[position]
+            begin = end - int(counts[position])
+            state = self.clients[position]
+            state.queue_delays_us.frombytes(delays[begin:end].tobytes())
+            state.latencies_us.frombytes(latencies[begin:end].tobytes())
+        # per window: joins, the last one's stamp, its client's counts
+        joins = np.bincount(kid, minlength=len(views.is_open))
+        last = np.full(len(joins), -1, np.int64)
+        np.maximum.at(last, kid, np.arange(n))
+        uses = self._ff_uses
+        for k in np.flatnonzero(joins).tolist():
+            count = int(joins[k])
+            window = views.windows[k]
+            window[1] += count
+            window[3] = uses + int(last[k]) + 1
+            state = views.states[k]
+            state.calls_issued += count
+            state.calls_denied += count * window[0].denied
+            state.arrivals_left -= count
+        self._ff_uses = uses + n
+
+    def _clock_starts(self, at: np.ndarray, cycles: np.ndarray,
+                      x: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The start cycle of each arrival of a window run from ``x``
+        cycles, and whether it idled, exactly as the scalar step computes
+        them.
+
+        Takes the max-plus candidate (`_lindley_starts`) and recomputes
+        every start from its predecessor with the scalar step's own float
+        operations.  The prefix that agrees is the scalar loop's, by
+        induction; the first start that disagrees is replaced by its
+        recomputed value, and the candidate restarts after it.  Past
+        `_CHUNK_REPAIRS` repairs in a chunk, the rest of the chunk takes
+        the scalar recurrence (`_scalar_starts`).
+        """
+        profile_mhz = self.machine.meter.profile.mhz
+        spec_mhz = self.machine.spec.mhz
+        n = len(at)
+        starts = np.empty(n, np.int64)
+        idled = np.empty(n, np.bool_)
+        done = 0
+        while done < n:
+            rest_at = at[done:]
+            rest_cycles = cycles[done:]
+            if not self._repairs_left:
+                starts[done:], idled[done:] = _scalar_starts(
+                    rest_at.tolist(), rest_cycles.tolist(), x, profile_mhz,
+                    spec_mhz)
+                break
+            candidate = _lindley_starts(rest_at, rest_cycles, x, spec_mhz)
+            before = np.empty(n - done, np.int64)
+            before[0] = x
+            np.add(candidate[:-1], rest_cycles[:-1], out=before[1:])
+            now = before / profile_mhz
+            waits = rest_at > now
+            # a wait rounds to zero or below unless the arrival is late
+            wait = np.rint((rest_at - now) * spec_mhz)
+            np.maximum(wait, 0.0, out=wait)
+            exact = before + wait.astype(np.int64)
+            wrong = np.flatnonzero(exact != candidate)
+            end = n
+            if wrong.size:
+                end = done + int(wrong[0]) + 1
+                self._clock_repairs += 1
+                self._repairs_left -= 1
+            starts[done:end] = exact[:end - done]
+            idled[done:end] = waits[:end - done]
+            x = int(starts[end - 1]) + int(cycles[end - 1])
+            done = end
+        return starts, idled
 
     def _attach_controllers(self) -> None:
         """Give every client an AIMD controller over its flush depth."""
@@ -1172,33 +1519,31 @@ class TrafficEngine:
         np.minimum(offsets, width - 1, out=offsets)
         return row + picks * width + offsets
 
-    def _open_schedule_sorted(self, events_per_client: int,
-                              table: Optional[List[Tuple]] = None
-                              ) -> Tuple[List[float], List]:
+    def _open_schedule_sorted(self, events_per_client: int, *,
+                              rows: bool = False) -> Tuple:
         """The open/mmpp arrival source: every client's arrivals, drawn up
-        front and independent of completions, as parallel
-        ``(times, indices)`` lists in the order a heap keyed
-        ``(time, insertion order)`` would pop them.  With a call ``table``
-        the second list holds each arrival's entry instead of its client
-        index: a client's module picks and call draws follow its
-        interarrival gaps in its stream, so they are drawn in bulk right
-        after them (:meth:`_call_rows`).
+        front and independent of completions, in the order a heap keyed
+        ``(time, insertion order)`` would pop them: parallel
+        ``(times, indices)`` lists of each arrival's time and client
+        index.  With ``rows`` the array arm gets numpy arrays of each
+        arrival's time and call-table row instead: a client's module picks
+        and call draws follow its interarrival gaps in its stream, so they
+        are drawn in bulk right after them (:meth:`_call_rows`).
 
         Bit-identical to a scalar loop: gaps accumulate through
         ``np.cumsum`` seeded with ``base_us`` as element 0 (the same
         left-to-right float additions as ``at += gap``), the ordering is a
         **stable** argsort on fire time, and Poisson clients draw their gaps
-        in one vectorized call (see ``exponential_array``).  Two primitive
-        lists instead of one tuple list keep 10^7-event schedules out of the
-        cyclic GC's way (measured ~2x end-to-end at 10^7 calls) and ~9 MiB
-        off ff-steady's peak RSS (docs/performance.md, "One traffic loop").
-        Rows become entries a chunk at a time, so no list of 10^7 row
-        numbers is ever built.
+        in one vectorized call (see ``exponential_array``).  The general
+        arm's two primitive lists instead of one tuple list keep 10^7-event
+        schedules out of the cyclic GC's way (measured ~2x end-to-end at
+        10^7 calls); the array arm's arrays hold no Python object per
+        arrival at all (docs/performance.md, "One traffic loop").
         """
         spec = self.spec
         base_us = self._now_us()
         per_client: List[np.ndarray] = []
-        rows: List[np.ndarray] = []
+        picks: List[np.ndarray] = []
         for position, state in enumerate(self.clients):
             if spec.arrival == "open":
                 gaps = state.rng.exponential_array(
@@ -1213,28 +1558,21 @@ class TrafficEngine:
                                    for _ in range(events_per_client)])
             per_client.append(
                 np.cumsum(np.concatenate(((base_us,), gaps)))[1:])
-            rows.append(
-                np.full(events_per_client, state.index, dtype=np.int64)
-                if table is None else
+            picks.append(
                 self._call_rows(state, self._table_row(position),
-                                events_per_client))
+                                events_per_client) if rows else
+                np.full(events_per_client, state.index, dtype=np.int64))
         # each intermediate goes as soon as the next step has what it
         # needs: at 10^7 calls the schedule sets the run's peak RSS
         times = np.concatenate(per_client)
         del per_client
         order = np.argsort(times, kind="stable")
         times = times[order]
-        picked = np.concatenate(rows)[order]
-        del rows, order
-        if table is None:
-            return times.tolist(), picked.tolist()
-        entry_of = table.__getitem__
-        entries: List[Tuple] = []
-        for start in range(0, len(picked), _ROW_CHUNK):
-            entries.extend(map(entry_of,
-                               picked[start:start + _ROW_CHUNK].tolist()))
-        del picked
-        return times.tolist(), entries
+        picked = np.concatenate(picks)[order]
+        del picks, order
+        if rows:
+            return times, picked
+        return times.tolist(), picked.tolist()
 
     def run(self) -> TrafficResult:
         """Drive the full call schedule and collect the result."""

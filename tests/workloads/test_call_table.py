@@ -92,15 +92,28 @@ def _accounting(engine, result):
     return (engine.machine.clock.cycles, engine.machine.clock.events,
             result.latencies_us.tobytes(), result.queue_delays_us.tobytes(),
             result.cache_stats,
+            engine.extension.dispatcher.trace_cache.snapshot(),
             [state.rng._rng.bit_generator.state for state in engine.clients])
 
 
-def test_rows_become_entries_the_same_in_any_chunk_size(monkeypatch):
-    spec = TrafficSpec(clients=3, modules=2, calls_per_client=40,
-                       arrival="mmpp", mean_interval_us=30.0,
-                       burst_interval_us=1.5)
-    whole = TrafficEngine(spec)
-    expected = _accounting(whole, whole.run())
-    monkeypatch.setattr(traffic, "_ROW_CHUNK", 7)
-    chunked = TrafficEngine(spec)
-    assert _accounting(chunked, chunked.run()) == expected
+def test_any_chunk_size_settles_as_the_default(monkeypatch):
+    """The array arm settles an open schedule a chunk at a time; windows
+    and deferred charges carry across chunks.  Cold keys fail their
+    probes for each key's first calls, so fallbacks land mid-chunk."""
+    specs = (
+        TrafficSpec(clients=3, modules=2, calls_per_client=60,
+                    arrival="open", mean_interval_us=6.0),
+        TrafficSpec(clients=3, modules=2, calls_per_client=40,
+                    arrival="mmpp", mean_interval_us=30.0,
+                    burst_interval_us=1.5))
+    for spec in specs:
+        whole = TrafficEngine(spec)
+        expected = _accounting(whole, whole.run())
+        stats = whole.extension.dispatcher.trace_cache.snapshot()
+        assert 0 < stats["fast_forward_calls"] < (spec.clients
+                                                  * spec.calls_per_client)
+        for size in (1, 7, 64):
+            monkeypatch.setattr(traffic, "_ARRIVAL_CHUNK", size)
+            chunked = TrafficEngine(spec)
+            assert _accounting(chunked, chunked.run()) == expected, size
+        monkeypatch.undo()
