@@ -7,13 +7,13 @@ the per-client batched-dispatch queue depth from the observed interarrival
 EWMA the telemetry plane feeds it.
 """
 
-from .adaptive import AdaptiveBatchController, AdaptiveConfig
+from .adaptive import AdaptiveBatchController
 from .overload import (BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN,
                        CircuitBreaker, OverloadConfig, OverloadController,
                        RetryBudget, TokenBucket)
 
 __all__ = [
-    "AdaptiveBatchController", "AdaptiveConfig",
+    "AdaptiveBatchController",
     "BREAKER_CLOSED", "BREAKER_HALF_OPEN", "BREAKER_OPEN",
     "CircuitBreaker", "OverloadConfig", "OverloadController",
     "RetryBudget", "TokenBucket",

@@ -6,20 +6,21 @@ static knob: the right depth depends on how fast calls actually arrive,
 which only the running system knows.  This controller closes that loop.
 
 Each traffic client owns one :class:`AdaptiveBatchController`.  Every
-arrival updates an EWMA of the interarrival time; every flush applies an
-AIMD (additive-increase / multiplicative-decrease) step to the queue
-depth:
+arrival updates an EWMA of the interarrival time (weight
+:data:`EWMA_ALPHA`); every flush applies an AIMD (additive-increase /
+multiplicative-decrease) step to the queue depth:
 
-* arrivals faster than :attr:`AdaptiveConfig.grow_below_us` — batching
-  pays, since calls queue faster than the single path can dispatch them —
-  grow the depth **additively** (``+increase_step``) up to ``max_depth``;
-* arrivals slower than :attr:`AdaptiveConfig.shrink_above_us` — the queue
-  would sit holding calls that nothing is waiting behind — shrink
-  **multiplicatively** (``/decrease_factor``) down to ``min_depth``;
+* arrivals faster than :data:`GROW_BELOW_US` — batching pays, since calls
+  queue faster than the single path can dispatch them — grow the depth
+  **additively** (``+INCREASE_STEP``) up to ``max_depth``;
+* arrivals slower than :data:`SHRINK_ABOVE_US` — the queue would sit
+  holding calls that nothing is waiting behind — shrink
+  **multiplicatively** (``/DECREASE_FACTOR``) down to 1;
 * in between, hold.
 
-Lull detection is **gap-based**: when the gap since the previous arrival
-reaches :data:`LINGER_US`, :meth:`observe_arrival` returns
+The depth starts at 1, the paper's single-call path, which is also its
+floor.  Lull detection is **gap-based**: when the gap since the previous
+arrival reaches :data:`LINGER_US`, :meth:`observe_arrival` returns
 True and the engine drains whatever is queued at that arrival (and a
 client's final arrival drains its own leftovers), so a burst's stragglers
 wait at most one lull.  There is deliberately no age-based flush timer —
@@ -32,14 +33,25 @@ the floor preserves single-path cycle-identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import SimulationError
+#: EWMA weight of the newest interarrival sample
+EWMA_ALPHA = 0.25
 
-#: The paper's single-call dispatch latency in virtual microseconds — the
-#: natural scale for "are calls arriving faster than we can dispatch them".
-SINGLE_CALL_DISPATCH_US = 6.4
+#: grow the depth while the interarrival EWMA is at or below this, virtual
+#: microseconds: just above the paper's 6.4 us single-call dispatch, the
+#: natural scale for "are calls arriving faster than we can dispatch them"
+GROW_BELOW_US = 8.0
+
+#: shrink the depth while the interarrival EWMA is at or above this; the
+#: hold band between the two thresholds keeps the controller from flapping
+SHRINK_ABOVE_US = 24.0
+
+#: additive increase per flush
+INCREASE_STEP = 4
+
+#: multiplicative decrease divisor per flush
+DECREASE_FACTOR = 2.0
 
 #: gap-based lull bound, virtual microseconds: an arrival gap at or beyond
 #: this drains the pending queue at that next arrival (stragglers wait at
@@ -48,66 +60,32 @@ SINGLE_CALL_DISPATCH_US = 6.4
 LINGER_US = 24.0
 
 
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Knobs of the AIMD controller (defaults sized to the paper machine)."""
-
-    min_depth: int = 1
-    max_depth: int = 64
-    initial_depth: int = 1
-    #: EWMA weight of the newest interarrival sample
-    ewma_alpha: float = 0.25
-    #: grow the depth while the interarrival EWMA is at or below this
-    grow_below_us: float = 8.0
-    #: shrink the depth while the interarrival EWMA is at or above this
-    shrink_above_us: float = 24.0
-    #: additive increase per flush
-    increase_step: int = 4
-    #: multiplicative decrease divisor per flush
-    decrease_factor: float = 2.0
-    #: closed-loop service-time feed: when set (>0) *and* a
-    #: ``service_p95_supplier`` is wired on the controller, a flush whose
-    #: observed service-time p95 exceeds this target shrinks the depth
-    #: multiplicatively even while the arrival EWMA argues for growth —
-    #: the offered rate says "batch more", the tail says "you can't
-    #: afford to".  0 (the default) leaves the controller exactly the
-    #: rate-only AIMD above, byte for byte.
-    service_p95_target_us: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.min_depth < 1 or self.max_depth < self.min_depth:
-            raise SimulationError(
-                "adaptive config needs 1 <= min_depth <= max_depth")
-        if not self.min_depth <= self.initial_depth <= self.max_depth:
-            raise SimulationError(
-                "adaptive initial_depth must lie within [min, max]")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise SimulationError("ewma_alpha must be in (0, 1]")
-        if self.grow_below_us >= self.shrink_above_us:
-            raise SimulationError(
-                "grow_below_us must be below shrink_above_us (a hold band "
-                "between the thresholds keeps the controller from flapping)")
-        if self.increase_step < 1 or self.decrease_factor <= 1.0:
-            raise SimulationError(
-                "AIMD needs increase_step >= 1 and decrease_factor > 1")
-        if self.service_p95_target_us < 0.0:
-            raise SimulationError("service_p95_target_us must be >= 0")
-
-
 class AdaptiveBatchController:
-    """Per-client AIMD controller over the batched-dispatch queue depth."""
+    """Per-client AIMD controller over the batched-dispatch queue depth.
 
-    def __init__(self, config: Optional[AdaptiveConfig] = None, *,
+    ``max_depth`` is the depth ceiling.  ``service_p95_target_us`` is the
+    closed-loop service-time feed: when set (>0) *and* a
+    ``service_p95_supplier`` is wired on the controller, a flush whose
+    observed service-time p95 exceeds this target shrinks the depth
+    multiplicatively even while the arrival EWMA argues for growth — the
+    offered rate says "batch more", the tail says "you can't afford to".
+    0 (the default) leaves the controller exactly the rate-only AIMD, byte
+    for byte.
+    """
+
+    def __init__(self, max_depth: int,
+                 service_p95_target_us: float = 0.0, *,
                  client: object = 0, start_us: float = 0.0) -> None:
-        self.config = config or AdaptiveConfig()
+        self.max_depth = max_depth
+        self.service_p95_target_us = service_p95_target_us
         self.client = client
-        self.depth = self.config.initial_depth
+        self.depth = 1
         self.ewma_us: Optional[float] = None
         self._last_arrival_us: Optional[float] = None
         #: closed-loop feed: a zero-argument callable returning the
         #: observed service-time p95 (virtual us) — typically a telemetry
         #: ``LogHistogram.quantile(95)`` read.  None (the default) keeps
-        #: the controller rate-only regardless of the config target.
+        #: the controller rate-only regardless of the target.
         self.service_p95_supplier: Optional[Callable[[], float]] = None
         # observability
         self.arrivals = 0
@@ -134,9 +112,9 @@ class AdaptiveBatchController:
         if self._last_arrival_us is not None:
             gap = now_us - self._last_arrival_us
             if gap >= 0.0:
-                alpha = self.config.ewma_alpha
                 self.ewma_us = (gap if self.ewma_us is None
-                                else alpha * gap + (1.0 - alpha) * self.ewma_us)
+                                else EWMA_ALPHA * gap
+                                + (1.0 - EWMA_ALPHA) * self.ewma_us)
                 lull = gap >= LINGER_US
         self._last_arrival_us = now_us
         self.arrivals += 1
@@ -149,26 +127,22 @@ class AdaptiveBatchController:
         ewma = self.ewma_us
         if ewma is None:
             return None
-        config = self.config
         new_depth = self.depth
-        if (config.service_p95_target_us > 0.0
+        if (self.service_p95_target_us > 0.0
                 and self.service_p95_supplier is not None
                 and self.service_p95_supplier()
-                > config.service_p95_target_us):
+                > self.service_p95_target_us):
             # the observed tail already exceeds the target: shrink (or at
             # least hold at the floor) no matter what the offered rate says
-            if self.depth > config.min_depth:
-                new_depth = max(config.min_depth,
-                                int(self.depth / config.decrease_factor))
+            if self.depth > 1:
+                new_depth = max(1, int(self.depth / DECREASE_FACTOR))
                 self.shrinks += 1
                 self.p95_shrinks += 1
-        elif ewma <= config.grow_below_us and self.depth < config.max_depth:
-            new_depth = min(config.max_depth,
-                            self.depth + config.increase_step)
+        elif ewma <= GROW_BELOW_US and self.depth < self.max_depth:
+            new_depth = min(self.max_depth, self.depth + INCREASE_STEP)
             self.grows += 1
-        elif ewma >= config.shrink_above_us and self.depth > config.min_depth:
-            new_depth = max(config.min_depth,
-                            int(self.depth / config.decrease_factor))
+        elif ewma >= SHRINK_ABOVE_US and self.depth > 1:
+            new_depth = max(1, int(self.depth / DECREASE_FACTOR))
             self.shrinks += 1
         if new_depth != self.depth:
             self.depth = new_depth

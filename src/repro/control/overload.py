@@ -17,18 +17,21 @@ byte-identical:
   :data:`~repro.sim.costs.SMOD_ADMIT_REFILL` when the check actually
   refilled), so a refusal has honest nonzero cost.
 * :class:`CircuitBreaker` — per-backend closed → open → half-open over a
-  sliding virtual-time window of call outcomes.  The front-end charges
-  :data:`~repro.sim.costs.SERVE_BREAKER_CHECK` per consult and
-  :data:`~repro.sim.costs.SERVE_BREAKER_TRIP` per transition, and
-  observes each transition the breaker returns.
+  sliding virtual-time window of call outcomes, at the thresholds
+  :data:`BREAKER_FAILURE_RATIO`, :data:`BREAKER_MIN_SAMPLES`,
+  :data:`BREAKER_OPEN_US` and :data:`BREAKER_HALF_OPEN_PROBES`.  The
+  front-end charges :data:`~repro.sim.costs.SERVE_BREAKER_CHECK` per
+  consult and :data:`~repro.sim.costs.SERVE_BREAKER_TRIP` per
+  transition, and observes each transition the breaker returns.
 * deadline shedding — not a class here: the attachment pool and the
   handle broker compare a projected virtual wait against
   :attr:`OverloadConfig.deadline_us` and shed *at admission* (charging
   :data:`~repro.sim.costs.SERVE_SHED`) instead of queueing a call that
   cannot meet its deadline.
 * :class:`RetryBudget` — bounded retries for the RPC stubs, with a
-  deterministic exponential virtual-time backoff; an exhausted budget
-  stops retrying and the last EAGAIN stands.
+  deterministic exponential virtual-time backoff from
+  :data:`RETRY_BACKOFF_US`; an exhausted budget stops retrying and the
+  last EAGAIN stands.
 
 Shed and refused calls never enter trace recording or fast-forward
 accumulation: the dispatcher admits *before* any trace machinery runs and
@@ -49,6 +52,17 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
 
+#: failure (error/refusal) ratio that trips a closed breaker
+BREAKER_FAILURE_RATIO = 0.5
+#: outcomes the window must hold before the ratio is believed
+BREAKER_MIN_SAMPLES = 8
+#: how long a tripped breaker stays open before probing, virtual us
+BREAKER_OPEN_US = 200.0
+#: probes a half-open breaker admits before deciding
+BREAKER_HALF_OPEN_PROBES = 2
+#: base of the deterministic exponential backoff between retries, virtual us
+RETRY_BACKOFF_US = 8.0
+
 
 @dataclass(frozen=True)
 class OverloadConfig:
@@ -68,18 +82,8 @@ class OverloadConfig:
     deadline_us: float = 0.0
     #: breaker outcome window in virtual microseconds (0 = breakers off)
     breaker_window_us: float = 0.0
-    #: failure (error/refusal) ratio that trips a closed breaker
-    breaker_failure_ratio: float = 0.5
-    #: outcomes the window must hold before the ratio is believed
-    breaker_min_samples: int = 8
-    #: how long a tripped breaker stays open before probing
-    breaker_open_us: float = 200.0
-    #: probes a half-open breaker admits before deciding
-    breaker_half_open_probes: int = 2
     #: bounded retries per budget for the RPC stubs (0 = off)
     retry_budget: int = 0
-    #: base of the deterministic exponential backoff between retries
-    retry_backoff_us: float = 8.0
 
     def __post_init__(self) -> None:
         if self.admission_rate_per_us < 0.0 or self.admission_burst < 0.0:
@@ -89,16 +93,10 @@ class OverloadConfig:
                 "admission control needs a burst of at least one token")
         if self.deadline_us < 0.0:
             raise SimulationError("deadline_us must be >= 0")
-        if self.breaker_window_us < 0.0 or self.breaker_open_us <= 0.0:
-            raise SimulationError(
-                "breaker window must be >= 0 and open period > 0")
-        if not 0.0 < self.breaker_failure_ratio <= 1.0:
-            raise SimulationError("breaker_failure_ratio must be in (0, 1]")
-        if self.breaker_min_samples < 1 or self.breaker_half_open_probes < 1:
-            raise SimulationError(
-                "breaker needs min_samples >= 1 and half_open_probes >= 1")
-        if self.retry_budget < 0 or self.retry_backoff_us < 0.0:
-            raise SimulationError("retry budget/backoff must be >= 0")
+        if self.breaker_window_us < 0.0:
+            raise SimulationError("breaker_window_us must be >= 0")
+        if self.retry_budget < 0:
+            raise SimulationError("retry_budget must be >= 0")
 
     # ------------------------------------------------------------- predicates
     @property
@@ -166,11 +164,12 @@ class CircuitBreaker:
 
     Outcomes (success, or error/refusal) are folded in with their virtual
     timestamps; a closed breaker trips open when the failure ratio over
-    the window reaches the threshold with enough samples.  An open breaker
-    fast-fails everything until ``breaker_open_us`` has elapsed, then goes
-    half-open and admits a bounded number of probes: one success closes
-    it, one failure re-opens it.  ``allow``/``record`` return the state
-    transition (or None) so the calling layer can charge
+    the window reaches :data:`BREAKER_FAILURE_RATIO` with at least
+    :data:`BREAKER_MIN_SAMPLES` outcomes.  An open breaker fast-fails
+    everything until :data:`BREAKER_OPEN_US` has elapsed, then goes
+    half-open and admits :data:`BREAKER_HALF_OPEN_PROBES` probes: one
+    success closes it, one failure re-opens it.  ``allow``/``record``
+    return the state transition (or None) so the calling layer can charge
     :data:`~repro.sim.costs.SERVE_BREAKER_TRIP` and observe it — the
     breaker itself never touches the clock or the observation plane.
     """
@@ -205,7 +204,7 @@ class CircuitBreaker:
             self.trips += 1
             self._opened_at_us = now_us
         elif state == BREAKER_HALF_OPEN:
-            self._probes_left = self.config.breaker_half_open_probes
+            self._probes_left = BREAKER_HALF_OPEN_PROBES
         else:                       # closing wipes the bad history
             self._window.clear()
             self._failures = 0
@@ -216,7 +215,7 @@ class CircuitBreaker:
         """May a call proceed at ``now_us``?  Returns (allowed, transition)."""
         transition: Optional[str] = None
         if self.state == BREAKER_OPEN:
-            if now_us - self._opened_at_us >= self.config.breaker_open_us:
+            if now_us - self._opened_at_us >= BREAKER_OPEN_US:
                 transition = self._transition(now_us, BREAKER_HALF_OPEN)
             else:
                 self.fast_fails += 1
@@ -244,9 +243,8 @@ class CircuitBreaker:
             self._failures += 1
         self._prune(now_us)
         total = len(self._window)
-        if (total >= self.config.breaker_min_samples
-                and self._failures / total
-                >= self.config.breaker_failure_ratio):
+        if (total >= BREAKER_MIN_SAMPLES
+                and self._failures / total >= BREAKER_FAILURE_RATIO):
             return self._transition(now_us, BREAKER_OPEN)
         return None
 
@@ -263,12 +261,11 @@ class RetryBudget:
     One budget guards one backend's stubs: every retry consumes a token,
     and when the pool is dry the stub stops retrying and returns the last
     EAGAIN.  ``backoff_us(attempt)`` is the virtual idle the stub inserts
-    before retry ``attempt`` (1-based): base * 2^(attempt-1).
+    before retry ``attempt`` (1-based): RETRY_BACKOFF_US * 2^(attempt-1).
     """
 
-    def __init__(self, budget: int, backoff_base_us: float = 8.0) -> None:
+    def __init__(self, budget: int) -> None:
         self.budget = budget
-        self.backoff_base_us = backoff_base_us
         self.remaining = budget
         # observability
         self.consumed = 0
@@ -283,7 +280,7 @@ class RetryBudget:
         return True
 
     def backoff_us(self, attempt: int) -> float:
-        return self.backoff_base_us * (2.0 ** (attempt - 1))
+        return RETRY_BACKOFF_US * (2.0 ** (attempt - 1))
 
     def snapshot(self) -> Dict[str, object]:
         return {"budget": self.budget, "remaining": self.remaining,

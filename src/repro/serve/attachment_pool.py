@@ -20,7 +20,8 @@ A checkout at virtual arrival time ``t``:
   ``max_attachments``;
 - otherwise *waits*: the checkout is granted starting at ``free_at`` with
   ``wait_us = free_at - t``, or refused when the pool is configured
-  ``overflow="refuse"`` (or its wait-queue depth cap is hit).
+  ``overflow="refuse"``.  With the front-end's overload deadline set, a
+  wait past it is shed at admission instead.
 
 Checkout validates the attachment before granting it — a worker session
 whose backend handle died, or that was torn down behind the pool's back,
@@ -28,15 +29,16 @@ is discarded and replaced through the factory, so callers never receive a
 dead attachment.
 
 Every checkout/check-in charges :data:`~repro.sim.costs.SERVE_POOL_CHECKOUT`
-/ :data:`~repro.sim.costs.SERVE_POOL_CHECKIN` unless ``charge_ops`` is off,
-which reproduces the direct (no-service-plane) charge sequence exactly —
-the pool-of-1 cycle-identity test pins that.
+/ :data:`~repro.sim.costs.SERVE_POOL_CHECKIN` unless the front-end's
+``ServiceConfig.charge_ops`` is off, which reproduces the direct
+(no-service-plane) charge sequence exactly — the pool-of-1
+cycle-identity test pins that.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
@@ -51,31 +53,15 @@ class PoolConfig:
     """Sizing and overflow behavior of one backend's attachment pool."""
 
     max_attachments: int = 8
-    #: exhaustion behavior: ``"queue"`` grants delayed checkouts (bounded by
-    #: ``max_queue_depth`` when nonzero), ``"refuse"`` turns them away
+    #: exhaustion behavior: ``"queue"`` grants delayed checkouts,
+    #: ``"refuse"`` turns them away
     overflow: str = OVERFLOW_QUEUE
-    max_queue_depth: int = 0
-    #: charge SERVE_POOL_CHECKOUT/CHECKIN per operation
-    charge_ops: bool = True
-    #: deadline shedding: a checkout whose projected virtual wait exceeds
-    #: this is shed *at admission* (charged SERVE_SHED) instead of queued
-    #: — it could never be served in time.  0 = off.
-    shed_deadline_us: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_attachments < 0:
             raise SimulationError("max_attachments must be >= 0")
         if self.overflow not in (OVERFLOW_QUEUE, OVERFLOW_REFUSE):
             raise SimulationError(f"unknown overflow mode {self.overflow!r}")
-        if self.max_queue_depth < 0:
-            raise SimulationError("max_queue_depth must be >= 0")
-        if self.shed_deadline_us < 0.0:
-            raise SimulationError("shed_deadline_us must be >= 0")
-
-    def with_charging(self, charge_ops: bool) -> "PoolConfig":
-        if charge_ops == self.charge_ops:
-            return self
-        return replace(self, charge_ops=charge_ops)
 
 
 @dataclass
@@ -106,13 +92,22 @@ class Checkout:
 
 
 class AttachmentPool:
-    """Bounded checkout/check-in pool over factory-built worker sessions."""
+    """Bounded checkout/check-in pool over factory-built worker sessions.
+
+    ``charge_ops`` charges SERVE_POOL_CHECKOUT/CHECKIN per operation.
+    ``shed_deadline_us`` sheds a checkout whose projected virtual wait
+    exceeds it *at admission* (charged SERVE_SHED) instead of queueing it
+    — it could never be served in time.  0 = off.
+    """
 
     def __init__(self, backend: str, factory: Callable[[], object], *,
-                 kernel, config: PoolConfig = PoolConfig()) -> None:
+                 kernel, config: PoolConfig, charge_ops: bool,
+                 shed_deadline_us: float) -> None:
         self.backend = backend
         self.kernel = kernel
         self.config = config
+        self.charge_ops = charge_ops
+        self.shed_deadline_us = shed_deadline_us
         #: the machine's observation plane (never charges the clock)
         self.telemetry = kernel.machine.telemetry
         self._factory = factory
@@ -136,7 +131,7 @@ class AttachmentPool:
 
     # ------------------------------------------------------------- internals
     def _charge(self, operation: str) -> None:
-        if self.config.charge_ops:
+        if self.charge_ops:
             # smod: allow(COST002)  forwarding wrapper; checkout/checkin
             # name the SERVE_* costs constants at their call sites
             self.kernel.machine.charge(operation)
@@ -222,16 +217,12 @@ class AttachmentPool:
                                     "pool has no attachments")
             free_at, _, attachment = self._heap[0]
             wait_us = free_at - now_us
-            if self.config.shed_deadline_us and \
-                    wait_us > self.config.shed_deadline_us:
+            if self.shed_deadline_us and wait_us > self.shed_deadline_us:
                 return self._shed(now_us, wait_us)
-            depth = self.queue_depth(now_us)
             if self.config.overflow == OVERFLOW_REFUSE:
                 return self._refuse(now_us, wait_us, "pool exhausted")
-            if self.config.max_queue_depth and \
-                    depth >= self.config.max_queue_depth:
-                return self._refuse(now_us, wait_us,
-                                    "pool wait queue full")
+            # prunes the started grants, which `stats()["queued"]` counts
+            self.queue_depth(now_us)
             heapq.heappop(self._heap)
             heapq.heappush(self._pending, free_at)
             self.waits += 1

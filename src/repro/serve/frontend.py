@@ -27,7 +27,7 @@ contract, pinned by the differential tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..control.overload import CircuitBreaker, OverloadConfig, RetryBudget
@@ -55,7 +55,7 @@ SERVE_PORT = 3049
 class ServiceConfig:
     """Front-end configuration (frozen: one service, one shape)."""
 
-    #: default attachment-pool shape for backends registered without one
+    #: the attachment-pool shape of every registered backend
     pool: PoolConfig = PoolConfig()
     #: charge the SERVE_* ops (False = cycle-transparent service plane)
     charge_ops: bool = True
@@ -132,27 +132,28 @@ class ServiceFrontend:
 
     # --------------------------------------------------------------- backends
     def register_backend(self, name: str, modules, *,
-                         policy: Union[str, object] = "pooled:64",
-                         pool: Optional[PoolConfig] = None) -> BackendRecord:
-        """Name a module set as a served backend and give it a pool."""
+                         policy: Union[str, object] = "pooled:64"
+                         ) -> BackendRecord:
+        """Name a module set as a served backend and give it a pool.
+
+        The pool takes its shape from ``ServiceConfig.pool``, its charging
+        from ``ServiceConfig.charge_ops`` and its shed deadline from the
+        overload config's ``deadline_us``.
+        """
         record = self.registry.register(name, modules, policy=policy)
-        pool_config = (pool or self.config.pool).with_charging(
-            self.config.charge_ops and (pool or self.config.pool).charge_ops)
         overload = self.config.overload
+        shed_deadline_us = 0.0
         if overload is not None:
-            if overload.deadline_enabled and \
-                    not pool_config.shed_deadline_us:
-                pool_config = replace(pool_config,
-                                      shed_deadline_us=overload.deadline_us)
+            shed_deadline_us = overload.deadline_us
             if overload.breaker_enabled:
                 record.breaker = CircuitBreaker(name, overload)
             if overload.retry_enabled:
-                self._retry_budgets[name] = RetryBudget(
-                    overload.retry_budget, overload.retry_backoff_us)
-        pool = AttachmentPool(
+                self._retry_budgets[name] = RetryBudget(overload.retry_budget)
+        self._pools[name] = AttachmentPool(
             name, lambda rec=record: self._worker_session(rec),
-            kernel=self.kernel, config=pool_config)
-        self._pools[name] = pool
+            kernel=self.kernel, config=self.config.pool,
+            charge_ops=self.config.charge_ops,
+            shed_deadline_us=shed_deadline_us)
         return record
 
     def pool(self, backend_name: str) -> AttachmentPool:

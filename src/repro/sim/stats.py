@@ -10,8 +10,11 @@ multi-trial aggregate matching the paper's columns.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence
+
+import numpy as np
 
 
 class RunningStats:
@@ -169,6 +172,19 @@ class MeasurementSummary:
 def mean(xs: Sequence[float]) -> float:
     """Arithmetic mean; 0.0 for an empty sequence."""
     return sum(xs) / len(xs) if xs else 0.0
+
+
+def ordered_sum(xs: array) -> float:
+    """The sum of an ``array('d')``, added left to right; 0.0 when empty.
+
+    Bit for bit what Python 3.11's builtin ``sum`` gives, on every
+    interpreter: Python 3.12's ``sum`` compensates its float additions,
+    so it can differ in the last bit.  ``np.add.accumulate`` adds in
+    order, where ``np.sum`` adds pairwise.
+    """
+    if not xs:
+        return 0.0
+    return float(np.add.accumulate(np.frombuffer(xs, np.float64))[-1])
 
 
 def stdev(xs: Sequence[float]) -> float:

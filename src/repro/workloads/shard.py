@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..secmodule.dispatch import DispatchConfig
+from ..sim.stats import ordered_sum
 from ..telemetry import merge_telemetry_states
 from .traffic import TrafficEngine, TrafficResult, TrafficSpec
 
@@ -180,8 +181,8 @@ def merge_outcomes(spec: TrafficSpec,
     ids = sorted(all_ids)
     issued = _sum_dicts([o.calls_issued for o in ordered])
     denied = _sum_dicts([o.calls_denied for o in ordered])
-    latencies: Dict[int, List[float]] = {}
-    delays: Dict[int, List[float]] = {}
+    latencies: Dict[int, "array"] = {}
+    delays: Dict[int, "array"] = {}
     adaptive: Dict[int, Dict[str, object]] = {}
     for outcome in ordered:
         latencies.update(outcome.latencies_us)
@@ -217,7 +218,7 @@ def merge_outcomes(spec: TrafficSpec,
         total_cycles=total_cycles,
         cycles_per_call=(total_cycles / total_calls if total_calls else 0.0),
         per_client_mean_us=[
-            sum(latencies[cid]) / len(latencies[cid])
+            ordered_sum(latencies[cid]) / len(latencies[cid])
             if latencies.get(cid) else 0.0
             for cid in ids],
         latencies_us=merged_latencies,

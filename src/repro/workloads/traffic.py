@@ -55,14 +55,12 @@ picks three parts once per run:
 
 Parts compose: seat-queue shedding (``shed_deadline_us``) acts on open-loop
 arrivals under either flush policy.  Static depth-1 runs with fast-forward
-on take the loop's inline arm, and each arrival brings its call as an
-entry of a per-run call table.  With an open/MMPP source the arm is an
-array arm: every client's calls are drawn in bulk with its schedule, and
-the arrivals between two fallbacks to the dispatch path are settled in
-numpy, a chunk of the schedule at a time, with no Python step per
-arrival.  With the closed source the arm is scalar, the loop's steps with
-every hop inlined: it draws each call as it pops the arrival, whose time
-depends on the previous completion.
+on and an open/MMPP source take the loop's array arm instead: every
+client's calls are drawn in bulk with its schedule, as entries of a
+per-run call table, and the arrivals between two fallbacks to the
+dispatch path are settled in numpy, a chunk of the schedule at a time,
+with no Python step per arrival.  Closed-loop runs always take the loop's
+steps: each arrival's time depends on the previous completion.
 """
 
 from __future__ import annotations
@@ -76,7 +74,7 @@ from array import array
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..control.adaptive import AdaptiveBatchController, AdaptiveConfig
+from ..control.adaptive import AdaptiveBatchController
 from ..errors import SimulationError
 from ..hw.machine import Machine, make_paper_machine
 from ..kernel.kernel import Kernel
@@ -99,7 +97,7 @@ from ..secmodule.session import SessionDescriptor, build_requirements
 from ..secmodule.smod_syscalls import SmodExtension, install_secmodule
 from ..sim import costs
 from ..sim.rng import DeterministicRNG, TwoStateMMPP
-from ..sim.stats import mean, percentile
+from ..sim.stats import mean, ordered_sum, percentile
 from ..userland.process import Program
 
 #: call-mix weights: (function name, relative weight)
@@ -595,10 +593,10 @@ class TrafficEngine:
         self._built = False
         self._mix_names = [name for name, _ in spec.call_mix]
         self._mix_weights = [weight for _, weight in spec.call_mix]
-        # weighted_choice's draw and thresholds, for the inline arm's call
+        # weighted_choice's draw and thresholds, for the array arm's call
         # table: the thresholds are built by the same incremental float
-        # addition weighted_choice performs, so a walk is comparison-
-        # identical
+        # addition weighted_choice performs, so a double lands on the
+        # function weighted_choice picks
         self._mix_total = float(sum(self._mix_weights))
         acc = 0.0
         thresholds = []
@@ -633,7 +631,7 @@ class TrafficEngine:
         #: key -> [entry, accumulated span count, session, last use, last
         #: pairs], in first-use order; last use is the `_ff_uses` of the
         #: key's latest span, last pairs that span's (m_id, func_id) pairs
-        #: in submission order (None from the inline depth-1 arm)
+        #: in submission order (None from the array arm)
         self._ff_windows: Dict[Tuple, List] = {}
         #: spans added to windows so far: the clock that orders last uses
         self._ff_uses = 0
@@ -971,18 +969,12 @@ class TrafficEngine:
         check (open-loop runs), the draw of the arrival's calls and the
         flush, when the policy calls for one.
 
-        Static depth-1 runs with fast-forward on take the inline arm, which
+        Static depth-1 runs with fast-forward on and an open/MMPP source
+        hand the whole schedule to the array arm (`_drive_arrays`), which
         keeps the same observable sequence (RNG draws, delay records, a
         probe per window opened, last-use stamps, accumulated charges,
-        fallback order) and takes each arrival's call from the run's call
-        table (`_call_table`).  An open/MMPP source hands the whole
-        schedule to the array arm (`_drive_arrays`), which settles the
-        arrivals between two fallbacks in numpy.  The closed source takes
-        the scalar arm below: the loop's steps with every hop inlined and
-        the deferred-charge accumulators mirrored into locals, drawing each
-        call as it pops the arrival.  At 10^7-call sizes the frames they
-        save *are* the simulation time (docs/performance.md, "One traffic
-        loop").
+        fallback order) and settles the arrivals between two fallbacks in
+        numpy (docs/performance.md, "One traffic loop").
         """
         spec = self.spec
         # arrival source: each client gets ceil(calls / batch_size) arrivals
@@ -991,19 +983,16 @@ class TrafficEngine:
         last_count = spec.calls_per_client - (per_client - 1) * batch_size
         for state in self.clients:
             state.arrivals_left = per_client
-        inline = batch_size == 1 and self._ff_enabled and \
-            not spec.adaptive_batch
         open_loop = spec.arrival != "closed"
-        if inline and open_loop:
+        if open_loop and batch_size == 1 and self._ff_enabled and \
+                not spec.adaptive_batch:
             self._drive_arrays(per_client)
             return
-        table = self._call_table() if inline else None
         if open_loop:
             times, indices = self._open_schedule_sorted(per_client)
-            arrivals: Iterator[Tuple[float, object]] = zip(times, indices)
+            arrivals: Iterator[Tuple[float, int]] = zip(times, indices)
         else:
-            # (time, client index), or (time, call-table entry) inline
-            arrivals = self._closed_arrivals(table)
+            arrivals = self._closed_arrivals()
         # flush policy: static batches unless the AIMD controller owns it
         if spec.adaptive_batch:
             self._attach_controllers()
@@ -1014,76 +1003,8 @@ class TrafficEngine:
         last_module = len(modules) - 1
         broker = self.extension.broker
         shed = self._broker_shed
-        if inline:
-            machine = self.machine
-            clock = machine.clock
-            # _now_us == profile.microseconds == cycles / profile.mhz;
-            # _advance_clock_to rounds idle against spec.mhz: mirror both
-            profile_mhz = machine.meter.profile.mhz
-            spec_mhz = machine.spec.mhz
-            mhz = self._mhz
-            windows = self._ff_windows
-            probe = self._dispatcher.fast_forward_probe
-            # deferred-charge accumulators mirrored into locals; written
-            # back after every arrival, which the closed source reads when
-            # it schedules the client's next one
-            pending = self._pending_cycles
-            idle_pending = self._pending_idle_cycles
-            idle_events = self._pending_idle_events
-            # the last-use clock too; only the windows' stamps read it
-            uses = self._ff_uses
-            # clock.cycles only moves on the slow path; cache it
-            base_cycles = clock.cycles
-
-        for at, item in arrivals:
-            if inline:
-                state, _, lat_append, session, name, key = item
-                # -- _advance_clock_to(at), inlined ----------------------
-                now = (base_cycles + pending) / profile_mhz
-                if at > now:
-                    idle = int(round((at - now) * spec_mhz))
-                    pending += idle
-                    idle_pending += idle
-                    idle_events += 1
-                # -- the sink: fast-forward offer, else settle and dispatch
-                window = None
-                if key is not None:
-                    window = windows.get(key)
-                    if window is None:
-                        entry = probe(session, key)
-                        if entry is not None:
-                            windows[key] = window = [entry, 0, session, 0,
-                                                     None]
-                if window is not None:
-                    window[1] += 1
-                    uses += 1
-                    window[3] = uses
-                    entry = window[0]
-                    cycles = entry.trace.total_cycles
-                    pending += cycles
-                    state.calls_issued += 1
-                    lat_append(cycles / mhz)
-                    state.calls_denied += entry.denied
-                else:
-                    # settle through the real flush: sync the mirrored
-                    # state out, dispatch, then re-sync (the flush zeroed
-                    # the accumulators and the call advanced the clock)
-                    self._pending_cycles = pending
-                    self._pending_idle_cycles = idle_pending
-                    self._pending_idle_events = idle_events
-                    self._ff_flush()
-                    self._dispatch_fallback(state, session, name)
-                    pending = self._pending_cycles
-                    idle_pending = self._pending_idle_cycles
-                    idle_events = self._pending_idle_events
-                    base_cycles = clock.cycles
-                state.arrivals_left -= 1
-                self._pending_cycles = pending
-                self._pending_idle_cycles = idle_pending
-                self._pending_idle_events = idle_events
-                continue
-
-            state = by_id[item]
+        for at, index in arrivals:
+            state = by_id[index]
             self._advance_clock_to(at)
             queue = state.queue
             controller = state.controller
@@ -1109,24 +1030,11 @@ class TrafficEngine:
             if controller is None or len(queue) >= controller.depth \
                     or not state.arrivals_left:
                 self._flush(state)
-        if inline:
-            self._ff_uses = uses
-
-    def _dispatch_fallback(self, state: ClientState, session,
-                           name: str) -> None:
-        """Dispatch an inline arm's call that no window takes, on a
-        settled engine.
-
-        Arguments never enter the trace key and are not drawn from the
-        RNG: synthesizing them only here is draw-for-draw identical to
-        `_draw_call`.
-        """
-        args = (state.calls_issued,) if name == "test_incr" else ()
-        self._dispatch_queue_slow(state, session, [(name, args)])
 
     # ------------------------------------------------------------- array arm
     def _drive_arrays(self, per_client: int) -> None:
-        """The inline arm over an open/MMPP schedule, in numpy.
+        """The array arm: a static depth-1 fast-forward run over an
+        open/MMPP schedule, in numpy.
 
         Between two barriers an arrival's step is integer and float
         arithmetic on what the schedule fixes in advance: its time, its
@@ -1170,7 +1078,7 @@ class TrafficEngine:
                 # the fallback arrival: the clock step, its delay, the
                 # barrier and the dispatch path
                 at_n = at.item(end)
-                state, delay_append, _, session, name, _ = \
+                state, delay_append, session, name, _ = \
                     table[chunk_rows.item(end)]
                 # -- _advance_clock_to(at_n), inlined
                 before = clock.cycles + self._pending_cycles
@@ -1188,7 +1096,11 @@ class TrafficEngine:
                 if self._ff_windows:
                     views.is_open[:] = False    # the barrier shuts them all
                 self._ff_flush()
-                self._dispatch_fallback(state, session, name)
+                # arguments never enter the trace key and are not drawn
+                # from the RNG: synthesizing them only here is draw-for-
+                # draw identical to `_draw_call`
+                args = (state.calls_issued,) if name == "test_incr" else ()
+                self._dispatch_queue_slow(state, session, [(name, args)])
                 state.arrivals_left -= 1
                 pos = end + 1
 
@@ -1199,7 +1111,7 @@ class TrafficEngine:
         sessions: List = []
         states: List[ClientState] = []
         row_key = []
-        for state, _, _, session, _, key in table:
+        for state, _, session, _, key in table:
             if key is not None and key not in key_ids:
                 key_ids[key] = len(keys)
                 keys.append(key)
@@ -1385,9 +1297,6 @@ class TrafficEngine:
     def _attach_controllers(self) -> None:
         """Give every client an AIMD controller over its flush depth."""
         spec = self.spec
-        config = AdaptiveConfig(
-            max_depth=spec.adaptive_max_depth,
-            service_p95_target_us=spec.service_p95_target_us)
         service_p95 = None
         if spec.service_p95_target_us > 0.0:
             # closed loop: the controllers consume the observed flush
@@ -1401,7 +1310,8 @@ class TrafficEngine:
         start_us = self._now_us()
         for state in self.clients:
             state.controller = AdaptiveBatchController(
-                config, client=state.index, start_us=start_us)
+                spec.adaptive_max_depth, spec.service_p95_target_us,
+                client=state.index, start_us=start_us)
             state.controller.service_p95_supplier = service_p95
 
     def _think_source(self, state: ClientState):
@@ -1418,20 +1328,19 @@ class TrafficEngine:
         return lambda: state.rng.exponential(spec.mean_interval_us)
 
     def _call_table(self) -> List[Tuple]:
-        """The inline arm's call table, one entry per (client, module,
+        """The array arm's call table, one entry per (client, module,
         call-mix function), in that order.
 
         An entry holds everything the arm touches for one call: the
-        client's state, its queue-delay and latency appends, the session
-        the module pick lands on, the function name, and the trace key the
-        dispatcher builds for the call, or None when the session does not
-        resolve the name (the call takes the dispatch path).
+        client's state, its queue-delay append, the session the module
+        pick lands on, the function name, and the trace key the dispatcher
+        builds for the call, or None when the session does not resolve the
+        name (the call takes the dispatch path).
         """
         config = self.config
         table = []
         for state in self.clients:
             delay_append = state.queue_delays_us.append
-            lat_append = state.latencies_us.append
             for registered in self.modules:
                 session = state.sessions[registered.m_id]
                 for name in self._mix_names:
@@ -1441,34 +1350,25 @@ class TrafficEngine:
                         module, function = found
                         key = (session.session_id,
                                (module.m_id, function.func_id), config)
-                    table.append((state, delay_append, lat_append, session,
-                                  name, key))
+                    table.append((state, delay_append, session, name, key))
         return table
 
     def _table_row(self, position: int) -> int:
         """The first call-table row of the client at ``position``."""
         return position * len(self.modules) * len(self._mix_names)
 
-    def _closed_arrivals(self, table: Optional[List[Tuple]] = None
-                         ) -> Iterator[Tuple[float, object]]:
+    def _closed_arrivals(self) -> Iterator[Tuple[float, int]]:
         """The closed-loop arrival source: one think-time heap.
 
-        Yields ``(time_us, client_index)``, or with a call ``table``
-        ``(time_us, entry)``: the popped client's module pick and call
-        draw, drawn at the pop and before the client's next think time,
-        so each client draws think, pick, draw in turn.  A
-        client's next arrival is drawn only when the loop asks for the
-        next arrival, after the client's flush, so it is scheduled from
-        the completion time.  The tiebreak keeps ordering deterministic
-        when two clients share a time.
+        Yields ``(time_us, client_index)``.  A client's next arrival is
+        drawn only when the loop asks for the next arrival, after the
+        client's flush, so it is scheduled from the completion time.  The
+        tiebreak keeps ordering deterministic when two clients share a
+        time.
         """
         heap: List[Tuple[float, int, int]] = []
         base_us = self._now_us()
         think = {s.index: self._think_source(s) for s in self.clients}
-        if table is not None:
-            draws = {state.index: self._call_draw(state, table,
-                                                  self._table_row(position))
-                     for position, state in enumerate(self.clients)}
         for tiebreak, state in enumerate(self.clients):
             heapq.heappush(heap, (base_us + think[state.index](), tiebreak,
                                   state.index))
@@ -1476,41 +1376,20 @@ class TrafficEngine:
         by_id = self._client_by_id
         while heap:
             at, _, index = heapq.heappop(heap)
-            yield at, (index if table is None else draws[index]())
+            yield at, index
             if by_id[index].arrivals_left:
                 heapq.heappush(heap, (self._now_us() + think[index](),
                                       tiebreak, index))
                 tiebreak += 1
 
-    def _call_draw(self, state: ClientState, table: List[Tuple], row: int):
-        """A function drawing the client's next call-table entry: the
-        module pick (``integer``, which draws nothing over one module),
-        then the call-mix double walked over ``weighted_choice``'s
-        thresholds."""
-        integer = state.rng.integer
-        next_double = state.rng.next_double
-        span = len(self.modules) - 1
-        width = len(self._mix_names)
-        total = self._mix_total
-        thresholds = list(enumerate(self._mix_thresholds))
-        last = width - 1
-
-        def draw() -> Tuple:
-            base = row + integer(0, span) * width
-            value = total * next_double()
-            for offset, threshold in thresholds:
-                if value < threshold:
-                    return table[base + offset]
-            return table[base + last]
-        return draw
-
     def _call_rows(self, state: ClientState, row: int,
                    n: int) -> np.ndarray:
         """The client's next ``n`` call-table rows, drawn in bulk: the
-        rounds :meth:`_call_draw` would draw one by one
-        (``integer_double_rounds``), each call-mix double placed by a
-        right-sided ``searchsorted`` over the thresholds (the first
-        threshold above it, as the walk finds it)."""
+        rounds of module pick and call-mix double that the general arm
+        draws one call at a time (``integer_double_rounds``), each double
+        placed by a right-sided ``searchsorted`` over the thresholds (the
+        first threshold above it, as ``weighted_choice``'s walk finds
+        it)."""
         width = len(self._mix_names)
         picks, doubles = state.rng.integer_double_rounds(
             len(self.modules) - 1, n)
@@ -1604,7 +1483,7 @@ class TrafficEngine:
             cycles_per_call=(interval.cycles / total_calls
                              if total_calls else 0.0),
             per_client_mean_us=[
-                sum(s.latencies_us) / len(s.latencies_us)
+                ordered_sum(s.latencies_us) / len(s.latencies_us)
                 if s.latencies_us else 0.0
                 for s in self.clients],
             latencies_us=latencies,

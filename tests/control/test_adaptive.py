@@ -2,16 +2,18 @@
 
 import pytest
 
-from repro.control.adaptive import AdaptiveBatchController, AdaptiveConfig
+from repro.control.adaptive import AdaptiveBatchController
 from repro.errors import SimulationError
 from repro.telemetry import Telemetry
 from repro.workloads.traffic import TrafficSpec, run_traffic
 
 
-def _drive(controller, *, gap_us, arrivals, flush_every, telemetry=None):
-    """Feed a fixed-rate arrival train, flushing every ``flush_every``;
-    like the traffic engine, record each depth change into ``telemetry``."""
-    t = 0.0
+def _drive(controller, *, gap_us, arrivals, flush_every, telemetry=None,
+           start_us=0.0):
+    """Feed a fixed-rate arrival train from ``start_us``, flushing every
+    ``flush_every``; like the traffic engine, record each depth change
+    into ``telemetry``.  Returns the last arrival's time."""
+    t = start_us
     for index in range(arrivals):
         t += gap_us
         controller.observe_arrival(t)
@@ -24,72 +26,62 @@ def _drive(controller, *, gap_us, arrivals, flush_every, telemetry=None):
 
 class TestControllerUnit:
     def test_grows_additively_under_fast_arrivals(self):
-        controller = AdaptiveBatchController(
-            AdaptiveConfig(max_depth=32, increase_step=4))
+        controller = AdaptiveBatchController(32)
         _drive(controller, gap_us=1.0, arrivals=200, flush_every=8)
         assert controller.depth == 32
         assert controller.grows >= 8
         assert controller.shrinks == 0
-        # additive: each growth step moved the depth by increase_step
+        # additive: each growth step moved the depth by INCREASE_STEP
         depths = [depth for _, depth in controller.trajectory]
         steps = [b - a for a, b in zip(depths, depths[1:])]
         assert all(step == 4 for step in steps[:-1])
 
     def test_shrinks_multiplicatively_after_a_lull(self):
-        controller = AdaptiveBatchController(
-            AdaptiveConfig(max_depth=32, initial_depth=32))
-        last = _drive(controller, gap_us=100.0, arrivals=12, flush_every=1)
+        controller = AdaptiveBatchController(32)
+        grown = _drive(controller, gap_us=1.0, arrivals=64, flush_every=8)
+        assert controller.depth == 32
+        ramp = len(controller.trajectory) - 1
+        last = _drive(controller, gap_us=100.0, arrivals=12, flush_every=1,
+                      start_us=grown)
         assert controller.depth == 1
         assert controller.shrinks >= 5
-        depths = [depth for _, depth in controller.trajectory]
+        depths = [depth for _, depth in controller.trajectory[ramp:]]
         # 32 -> 16 -> 8 -> 4 -> 2 -> 1: halving, not counting down
         assert depths == [32, 16, 8, 4, 2, 1]
         # and a long gap reports the lull so the engine drains the queue
         assert controller.observe_arrival(last + 500.0)
 
     def test_holds_inside_the_dead_band(self):
-        config = AdaptiveConfig(grow_below_us=8.0, shrink_above_us=24.0,
-                                initial_depth=4, max_depth=32)
-        controller = AdaptiveBatchController(config)
-        _drive(controller, gap_us=16.0, arrivals=64, flush_every=4)
-        assert controller.depth == 4
-        assert controller.grows == 0 and controller.shrinks == 0
+        controller = AdaptiveBatchController(32)
+        grown = _drive(controller, gap_us=1.0, arrivals=4, flush_every=4)
+        assert controller.depth == 5 and controller.grows == 1
+        # 16us gaps sit between GROW_BELOW_US (8) and SHRINK_ABOVE_US (24)
+        _drive(controller, gap_us=16.0, arrivals=64, flush_every=4,
+               start_us=grown)
+        assert controller.depth == 5
+        assert controller.grows == 1 and controller.shrinks == 0
 
     def test_bounds_are_respected(self):
-        controller = AdaptiveBatchController(AdaptiveConfig(max_depth=2))
+        controller = AdaptiveBatchController(2)
         _drive(controller, gap_us=0.5, arrivals=64, flush_every=2)
         assert controller.depth == 2
-        controller = AdaptiveBatchController(
-            AdaptiveConfig(max_depth=8, initial_depth=1))
+        controller = AdaptiveBatchController(8)
         _drive(controller, gap_us=100.0, arrivals=16, flush_every=1)
         assert controller.depth == 1
 
     def test_first_flush_without_ewma_holds(self):
-        controller = AdaptiveBatchController()
+        controller = AdaptiveBatchController(64)
         controller.observe_arrival(1.0)         # a single arrival: no gap yet
         controller.on_flush(1, 1.0)
-        assert controller.depth == controller.config.initial_depth
+        assert controller.depth == 1
 
     def test_depth_changes_feed_the_telemetry_gauge(self):
         telemetry = Telemetry().enable_metrics()
-        controller = AdaptiveBatchController(
-            AdaptiveConfig(max_depth=8), client=3)
+        controller = AdaptiveBatchController(8, client=3)
         _drive(controller, gap_us=1.0, arrivals=32, flush_every=4,
                telemetry=telemetry)
         gauges = telemetry.snapshot()["gauges"]
         assert gauges["adaptive_batch_depth{client=3}"]["max"] == 8
-
-    def test_config_validation(self):
-        with pytest.raises(SimulationError):
-            AdaptiveConfig(min_depth=0)
-        with pytest.raises(SimulationError):
-            AdaptiveConfig(initial_depth=9, max_depth=8)
-        with pytest.raises(SimulationError):
-            AdaptiveConfig(grow_below_us=24.0, shrink_above_us=24.0)
-        with pytest.raises(SimulationError):
-            AdaptiveConfig(decrease_factor=1.0)
-        with pytest.raises(SimulationError):
-            AdaptiveConfig(ewma_alpha=0.0)
 
 
 def _steady_spec(**overrides):

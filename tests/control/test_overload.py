@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.control.adaptive import AdaptiveBatchController, AdaptiveConfig
+from repro.control.adaptive import AdaptiveBatchController
 from repro.control.overload import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -45,12 +45,7 @@ class TestOverloadConfig:
         {"admission_rate_per_us": 0.5},            # rate without burst >= 1
         {"deadline_us": -1.0},
         {"breaker_window_us": -1.0},
-        {"breaker_window_us": 10.0, "breaker_failure_ratio": 0.0},
-        {"breaker_window_us": 10.0, "breaker_failure_ratio": 1.5},
-        {"breaker_window_us": 10.0, "breaker_min_samples": 0},
-        {"breaker_window_us": 10.0, "breaker_open_us": 0.0},
         {"retry_budget": -1},
-        {"retry_backoff_us": -1.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(SimulationError):
@@ -109,77 +104,75 @@ class _SpyTelemetry(Telemetry):
         self.admissions.append((client_pid, admitted, n))
 
 
-def _config(**kwargs):
-    base = dict(breaker_window_us=100.0, breaker_failure_ratio=0.5,
-                breaker_min_samples=4, breaker_open_us=50.0,
-                breaker_half_open_probes=2)
-    base.update(kwargs)
-    return OverloadConfig(**base)
+def _breaker():
+    """A breaker over a 100 us window, at the module's thresholds: 8
+    outcomes at a failure ratio of 0.5 trip it, it stays open for 200 us,
+    then admits 2 probes."""
+    return CircuitBreaker("b", OverloadConfig(breaker_window_us=100.0))
+
+
+def _tripped():
+    """A breaker tripped by failures at t = 1..8 us."""
+    breaker = _breaker()
+    for t in range(1, 9):
+        breaker.record(float(t), False)
+    return breaker
 
 
 class TestCircuitBreaker:
     def test_trips_at_failure_ratio_with_min_samples(self):
-        breaker = CircuitBreaker("b", _config())
-        # three failures alone are below min_samples: no trip yet
-        for t in (1.0, 2.0, 3.0):
-            assert breaker.record(t, False) is None
+        breaker = _breaker()
+        # seven failures alone are below min_samples: no trip yet
+        for t in range(1, 8):
+            assert breaker.record(float(t), False) is None
         assert breaker.state == BREAKER_CLOSED
-        assert breaker.record(4.0, False) == BREAKER_OPEN
+        assert breaker.record(8.0, False) == BREAKER_OPEN
         assert breaker.trips == 1
 
     def test_open_fast_fails_until_open_period_elapses(self):
-        breaker = CircuitBreaker("b", _config())
-        for t in range(1, 5):
-            breaker.record(float(t), False)
+        breaker = _tripped()
         allowed, transition = breaker.allow(10.0)
         assert not allowed and transition is None
         assert breaker.fast_fails == 1
-        # open_us later the breaker half-opens and admits a probe
-        allowed, transition = breaker.allow(60.0)
+        # the open period later the breaker half-opens and admits a probe
+        allowed, transition = breaker.allow(210.0)
         assert allowed and transition == BREAKER_HALF_OPEN
 
     def test_half_open_probe_success_closes_and_clears_window(self):
-        breaker = CircuitBreaker("b", _config())
-        for t in range(1, 5):
-            breaker.record(float(t), False)
-        breaker.allow(60.0)
-        assert breaker.record(61.0, True) == BREAKER_CLOSED
+        breaker = _tripped()
+        breaker.allow(210.0)
+        assert breaker.record(211.0, True) == BREAKER_CLOSED
         assert breaker.snapshot()["window"] == 0
         # one fresh failure cannot re-trip: the bad history is gone
-        assert breaker.record(62.0, False) is None
+        assert breaker.record(212.0, False) is None
 
     def test_half_open_probe_failure_reopens(self):
-        breaker = CircuitBreaker("b", _config())
-        for t in range(1, 5):
-            breaker.record(float(t), False)
-        breaker.allow(60.0)
-        assert breaker.record(61.0, False) == BREAKER_OPEN
+        breaker = _tripped()
+        breaker.allow(210.0)
+        assert breaker.record(211.0, False) == BREAKER_OPEN
         assert breaker.trips == 2
 
     def test_half_open_bounds_concurrent_probes(self):
-        breaker = CircuitBreaker("b", _config())
-        for t in range(1, 5):
-            breaker.record(float(t), False)
-        assert breaker.allow(60.0)[0]
-        assert breaker.allow(60.0)[0]          # two probes configured
-        allowed, _ = breaker.allow(60.0)
+        breaker = _tripped()
+        assert breaker.allow(210.0)[0]
+        assert breaker.allow(210.0)[0]         # two probes configured
+        allowed, _ = breaker.allow(210.0)
         assert not allowed
 
     def test_window_prunes_old_outcomes(self):
-        breaker = CircuitBreaker("b", _config())
-        for t in (1.0, 2.0, 3.0):
-            breaker.record(t, False)
+        breaker = _breaker()
+        for t in range(1, 8):
+            breaker.record(float(t), False)
         # 200us later those failures have aged out of the 100us window:
-        # three fresh successes + one failure stay under the trip ratio
-        for t in (200.0, 201.0, 202.0):
-            assert breaker.record(t, True) is None
-        assert breaker.record(203.0, False) is None
+        # six fresh successes + two failures stay under the trip ratio
+        for t in range(200, 206):
+            assert breaker.record(float(t), True) is None
+        for t in (206.0, 207.0):
+            assert breaker.record(t, False) is None
         assert breaker.state == BREAKER_CLOSED
 
     def test_open_ignores_outcomes(self):
-        breaker = CircuitBreaker("b", _config())
-        for t in range(1, 5):
-            breaker.record(float(t), False)
+        breaker = _tripped()
         window = breaker.snapshot()["window"]
         assert breaker.record(10.0, True) is None
         assert breaker.snapshot()["window"] == window
@@ -187,16 +180,16 @@ class TestCircuitBreaker:
     def test_transitions_mirrored_to_telemetry(self):
         """Every transition is returned, for the front-end to record."""
         telemetry = _SpyTelemetry()
-        breaker = CircuitBreaker("b", _config())
+        breaker = _breaker()
 
         def observe(now_us, transition):
             if transition is not None:
                 telemetry.record_breaker_state("b", transition, now_us)
 
-        for t in range(1, 5):
+        for t in range(1, 9):
             observe(float(t), breaker.record(float(t), False))
-        observe(60.0, breaker.allow(60.0)[1])
-        observe(61.0, breaker.record(61.0, True))
+        observe(210.0, breaker.allow(210.0)[1])
+        observe(211.0, breaker.record(211.0, True))
         assert telemetry.breaker_states == [
             ("b", BREAKER_OPEN), ("b", BREAKER_HALF_OPEN),
             ("b", BREAKER_CLOSED)]
@@ -204,14 +197,14 @@ class TestCircuitBreaker:
 
 class TestRetryBudget:
     def test_consumes_then_exhausts(self):
-        budget = RetryBudget(2, backoff_base_us=4.0)
+        budget = RetryBudget(2)
         assert budget.try_consume() and budget.try_consume()
         assert not budget.try_consume()
         assert budget.remaining == 0
         assert budget.consumed == 2 and budget.exhaustions == 1
 
     def test_backoff_is_deterministic_exponential(self):
-        budget = RetryBudget(4, backoff_base_us=8.0)
+        budget = RetryBudget(4)
         assert [budget.backoff_us(n) for n in (1, 2, 3)] == [8.0, 16.0, 32.0]
 
     def test_zero_budget_never_retries(self):
@@ -250,40 +243,37 @@ class TestAdaptiveP95Feed:
     """The closed-loop feed: observed service p95 overrides rate-AIMD."""
 
     def _controller(self, target, p95):
-        config = AdaptiveConfig(initial_depth=8,
-                                service_p95_target_us=target)
-        controller = AdaptiveBatchController(config)
-        controller.service_p95_supplier = lambda: p95
-        # arrivals fast enough that the rate-only AIMD would grow
+        controller = AdaptiveBatchController(64, target)
+        # arrivals fast enough that the rate-only AIMD grows: 1 -> 5 -> 9
         for t in (0.0, 2.0, 4.0, 6.0):
             controller.observe_arrival(t)
+        controller.on_flush(1, 7.0)
+        controller.on_flush(5, 8.0)
+        assert controller.depth == 9 and controller.grows == 2
+        controller.service_p95_supplier = lambda: p95
         return controller
 
     def test_p95_over_target_shrinks_despite_fast_arrivals(self):
         controller = self._controller(target=30.0, p95=100.0)
-        controller.on_flush(8, 10.0)
+        controller.on_flush(9, 10.0)
         assert controller.depth == 4
-        assert controller.p95_shrinks == 1 and controller.grows == 0
+        assert controller.p95_shrinks == 1 and controller.grows == 2
 
     def test_p95_under_target_leaves_rate_aimd_in_charge(self):
         controller = self._controller(target=30.0, p95=5.0)
-        controller.on_flush(8, 10.0)
-        assert controller.depth > 8
-        assert controller.p95_shrinks == 0 and controller.grows == 1
+        controller.on_flush(9, 10.0)
+        assert controller.depth > 9
+        assert controller.p95_shrinks == 0 and controller.grows == 3
 
     def test_no_supplier_means_rate_only_even_with_target(self):
-        config = AdaptiveConfig(initial_depth=8,
-                                service_p95_target_us=30.0)
-        controller = AdaptiveBatchController(config)
+        controller = AdaptiveBatchController(64, 30.0)
         for t in (0.0, 2.0, 4.0, 6.0):
             controller.observe_arrival(t)
-        controller.on_flush(8, 10.0)
-        assert controller.depth > 8 and controller.p95_shrinks == 0
+        controller.on_flush(1, 10.0)
+        assert controller.depth > 1 and controller.p95_shrinks == 0
 
     def test_shrink_floors_at_min_depth(self):
-        config = AdaptiveConfig(initial_depth=1,
-                                service_p95_target_us=30.0)
-        controller = AdaptiveBatchController(config)
+        controller = AdaptiveBatchController(64, 30.0)
         controller.service_p95_supplier = lambda: 100.0
         for t in (0.0, 2.0, 4.0):
             controller.observe_arrival(t)

@@ -21,10 +21,11 @@ builds (static, quota, expiry, deny-only) and every
 fast-forward on accounts exactly as op by op there too: the stateful
 chains, the suspend/resume and unmap hardenings and explicit-copy
 marshalling all run on the op-by-op path.  A third draws
-the specs fast-forward runs through the inline depth-1 arm, whose calls come
-from a call table drawn in bulk, and asserts op by op (the general arm,
-drawing one call at a time) accounts alike and leaves every client's bit
-generator in the same state.
+the specs fast-forward runs through the array arm (static depth-1 open and
+MMPP runs), whose calls come from a call table drawn in bulk with each
+client's schedule, and asserts op by op (the general arm, drawing one call
+at a time) accounts alike and leaves every client's bit generator in the
+same state.
 
 The run is derandomized, so tier-1 sees the same examples every time.  A
 shrunk failure belongs below as a named regression test.
@@ -155,13 +156,15 @@ def test_traffic_contract_holds_across_the_knob_space(kwargs):
 
 
 @st.composite
-def inline_arm_specs(draw):
-    """A ``traffic_specs`` draw that fast-forward runs through the inline
-    depth-1 arm: static batches of one, no shedding, no service plane."""
+def array_arm_specs(draw):
+    """A ``traffic_specs`` draw that fast-forward runs through the array
+    arm: open or MMPP arrivals, static batches of one, no shedding, no
+    service plane."""
     kwargs = draw(traffic_specs())
     for knob in ("adaptive_batch", "adaptive_max_depth", "via_service",
                  "shed_deadline_us"):
         kwargs.pop(knob, None)
+    kwargs["arrival"] = draw(st.sampled_from(["open", "mmpp"]))
     kwargs["batch_size"] = 1
     return kwargs
 
@@ -171,12 +174,12 @@ def _stream_states(engine):
 
 
 @settings(ORACLE, max_examples=60)
-@given(kwargs=inline_arm_specs())
-def test_inline_arm_draws_what_the_general_arm_draws(kwargs):
-    """The inline arm takes its calls from a table drawn in bulk (open and
-    MMPP) or at each pop (closed); op by op, the general arm draws them
-    one by one.  Both runs account alike and leave every client's bit
-    generator in the same state."""
+@given(kwargs=array_arm_specs())
+def test_array_arm_draws_what_the_general_arm_draws(kwargs):
+    """The array arm takes its calls from a table drawn in bulk with each
+    client's schedule; op by op, the general arm draws them one by one.
+    Both runs account alike and leave every client's bit generator in the
+    same state."""
     ff_engine, ff = _run(kwargs)
     op_engine, op = _run(kwargs,
                          config=DispatchConfig(use_trace_replay=False))

@@ -27,9 +27,9 @@ def _system(seed=101):
 
 
 def _frontend(kernel, ext, registered, pool, *, charge_ops=True):
-    frontend = ServiceFrontend(kernel, ext,
-                               config=ServiceConfig(charge_ops=charge_ops))
-    record = frontend.register_backend("libtest", [registered], pool=pool)
+    frontend = ServiceFrontend(
+        kernel, ext, config=ServiceConfig(pool=pool, charge_ops=charge_ops))
+    record = frontend.register_backend("libtest", [registered])
     return frontend, record
 
 
@@ -85,20 +85,6 @@ class TestExhaustionUnderBurst:
         assert not refused_outcome.ok
         assert second.refused and second.reason == "pool exhausted"
         assert frontend.pool("libtest").refusals == 1
-
-    def test_bounded_queue_depth_refuses_past_the_cap(self):
-        kernel, ext, registered = _system()
-        frontend, record = _frontend(
-            kernel, ext, registered,
-            PoolConfig(max_attachments=1, max_queue_depth=2))
-        at = _now(kernel)
-        checkouts = [frontend.call_pooled(record, "test_incr", index,
-                                          arrival_us=at + index * 0.01)[1]
-                     for index in range(5)]
-        # first claims, next two queue, the rest refuse on the depth cap
-        assert [c.refused for c in checkouts] == [
-            False, False, False, True, True]
-        assert checkouts[3].reason == "pool wait queue full"
 
 
 class TestBackendDeath:

@@ -41,12 +41,11 @@ def build_front(smod_kernel, *, overload=None, pool=None):
     return kernel, frontend, record
 
 
-def breaker_config(**kwargs):
-    base = dict(breaker_window_us=1000.0, breaker_failure_ratio=0.5,
-                breaker_min_samples=4, breaker_open_us=50.0,
-                breaker_half_open_probes=1)
-    base.update(kwargs)
-    return OverloadConfig(**base)
+def breaker_config():
+    """Breakers over a 1000 us window, at the module's thresholds: 8
+    outcomes at a failure ratio of 0.5 trip one, which then stays open for
+    200 us."""
+    return OverloadConfig(breaker_window_us=1000.0)
 
 
 class TestDeadlineShed:
@@ -56,8 +55,8 @@ class TestDeadlineShed:
             overload=OverloadConfig(deadline_us=10.0),
             pool=PoolConfig(max_attachments=1))
         pool = frontend.pool("libtest")
-        # the overload deadline propagated into the backend's pool config
-        assert pool.config.shed_deadline_us == 10.0
+        # the overload deadline propagated into the backend's pool
+        assert pool.shed_deadline_us == 10.0
         first = pool.checkout(0.0)
         assert first.ok
         pool.checkin(first.attachment, 100.0)       # busy until t=100
@@ -77,8 +76,8 @@ class TestDeadlineShed:
         past it shed (the reply would be late anyway)."""
         _, frontend, _ = build_front(
             smod_kernel,
-            pool=PoolConfig(max_attachments=1, overflow="refuse",
-                            shed_deadline_us=20.0))
+            overload=OverloadConfig(deadline_us=20.0),
+            pool=PoolConfig(max_attachments=1, overflow="refuse"))
         pool = frontend.pool("libtest")
         first = pool.checkout(0.0)
         pool.checkin(first.attachment, 30.0)
@@ -95,8 +94,8 @@ class TestDeadlineShed:
         service completion refuse; both leave the queue untouched."""
         _, frontend, record = build_front(
             smod_kernel,
-            pool=PoolConfig(max_attachments=1, overflow="refuse",
-                            shed_deadline_us=4.0))
+            overload=OverloadConfig(deadline_us=4.0),
+            pool=PoolConfig(max_attachments=1, overflow="refuse"))
         pool = frontend.pool("libtest")
         rng = DeterministicRNG(0xB0B)
         now, served, sheds, refusals = 0.0, 0, 0, 0
@@ -129,20 +128,20 @@ class TestCircuitBreaker:
         _, frontend, record = build_front(smod_kernel,
                                           overload=breaker_config())
         frontend.registry.mark_down(record)
-        for t in range(4):
+        for t in range(8):
             outcome, checkout = frontend.call_pooled(
                 record, "test_incr", 1, arrival_us=float(t))
             assert outcome.errno == Errno.EAGAIN
             assert "down" in checkout.reason
         assert record.breaker.state == BREAKER_OPEN
-        assert frontend.down_refusals == 4
+        assert frontend.down_refusals == 8
         # open breaker fast-fails before the down check is even reached
         outcome, checkout = frontend.call_pooled(
             record, "test_incr", 1, arrival_us=10.0)
         assert outcome.errno == Errno.EAGAIN
         assert "breaker open" in checkout.reason
         assert frontend.breaker_refusals == 1
-        assert frontend.down_refusals == 4
+        assert frontend.down_refusals == 8
 
     def test_half_open_probe_racing_a_down_backend_reopens(
             self, smod_kernel):
@@ -152,36 +151,36 @@ class TestCircuitBreaker:
         _, frontend, record = build_front(smod_kernel,
                                           overload=breaker_config())
         frontend.registry.mark_down(record)
-        for t in range(4):
+        for t in range(8):
             frontend.call_pooled(record, "test_incr", 1,
                                  arrival_us=float(t))
         breaker = record.breaker
         assert breaker.state == BREAKER_OPEN and breaker.trips == 1
-        # past open_us: the probe goes through... straight into a wall
+        # past the open period: the probe goes through... into a wall
         outcome, checkout = frontend.call_pooled(
-            record, "test_incr", 1, arrival_us=60.0)
+            record, "test_incr", 1, arrival_us=210.0)
         assert outcome.errno == Errno.EAGAIN and "down" in checkout.reason
         assert breaker.state == BREAKER_OPEN and breaker.trips == 2
         # the fresh open period starts at the failed probe, not the trip
         outcome, checkout = frontend.call_pooled(
-            record, "test_incr", 1, arrival_us=80.0)
+            record, "test_incr", 1, arrival_us=220.0)
         assert "breaker open" in checkout.reason
         # backend heals; next probe succeeds and the breaker closes
         frontend.registry.mark_up(record)
         outcome, _ = frontend.call_pooled(record, "test_incr", 1,
-                                          arrival_us=130.0)
+                                          arrival_us=420.0)
         assert outcome.ok and outcome.value == 2
         assert breaker.state == BREAKER_CLOSED
         # and stays closed for ordinary traffic
         outcome, _ = frontend.call_pooled(record, "test_incr", 5,
-                                          arrival_us=200.0)
+                                          arrival_us=500.0)
         assert outcome.ok and outcome.value == 6
 
     def test_breaker_state_surfaces_in_status(self, smod_kernel):
         _, frontend, record = build_front(smod_kernel,
                                           overload=breaker_config())
         frontend.registry.mark_down(record)
-        for t in range(4):
+        for t in range(8):
             frontend.call_pooled(record, "test_incr", 1,
                                  arrival_us=float(t))
         frontend.call_pooled(record, "test_incr", 1, arrival_us=10.0)
@@ -192,7 +191,7 @@ class TestCircuitBreaker:
         assert snapshot["state"] == BREAKER_OPEN
         assert snapshot["trips"] == 1 and snapshot["fast_fails"] == 1
         assert overload["breaker_refusals"] == 1
-        assert overload["down_refusals"] == 4
+        assert overload["down_refusals"] == 8
 
 
 class TestRetryBudget:
@@ -200,7 +199,7 @@ class TestRetryBudget:
             self, smod_kernel):
         kernel, frontend, record = build_front(
             smod_kernel,
-            overload=OverloadConfig(retry_budget=3, retry_backoff_us=8.0))
+            overload=OverloadConfig(retry_budget=3))
         frontend.start()
         caller = Program.spawn(kernel, "rpc-caller", uid=1000)
         stub = frontend.make_client(caller.proc)
@@ -231,7 +230,7 @@ class TestRetryBudget:
             self, smod_kernel):
         kernel, frontend, record = build_front(
             smod_kernel,
-            overload=OverloadConfig(retry_budget=1, retry_backoff_us=8.0))
+            overload=OverloadConfig(retry_budget=1))
         frontend.start()
         caller = Program.spawn(kernel, "rpc-caller", uid=1000)
         stub = frontend.make_client(caller.proc)

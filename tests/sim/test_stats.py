@@ -1,7 +1,9 @@
 """Tests for the statistics helpers."""
 
 import math
+from array import array
 
+import numpy as np
 import pytest
 
 from repro.sim.stats import (
@@ -10,6 +12,7 @@ from repro.sim.stats import (
     TrialResult,
     coefficient_of_variation,
     mean,
+    ordered_sum,
     stdev,
 )
 
@@ -121,3 +124,25 @@ class TestModuleLevelHelpers:
         assert coefficient_of_variation([10.0, 10.0]) == 0.0
         assert coefficient_of_variation([]) == 0.0
         assert coefficient_of_variation([9.0, 11.0]) == pytest.approx(math.sqrt(2) / 10, rel=1e-6)
+
+
+class TestOrderedSum:
+    """``ordered_sum`` adds left to right on every interpreter."""
+
+    def test_empty(self):
+        assert ordered_sum(array("d")) == 0.0
+
+    def test_no_compensation(self):
+        # 1e16 + 1.0 rounds back to 1e16 when added in order; a
+        # compensated sum (Python 3.12's builtin) would return 1.0
+        assert ordered_sum(array("d", [1e16, 1.0, -1e16])) == 0.0
+
+    def test_matches_a_left_to_right_loop_bit_for_bit(self):
+        rng = np.random.default_rng(0x5EED)
+        for size in (1, 2, 7, 1000, 100_000):
+            xs = array("d", (rng.lognormal(1.5, 1.0, size)
+                             * rng.choice([-1.0, 1.0], size)).tolist())
+            total = 0.0
+            for x in xs:
+                total += x
+            assert ordered_sum(xs).hex() == total.hex(), size

@@ -118,19 +118,21 @@ def case_frontend_overload():
 
 
 def case_pool_refuses():
-    """A pool that refuses on overflow, and one with no attachments."""
+    """A pool that refuses on overflow, and one with no attachments, each
+    behind a front-end of its own (a front-end gives every backend its
+    ``ServiceConfig.pool``)."""
     machine, kernel, extension, registered = _boot(0x0B5F)
-    frontend = _frontend(kernel, extension)
-    full = frontend.register_backend(
-        "refusing", [registered],
-        pool=PoolConfig(max_attachments=1, overflow="refuse"))
-    empty = frontend.register_backend(
-        "empty", [registered], pool=PoolConfig(max_attachments=0))
+    refusing = _frontend(kernel, extension, pool=PoolConfig(
+        max_attachments=1, overflow="refuse"))
+    full = refusing.register_backend("refusing", [registered])
+    no_seats = _frontend(kernel, extension,
+                         pool=PoolConfig(max_attachments=0))
+    empty = no_seats.register_backend("empty", [registered])
     base_us = _now_us(machine)
     for index in range(6):
-        frontend.call_pooled(full, "test_incr", index,
+        refusing.call_pooled(full, "test_incr", index,
                              arrival_us=base_us + index * 0.5)
-    frontend.call_pooled(empty, "test_incr", 1, arrival_us=base_us)
+    no_seats.call_pooled(empty, "test_incr", 1, arrival_us=base_us)
     return machine
 
 

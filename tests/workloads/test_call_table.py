@@ -1,18 +1,17 @@
-"""The inline depth-1 arm's call table and the draws that index it.
+"""The array arm's call table and the draws that index it.
 
-Fast-forward runs of static depth-1 traffic take their calls from a table
-with one entry per (client, module, call-mix function).  The open and MMPP
-sources draw each client's rows in bulk with its schedule
-(``_call_rows``); the closed source draws one row per popped arrival
-(``_call_draw``).  Both must pick the row the scalar draw picks: the
-module pick, then the call-mix double placed on ``weighted_choice``'s
-thresholds.
+Fast-forward runs of static depth-1 open and MMPP traffic take their calls
+from a table with one entry per (client, module, call-mix function), each
+client's rows drawn in bulk with its schedule (``_call_rows``).  Each row
+must be the one the general arm's draw picks, one call at a time: the
+module pick, then ``weighted_choice`` over the call mix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.sim.rng import DeterministicRNG
 from repro.workloads import traffic
 from repro.workloads.traffic import TrafficEngine, TrafficSpec
 
@@ -36,11 +35,10 @@ def test_one_entry_per_client_module_and_function():
         for registered in engine.modules:
             session = state.sessions[registered.m_id]
             for name, _ in MIX:
-                entry_state, delay_append, lat_append, entry_session, \
-                    entry_name, key = next(rows)
+                entry_state, delay_append, entry_session, entry_name, \
+                    key = next(rows)
                 assert entry_state is state
                 assert delay_append == state.queue_delays_us.append
-                assert lat_append == state.latencies_us.append
                 assert (entry_session, entry_name) == (session, name)
                 module, function = session.find_function(name)
                 assert key == (session.session_id,
@@ -49,8 +47,11 @@ def test_one_entry_per_client_module_and_function():
 
 
 class _ScriptedRNG:
-    """Scripted rounds of (module pick, call-mix double), served one by
-    one or in bulk."""
+    """Scripted rounds of (module pick, call-mix double), served as the
+    general arm draws them (``integer``, then ``weighted_choice``) or in
+    bulk."""
+
+    weighted_choice = DeterministicRNG.weighted_choice
 
     def __init__(self, rounds):
         self.rounds = list(rounds)
@@ -71,7 +72,7 @@ def test_bulk_rows_place_each_double_as_the_walk_does():
     """A double that lands exactly on a threshold belongs to the next
     function; one just below the total to the last."""
     engine = _engine()
-    table = engine._call_table()
+    names = [name for name, _ in MIX]
     doubles = [0.0, 0.2499999999999999, 0.25, 0.5, 0.75,
                1.0 - 2.0 ** -53]
     rounds = [(pick, double) for pick in range(3) for double in doubles]
@@ -80,8 +81,11 @@ def test_bulk_rows_place_each_double_as_the_walk_does():
     state.rng = _ScriptedRNG(rounds)
     bulk = engine._call_rows(state, row, len(rounds)).tolist()
     state.rng = _ScriptedRNG(rounds)
-    draw = engine._call_draw(state, table, row)
-    one_by_one = [table.index(draw()) for _ in rounds]
+    one_by_one = []
+    for _ in rounds:
+        pick = state.rng.integer(0, 2)
+        name, _ = engine._draw_call(state, 0)
+        one_by_one.append(row + 3 * pick + names.index(name))
     assert bulk == one_by_one
     offsets = [0, 0, 1, 2, 2, 2]
     assert bulk == [row + 3 * pick + offset

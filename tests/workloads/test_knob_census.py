@@ -1,26 +1,32 @@
 """Knob census: every configuration field names the code that sets it.
 
-A field of ``TrafficSpec``, ``DispatchConfig`` or ``ServiceConfig`` stays
-only while an experiment, an end-to-end workload, an example or a CLI
-command sets it.  ``CENSUS`` names, per field, one file outside ``tests/``
-that does; the test checks that ``<field>=`` appears there, and that the
-table lists exactly each dataclass's fields, so a new field must name its
-user and a field whose last user goes fails here.
+A field of ``TrafficSpec``, ``DispatchConfig``, ``ServiceConfig``,
+``OverloadConfig`` or ``PoolConfig`` stays only while an experiment, an
+end-to-end workload, an example or a CLI command sets it.  ``CENSUS``
+names, per field, one file outside ``tests/`` that does; the test checks
+that a call in that file passes ``<field>=`` as a keyword argument (in
+the file's syntax tree, so a docstring that shows the keyword does not
+count), and that the table lists exactly each dataclass's fields, so a
+new field must name its user and a field whose last user goes fails
+here.
 
-Three fields only tests set.  Their entries name those tests and say why
+Four fields only tests set.  Their entries name those tests and say why
 the field stays anyway.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import functools
 import pathlib
-import re
-from typing import NamedTuple, Tuple
+from typing import FrozenSet, NamedTuple, Tuple
 
 import pytest
 
+from repro.control.overload import OverloadConfig
 from repro.secmodule.dispatch import DispatchConfig
+from repro.serve.attachment_pool import PoolConfig
 from repro.serve.frontend import ServiceConfig
 from repro.workloads.traffic import TrafficSpec
 
@@ -96,12 +102,37 @@ CENSUS = {
         "max_procs": E2E,
         "overload": "src/repro/bench/overload.py",
     },
+    OverloadConfig: {
+        "admission_rate_per_us": "src/repro/bench/overload.py",
+        "admission_burst": "src/repro/bench/overload.py",
+        "deadline_us": "src/repro/bench/overload.py",
+        "breaker_window_us": "src/repro/cli.py",
+        "retry_budget": "src/repro/cli.py",
+    },
+    PoolConfig: {
+        "max_attachments": "src/repro/bench/serve.py",
+        "overflow": SetByTests(
+            ("tests/serve/test_attachment_pool.py",
+             "tests/serve/test_overload_serve.py",
+             "tests/telemetry/test_observation_digests.py"),
+            "the pool's stats() reports it and "
+            "tests/telemetry/golden/serve_status.json pins it, so it goes "
+            "only with a re-baseline of its own"),
+    },
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _keywords(path: str) -> FrozenSet[str]:
+    """The keyword-argument names of every call in the file at ``path``."""
+    tree = ast.parse((ROOT / path).read_text())
+    return frozenset(keyword.arg for node in ast.walk(tree)
+                     if isinstance(node, ast.Call)
+                     for keyword in node.keywords if keyword.arg)
+
+
 def _sets(path: str, field: str) -> bool:
-    text = (ROOT / path).read_text()
-    return re.search(rf"\b{field}=(?!=)", text) is not None
+    return field in _keywords(path)
 
 
 @pytest.mark.parametrize("config", list(CENSUS),
