@@ -6,12 +6,19 @@ same experiment with the same parameters must agree on every *virtual*
 number — cycle totals, op counts, microsecond conversions.  ``repro bench
 diff old.json new.json`` walks both payloads' ``data`` trees and:
 
-* **fails** (non-zero exit) when any cycle-bearing metric regressed — a
-  leaf whose key names cycles or microseconds grew beyond the tolerance;
-* reports every other numeric difference informationally;
+* **fails** (non-zero exit) when any numeric leaf differs, in either
+  direction: a cycle total that falls is as much a drift as one that grows
+  (a settle that skips a charged switch makes a run *cheaper*), and so is
+  a count that moves.  ``--rel-tol`` loosens this into a symmetric band;
+* **fails** when a leaf is present in only one payload;
 * refuses to compare runs of different experiments or parameters (a smoke
   run against a canonical baseline is not a regression signal, it is a
   category error).
+
+Each export records the interpreter and numpy versions that made it, at
+the payload top level beside ``params``; they are never compared, but the
+report prints both sides' versions when they differ, so a failing diff
+names them.
 
 Wall-clock fields (``wall_seconds``, ``calls_per_wall_second`` and any
 other key naming "wall") are machine-dependent and never *fail* the gate.
@@ -21,22 +28,22 @@ non-fatal warning, so CI logs surface a simulator slowdown without the
 noise of gating on a shared runner's wall clock.
 
 CI keeps canonical baselines under ``benchmarks/baselines/`` and runs this
-gate against freshly regenerated exports, so a commit that silently makes
-dispatch more expensive fails its build.
+gate against freshly regenerated exports, so a commit that silently moves
+any virtual number fails its build.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 #: path segments naming machine-dependent values — never compared
 WALL_MARKER = "wall"
-#: key fragments marking a metric as cycle-bearing: growth is a regression
-CYCLE_MARKERS = ("cycles", "_us", "us_per_call", "microsec")
 #: tolerated fractional drop in calls_per_wall_second before warning
 WALL_TOLERANCE = 0.10
+#: top-level keys naming the interpreter and numpy an export was made with
+VERSION_KEYS = ("python", "numpy")
 
 
 class BenchDiffError(ValueError):
@@ -50,14 +57,11 @@ class DiffItem:
     path: str
     old: float
     new: float
-    #: cycle-bearing metrics fail the gate when they grow
-    guarded: bool = False
-    regression: bool = False
+    #: the difference is past the tolerance, so the gate fails
+    regression: bool
 
     def describe(self) -> str:
-        tag = ("REGRESSION" if self.regression
-               else "improved" if self.guarded and self.new < self.old
-               else "changed")
+        tag = "REGRESSION" if self.regression else "within tolerance"
         return f"{self.path}: {self.old} -> {self.new}  [{tag}]"
 
 
@@ -69,12 +73,15 @@ class BenchDiff:
     old_path: str
     new_path: str
     items: List[DiffItem] = field(default_factory=list)
-    #: leaves present in exactly one payload (schema drift, reported only)
+    #: leaves present in exactly one payload (schema drift: fails the gate)
     only_old: List[str] = field(default_factory=list)
     only_new: List[str] = field(default_factory=list)
     compared: int = 0
     #: non-fatal notices (wall-clock tolerance band) — printed, never gated
     warnings: List[str] = field(default_factory=list)
+    #: each export's interpreter and numpy versions (None: not recorded)
+    old_versions: Dict[str, Optional[str]] = field(default_factory=dict)
+    new_versions: Dict[str, Optional[str]] = field(default_factory=dict)
 
     @property
     def regressions(self) -> List[DiffItem]:
@@ -82,15 +89,20 @@ class BenchDiff:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not (self.regressions or self.only_old or self.only_new)
 
     def render(self) -> str:
         head = (f"bench diff [{self.experiment}]: "
                 f"{self.old_path} -> {self.new_path}")
         lines = [head, "-" * len(head),
                  f"compared {self.compared} numeric metrics "
-                 f"({len(self.items)} differ, "
-                 f"{len(self.regressions)} cycle regressions)"]
+                 f"({len(self.items)} differ, {len(self.regressions)} "
+                 f"past tolerance, "
+                 f"{len(self.only_old) + len(self.only_new)} in one "
+                 f"export only)"]
+        if self.old_versions != self.new_versions:
+            lines.append(f"  versions: old {_versions_text(self.old_versions)}"
+                         f"; new {_versions_text(self.new_versions)}")
         for item in self.items:
             lines.append("  " + item.describe())
         for path in self.only_old:
@@ -99,9 +111,14 @@ class BenchDiff:
             lines.append(f"  {path}: only in new export")
         for warning in self.warnings:
             lines.append(f"  WARNING: {warning}")
-        lines.append("PASS: no cycle regressions" if self.ok
-                     else "FAIL: cycle totals regressed")
+        lines.append("PASS: no virtual drift" if self.ok
+                     else "FAIL: virtual numbers drifted")
         return "\n".join(lines)
+
+
+def _versions_text(versions: Dict[str, Optional[str]]) -> str:
+    return ", ".join(f"{key} {versions.get(key) or 'unrecorded'}"
+                     for key in VERSION_KEYS)
 
 
 def load_payload(path: str) -> Dict:
@@ -133,19 +150,15 @@ def _collect_leaves(value, prefix: str,
             _collect_leaves(item, f"{prefix}[{index}]", out)
 
 
-def _is_guarded(path: str) -> bool:
-    lowered = path.lower()
-    return any(marker in lowered for marker in CYCLE_MARKERS)
-
-
 def compare_payloads(old: Dict, new: Dict, *,
                      old_path: str = "<old>", new_path: str = "<new>",
                      rel_tol: float = 0.0) -> BenchDiff:
     """Compare two exports of the same experiment run the same way.
 
-    ``rel_tol`` loosens the cycle gate: a guarded metric only counts as a
-    regression when ``new > old * (1 + rel_tol)``.  The default of 0 means
-    byte-exact — the right setting for this fully deterministic simulator.
+    ``rel_tol`` loosens the gate symmetrically: a differing leaf only
+    counts as a regression when ``abs(new - old) > rel_tol * abs(old)``.
+    The default of 0 means byte-exact — the right setting for this fully
+    deterministic simulator.
     """
     if old.get("experiment") != new.get("experiment"):
         raise BenchDiffError(
@@ -162,8 +175,11 @@ def compare_payloads(old: Dict, new: Dict, *,
     _collect_leaves(old.get("data"), "data", old_leaves)
     _collect_leaves(new.get("data"), "data", new_leaves)
 
-    diff = BenchDiff(experiment=str(old.get("experiment")),
-                     old_path=old_path, new_path=new_path)
+    diff = BenchDiff(
+        experiment=str(old.get("experiment")),
+        old_path=old_path, new_path=new_path,
+        old_versions={key: old.get(key) for key in VERSION_KEYS},
+        new_versions={key: new.get(key) for key in VERSION_KEYS})
     diff.only_old = sorted(set(old_leaves) - set(new_leaves))
     diff.only_new = sorted(set(new_leaves) - set(old_leaves))
     shared = sorted(set(old_leaves) & set(new_leaves))
@@ -172,10 +188,9 @@ def compare_payloads(old: Dict, new: Dict, *,
         old_value, new_value = old_leaves[path], new_leaves[path]
         if old_value == new_value:
             continue
-        guarded = _is_guarded(path)
-        regression = guarded and new_value > old_value * (1.0 + rel_tol)
+        regression = abs(new_value - old_value) > rel_tol * abs(old_value)
         diff.items.append(DiffItem(path=path, old=old_value, new=new_value,
-                                   guarded=guarded, regression=regression))
+                                   regression=regression))
 
     _check_wall_band(old, new, diff)
     return diff

@@ -23,6 +23,7 @@ import enum
 import inspect
 import json
 import os
+import platform
 import time
 from array import array
 
@@ -32,6 +33,8 @@ except ImportError:                       # pragma: no cover - non-POSIX host
     resource = None  # type: ignore[assignment]
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from .ablations import (
     run_argument_size_ablation,
@@ -406,6 +409,10 @@ def experiment_payload(experiment_id: str, title: str, kind: str,
     dependent and excluded from the ``repro bench diff`` regression gate,
     as is ``peak_rss_bytes`` — the process's memory high-water mark, the
     other half of the scaling story at 10^7+-call runs.
+
+    ``python`` and ``numpy`` name the interpreter and numpy versions that
+    made the run.  They sit outside ``params`` and ``data``, so runs made
+    on different versions still compare, and a failing diff names both.
     """
     if hasattr(result, "as_dict"):
         data = to_jsonable(result.as_dict())
@@ -418,6 +425,8 @@ def experiment_payload(experiment_id: str, title: str, kind: str,
         "experiment": experiment_id,
         "title": title,
         "kind": kind,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "params": to_jsonable(params or {}),
         "data": data,
         "rendered": rendered,

@@ -90,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     dp.add_argument("new", nargs="?", default=None,
                     help="freshly generated export to check")
     dp.add_argument("--rel-tol", type=float, default=0.0,
-                    help="relative tolerance before a cycle increase fails "
-                         "(default 0: byte-exact)")
+                    help="relative tolerance, in either direction, before "
+                         "a changed leaf fails (default 0: byte-exact)")
     dp.add_argument("--update", action="store_true",
                     help="regenerate every committed baseline under "
                          "benchmarks/baselines/ from its recorded params "

@@ -109,8 +109,8 @@ class Handle:
             raise SimulationError(
                 f"module {module.name!r} has no text to load into the handle")
         if module.protection.uses_encryption:
-            # the per-block decryption cost was charged by handle_plaintext_view's
-            # decrypt path only if a machine was passed; charge it here explicitly
+            # every handle pays for decrypting the text into its own address
+            # space, however often the host actually ran the cipher
             blocks = max(1, len(plaintext) // 8)
             self.kernel.machine.charge(costs.CIPHER_BLOCK, blocks)
         entry = self.proc.vmspace.map_text(

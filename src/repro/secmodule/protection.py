@@ -125,6 +125,12 @@ def handle_plaintext_view(module) -> Optional[bytes]:
     plaintext requires the kernel-held key; this helper performs that
     decryption on a copy (never mutating the registered ciphertext), which
     is exactly what the kernel does when populating the handle's text.
+
+    The first call for a registration decrypts and stores the bytes on the
+    kernel-side record; every later handle of that registration maps the
+    stored bytes.  Nothing writes the registered ciphertext or its
+    encryption record after registration, so the stored plaintext is what
+    a fresh decryption would give.
     """
     from .crypto import decrypt_module_text
 
@@ -132,10 +138,12 @@ def handle_plaintext_view(module) -> Optional[bytes]:
     if not image.encrypted or module.encryption_record is None:
         text = image.text_sections()
         return bytes(text[0].data) if text else None
-    clone = image.copy()
-    record = module.encryption_record
-    # decrypt_module_text works on the image's sections by name; the clone
-    # shares section names with the original, so the record applies directly.
-    decrypt_module_text(clone, record)
-    text = clone.text_sections()
-    return bytes(text[0].data) if text else None
+    if module.handle_plaintext is None:
+        clone = image.copy()
+        # decrypt_module_text works on the image's sections by name; the
+        # clone shares section names with the original, so the record
+        # applies directly.
+        decrypt_module_text(clone, module.encryption_record)
+        text = clone.text_sections()
+        module.handle_plaintext = bytes(text[0].data) if text else None
+    return module.handle_plaintext

@@ -39,6 +39,11 @@ class RegisteredModule:
     #: func_id -> the client stub every call of that function goes through
     _client_stubs: Dict[int, ClientStub] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    #: the decrypted text every handle of this registration maps, stored by
+    #: the first ``handle_plaintext_view`` of an encrypted module; it stays
+    #: in kernel space beside the key
+    handle_plaintext: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:

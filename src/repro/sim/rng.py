@@ -13,6 +13,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .stats import ordered_sum
+
 #: ``next_double`` scales the top 53 bits of one raw 64-bit draw by 2**-53
 _DOUBLE_SCALE = 1.0 / 9007199254740992.0
 _LOW32 = 0xFFFF_FFFF
@@ -131,7 +133,7 @@ class DeterministicRNG:
         """Choose one of ``items`` with the given relative weights."""
         if len(items) != len(weights) or not items:
             raise ValueError("items and weights must be equal-length, non-empty")
-        total = float(sum(weights))
+        total = ordered_sum(weights)
         # bit-identical to uniform(0, total): 0.0 + total * d == total * d
         draw = total * self.next_double()
         acc = 0.0

@@ -149,17 +149,11 @@ class MeasurementSummary:
 
     @property
     def mean_us_per_call(self) -> float:
-        samples = self.per_call_samples
-        return sum(samples) / len(samples) if samples else 0.0
+        return mean(self.per_call_samples)
 
     @property
     def stdev_us_per_call(self) -> float:
-        samples = self.per_call_samples
-        if len(samples) < 2:
-            return 0.0
-        mean = self.mean_us_per_call
-        var = sum((s - mean) ** 2 for s in samples) / (len(samples) - 1)
-        return math.sqrt(var)
+        return stdev(self.per_call_samples)
 
     def ratio_to(self, other: "MeasurementSummary") -> float:
         """How many times slower this benchmark is than ``other``."""
@@ -169,22 +163,30 @@ class MeasurementSummary:
         return self.mean_us_per_call / denom
 
 
-def mean(xs: Sequence[float]) -> float:
-    """Arithmetic mean; 0.0 for an empty sequence."""
-    return sum(xs) / len(xs) if xs else 0.0
-
-
-def ordered_sum(xs: array) -> float:
-    """The sum of an ``array('d')``, added left to right; 0.0 when empty.
+def ordered_sum(xs: Iterable[float]) -> float:
+    """The sum of ``xs``, added left to right from 0.0.
 
     Bit for bit what Python 3.11's builtin ``sum`` gives, on every
     interpreter: Python 3.12's ``sum`` compensates its float additions,
-    so it can differ in the last bit.  ``np.add.accumulate`` adds in
-    order, where ``np.sum`` adds pairwise.
+    so it can differ in the last bit.  Every float sum that reaches an
+    exported number goes through here.  An ``array('d')`` is added in
+    numpy without a copy: ``np.add.accumulate`` adds in order, where
+    ``np.sum`` adds pairwise; adding its total to 0.0 turns a -0.0 into
+    the 0.0 the loop gives.
     """
-    if not xs:
-        return 0.0
-    return float(np.add.accumulate(np.frombuffer(xs, np.float64))[-1])
+    if isinstance(xs, array) and xs.typecode == "d":
+        if not xs:
+            return 0.0
+        return 0.0 + float(np.add.accumulate(np.frombuffer(xs, np.float64))[-1])
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
+def mean(xs: Sequence[float]) -> float:
+    """Arithmetic mean; 0.0 for an empty sequence."""
+    return ordered_sum(xs) / len(xs) if xs else 0.0
 
 
 def stdev(xs: Sequence[float]) -> float:
@@ -192,7 +194,7 @@ def stdev(xs: Sequence[float]) -> float:
     if len(xs) < 2:
         return 0.0
     m = mean(xs)
-    return math.sqrt(sum((x - m) ** 2 for x in xs) / (len(xs) - 1))
+    return math.sqrt(ordered_sum((x - m) ** 2 for x in xs) / (len(xs) - 1))
 
 
 def coefficient_of_variation(xs: Sequence[float]) -> float:
@@ -211,8 +213,8 @@ def jain_fairness_index(xs: Sequence[float]) -> float:
     """
     if not xs:
         return 1.0
-    total = float(sum(xs))
-    squares = float(sum(x * x for x in xs))
+    total = ordered_sum(xs)
+    squares = ordered_sum(x * x for x in xs)
     if squares == 0.0:
         return 1.0
     return (total * total) / (len(xs) * squares)

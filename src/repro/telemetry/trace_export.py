@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..sim.stats import ordered_sum
 from .metrics import LogHistogram
 from .tracing import Span
 
@@ -77,7 +78,7 @@ def request_breakdown(root: Span,
     while stack:
         span, is_root = stack.pop()
         kids = children.get(span.span_id, ())
-        self_us = span.duration_us - sum(kid.duration_us for kid in kids)
+        self_us = span.duration_us - ordered_sum(kid.duration_us for kid in kids)
         if self_us < 0.0:  # overlapping children (aggregates) — clamp
             self_us = 0.0
         segment = ("switch" if is_root and kids

@@ -29,7 +29,7 @@ from ..rpc.rpcgen import generate_service, testincr_interface
 from ..secmodule.api import SecModuleSystem
 from ..secmodule.dispatch import DispatchConfig
 from ..sim.rng import DeterministicRNG
-from ..sim.stats import MeasurementSummary, TrialResult
+from ..sim.stats import MeasurementSummary, TrialResult, mean
 
 #: Default number of fully simulated calls measured per trial.
 DEFAULT_SAMPLE_CALLS = 64
@@ -97,7 +97,7 @@ def _run_trials(spec: BenchmarkSpec, *, seed: int,
     # cost while the cross-trial stdev matches the mechanism's jitter sigma.
     raw_jitters = [jitter_rng.lognormal_factor(spec.jitter_sigma)
                    for _ in range(spec.trials)]
-    jitter_mean = sum(raw_jitters) / len(raw_jitters) if raw_jitters else 1.0
+    jitter_mean = mean(raw_jitters) if raw_jitters else 1.0
     jitters = [j / jitter_mean for j in raw_jitters]
 
     for trial_index in range(spec.trials):

@@ -25,7 +25,7 @@ from ..secmodule.keynote import (
     POLICY_AUTHORIZER,
 )
 from ..secmodule.policy import synthetic_chain
-from ..sim.stats import MeasurementSummary
+from ..sim.stats import MeasurementSummary, mean, ordered_sum
 from .microbench import BenchmarkSpec, PAPER_SPECS, run_smod_function
 
 #: Chain lengths the policy ablation sweeps.
@@ -62,11 +62,10 @@ class PolicySweepResult:
             return 0.0
         xs = [p.complexity for p in self.points]
         ys = [p.mean_us_per_call for p in self.points]
-        n = len(xs)
-        mean_x = sum(xs) / n
-        mean_y = sum(ys) / n
-        num = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-        den = sum((x - mean_x) ** 2 for x in xs)
+        mean_x = mean(xs)
+        mean_y = mean(ys)
+        num = ordered_sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+        den = ordered_sum((x - mean_x) ** 2 for x in xs)
         return num / den if den else 0.0
 
 

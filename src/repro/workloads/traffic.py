@@ -597,7 +597,7 @@ class TrafficEngine:
         # table: the thresholds are built by the same incremental float
         # addition weighted_choice performs, so a double lands on the
         # function weighted_choice picks
-        self._mix_total = float(sum(self._mix_weights))
+        self._mix_total = ordered_sum(self._mix_weights)
         acc = 0.0
         thresholds = []
         for weight in self._mix_weights:

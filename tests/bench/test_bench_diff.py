@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import copy
 import json
+import platform
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.bench.diff import (
@@ -14,6 +17,8 @@ from repro.bench.diff import (
     load_payload,
 )
 from repro.bench.harness import experiment_payload, export_payload
+
+BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
 
 def make_payload(**data_overrides):
@@ -58,16 +63,24 @@ class TestCompare:
         diff = compare_payloads(make_payload(), new)
         assert not diff.ok
 
-    def test_cycle_decrease_is_an_improvement_not_a_failure(self):
+    def test_cycle_decrease_fails(self):
+        """A run that got cheaper drifted as much as one that got dearer:
+        a settle that skips a charged switch makes a run cheaper."""
         new = make_payload(total_cycles=900_000)
         diff = compare_payloads(make_payload(), new)
-        assert diff.ok
-        assert len(diff.items) == 1 and diff.items[0].guarded
+        assert not diff.ok
+        assert [i.path for i in diff.regressions] == ["data.total_cycles"]
+        assert "REGRESSION" in diff.render()
+        assert "FAIL" in diff.render()
 
-    def test_unguarded_change_reported_but_passes(self):
+    def test_count_change_fails(self):
+        """Any numeric leaf is gated, whatever its key names."""
         new = make_payload(calls_per_second=150_000.0)
+        new["data"]["op_counts"]["trap_entry"] = 199
         diff = compare_payloads(make_payload(), new)
-        assert diff.ok and len(diff.items) == 1
+        assert not diff.ok
+        assert [i.path for i in diff.regressions] == [
+            "data.calls_per_second", "data.op_counts.trap_entry"]
 
     def test_wall_fields_ignored(self):
         new = make_payload(wall_seconds=99.0)
@@ -110,6 +123,22 @@ class TestCompare:
         assert compare_payloads(make_payload(), new, rel_tol=0.01).ok
         assert not compare_payloads(make_payload(), new, rel_tol=0.0).ok
 
+    def test_rel_tol_is_symmetric(self):
+        for cycles in (989_999, 1_010_001):
+            new = make_payload(total_cycles=cycles)
+            assert not compare_payloads(make_payload(), new,
+                                        rel_tol=0.01).ok
+        for cycles in (990_000, 1_010_000):
+            new = make_payload(total_cycles=cycles)
+            diff = compare_payloads(make_payload(), new, rel_tol=0.01)
+            assert diff.ok and len(diff.items) == 1
+            assert "within tolerance" in diff.render()
+
+    def test_zero_leaf_that_moves_fails_under_any_tolerance(self):
+        old = make_payload()
+        old["data"]["op_counts"]["context_switch"] = 0
+        assert not compare_payloads(old, make_payload(), rel_tol=0.5).ok
+
     def test_different_experiments_rejected(self):
         other = make_payload()
         other["experiment"] = "abl-other"
@@ -123,14 +152,59 @@ class TestCompare:
         with pytest.raises(BenchDiffError):
             compare_payloads(make_payload(), smoke)
 
-    def test_schema_drift_reported(self):
+    def test_schema_drift_fails(self):
         new = make_payload()
         new["data"]["new_metric"] = 5
         del new["data"]["calls_per_second"]
         diff = compare_payloads(make_payload(), new)
-        assert diff.ok
+        assert not diff.ok and not diff.items
         assert diff.only_new == ["data.new_metric"]
         assert diff.only_old == ["data.calls_per_second"]
+        assert "only in new export" in diff.render()
+        assert "only in old export" in diff.render()
+        gained = make_payload(new_metric=5)
+        assert not compare_payloads(make_payload(), gained).ok
+        assert not compare_payloads(gained, make_payload()).ok
+
+    def test_mutated_baseline_copy_fails(self):
+        """The committed abl-batch baseline, with one point 488 cycles and
+        two context switches cheaper and another without its traps leaf:
+        every change is drift, none an improvement."""
+        old = load_payload(str(BASELINES / "BENCH_abl-batch.json"))
+        new = copy.deepcopy(old)
+        assert compare_payloads(old, new).ok
+        new["data"]["points"][3]["cycles"] -= 488
+        new["data"]["points"][3]["context_switches"] -= 2
+        del new["data"]["points"][5]["traps"]
+        diff = compare_payloads(old, new)
+        assert not diff.ok
+        assert [i.path for i in diff.regressions] == [
+            "data.points[3].context_switches", "data.points[3].cycles"]
+        assert diff.only_old == ["data.points[5].traps"]
+        assert diff.render().endswith("FAIL: virtual numbers drifted")
+
+    def test_versions_are_recorded_outside_params_and_data(self):
+        payload = experiment_payload("abl-x", "t", "ablation", None, "body",
+                                     params={"calls": 1})
+        assert payload["python"] == platform.python_version()
+        assert payload["numpy"] == np.__version__
+        assert payload["params"] == {"calls": 1}
+        assert payload["data"] is None
+
+    def test_runs_on_different_versions_compare(self):
+        old = make_payload()
+        old.update(python="3.11.7", numpy="2.4.6")
+        same = copy.deepcopy(old)
+        assert "versions" not in compare_payloads(old, same).render()
+        newer = make_payload()
+        newer.update(python="3.12.1", numpy="2.4.6")
+        diff = compare_payloads(old, newer)
+        assert diff.ok
+        assert ("versions: old python 3.11.7, numpy 2.4.6; "
+                "new python 3.12.1, numpy 2.4.6") in diff.render()
+        unrecorded = compare_payloads(make_payload(), old).render()
+        assert ("versions: old python unrecorded, numpy unrecorded; "
+                "new python 3.11.7, numpy 2.4.6") in unrecorded
 
 
 class TestCli:

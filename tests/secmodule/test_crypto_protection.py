@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError, ProtectionViolation
 from repro.hw.machine import make_paper_machine
 from repro.obj.image import make_function_image
+from repro.secmodule import crypto
 from repro.secmodule.api import SecModuleSystem
 from repro.secmodule.crypto import (
     BLOCK_BYTES,
@@ -16,6 +17,8 @@ from repro.secmodule.crypto import (
     encrypt_section_in_place,
     decrypt_section_in_place,
 )
+from repro.secmodule.handle import Handle
+from repro.secmodule.libc_conversion import build_test_module
 from repro.secmodule.protection import (
     ClientTextGuard,
     ProtectionMode,
@@ -29,6 +32,24 @@ from repro.sim.rng import DeterministicRNG
 @pytest.fixture
 def key():
     return ModuleKey.generate(DeterministicRNG(1))
+
+
+@pytest.fixture
+def decryptions(monkeypatch):
+    """The encryption record of every module-text decryption, in order."""
+    records = []
+    real = crypto.decrypt_module_text
+
+    def counting(image, record, **kwargs):
+        records.append(record)
+        real(image, record, **kwargs)
+
+    monkeypatch.setattr(crypto, "decrypt_module_text", counting)
+    return records
+
+
+def _text_bytes(definition) -> bytes:
+    return bytes(definition.ensure_library_image().text_sections()[0].data)
 
 
 class TestBlockCipher:
@@ -156,3 +177,65 @@ class TestProtectionModes:
         assert module.definition.ensure_library_image().encrypted
         # dispatch still works
         assert system.call("test_incr", 1) == 2
+
+
+class TestHandleTextMemo:
+    """Each registration decrypts its text on the host once; every handle
+    still pays the decryption into its own address space in virtual time."""
+
+    def test_three_handles_one_decryption(self, decryptions, monkeypatch):
+        charged = []
+        real_load = Handle.load_module_text
+
+        def metered_load(handle, module):
+            meter = handle.kernel.machine.meter
+            before = meter.count(costs.CIPHER_BLOCK)
+            loaded = real_load(handle, module)
+            charged.append(meter.count(costs.CIPHER_BLOCK) - before)
+            return loaded
+
+        monkeypatch.setattr(Handle, "load_module_text", metered_load)
+        definition = build_test_module()
+        plaintext = _text_bytes(definition)
+        system = SecModuleSystem.create(
+            protection=ProtectionMode.ENCRYPT, include_libc=False,
+            include_test_module=False, extra_modules=[definition], seed=16)
+        module = system.session.module_by_name("libtest")
+        ciphertext = _text_bytes(definition)
+        assert ciphertext != plaintext
+        sessions = [system.session, system.open_extra_session(),
+                    system.open_extra_session()]
+        assert len({session.handle.proc.pid for session in sessions}) == 3
+
+        assert decryptions == [module.encryption_record]
+        for session in sessions:
+            loaded = session.handle.loaded[module.m_id]
+            entry = session.handle.proc.vmspace.vm_map.find_entry(
+                loaded.text_entry_name)
+            assert entry.uobj.data == plaintext
+        assert charged == [max(1, len(plaintext) // 8)] * 3
+        assert _text_bytes(definition) == ciphertext
+
+    def test_every_registration_decrypts_its_own_text(self, decryptions):
+        system = SecModuleSystem.create(
+            protection=ProtectionMode.ENCRYPT, include_libc=False, seed=17)
+        first = system.session.module_by_name("libtest")
+        second = system.extension.registry.register(
+            build_test_module(version=2), protection=ProtectionMode.ENCRYPT)
+        assert second.key != first.key
+        session = system.open_extra_session(["libtest"])
+        assert session.module_by_name("libtest") is second
+        assert decryptions == [first.encryption_record,
+                               second.encryption_record]
+        assert handle_plaintext_view(second) == handle_plaintext_view(first)
+        SecModuleSystem.create(protection=ProtectionMode.ENCRYPT,
+                               include_libc=False, seed=17)
+        assert len(decryptions) == 3
+
+    def test_unmapped_text_is_never_decrypted(self, decryptions):
+        system = SecModuleSystem.create(
+            protection=ProtectionMode.UNMAP, include_libc=False, seed=18)
+        system.open_extra_session()
+        module = system.session.module_by_name("libtest")
+        assert module.handle_plaintext is None
+        assert not decryptions

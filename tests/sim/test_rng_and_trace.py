@@ -51,6 +51,14 @@ class TestDeterministicRNG:
         rng = DeterministicRNG(7)
         assert len(rng.bytes(16)) == 16
 
+    def test_weighted_choice_scales_by_the_in_order_total(self):
+        """The weights add to 0.9999999999999999 in order (a compensated
+        sum gives 1.0), so a double of 0.7 draws 0.6999999999999998 and
+        lands below the first threshold."""
+        rng = DeterministicRNG(7)
+        rng.next_double = lambda: 0.7
+        assert rng.weighted_choice(["a", "b", "c"], [0.7, 0.2, 0.1]) == "a"
+
     def test_permutation(self):
         rng = DeterministicRNG(7)
         perm = rng.permutation(10)

@@ -11,6 +11,7 @@ from repro.sim.stats import (
     RunningStats,
     TrialResult,
     coefficient_of_variation,
+    jain_fairness_index,
     mean,
     ordered_sum,
     stdev,
@@ -137,6 +138,19 @@ class TestOrderedSum:
         # compensated sum (Python 3.12's builtin) would return 1.0
         assert ordered_sum(array("d", [1e16, 1.0, -1e16])) == 0.0
 
+    def test_any_iterable_adds_in_order_from_zero(self):
+        assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+        # a compensated sum gives 1.0
+        assert ordered_sum([0.7, 0.2, 0.1]) == 0.9999999999999999
+        assert ordered_sum(x for x in (0.7, 0.2, 0.1)) == 0.9999999999999999
+        assert ordered_sum(array("d", [0.7, 0.2, 0.1])) == 0.9999999999999999
+        assert ordered_sum([]) == 0.0
+        assert ordered_sum([1, 2]) == 3.0
+
+    def test_negative_zero_sums_to_zero_on_both_paths(self):
+        for xs in ([-0.0], array("d", [-0.0, -0.0])):
+            assert math.copysign(1.0, ordered_sum(xs)) == 1.0
+
     def test_matches_a_left_to_right_loop_bit_for_bit(self):
         rng = np.random.default_rng(0x5EED)
         for size in (1, 2, 7, 1000, 100_000):
@@ -146,3 +160,35 @@ class TestOrderedSum:
             for x in xs:
                 total += x
             assert ordered_sum(xs).hex() == total.hex(), size
+
+
+class TestReductionsAddInOrder:
+    """Each float reduction gives Python 3.11's left-to-right bits; the
+    inputs are ones where a compensated sum (Python 3.12's builtin ``sum``)
+    gives a different last bit."""
+
+    @staticmethod
+    def _summary(tenths):
+        summary = MeasurementSummary("x", calls_per_trial=1)
+        for cycles in tenths:
+            summary.add(TrialResult("x", calls=1, total_cycles=cycles,
+                                    mhz=10.0))
+        return summary
+
+    def test_mean(self):
+        # compensated: 0.19999999999999998
+        assert mean([0.1, 0.2, 0.3]) == 0.20000000000000004
+
+    def test_stdev(self):
+        # compensated: 0.32145502536643183
+        assert stdev([0.1, 0.2, 0.7]) == 0.3214550253664318
+
+    def test_summary_mean_and_stdev(self):
+        summary = self._summary([1, 2, 3])
+        assert summary.per_call_samples == [0.1, 0.2, 0.3]
+        assert summary.mean_us_per_call == 0.20000000000000004
+        assert self._summary([1, 2, 7]).stdev_us_per_call == 0.3214550253664318
+
+    def test_jain_fairness_index(self):
+        # compensated: 0.617283950617284
+        assert jain_fairness_index([0.7, 0.2, 0.1]) == 0.6172839506172839

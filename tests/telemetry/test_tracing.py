@@ -24,6 +24,7 @@ from repro.telemetry.trace_export import (
     chrome_trace,
     critical_path_report,
     render_critical_path,
+    request_breakdown,
     segment_of,
     validate_chrome_trace,
     write_chrome_trace,
@@ -246,6 +247,17 @@ class TestCriticalPath:
         assert segments["switch"]["mean"] == pytest.approx(30.0)
         total_share = sum(s["share"] for s in segments.values())
         assert total_share == pytest.approx(1.0)
+
+    def test_children_are_added_in_order(self):
+        """Children of 0.7, 0.2 and 0.1 us add to 0.9999999999999999 in
+        order (1.0 compensated), so a 1 us root keeps an ulp of self
+        time."""
+        root = _span(1, None, "rpc.serve_call", 0.0, 1.0)
+        kids = [_span(2, 1, "dispatch.call", 0.0, 0.7),
+                _span(3, 1, "dispatch.call", 0.0, 0.2),
+                _span(4, 1, "dispatch.call", 0.0, 0.1)]
+        totals = request_breakdown(root, {1: kids})
+        assert totals["switch"] == 1.0 - 0.9999999999999999
 
     def test_childless_root_keeps_its_own_segment(self):
         report = critical_path_report(

@@ -121,3 +121,13 @@ def test_any_chunk_size_settles_as_the_default(monkeypatch):
             chunked = TrafficEngine(spec)
             assert _accounting(chunked, chunked.run()) == expected, size
         monkeypatch.undo()
+
+
+def test_mix_total_adds_the_weights_in_order():
+    """The default mix adds to 0.9999999999999999 in order (1.0
+    compensated); the bulk draws scale by that total and compare against
+    thresholds built by the same additions, so the last threshold is the
+    total."""
+    engine = TrafficEngine(TrafficSpec(clients=1, calls_per_client=1))
+    assert engine._mix_total == 0.9999999999999999
+    assert engine._mix_thresholds[-1] == engine._mix_total

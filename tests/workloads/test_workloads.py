@@ -1,16 +1,27 @@
 """Tests for the microbenchmark drivers and policy workloads."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.hw.machine import make_paper_machine
 from repro.secmodule.policy import synthetic_chain
+from repro.sim.rng import DeterministicRNG
+from repro.sim.stats import MeasurementSummary, TrialResult
 from repro.workloads.microbench import (
     PAPER_SPECS,
+    _run_trials,
     run_native_getpid,
     run_rpc_testincr,
     run_smod_getpid,
     run_smod_testincr,
 )
-from repro.workloads.policies import deep_delegation_engine, run_keynote_policy
+from repro.workloads.policies import (
+    PolicySweepPoint,
+    PolicySweepResult,
+    deep_delegation_engine,
+    run_keynote_policy,
+)
 
 
 class TestSpecs:
@@ -64,6 +75,21 @@ class TestDrivers:
         factors = [t.jitter_factor for t in summary.trials]
         assert sum(factors) / len(factors) == pytest.approx(1.0, abs=1e-9)
 
+    def test_jitter_normalized_by_the_in_order_mean(self, monkeypatch):
+        """Raw factors 0.1, 0.2 and 0.3 average 0.20000000000000004 in
+        order (0.19999999999999998 compensated)."""
+        raw = iter([0.1, 0.2, 0.3])
+        monkeypatch.setattr(DeterministicRNG, "lognormal_factor",
+                            lambda self, sigma: next(raw))
+        summary = _run_trials(
+            PAPER_SPECS["getpid"].scaled(trials=3, sample_calls=1), seed=1,
+            make_system=lambda seed: SimpleNamespace(
+                machine=make_paper_machine(seed=seed)),
+            run_one_call=lambda system, i: system.machine.clock.advance(1),
+            mhz=600.0)
+        assert [t.jitter_factor for t in summary.trials] == [
+            j / 0.20000000000000004 for j in (0.1, 0.2, 0.3)]
+
     def test_policy_argument_slows_calls(self):
         spec = PAPER_SPECS["smod_testincr"].scaled(trials=1, sample_calls=8)
         baseline = run_smod_testincr(spec=spec, seed=11)
@@ -71,6 +97,20 @@ class TestDrivers:
         with_policy = run_smod_function("test_incr", args=(41,), spec=spec,
                                         seed=11, policy=synthetic_chain(16))
         assert with_policy.mean_us_per_call > baseline.mean_us_per_call
+
+
+class TestPolicySweepSlope:
+    def test_slope_adds_in_order(self):
+        """Means 0.1, 0.3 and 0.7 us at 0, 1 and 2 clauses: the in-order
+        slope is 0.3 (0.29999999999999993 compensated)."""
+        points = []
+        for clauses, tenths in enumerate((1, 3, 7)):
+            summary = MeasurementSummary("x", calls_per_trial=1)
+            summary.add(TrialResult("x", calls=1, total_cycles=tenths,
+                                    mhz=10.0))
+            points.append(PolicySweepPoint(f"chain-{clauses}", clauses,
+                                           summary))
+        assert PolicySweepResult(points).per_clause_cost_us() == 0.3
 
 
 class TestKeyNoteWorkload:
