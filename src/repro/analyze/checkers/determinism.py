@@ -9,7 +9,11 @@ ambient sources at the call site (DET001) and, for the modules whose every
 use is nondeterministic, at the import (DET002).  The builtin ``hash()`` is
 flagged too (DET003): string hashes are salted per process unless
 ``PYTHONHASHSEED`` is pinned, so a hash that reaches a seed, an ordering
-or an output differs run to run.
+or an output differs run to run.  DET004 flags the builtin ``sum()`` and
+``statistics`` calls where exported numbers are reduced (``sim/stats.py``,
+``workloads/``, ``bench/``): Python 3.12's ``sum`` adds floats with
+compensation and 3.11's left to right, so a float sum there differs by
+interpreter.  Those paths add floats with ``sim.stats.ordered_sum``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ BANNED_PREFIXES = ("random.", "secrets.", "numpy.random.")
 #: module imports that are wrong regardless of use
 BANNED_IMPORTS = frozenset({"random", "secrets"})
 
+#: where DET004 applies: the paths whose reductions reach exported numbers
+REDUCTION_SCOPE = ("workloads", "bench")
+REDUCTION_FILES = ("sim/stats.py",)
+
 
 @register
 class DeterminismChecker(Checker):
@@ -50,10 +58,15 @@ class DeterminismChecker(Checker):
         "DET003": "builtin hash() call: string hashes vary per process; "
                   "use a stable digest (zlib.crc32) for anything that "
                   "leaves the process",
+        "DET004": "builtin sum() or statistics call where exported numbers "
+                  "are reduced: float sums differ by interpreter; use "
+                  "sim.stats.ordered_sum",
     }
 
     def check(self, source: SourceFile, ctx) -> Iterable[Finding]:
         aliases = module_aliases(source.tree)
+        reductions = (source.part_of(*REDUCTION_SCOPE)
+                      or source.rel_path.endswith(REDUCTION_FILES))
         for node in ast.walk(source.tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 module = (node.names[0].name if isinstance(node, ast.Import)
@@ -74,6 +87,17 @@ class DeterminismChecker(Checker):
                         "DET003", source.rel_path, node.lineno,
                         "builtin hash() is salted per process; use a stable "
                         "digest such as zlib.crc32")
+                    continue
+                if reductions and (
+                        name == "builtins.sum"
+                        or (name or "").startswith("statistics.")
+                        or (isinstance(func, ast.Name) and func.id == "sum"
+                            and "sum" not in aliases)):
+                    yield Finding(
+                        "DET004", source.rel_path, node.lineno,
+                        "builtin sum() / statistics adds floats differently "
+                        "on 3.11 and 3.12; use sim.stats.ordered_sum (an "
+                        "integer sum takes an allow(DET004) with its reason)")
                     continue
                 if name is None:
                     continue

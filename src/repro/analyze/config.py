@@ -17,7 +17,7 @@ from typing import Dict, Mapping, Optional, Tuple
 #: rule family -> {relative path: reason}.  A family key ("DET") covers every
 #: rule with that prefix; an exact rule id ("COST002") covers just that rule.
 DEFAULT_ALLOWLIST: Dict[str, Dict[str, str]] = {
-    "DET": {
+    "DET001": {
         "repro/cli.py":
             "reports wall-clock duration of whole runs; never inside the "
             "simulated cycle accounting",

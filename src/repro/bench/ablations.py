@@ -157,6 +157,7 @@ def _wide_arg_module(arg_words: int):
     module = build_test_module()
     module.add_function(
         f"wide_{arg_words}",
+        # smod: allow(DET004)  the simulated body adds integer words
         lambda env, *args: sum(args) & 0xFFFFFFFF,
         cost_op=costs.FUNC_BODY_TESTINCR,
         arg_words=arg_words,
@@ -319,6 +320,8 @@ def run_argument_size_ablation(arg_word_counts: Sequence[int] = (1, 8, 32, 128),
         kernel = Kernel(machine=machine).boot()
         interface = InterfaceDefinition(name="wide", prog=0x20000200, vers=1)
         interface.add_procedure(1, "wide",
+                                # smod: allow(DET004)  the simulated
+                                # procedure adds integer words
                                 lambda a: sum(a) & 0xFFFFFFFF,
                                 arg_names=tuple(f"a{i}" for i in range(arg_words)))
         service = generate_service(kernel, interface)

@@ -6,10 +6,12 @@ same experiment with the same parameters must agree on every *virtual*
 number — cycle totals, op counts, microsecond conversions.  ``repro bench
 diff old.json new.json`` walks both payloads' ``data`` trees and:
 
-* **fails** (non-zero exit) when any numeric leaf differs, in either
-  direction: a cycle total that falls is as much a drift as one that grows
-  (a settle that skips a charged switch makes a run *cheaper*), and so is
-  a count that moves.  ``--rel-tol`` loosens this into a symmetric band;
+* **fails** (non-zero exit) when any leaf differs: a number in either
+  direction (a cycle total that falls is as much a drift as one that grows
+  — a settle that skips a charged switch makes a run *cheaper* — and so is
+  a count that moves), and a bool, string or null that is not the same
+  value of the same type.  ``--rel-tol`` loosens the numbers alone into a
+  symmetric band;
 * **fails** when a leaf is present in only one payload;
 * refuses to compare runs of different experiments or parameters (a smoke
   run against a canonical baseline is not a regression signal, it is a
@@ -52,11 +54,11 @@ class BenchDiffError(ValueError):
 
 @dataclass
 class DiffItem:
-    """One numeric leaf that differs between the payloads."""
+    """One leaf that differs between the payloads."""
 
     path: str
-    old: float
-    new: float
+    old: object
+    new: object
     #: the difference is past the tolerance, so the gate fails
     regression: bool
 
@@ -95,7 +97,7 @@ class BenchDiff:
         head = (f"bench diff [{self.experiment}]: "
                 f"{self.old_path} -> {self.new_path}")
         lines = [head, "-" * len(head),
-                 f"compared {self.compared} numeric metrics "
+                 f"compared {self.compared} leaves "
                  f"({len(self.items)} differ, {len(self.regressions)} "
                  f"past tolerance, "
                  f"{len(self.only_old) + len(self.only_new)} in one "
@@ -130,13 +132,9 @@ def load_payload(path: str) -> Dict:
 
 
 def _collect_leaves(value, prefix: str,
-                    out: Dict[str, float]) -> None:
-    """Flatten numeric leaves into ``path -> value`` (wall keys skipped)."""
-    if isinstance(value, bool):
-        return
-    if isinstance(value, (int, float)):
-        out[prefix] = value
-        return
+                    out: Dict[str, object]) -> None:
+    """Flatten every leaf — number, bool, string or null — into
+    ``path -> value`` (wall keys skipped)."""
     if isinstance(value, dict):
         for key in sorted(value, key=str):
             key_text = str(key)
@@ -148,6 +146,12 @@ def _collect_leaves(value, prefix: str,
     if isinstance(value, list):
         for index, item in enumerate(value):
             _collect_leaves(item, f"{prefix}[{index}]", out)
+        return
+    out[prefix] = value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def compare_payloads(old: Dict, new: Dict, *,
@@ -155,10 +159,11 @@ def compare_payloads(old: Dict, new: Dict, *,
                      rel_tol: float = 0.0) -> BenchDiff:
     """Compare two exports of the same experiment run the same way.
 
-    ``rel_tol`` loosens the gate symmetrically: a differing leaf only
-    counts as a regression when ``abs(new - old) > rel_tol * abs(old)``.
-    The default of 0 means byte-exact — the right setting for this fully
-    deterministic simulator.
+    ``rel_tol`` loosens the gate for numbers, symmetrically: a differing
+    numeric leaf only counts as a regression when ``abs(new - old) >
+    rel_tol * abs(old)``.  Every other leaf must be the same value of the
+    same type (``True`` is not ``1``).  The default of 0 means byte-exact —
+    the right setting for this fully deterministic simulator.
     """
     if old.get("experiment") != new.get("experiment"):
         raise BenchDiffError(
@@ -170,8 +175,8 @@ def compare_payloads(old: Dict, new: Dict, *,
             f"{new.get('params')}): comparing differently-sized runs is "
             f"meaningless — regenerate with the baseline's parameters")
 
-    old_leaves: Dict[str, float] = {}
-    new_leaves: Dict[str, float] = {}
+    old_leaves: Dict[str, object] = {}
+    new_leaves: Dict[str, object] = {}
     _collect_leaves(old.get("data"), "data", old_leaves)
     _collect_leaves(new.get("data"), "data", new_leaves)
 
@@ -186,9 +191,12 @@ def compare_payloads(old: Dict, new: Dict, *,
     diff.compared = len(shared)
     for path in shared:
         old_value, new_value = old_leaves[path], new_leaves[path]
-        if old_value == new_value:
+        numbers = _is_number(old_value) and _is_number(new_value)
+        if old_value == new_value and (
+                numbers or type(old_value) is type(new_value)):
             continue
-        regression = abs(new_value - old_value) > rel_tol * abs(old_value)
+        regression = (not numbers or abs(new_value - old_value)
+                      > rel_tol * abs(old_value))
         diff.items.append(DiffItem(path=path, old=old_value, new=new_value,
                                    regression=regression))
 

@@ -129,6 +129,7 @@ class ServeReport:
     @property
     def bench_total_calls(self) -> int:
         """Dispatches driven across the sweep (for the wall-rate field)."""
+        # smod: allow(DET004)  integer dispatch counts
         return sum(p.call_samples + int(p.pool_stats.get("checkouts", 0))
                    for p in self.points)
 

@@ -167,6 +167,7 @@ class SimspeedReport:
     #: calls_per_wall_second field)
     @property
     def bench_total_calls(self) -> int:
+        # smod: allow(DET004)  integer call counts
         return sum(leg.total_calls for leg in self.legs)
 
     # -- rendering -----------------------------------------------------------

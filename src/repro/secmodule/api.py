@@ -59,10 +59,10 @@ def _map_library_images(program: Program,
                         modules: List[RegisteredModule]) -> None:
     """Map the protected libraries' images into a client, as the dynamic
     loader would before startup.  Under ENCRYPT protection the bytes mapped
-    here are already ciphertext (registration encrypted them); under UNMAP
-    protection the handshake tears these mappings out again."""
+    here are already ciphertext (each registration encrypted its own copy);
+    under UNMAP protection the handshake tears these mappings out again."""
     for module in modules:
-        image = module.definition.ensure_library_image()
+        image = module.library_image
         text_sections = image.text_sections()
         if text_sections:
             program.proc.vmspace.map_text(

@@ -193,10 +193,10 @@ class DecisionCache:
     def replay_touch(self, session, keys: Sequence[Tuple[int, int]]) -> bool:
         """Repeat a recorded span's LRU touches without re-evaluating.
 
-        Returns False — the caller must fall back to the op-by-op path —
-        when any recorded key is gone or stale (evicted by another key's
-        store, invalidated out-of-band): a replay then would diverge from
-        what the slow path would have recomputed.
+        Returns False, touching nothing — the caller must fall back to the
+        op-by-op path — when any recorded key is gone or stale (evicted by
+        another key's store, invalidated out-of-band): a replay then would
+        diverge from what the slow path would have recomputed.
         """
         if not keys:
             return True
@@ -208,6 +208,7 @@ class DecisionCache:
             entry = entries.get(key)
             if entry is None or entry.policy_epoch != epoch:
                 return False
+        for key in keys:
             entries.move_to_end(key)
         return True
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from math import gcd
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..control.overload import OverloadController
@@ -198,6 +199,14 @@ TRACE_CONFIRMING, TRACE_HOT, TRACE_POISONED = 0, 1, 2
 #: consecutive confirm mismatches before a key is poisoned
 TRACE_MISMATCH_LIMIT = 8
 
+#: steady recordings a fitted batch model must predict exactly before it
+#: may compose a flush
+BATCH_MODEL_CONFIRMS = 2
+
+#: a batch span's components ahead of its op totals: the clock events and
+#: the seven state deltas ``_settle`` applies, in :class:`TraceEntry` order
+_FIXED = 8
+
 
 class TraceEntry:
     """One recorded dispatch span: its charges and state deltas."""
@@ -245,6 +254,194 @@ class TraceEntry:
                      if pair in touches)
 
 
+def _pair_counts(shape: Tuple[Tuple[int, int], ...]
+                 ) -> Dict[Tuple[int, int], int]:
+    """``(m_id, func_id)`` -> count for a batch key's sorted shape."""
+    counts: Dict[Tuple[int, int], int] = {}
+    for pair in shape:
+        counts[pair] = counts.get(pair, 0) + 1
+    return counts
+
+
+class BatchModel:
+    """An exact integer model of one group's batch-flush spans.
+
+    A flush pays its trap, hardening and switches once per queue and the
+    rest once per entry, so each component of its span — the clock events,
+    every op total and the seven state deltas — is a base plus, per
+    ``(m_id, func_id)`` pair, an increment times the pair's count.  Each
+    steady recording is one row: a one, then each pair's count, against
+    the span's components.  Rows reduce into an integer echelon basis as
+    they arrive; a row the basis already spans must agree with it, or no
+    such model exists.  At full column rank the basis is solved exactly,
+    and only an integer solution is kept.  All of it is integer
+    arithmetic: ``fractions`` would import ``decimal``, whose memory every
+    process's peak RSS would carry.
+
+    ``info`` holds what each pair did in every sample (its errno, whether
+    its cached decision was touched, its argument count), ``guards`` the
+    samples' trace guards and ``touched`` whether their queues touched any
+    cached decision (the flush's one prefetch charge hangs on that, not on
+    a count).  A sample that disagrees with any of them ends the model.
+    """
+
+    __slots__ = ("info", "ops", "basis", "coef", "confirms", "ceiling",
+                 "guards", "touched")
+
+    def __init__(self, guards: Tuple, touched: bool) -> None:
+        #: the columns after the constant, in first-seen order: pair ->
+        #: (errno, touched, argument count)
+        self.info: Dict[Tuple[int, int], Tuple] = {}
+        #: the components after the fixed ones, in first-seen order: op
+        #: name -> its index in a component list
+        self.ops: Dict[str, int] = {}
+        #: echelon rows: (pivot column, row, components)
+        self.basis: List[Tuple[int, List[int], List[int]]] = []
+        #: per column, its integer components (None until solved)
+        self.coef: Optional[List[List[int]]] = None
+        #: samples predicted exactly since the last solve
+        self.confirms = 0
+        #: per component, the largest value any sample reached
+        self.ceiling: List[int] = [0] * _FIXED
+        self.guards = guards
+        self.touched = touched
+
+    def agrees(self, guards: Tuple, touched: bool,
+               info: Dict[Tuple[int, int], Tuple]) -> bool:
+        """May a sample with these guards and pair facts join the model?"""
+        if guards != self.guards or touched != self.touched:
+            return False
+        known = self.info
+        return all(known.get(pair, facts) == facts
+                   for pair, facts in info.items())
+
+    def sample(self, entry: TraceEntry, counts: Dict[Tuple[int, int], int],
+               info: Dict[Tuple[int, int], Tuple]) -> bool:
+        """Fold in one steady recording; False when no model fits it."""
+        for op, _ in entry.charge_sig[1]:
+            if op not in self.ops:
+                self._add_op(op)
+        for pair, facts in info.items():
+            if pair not in self.info:
+                self._add_pair(pair, facts)
+        x = self._row(counts)
+        y = self._components(entry)
+        if self.coef is not None:
+            if self.predict(x) != y:
+                return False
+            self.confirms += 1
+        elif not self._reduce(x, y):
+            return False
+        elif len(self.basis) == len(x) and not self._solve():
+            return False
+        self.ceiling = [max(top, value)
+                        for top, value in zip(self.ceiling, y)]
+        return True
+
+    def answer(self, counts: Dict[Tuple[int, int], int],
+               arity: Dict[Tuple[int, int], int]) -> Optional[List[int]]:
+        """The components of a flush of ``counts``, or None when the model
+        may not answer for it."""
+        if self.coef is None or self.confirms < BATCH_MODEL_CONFIRMS:
+            return None
+        touched = False
+        for pair in counts:
+            facts = self.info.get(pair)
+            if facts is None or facts[2] != arity[pair]:
+                return None
+            touched = touched or facts[1]
+        if touched != self.touched:
+            return None
+        y = self.predict(self._row(counts))
+        for value, top in zip(y, self.ceiling):
+            if value < 0 or value > top:
+                return None
+        return y
+
+    def predict(self, x: List[int]) -> List[int]:
+        coef = self.coef
+        y = coef[0]
+        for count, column in zip(x[1:], coef[1:]):
+            if count:
+                y = [base + count * step for base, step in zip(y, column)]
+        return list(y)
+
+    # ---------------------------------------------------------------- algebra
+    def _row(self, counts: Dict[Tuple[int, int], int]) -> List[int]:
+        return [1] + [counts.get(pair, 0) for pair in self.info]
+
+    def _components(self, entry: TraceEntry) -> List[int]:
+        events, ops = entry.charge_sig
+        y = [events, entry.dispatched, entry.denied, entry.served,
+             entry.cache_hits, entry.cache_misses, entry.cache_batch_checks,
+             entry.cache_batch_served] + [0] * len(self.ops)
+        index = self.ops
+        for op, count in ops:
+            y[index[op]] = count
+        return y
+
+    def _add_op(self, op: str) -> None:
+        # every earlier sample charged none of it
+        self.ops[op] = _FIXED + len(self.ops)
+        self.ceiling.append(0)
+        for _, _, comps in self.basis:
+            comps.append(0)
+        if self.coef is not None:
+            for column in self.coef:
+                column.append(0)
+
+    def _add_pair(self, pair: Tuple[int, int], facts: Tuple) -> None:
+        # every earlier sample held none of it; its increment is unknown
+        self.info[pair] = facts
+        for _, row, _ in self.basis:
+            row.append(0)
+        self.coef = None
+        self.confirms = 0
+
+    def _reduce(self, x: List[int], y: List[int]) -> bool:
+        """Eliminate ``(x, y)`` against the basis; keep it when it adds
+        rank, else check that the basis already implies ``y``."""
+        for pivot, row, comps in self.basis:
+            a = x[pivot]
+            if a:
+                b = row[pivot]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                x = [b * u - a * v for u, v in zip(x, row)]
+                y = [b * u - a * v for u, v in zip(y, comps)]
+        for column, value in enumerate(x):
+            if value:
+                g = gcd(*x, *y)
+                if g > 1:
+                    x = [u // g for u in x]
+                    y = [u // g for u in y]
+                self.basis.append((column, x, y))
+                return True
+        return not any(y)
+
+    def _solve(self) -> bool:
+        """Back-substitute the full-rank basis; keep an integer solution.
+
+        Each row is zero on the pivots of the rows before it, so solving
+        the rows newest first meets every other column already solved.
+        Those are integers, so a component its pivot does not divide has
+        no integer solution: exact, without rationals.
+        """
+        solved: List[Optional[List[int]]] = [None] * len(self.basis)
+        for pivot, row, comps in reversed(self.basis):
+            acc = comps
+            for column, value in enumerate(row):
+                if value and column != pivot:
+                    acc = [a - value * s for a, s in zip(acc, solved[column])]
+            divisor = row[pivot]
+            if any(a % divisor for a in acc):
+                return False
+            solved[pivot] = [a // divisor for a in acc]
+        self.coef = solved
+        self.confirms = 0
+        return True
+
+
 class TraceCache:
     """Per-dispatcher store of recorded call traces, LRU-bounded.
 
@@ -255,7 +452,9 @@ class TraceCache:
     (policy epoch, handle seat epoch, session liveness) catch anything that
     changed under a live key, and the explicit ``invalidate_*`` hooks —
     forwarded from the decision cache and the handle broker — drop entries
-    eagerly so the cache never fills with dead keys.
+    eagerly so the cache never fills with dead keys.  Each session's batch
+    models (:class:`BatchModel`), which compose the entries of batch
+    flushes not yet recorded, are dropped with its traces.
     """
 
     DEFAULT_CAPACITY = 4096
@@ -286,6 +485,15 @@ class TraceCache:
         #: fast-forward windows committed / calls they covered
         self.fast_forwards = 0
         self.fast_forward_calls = 0
+        #: batch spans settled from a composed entry instead of running op
+        #: by op (outside ``snapshot()``: the op-by-op run it stands in
+        #: for exports the same snapshot)
+        self.composed = 0
+        #: session id -> (config with batch_size 1, any entry granted) ->
+        #: the group's batch model
+        self._models: Dict[int, Dict[Tuple, BatchModel]] = {}
+        #: config -> the same config with batch_size 1
+        self._model_configs: Dict[DispatchConfig, DispatchConfig] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -316,8 +524,72 @@ class TraceCache:
             if not keys:
                 del self._by_session[key[0]]
 
+    # ------------------------------------------------------------ batch models
+    def _model_group(self, config: DispatchConfig, granted: bool) -> Tuple:
+        base = self._model_configs.get(config)
+        if base is None:
+            base = self._model_configs[config] = replace(config,
+                                                         batch_size=1)
+        return (base, granted)
+
+    def learn(self, key: Tuple, entry: TraceEntry,
+              arity: Dict[Tuple[int, int], int]) -> None:
+        """Fold one stored batch recording into its group's model.
+
+        ``arity`` is each pair's argument count in the flush.  A recording
+        the model cannot take — other guards or pair facts, or components
+        no integer model fits — discards the model, and a new one starts
+        from this recording.
+        """
+        counts = _pair_counts(key[1])
+        touches = entry.cache_touch_keys
+        info = {pair: (entry.plan_by_pair[pair], pair in touches,
+                       arity[pair])
+                for pair in counts}
+        guards = (entry.policy_epoch, entry.handle_epoch, entry.cache_epoch,
+                  entry.hardening_sig)
+        touched = bool(touches)
+        models = self._models.setdefault(key[0], {})
+        group = self._model_group(key[2], entry.any_executed)
+        model = models.get(group)
+        if model is not None and model.agrees(guards, touched, info) and \
+                model.sample(entry, counts, info):
+            return
+        model = models[group] = BatchModel(guards, touched)
+        model.sample(entry, counts, info)
+
+    def answer(self, key: Tuple, arity: Dict[Tuple[int, int], int]
+               ) -> Optional[Tuple[BatchModel, List[int]]]:
+        """The model and components for a flush keyed ``key``, or None.
+
+        A queue with any pair the granted model knows as executed asks
+        that model; any other asks the fully-denied one.  Either must know
+        every pair of the queue.
+        """
+        models = self._models.get(key[0])
+        if not models:
+            return None
+        counts = _pair_counts(key[1])
+        model = models.get(self._model_group(key[2], True))
+        if model is None or not any(
+                pair in model.info and model.info[pair][0] is None
+                for pair in counts):
+            model = models.get(self._model_group(key[2], False))
+            if model is None:
+                return None
+        components = model.answer(counts, arity)
+        return None if components is None else (model, components)
+
+    def discard_model(self, key: Tuple, model: BatchModel) -> None:
+        """Drop ``model`` from the group of ``key``'s session."""
+        models = self._models.get(key[0], {})
+        for group, held in list(models.items()):
+            if held is model:
+                del models[group]
+
     # ------------------------------------------------------------ invalidation
     def invalidate_session(self, session_id: int) -> int:
+        self._models.pop(session_id, None)
         stale = self._by_session.pop(session_id, None)
         if not stale:
             return 0
@@ -329,6 +601,12 @@ class TraceCache:
         return len(stale)
 
     def invalidate_module(self, m_id: int) -> int:
+        for session_id, models in list(self._models.items()):
+            for group, model in list(models.items()):
+                if any(pair[0] == m_id for pair in model.info):
+                    del models[group]
+            if not models:
+                del self._models[session_id]
         stale = [key for key, entry in self._entries.items()
                  if m_id in entry.m_ids]
         for key in stale:
@@ -343,6 +621,7 @@ class TraceCache:
         count = len(self._entries)
         self._entries.clear()
         self._by_session.clear()
+        self._models.clear()
         self.invalidated += count
         self.epoch += 1
         return count
@@ -510,8 +789,18 @@ class SmodDispatcher:
         execution.  A touch that no longer repeats bumps ``fallbacks``;
         every False sends the span down the op-by-op path.
         """
-        if entry.state != TRACE_HOT:
+        if entry.state != TRACE_HOT or not self._guards_hold(entry, session):
             return False
+        if touches and not self.decision_cache.replay_touch(session,
+                                                            touches):
+            self.trace_cache.fallbacks += 1
+            return False
+        return True
+
+    def _guards_hold(self, entry: TraceEntry, session: Session) -> bool:
+        """Do ``entry``'s guards still hold for ``session`` (the session
+        is live, and its policy epoch, its handle's seat epoch, the cache
+        epoch and the hardening signature are the recorded ones)?"""
         if not session.established or session.torn_down:
             return False
         if session.policy_epoch != entry.policy_epoch:
@@ -520,14 +809,8 @@ class SmodDispatcher:
             return False
         if entry.cache_epoch != self.trace_cache.epoch:
             return False
-        if entry.hardening_sig is not None and \
-                entry.hardening_sig != self._shared_entry_signature(session):
-            return False
-        if touches and not self.decision_cache.replay_touch(session,
-                                                            touches):
-            self.trace_cache.fallbacks += 1
-            return False
-        return True
+        return entry.hardening_sig is None or \
+            entry.hardening_sig == self._shared_entry_signature(session)
 
     def _begin_trace_recording(self, session: Session, *, batched: bool):
         """Arm a recorder and snapshot every affected counter.
@@ -557,13 +840,15 @@ class SmodDispatcher:
     def _finish_trace_recording(self, recording, key: Tuple,
                                 session: Session, plan, *,
                                 config: DispatchConfig,
-                                batched: bool) -> None:
+                                batched: bool,
+                                arity: Optional[Dict] = None) -> None:
         """Turn one recorded slow execution into a (confirming) trace entry.
 
         ``plan`` is one ``(module, function, errno)`` triple per call of
         the span, in submission order (a single call has one).  A span
         that cannot be repeated stores no entry, so the key records again
-        next time.
+        next time.  A stored batch span also teaches its group's batch
+        model, when ``arity`` (each pair's argument count) is given.
         """
         recorder, before = recording
         charges = recorder.stop()
@@ -582,24 +867,44 @@ class SmodDispatcher:
                 return
             events, ops, _ = charges
             charges = (events, ops)
+        guards = (session.policy_epoch, session.handle.trace_epoch,
+                  self.trace_cache.epoch,
+                  self._shared_entry_signature(session)
+                  if config.hardening is HardeningMode.UNMAP_CLIENT else None)
+        deltas = (self.calls_dispatched - d0, self.calls_denied - n0,
+                  session.handle.calls_served - s0, cache.hits - h0,
+                  cache.misses - m0, cache.batch_epoch_checks - bc0,
+                  cache.batch_served - bs0)
+        entry = self._new_entry(session, plan, charges, deltas, touches,
+                                guards, batched=batched)
+        if entry is None:
+            return
+        self._observe_trace(key, entry)
+        if arity is not None:
+            self.trace_cache.learn(key, entry, arity)
+
+    def _new_entry(self, session: Session, plan, charges: Tuple,
+                   deltas: Sequence[int], touches: Tuple, guards: Tuple, *,
+                   batched: bool) -> Optional[TraceEntry]:
+        """A CONFIRMING entry for one span of ``session``.
+
+        ``charges`` is a single call's charge sequence or a batch's
+        ``(events, sorted op totals)``; ``deltas`` the seven state deltas
+        in :class:`TraceEntry` order; ``guards`` the policy epoch, handle
+        seat epoch, cache epoch and hardening signature.  None for a batch
+        whose touches are not one per key in the queue's order: a settle
+        of another permutation could not repeat them.
+        """
         entry = TraceEntry()
         entry.state = TRACE_CONFIRMING
         entry.strikes = 0
         entry.charge_sig = charges
         entry.trace = None
-        entry.policy_epoch = session.policy_epoch
-        entry.handle_epoch = session.handle.trace_epoch
-        entry.cache_epoch = self.trace_cache.epoch
-        entry.hardening_sig = (
-            self._shared_entry_signature(session)
-            if config.hardening is HardeningMode.UNMAP_CLIENT else None)
-        entry.dispatched = self.calls_dispatched - d0
-        entry.denied = self.calls_denied - n0
-        entry.served = session.handle.calls_served - s0
-        entry.cache_hits = cache.hits - h0
-        entry.cache_misses = cache.misses - m0
-        entry.cache_batch_checks = cache.batch_epoch_checks - bc0
-        entry.cache_batch_served = cache.batch_served - bs0
+        (entry.policy_epoch, entry.handle_epoch, entry.cache_epoch,
+         entry.hardening_sig) = guards
+        (entry.dispatched, entry.denied, entry.served, entry.cache_hits,
+         entry.cache_misses, entry.cache_batch_checks,
+         entry.cache_batch_served) = deltas
         entry.cache_touch_keys = touches
         entry.env = session.call_env
         entry.handle = session.handle
@@ -620,9 +925,7 @@ class SmodDispatcher:
             pairs.append(pair)
             entry.plan_by_pair[pair] = errno
         if batched and entry.touches_for(pairs) != touches:
-            # not one touch per key in the queue's order: a settle of
-            # another permutation could not repeat it
-            return
+            return None
         entry.m_ids = frozenset(executed)
         entry.note_plan = tuple((module, count)
                                 for module, count in executed.values())
@@ -637,11 +940,8 @@ class SmodDispatcher:
             touch_sig = tuple(sorted(touches))
         else:
             plan_sig, touch_sig = entry.plan_by_pair, touches
-        entry.effects_sig = (
-            entry.dispatched, entry.denied, entry.served, entry.cache_hits,
-            entry.cache_misses, entry.cache_batch_checks,
-            entry.cache_batch_served, touch_sig, plan_sig)
-        self._observe_trace(key, entry)
+        entry.effects_sig = (*deltas, touch_sig, plan_sig)
+        return entry
 
     def _observe_trace(self, key: Tuple, entry: TraceEntry) -> None:
         """The record → confirm → hot state machine for one key."""
@@ -656,7 +956,7 @@ class SmodDispatcher:
             meter = self.kernel.machine.meter
             if entry.batch_plan is None:
                 entry.trace = meter.build_trace(entry.charge_sig)
-            else:
+            elif entry.trace is None:       # a composed entry has its own
                 events, ops = entry.charge_sig
                 entry.trace = costs.CallTrace.from_totals(ops, events,
                                                           meter.profile)
@@ -1158,7 +1458,12 @@ class SmodDispatcher:
     def _flush_batch(self, session: Session,
                      calls: Sequence[Tuple[str, Tuple[Any, ...]]],
                      config: DispatchConfig) -> BatchOutcome:
-        """Flush one bounded chunk of the call queue through a single trap."""
+        """Flush one bounded chunk of the call queue through a single trap.
+
+        A traceable chunk settles instead when its key is hot, or when its
+        session's batch model composes the entry it would record or
+        confirm (:meth:`_compose_flush`).
+        """
         if len(calls) == 1:
             name, args = calls[0]
             return BatchOutcome(outcomes=[
@@ -1174,7 +1479,7 @@ class SmodDispatcher:
         # resolve every name once: the trace-eligibility check, the stub
         # build and the recorded batch plan all consume this list
         found_list = [session.find_function(name) for name, _ in calls]
-        key = None
+        key = arity = None
         if all(found is not None for found in found_list) and all(
                 self._traceable(session, function, module, config, machine)
                 for module, function in found_list):
@@ -1191,20 +1496,27 @@ class SmodDispatcher:
                                     entry.touches_for(pairs)):
                     self._settle(entry, session, 1)
                     self.trace_cache.replays += 1
-                    env, plan = entry.env, entry.plan_by_pair
-                    outcomes = []
-                    for pair, (_, function), (_, args) in zip(
-                            pairs, found_list, calls):
-                        errno = plan[pair]
-                        outcomes.append(
-                            DispatchOutcome(errno=errno) if errno is not None
-                            else DispatchOutcome(
-                                value=function.impl(env, *args)))
                     if span is not None:
                         telemetry.finish(span, tier=TIER_REPLAY)
-                    return BatchOutcome(outcomes=outcomes)
+                    return self._settled_outcome(entry, pairs, found_list,
+                                                 calls)
                 if entry.state == TRACE_POISONED:
                     key = None
+            if key is not None:
+                # each pair's argument count (its stack words): a model
+                # learns from and answers for queues where it is one count
+                arity = {}
+                for pair, (_, args) in zip(pairs, calls):
+                    if arity.setdefault(pair, len(args)) != len(args):
+                        arity = None
+                        break
+            if arity is not None:
+                composed = self._compose_flush(session, key, entry, pairs,
+                                               found_list, calls, arity)
+                if composed is not None:
+                    if span is not None:
+                        telemetry.finish(span, tier=TIER_REPLAY)
+                    return composed
 
         recording = (self._begin_trace_recording(session, batched=True)
                      if key is not None else None)
@@ -1265,10 +1577,77 @@ class SmodDispatcher:
                 tuple((module, function, outcome.errno)
                       for (module, function), outcome
                       in zip(found_list, outcomes)),
-                config=config, batched=True)
+                config=config, batched=True, arity=arity)
         if span is not None:
             telemetry.close_batch(span, session.session_id, len(pushed))
         return BatchOutcome(outcomes=list(outcomes))
+
+    def _compose_flush(self, session: Session, key: Tuple,
+                       existing: Optional[TraceEntry],
+                       pairs: List[Tuple[int, int]], found_list: List,
+                       calls: Sequence[Tuple[str, Tuple[Any, ...]]],
+                       arity: Dict[Tuple[int, int], int]
+                       ) -> Optional[BatchOutcome]:
+        """Settle a flush that would record or confirm op by op from an
+        entry its group's batch model composes; None when the model may
+        not answer, and the flush runs op by op.
+
+        The composed entry is what the recording would have stored: it
+        must pass the settle guards with the model's guards, its
+        decision-cache touches must hold, and an entry already stored
+        under the key must match it (one that does not discards the
+        model).  It settles as a per-call settle does, then enters the
+        record → confirm → hot state machine as the recording would have.
+        """
+        meter = self.kernel.machine.meter
+        if not meter.can_record_delta:
+            # op by op, the flush would record nothing
+            return None
+        trace_cache = self.trace_cache
+        answer = trace_cache.answer(key, arity)
+        if answer is None:
+            return None
+        model, components = answer
+        info = model.info
+        plan = tuple((module, function, info[pair][0])
+                     for pair, (module, function) in zip(pairs, found_list))
+        touches = tuple(pair for pair in dict.fromkeys(pairs)
+                        if info[pair][1])
+        events = components[0]
+        ops = tuple(sorted((op, count) for op, count
+                           in zip(model.ops, components[_FIXED:]) if count))
+        entry = self._new_entry(session, plan, (events, ops),
+                                components[1:_FIXED], touches, model.guards,
+                                batched=True)
+        if existing is not None and (
+                existing.charge_sig != entry.charge_sig
+                or existing.effects_sig != entry.effects_sig):
+            trace_cache.discard_model(key, model)
+            return None
+        if not self._guards_hold(entry, session) or \
+                not self.decision_cache.replay_touch(session, touches):
+            return None
+        entry.trace = costs.CallTrace.from_totals(ops, events, meter.profile)
+        self._settle(entry, session, 1)
+        self._observe_trace(key, entry)
+        trace_cache.composed += 1
+        return self._settled_outcome(entry, pairs, found_list, calls)
+
+    @staticmethod
+    def _settled_outcome(entry: TraceEntry, pairs: List[Tuple[int, int]],
+                         found_list: List,
+                         calls: Sequence[Tuple[str, Tuple[Any, ...]]]
+                         ) -> BatchOutcome:
+        """The outcomes of a settled flush: each entry's errno by pair, or
+        its function body's value."""
+        env, plan = entry.env, entry.plan_by_pair
+        outcomes = []
+        for pair, (_, function), (_, args) in zip(pairs, found_list, calls):
+            errno = plan[pair]
+            outcomes.append(
+                DispatchOutcome(errno=errno) if errno is not None
+                else DispatchOutcome(value=function.impl(env, *args)))
+        return BatchOutcome(outcomes=outcomes)
 
     def _unwind_failed_call(self, session: Session,
                             frame: StubCallFrame) -> None:

@@ -82,7 +82,7 @@ def apply_client_protection(kernel, client: Proc, module, *,
     """
     guard = ClientTextGuard(module_name=module.definition.name, mode=mode)
     if mode.uses_unmap:
-        image_prefix = module.definition.ensure_library_image().name
+        image_prefix = module.library_image.name
         doomed = [entry for entry in client.vmspace.vm_map
                   if entry.kind is EntryKind.OBJECT
                   and entry.name.startswith(image_prefix)]
@@ -121,7 +121,7 @@ def client_read_text(kernel, client: Proc, module, address: int,
 def handle_plaintext_view(module) -> Optional[bytes]:
     """The plaintext text bytes as the *handle* sees them after registration.
 
-    The registry encrypted the shared image in place, so reconstructing the
+    The registry encrypted its own copy of the image, so reconstructing the
     plaintext requires the kernel-held key; this helper performs that
     decryption on a copy (never mutating the registered ciphertext), which
     is exactly what the kernel does when populating the handle's text.
@@ -134,7 +134,7 @@ def handle_plaintext_view(module) -> Optional[bytes]:
     """
     from .crypto import decrypt_module_text
 
-    image = module.definition.ensure_library_image()
+    image = module.library_image
     if not image.encrypted or module.encryption_record is None:
         text = image.text_sections()
         return bytes(text[0].data) if text else None

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
+from ..obj.image import ObjectImage
 from ..sim import costs
 from .credentials import Credential, validate_credential
 from .crypto import EncryptedModuleText, ModuleKey, encrypt_module_text
@@ -29,6 +30,10 @@ class RegisteredModule:
     m_id: int
     definition: SecModuleDefinition
     protection: ProtectionMode
+    #: this registration's own copy of the definition's library image,
+    #: encrypted under ``key`` when the protection encrypts; the caller's
+    #: image is never written, so one definition registers alike anywhere
+    library_image: ObjectImage
     #: kernel-held text key and encryption bookkeeping (None when the module
     #: is protected purely by unmapping)
     key: Optional[ModuleKey] = None
@@ -94,7 +99,7 @@ class ModuleRegistry:
                 f"refusing to register module {definition.name!r} with no functions")
         self.kernel.machine.charge(costs.SMOD_REGISTER_BASE)
 
-        image = definition.ensure_library_image()
+        image = definition.ensure_library_image().copy()
         key: Optional[ModuleKey] = None
         record: Optional[EncryptedModuleText] = None
         if protection.uses_encryption and not image.encrypted:
@@ -106,6 +111,7 @@ class ModuleRegistry:
             m_id=self._next_id,
             definition=definition,
             protection=protection,
+            library_image=image,
             key=key,
             encryption_record=record,
             registered_at_us=self.kernel.machine.microseconds(),

@@ -468,10 +468,10 @@ class DeltaRecorder:
 
     def start(self) -> bool:
         meter = self.meter
-        clock = meter.clock
-        if meter._recording or clock._frozen:
+        if not meter.can_record_delta:
             return False
         meter._recording = True
+        clock = meter.clock
         self._before = (dict(meter.op_counts), clock.cycles, clock.events)
         return True
 
@@ -630,6 +630,12 @@ class CostMeter:
     def record_delta(self) -> DeltaRecorder:
         """A delta recorder bound to this meter (a batch flush's span)."""
         return DeltaRecorder(self)
+
+    @property
+    def can_record_delta(self) -> bool:
+        """Would a :class:`DeltaRecorder` start now?  No recorder is armed
+        and the clock is not frozen."""
+        return not self._recording and not self.clock._frozen
 
     def build_trace(self, raw_ops: Sequence[Tuple[str, int]]) -> CallTrace:
         """Aggregate a recorded charge sequence under this meter's profile."""

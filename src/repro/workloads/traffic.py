@@ -1473,10 +1473,12 @@ class TrafficEngine:
         for state in self.clients:
             latencies.extend(state.latencies_us)
             delays.extend(state.queue_delays_us)
+        # smod: allow(DET004)  integer call counts
         total_calls = sum(s.calls_issued for s in self.clients)
         return TrafficResult(
             spec=spec,
             total_calls=total_calls,
+            # smod: allow(DET004)  integer denial counts
             denied_calls=sum(s.calls_denied for s in self.clients),
             elapsed_us=interval.microseconds(self.machine.spec.mhz),
             total_cycles=interval.cycles,

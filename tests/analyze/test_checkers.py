@@ -168,3 +168,29 @@ class TestCleanAndScoping:
         assert payload["files_scanned"] == report.files_scanned
         assert len(payload["findings"]) == len(report.findings)
         assert sum(payload["counts_by_rule"].values()) == len(report.findings)
+
+
+class TestReductions:
+    """DET004: builtin ``sum()`` and ``statistics`` calls in the paths
+    whose reductions reach exported numbers."""
+
+    @pytest.fixture(scope="class")
+    def reductions(self):
+        return analyze_tree(AnalysisConfig(root=FIXTURES / "reductions",
+                                           allowlist={}))
+
+    def test_float_sum_and_statistics_are_flagged(self, reductions):
+        lines = [(f.path, f.line) for f in reductions.findings
+                 if f.rule == "DET004"]
+        assert lines == [("reductions/workloads/sums.py", 9),
+                         ("reductions/workloads/sums.py", 13)]
+
+    def test_directive_suppresses_an_integer_sum(self, reductions):
+        assert reductions.suppressed == 1
+        assert reductions.ok is False
+        assert {f.rule for f in reductions.findings} == {"DET004"}
+
+    def test_numpy_sum_method_and_other_paths_are_not_flagged(
+            self, reductions):
+        assert not [f for f in reductions.findings
+                    if f.line == 22 or "control/" in f.path]

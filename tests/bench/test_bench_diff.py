@@ -183,6 +183,39 @@ class TestCompare:
         assert diff.only_old == ["data.points[5].traps"]
         assert diff.render().endswith("FAIL: virtual numbers drifted")
 
+    def test_flipped_bool_in_baseline_copy_fails(self):
+        old = load_payload(str(BASELINES / "BENCH_fig2.json"))
+        new = copy.deepcopy(old)
+        layout = new["data"]["client_layout"]
+        layout["has_secret_region"] = not layout["has_secret_region"]
+        diff = compare_payloads(old, new, rel_tol=1.0)
+        assert not diff.ok
+        assert [i.path for i in diff.regressions] == [
+            "data.client_layout.has_secret_region"]
+
+    def test_renamed_string_in_baseline_copy_fails(self):
+        old = load_payload(str(BASELINES / "BENCH_fig1.json"))
+        new = copy.deepcopy(old)
+        new["data"]["events"][0]["category"] = "smod.renamed"
+        diff = compare_payloads(old, new, rel_tol=1.0)
+        assert not diff.ok
+        assert [i.path for i in diff.regressions] == [
+            "data.events[0].category"]
+        assert "compared" in diff.render() and "leaves" in diff.render()
+
+    def test_bool_null_and_string_compare_by_type(self):
+        """``True`` is not ``1``, and null is not ``0`` or ``""``; numbers
+        still compare by value across int and float."""
+        for old_value, new_value in ((True, 1), (None, 0), (None, ""),
+                                     ("1", 1), (False, None)):
+            diff = compare_payloads(make_payload(flag=old_value),
+                                    make_payload(flag=new_value))
+            assert [i.path for i in diff.regressions] == ["data.flag"]
+        assert compare_payloads(make_payload(flag=None),
+                                make_payload(flag=None)).ok
+        assert compare_payloads(make_payload(flag=2),
+                                make_payload(flag=2.0)).ok
+
     def test_versions_are_recorded_outside_params_and_data(self):
         payload = experiment_payload("abl-x", "t", "ablation", None, "body",
                                      params={"calls": 1})

@@ -174,7 +174,7 @@ class TestProtectionModes:
                  if e.uobj is not None]
         assert "libtest.so:.text" not in names
         module = system.session.module_by_name("libtest")
-        assert module.definition.ensure_library_image().encrypted
+        assert module.library_image.encrypted
         # dispatch still works
         assert system.call("test_incr", 1) == 2
 
@@ -201,7 +201,7 @@ class TestHandleTextMemo:
             protection=ProtectionMode.ENCRYPT, include_libc=False,
             include_test_module=False, extra_modules=[definition], seed=16)
         module = system.session.module_by_name("libtest")
-        ciphertext = _text_bytes(definition)
+        ciphertext = bytes(module.library_image.text_sections()[0].data)
         assert ciphertext != plaintext
         sessions = [system.session, system.open_extra_session(),
                     system.open_extra_session()]
@@ -214,7 +214,32 @@ class TestHandleTextMemo:
                 loaded.text_entry_name)
             assert entry.uobj.data == plaintext
         assert charged == [max(1, len(plaintext) // 8)] * 3
-        assert _text_bytes(definition) == ciphertext
+        assert bytes(module.library_image.text_sections()[0].data) == \
+            ciphertext
+        assert _text_bytes(definition) == plaintext
+
+    def test_one_definition_registers_alike_in_two_systems(self):
+        """Registration encrypts its own copy of the image: a definition
+        registered in a second kernel is still plaintext there, so that
+        registration holds a key and its handle maps the plaintext."""
+        definition = build_test_module()
+        plaintext = _text_bytes(definition)
+        for seed in (19, 20):
+            system = SecModuleSystem.create(
+                protection=ProtectionMode.ENCRYPT, include_libc=False,
+                include_test_module=False, extra_modules=[definition],
+                seed=seed)
+            module = system.session.module_by_name("libtest")
+            assert module.key is not None
+            assert module.encryption_record is not None
+            assert module.library_image.encrypted
+            loaded = system.session.handle.loaded[module.m_id]
+            entry = system.handle_proc.vmspace.vm_map.find_entry(
+                loaded.text_entry_name)
+            assert bytes(entry.uobj.data) == plaintext
+            assert system.call("test_incr", 4) == 5
+            assert not definition.ensure_library_image().encrypted
+            assert _text_bytes(definition) == plaintext
 
     def test_every_registration_decrypts_its_own_text(self, decryptions):
         system = SecModuleSystem.create(

@@ -69,7 +69,8 @@ class TestModuleRegistry:
         registered = registry.register(module, uid=0)
         assert registered.m_id == 1
         assert registered.key is not None
-        assert module.ensure_library_image().encrypted
+        assert registered.library_image.encrypted
+        assert not module.ensure_library_image().encrypted
         assert registry.get(1) is registered
         assert len(registry) == 1 and 1 in registry
 
@@ -96,7 +97,7 @@ class TestModuleRegistry:
         registered = registry.register(simple_module(), uid=0,
                                        protection=ProtectionMode.UNMAP)
         assert registered.key is None
-        assert not registered.definition.ensure_library_image().encrypted
+        assert not registered.library_image.encrypted
 
     def test_find_by_name_and_version(self, registry):
         registry.register(simple_module(), uid=0)
