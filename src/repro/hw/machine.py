@@ -139,7 +139,9 @@ class Machine:
         return self.meter.idle(cycles)
 
     def microseconds(self) -> float:
-        return self.meter.microseconds()
+        """Elapsed virtual time in microseconds: ``CostMeter.microseconds``,
+        computed here without its two frames."""
+        return self.clock.cycles / self.meter.profile.mhz
 
     @property
     def page_size(self) -> int:

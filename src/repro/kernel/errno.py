@@ -9,8 +9,8 @@ idiom without Python exceptions on the (hot) success path.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Optional
+from functools import partial
+from typing import Any, NamedTuple, Optional
 
 
 class Errno(enum.IntEnum):
@@ -33,9 +33,12 @@ class Errno(enum.IntEnum):
     EIDRM = 82         # identifier removed
 
 
-@dataclass(frozen=True)
-class SyscallResult:
-    """Outcome of one simulated system call."""
+class SyscallResult(NamedTuple):
+    """Outcome of one simulated system call.
+
+    Immutable and equal by value.  The syscall paths build it with
+    :data:`syscall_result`, which runs no Python frame.
+    """
 
     value: Any = 0
     errno: Optional[Errno] = None
@@ -59,11 +62,16 @@ class SyscallResult:
         return self.value
 
 
+#: SyscallResult from a ``(value, errno)`` pair, without NamedTuple's
+#: Python frame
+syscall_result = partial(tuple.__new__, SyscallResult)
+
+
 def ok(value: Any = 0) -> SyscallResult:
     """Successful syscall result."""
-    return SyscallResult(value=value)
+    return syscall_result((value, None))
 
 
 def fail(errno: Errno) -> SyscallResult:
     """Failed syscall result carrying ``errno``."""
-    return SyscallResult(value=-1, errno=errno)
+    return syscall_result((-1, errno))

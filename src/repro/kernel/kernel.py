@@ -25,7 +25,7 @@ from ..sim import costs
 from .coredump import CoreDumpPolicy, CoreImage
 from .cred import ROOT, Ucred
 from .errno import SyscallResult
-from .proc import Proc, ProcFlag, ProcState, ProcTable
+from .proc import DEAD_STATES, Proc, ProcFlag, ProcState, ProcTable
 from .ptrace import PtracePolicy
 from .sched import Scheduler
 from .signals import SignalSystem
@@ -194,9 +194,14 @@ class Kernel:
 
     # -------------------------------------------------------------- syscall API
     def syscall(self, proc: Proc, name_or_number, *args) -> SyscallResult:
-        """Issue one system call on behalf of ``proc``."""
-        self._require_boot()
-        if not proc.alive:
+        """Issue one system call on behalf of ``proc``.
+
+        ``_require_boot`` and ``Proc.alive`` are inlined: every protected
+        call passes here.
+        """
+        if not self.booted:
+            raise SimulationError("kernel not booted; call Kernel.boot() first")
+        if proc.state in DEAD_STATES:
             raise SimulationError(f"dead process {proc.pid} cannot make syscalls")
         return self.syscalls.invoke(self, proc, name_or_number, *args)
 

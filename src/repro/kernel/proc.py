@@ -35,6 +35,11 @@ class ProcState(enum.Enum):
     DEAD = "dead"           # reaped
 
 
+#: the states of a process that has exited: it may make no syscall and
+#: never runs again
+DEAD_STATES = (ProcState.ZOMBIE, ProcState.DEAD)
+
+
 class ProcFlag(enum.Flag):
     NONE = 0
     SYSTEM = enum.auto()        # kernel-internal process (proc0)
@@ -88,7 +93,7 @@ class Proc:
 
     @property
     def alive(self) -> bool:
-        return self.state not in (ProcState.ZOMBIE, ProcState.DEAD)
+        return self.state not in DEAD_STATES
 
     def effective_client(self) -> "Proc":
         """The process whose identity user-visible calls must report.

@@ -19,7 +19,7 @@ from typing import Dict, Iterator, List, Optional
 
 from ..errors import SimulationError
 from ..sim import costs
-from .proc import Proc, ProcState
+from .proc import DEAD_STATES, Proc, ProcState
 
 
 class ReadyQueue:
@@ -117,15 +117,19 @@ class Scheduler:
                 del self._sleepers[channel]
 
     def switch_to(self, proc: Proc) -> Proc:
-        """Context switch to ``proc``; returns the previously running process."""
-        if not proc.alive:
+        """Context switch to ``proc``; returns the previously running process.
+
+        Two switches run per protected call, so ``Proc.alive`` and
+        :meth:`ReadyQueue.discard` are inlined.
+        """
+        if proc.state in DEAD_STATES:
             raise SimulationError(f"cannot switch to dead process {proc.pid}")
         previous = self.current
         if previous is proc:
             return proc
         if previous is not None and previous.state is ProcState.RUNNING:
             previous.state = ProcState.RUNNABLE
-        self.ready.discard(proc)
+        self.ready._procs.pop(proc.pid, None)
         proc.state = ProcState.RUNNING
         proc.wchan = None
         self.current = proc

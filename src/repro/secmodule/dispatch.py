@@ -27,13 +27,15 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from math import gcd
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from ..control.overload import OverloadController
 from ..errors import SimulationError
-from ..kernel.errno import Errno, SyscallResult, fail, ok
+from ..kernel.errno import Errno, SyscallResult, fail, syscall_result
 from ..kernel.proc import Proc
 from ..kernel.sysv_msg import Message
 from ..sim import costs
@@ -129,9 +131,12 @@ class DispatchConfig:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass
-class DispatchOutcome:
-    """Result of one protected call."""
+class DispatchOutcome(NamedTuple):
+    """Result of one protected call.
+
+    Immutable and equal by value; the dispatch paths build it with
+    :data:`_outcome`, which runs no Python frame.
+    """
 
     value: Any = None
     errno: Optional[Errno] = None
@@ -142,7 +147,10 @@ class DispatchOutcome:
         return self.errno is None
 
 
-@dataclass
+#: DispatchOutcome from ``(value, errno, frame)``, without NamedTuple's frame
+_outcome = partial(tuple.__new__, DispatchOutcome)
+
+
 class BatchOutcome:
     """Result of one batched flush: per-entry outcomes in submission order.
 
@@ -150,11 +158,45 @@ class BatchOutcome:
     carries its own :class:`DispatchOutcome`.  ``errno`` is set only when the
     *whole* queue was rejected before any entry ran (dead session, foreign
     client), in which case every entry's outcome carries the same errno.
+
+    A settled flush (:meth:`settled`) takes its denied count from its trace
+    entry and builds its outcomes, running each granted entry's function
+    body, on the first read of :attr:`outcomes` (or :attr:`values`,
+    :attr:`ok`, ``len``): the traffic engine reads only :attr:`denied`.
+    Those bodies are ``fixed_cost``, which never charge the meter or change
+    kernel state, so when they run moves no number.
     """
 
-    outcomes: List[DispatchOutcome] = field(default_factory=list)
-    #: batch-level rejection (EINVAL/EPERM); None when entries were processed
-    errno: Optional[Errno] = None
+    __slots__ = ("_outcomes", "errno", "_denied", "_build")
+
+    def __init__(self, outcomes: Optional[List[DispatchOutcome]] = None,
+                 errno: Optional[Errno] = None) -> None:
+        self._outcomes = [] if outcomes is None else outcomes
+        #: batch-level rejection (EINVAL/EPERM); None when entries were
+        #: processed
+        self.errno = errno
+        self._denied = 0
+        self._build: Optional[Callable[[], List[DispatchOutcome]]] = None
+
+    @classmethod
+    def settled(cls, denied: int,
+                build: Callable[[], List[DispatchOutcome]]
+                ) -> "BatchOutcome":
+        """A settled flush with ``denied`` denied entries whose outcomes
+        ``build()`` makes on first read."""
+        outcome = cls()
+        outcome._outcomes = None
+        outcome._denied = denied
+        outcome._build = build
+        return outcome
+
+    @property
+    def outcomes(self) -> List[DispatchOutcome]:
+        outcomes = self._outcomes
+        if outcomes is None:
+            outcomes = self._outcomes = self._build()
+            self._build = None
+        return outcomes
 
     @property
     def ok(self) -> bool:
@@ -167,10 +209,15 @@ class BatchOutcome:
 
     @property
     def denied(self) -> int:
-        return sum(1 for o in self.outcomes if not o.ok)
+        if self._outcomes is None:
+            return self._denied
+        return sum(1 for o in self._outcomes if not o.ok)
 
     def __len__(self) -> int:
         return len(self.outcomes)
+
+    def __repr__(self) -> str:
+        return f"BatchOutcome(outcomes={self.outcomes!r}, errno={self.errno!r})"
 
 
 # --------------------------------------------------------------------------
@@ -704,15 +751,19 @@ class SmodDispatcher:
         """
         machine = self.kernel.machine
         policy = module.definition.policy
-        cacheable = config.use_decision_cache and policy_is_cacheable(policy)
+        # policy_is_cacheable's test, made in place: every call makes it
+        cacheable = config.use_decision_cache and getattr(policy, "static",
+                                                          False)
         if cacheable:
             cached = self.decision_cache.lookup(session, module.m_id,
                                                 function.func_id)
             if cached is not None:
                 machine.charge(costs.SMOD_POLICY_CACHE_HIT)
                 return cached.allowed, cached.reason
+        # Machine.microseconds, read in place
         ctx = session.policy_context(
-            module, function.name, now_us=machine.microseconds(),
+            module, function.name,
+            now_us=machine.clock.cycles / machine.meter.profile.mhz,
             args_words=function.arg_words, pending_calls=pending_calls)
         decision = policy.evaluate(ctx)
         if decision.steps:
@@ -767,7 +818,8 @@ class SmodDispatcher:
                 and not machine.trace.enabled
                 and function.fixed_cost
                 and session.established and not session.torn_down
-                and policy_is_cacheable(module.definition.policy))
+                # policy_is_cacheable's test, made in place
+                and getattr(module.definition.policy, "static", False))
 
     @staticmethod
     def _shared_entry_signature(session: Session) -> Tuple[int, ...]:
@@ -1180,15 +1232,14 @@ class SmodDispatcher:
             return fail(Errno.EACCES)
 
         result = self._round_trip(
-            client, session, config,
-            Message(mtype=1, payload=(m_id, func_id, frame.return_address)),
-            _SINGLE_REPLY, (function.arg_words,),
+            client, session, config, frame.request, _SINGLE_REPLY,
+            (function.arg_words,),
             lambda env: session.handle.receive_call(
                 session.shared_stack, frame, function, env,
                 record_checkpoints=config.record_checkpoints))
         session.note_call(module)
         self.calls_dispatched += 1
-        return ok(result)
+        return syscall_result((result, None))
 
     def sys_smod_call_batch(self, client: Proc, session: Session,
                             batch: BatchCallFrame, *,
@@ -1353,10 +1404,10 @@ class SmodDispatcher:
         else pays the token-bucket check when admission control is on.
         """
         if not admitted and not self._admit(session, 1):
-            return DispatchOutcome(errno=Errno.EAGAIN)
+            return _outcome((None, Errno.EAGAIN, None))
         found = session.find_function(function_name)
         if found is None:
-            return DispatchOutcome(errno=Errno.ENOENT)
+            return _outcome((None, Errno.ENOENT, None))
         module, function = found
 
         machine = self.kernel.machine
@@ -1374,9 +1425,9 @@ class SmodDispatcher:
                     self._settle(entry, session, 1)
                     self.trace_cache.replays += 1
                     errno = entry.plan_by_pair[shape]
-                    outcome = (DispatchOutcome(errno=errno)
-                               if errno is not None else DispatchOutcome(
-                                   value=function.impl(entry.env, *args)))
+                    outcome = _outcome(
+                        (None, errno, None) if errno is not None
+                        else (function.impl(entry.env, *args), None, None))
                     if span is not None:
                         telemetry.finish(span, tier=TIER_REPLAY)
                     return outcome
@@ -1388,23 +1439,22 @@ class SmodDispatcher:
         try:
             machine.charge(costs.USER_CALL_OVERHEAD)
             stub = module.client_stub(function)
-            frame = stub.push_call(
-                session.shared_stack, args,
-                record_checkpoints=config.record_checkpoints)
             # the stub records the session the frame belongs to, so a shared
             # (pooled) handle can route it to the right secret-stack segment
-            frame.session_id = session.session_id
+            frame = stub.push_call(
+                session.shared_stack, args, session_id=session.session_id,
+                record_checkpoints=config.record_checkpoints)
 
-            result = self.kernel.syscall(
+            value, errno = self.kernel.syscall(
                 session.client, "smod_call", frame, module.m_id,
                 function.func_id, config)
-            if result.errno is not None:
+            if errno is not None:
                 # unwind the stub frame exactly as the error return path would
                 self._unwind_failed_call(session, frame)
-                outcome = DispatchOutcome(errno=result.errno, frame=frame)
+                outcome = _outcome((None, errno, frame))
             else:
                 stub.pop_return(session.shared_stack, frame)
-                outcome = DispatchOutcome(value=result.value, frame=frame)
+                outcome = _outcome((value, None, frame))
         except BaseException:
             if recording is not None:
                 self._abort_trace_recording(recording)
@@ -1439,6 +1489,9 @@ class SmodDispatcher:
             return BatchOutcome(errno=Errno.EAGAIN, outcomes=[
                 DispatchOutcome(errno=Errno.EAGAIN) for _ in calls])
         chunk = max(1, config.batch_size)
+        if len(calls) <= chunk:
+            # one chunk: its outcome is the queue's, as it is
+            return self._flush_batch(session, calls, config)
         merged = BatchOutcome()
         for start in range(0, len(calls), chunk):
             flushed = self._flush_batch(session, calls[start:start + chunk],
@@ -1638,16 +1691,21 @@ class SmodDispatcher:
                          found_list: List,
                          calls: Sequence[Tuple[str, Tuple[Any, ...]]]
                          ) -> BatchOutcome:
-        """The outcomes of a settled flush: each entry's errno by pair, or
-        its function body's value."""
-        env, plan = entry.env, entry.plan_by_pair
-        outcomes = []
-        for pair, (_, function), (_, args) in zip(pairs, found_list, calls):
-            errno = plan[pair]
-            outcomes.append(
-                DispatchOutcome(errno=errno) if errno is not None
-                else DispatchOutcome(value=function.impl(env, *args)))
-        return BatchOutcome(outcomes=outcomes)
+        """The outcome of a settled flush: ``entry.denied`` denied entries,
+        and on first read each entry's errno by pair, or its function
+        body's value."""
+        def build() -> List[DispatchOutcome]:
+            env, plan = entry.env, entry.plan_by_pair
+            outcomes = []
+            for pair, (_, function), (_, args) in zip(pairs, found_list,
+                                                      calls):
+                errno = plan[pair]
+                outcomes.append(_outcome(
+                    (None, errno, None) if errno is not None
+                    else (function.impl(env, *args), None, None)))
+            return outcomes
+
+        return BatchOutcome.settled(entry.denied, build)
 
     def _unwind_failed_call(self, session: Session,
                             frame: StubCallFrame) -> None:

@@ -192,7 +192,7 @@ class Handle:
         loaded = self.loaded.get(m_id)
         if loaded is None:
             return None
-        return loaded.module.definition.function_by_id(func_id)
+        return loaded.module.definition.functions_by_id.get(func_id)
 
     def receive_call(self, shared_stack: SimStack, frame: StubCallFrame,
                      function: SecFunction, env: CallEnvironment, *,

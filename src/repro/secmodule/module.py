@@ -75,10 +75,11 @@ class SecFunction:
     doc: str = ""
 
     def invoke(self, env: CallEnvironment, *args: Any) -> Any:
-        """Run the simulated body, charging its cost."""
+        """Run the simulated body, charging its cost (on the machine
+        ``env.charge`` charges, without its frame)."""
         # smod: allow(COST002)  cost_op is a costs constant captured at
         # SecFunction definition time (see the field default above)
-        env.charge(self.cost_op)
+        env.kernel.machine.charge(self.cost_op)
         return self.impl(env, *args)
 
 
@@ -98,8 +99,10 @@ class SecModuleDefinition:
         self.policy = policy or AlwaysAllowPolicy()
         self.issuer = CredentialIssuer(module_name=name, secret=issuer_secret)
         self.library_image = library_image
-        self._functions_by_name: Dict[str, SecFunction] = {}
-        self._functions_by_id: Dict[int, SecFunction] = {}
+        #: name -> function and func_id -> function: the lookup tables the
+        #: call path probes directly (read-only outside this class)
+        self.functions_by_name: Dict[str, SecFunction] = {}
+        self.functions_by_id: Dict[int, SecFunction] = {}
         self._next_func_id = 1
 
     # -- function management -----------------------------------------------------
@@ -108,7 +111,7 @@ class SecModuleDefinition:
                      arg_words: int = 1, special: bool = False,
                      fixed_cost: bool = True,
                      doc: str = "") -> SecFunction:
-        if name in self._functions_by_name:
+        if name in self.functions_by_name:
             raise ConfigurationError(
                 f"module {self.name!r} already protects a function {name!r}")
         function = SecFunction(name=name, func_id=self._next_func_id,
@@ -116,31 +119,31 @@ class SecModuleDefinition:
                                arg_words=arg_words, special=special,
                                fixed_cost=fixed_cost, doc=doc)
         self._next_func_id += 1
-        self._functions_by_name[name] = function
-        self._functions_by_id[function.func_id] = function
+        self.functions_by_name[name] = function
+        self.functions_by_id[function.func_id] = function
         return function
 
     def function(self, name: str) -> SecFunction:
         try:
-            return self._functions_by_name[name]
+            return self.functions_by_name[name]
         except KeyError:
             raise ConfigurationError(
                 f"module {self.name!r} protects no function {name!r}") from None
 
     def function_by_id(self, func_id: int) -> Optional[SecFunction]:
-        return self._functions_by_id.get(func_id)
+        return self.functions_by_id.get(func_id)
 
     def function_names(self) -> List[str]:
-        return sorted(self._functions_by_name)
+        return sorted(self.functions_by_name)
 
     def functions(self) -> List[SecFunction]:
-        return [self._functions_by_name[n] for n in self.function_names()]
+        return [self.functions_by_name[n] for n in self.function_names()]
 
     def __len__(self) -> int:
-        return len(self._functions_by_name)
+        return len(self.functions_by_name)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._functions_by_name
+        return name in self.functions_by_name
 
     # -- backing image -------------------------------------------------------------
     def ensure_library_image(self, *, bytes_per_function: int = 96) -> ObjectImage:

@@ -28,16 +28,25 @@ are never mutated after an evaluation returns them.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from ..errors import PolicyError
 from .credentials import Credential
 
 
-@dataclass
-class PolicyContext:
-    """Everything a policy clause may look at when deciding one call."""
+#: the attributes of a call that names none: one shared, read-only mapping
+NO_ATTRIBUTES: Mapping[str, object] = MappingProxyType({})
+
+
+class PolicyContext(NamedTuple):
+    """Everything a policy clause may look at when deciding one call.
+
+    Immutable: the dispatch path builds one per policy check with
+    :data:`build_policy_context`, which runs no Python frame.
+    """
 
     credential: Credential
     uid: int
@@ -48,7 +57,12 @@ class PolicyContext:
     calls_this_session: int
     args_words: int = 0
     #: arbitrary environment attributes (host load, client labels, ...)
-    attributes: Dict[str, object] = field(default_factory=dict)
+    attributes: Mapping[str, object] = NO_ATTRIBUTES
+
+
+#: PolicyContext from its nine fields in order, without NamedTuple's
+#: Python frame
+build_policy_context = partial(tuple.__new__, PolicyContext)
 
 
 @dataclass
@@ -156,12 +170,14 @@ class FunctionDenyPolicy(Policy):
 
     def __init__(self, denied_functions: Sequence[str]) -> None:
         self.denied = frozenset(denied_functions)
+        #: the denying decision of each denied function
+        self._denials: Dict[str, PolicyDecision] = {
+            name: PolicyDecision(allowed=False, steps=1,
+                                 reason=f"function {name!r} denied")
+            for name in self.denied}
 
     def evaluate(self, ctx: PolicyContext) -> PolicyDecision:
-        if ctx.function_name not in self.denied:
-            return self._PERMITTED
-        return PolicyDecision(allowed=False, steps=1,
-                              reason=f"function {ctx.function_name!r} denied")
+        return self._denials.get(ctx.function_name, self._PERMITTED)
 
 
 class CallQuotaPolicy(Policy):

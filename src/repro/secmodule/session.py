@@ -36,7 +36,7 @@ from .credentials import Credential, validate_credential
 from .handle import Handle
 from .handle_pool import HandleBroker
 from .module import CallEnvironment
-from .policy import PolicyContext
+from .policy import NO_ATTRIBUTES, PolicyContext, build_policy_context
 from .protection import ClientTextGuard, apply_client_protection
 from .registry import ModuleRegistry, RegisteredModule
 from .stubs import SimStack
@@ -121,10 +121,12 @@ class Session:
         return None
 
     def find_function(self, name: str) -> Optional[Tuple[RegisteredModule, object]]:
-        """Locate a protected function by name across the session's modules."""
+        """Locate a protected function by name across the session's modules
+        (one probe of each module's name table)."""
         for module in self.modules.values():
-            if name in module.definition:
-                return module, module.definition.function(name)
+            function = module.definition.functions_by_name.get(name)
+            if function is not None:
+                return module, function
         return None
 
     def policy_context(self, module: RegisteredModule, function_name: str, *,
@@ -136,18 +138,13 @@ class Session:
         entry runs, and quota clauses must see each entry against the count
         *including* its granted predecessors in the same queue."""
         credential = self.credentials[module.m_id]
-        return PolicyContext(
-            credential=credential,
-            uid=self.client.cred.uid,
-            gid=self.client.cred.gid,
-            principal=credential.principal,
-            function_name=function_name,
-            now_us=now_us,
-            calls_this_session=(self.calls_per_module.get(module.m_id, 0)
-                                + pending_calls),
-            args_words=args_words,
-            attributes={} if attributes is None else dict(attributes),
-        )
+        cred = self.client.cred
+        return build_policy_context((
+            credential, cred.uid, cred.gid, credential.principal,
+            function_name, now_us,
+            self.calls_per_module.get(module.m_id, 0) + pending_calls,
+            args_words,
+            NO_ATTRIBUTES if attributes is None else dict(attributes)))
 
     def note_call(self, module: RegisteredModule) -> None:
         self.calls_made += 1
@@ -279,9 +276,6 @@ class SessionManager:
         #: forks, pools and kills handle co-processes
         self.broker = broker or HandleBroker(kernel)
 
-    def _shard_index(self, client_pid: int) -> int:
-        return client_pid % self.n_shards
-
     def _shard(self, client_pid: int) -> Dict[Tuple[int, int], Session]:
         """Acquire (and charge for) the shard covering ``client_pid``.
 
@@ -303,7 +297,7 @@ class SessionManager:
         if self.charge_shard_locks:
             self.kernel.machine.charge(costs.SMOD_SHARD_LOCK)
             self.shard_lock_acquisitions += 1
-        return shards[self._shard_index(client_pid)]
+        return shards[client_pid % self.n_shards]
 
     def shard_sizes(self) -> List[int]:
         """Entries per shard (observability for the throughput reports).

@@ -25,7 +25,7 @@ slots so each step above is a small, assertable transformation, and charges
 Slots are immutable, so the words that are the same on every call through
 one stub — step (2)'s four words and the return-address/frame-pointer pair
 that steps (1) and (4) push — are built once per stub and pushed as they
-are.
+are, and so is the request message ``sys_smod_call`` sends for them.
 """
 
 from __future__ import annotations
@@ -35,9 +35,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from operator import itemgetter
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Any, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
+from ..kernel.sysv_msg import Message
 from ..sim import costs
 
 
@@ -200,9 +202,16 @@ class SimStack:
         return len(self.slots)
 
 
-@dataclass
-class StubCallFrame:
-    """Everything the client stub placed on the shared stack for one call."""
+#: the checkpoints of a frame that records none: one shared, read-only map
+NO_CHECKPOINTS: Mapping[str, Tuple[StackSlot, ...]] = MappingProxyType({})
+
+
+class StubCallFrame(NamedTuple):
+    """Everything the client stub placed on the shared stack for one call.
+
+    Immutable (a recorded frame's checkpoints fill in as the call runs);
+    the stubs build it with :data:`_frame`, which runs no Python frame.
+    """
 
     module_id: int
     func_id: int
@@ -212,6 +221,10 @@ class StubCallFrame:
     #: the two fields above as the slots step (1) pushed and step (4)
     #: restores; the stub builds them once and every frame shares them
     ret_fp: Tuple[StackSlot, ...]
+    #: the request ``sys_smod_call`` sends the handle for this frame: its
+    #: ``(m_id, func_id, return address)``, built once per stub and return
+    #: address and shared by every frame (messages are never mutated)
+    request: Message
     #: the shared stack the frame was pushed on — the simulation's stand-in
     #: for the ``framep`` address, which tells a multi-session kernel *which*
     #: of the client's shared regions the frame lives in
@@ -220,8 +233,13 @@ class StubCallFrame:
     #: routes the frame to that session's secret-stack segment, and the
     #: kernel rejects frames naming a torn-down session with EINVAL
     session_id: Optional[int] = None
-    #: snapshots of the shared stack at the four Figure 3 checkpoints
-    checkpoints: Dict[str, Tuple[StackSlot, ...]] = field(default_factory=dict)
+    #: snapshots of the shared stack at the four Figure 3 checkpoints (a
+    #: fresh dict when the push records them)
+    checkpoints: Mapping[str, Tuple[StackSlot, ...]] = NO_CHECKPOINTS
+
+
+#: StubCallFrame from its ten fields in order, without NamedTuple's frame
+_frame = partial(tuple.__new__, StubCallFrame)
 
 
 class ClientStub:
@@ -242,12 +260,15 @@ class ClientStub:
                                         DEFAULT_FRAME_POINTER)
 
     def _fixed_slots(self, return_address: int, frame_pointer: int) -> Tuple:
-        """``(ret, fp, ret/fp pair, step (2)'s words)``: the slots a call
-        through this stub pushes whatever its arguments."""
+        """``(ret, fp, ret/fp pair, step (2)'s words, request)``: the slots
+        a call through this stub pushes whatever its arguments, and the
+        request message its frame sends."""
         ret_fp = (_slot((_RET, return_address)), _slot((_FP, frame_pointer)))
         return (return_address, frame_pointer, ret_fp,
                 (_slot((SlotKind.MODULE_ID, self.module_id)),
-                 _slot((SlotKind.FUNC_ID, self.func_id))) + ret_fp)
+                 _slot((SlotKind.FUNC_ID, self.func_id))) + ret_fp,
+                Message(mtype=1, payload=(self.module_id, self.func_id,
+                                          return_address)))
 
     def _slots_for(self, return_address: int, frame_pointer: int) -> Tuple:
         """:meth:`_fixed_slots` for one call frame, rebuilt only when the
@@ -265,14 +286,16 @@ class ClientStub:
     def push_call(self, stack: SimStack, args: Sequence[Any], *,
                   return_address: int = DEFAULT_RETURN_ADDRESS,
                   frame_pointer: int = DEFAULT_FRAME_POINTER,
+                  session_id: Optional[int] = None,
                   record_checkpoints: bool = False) -> StubCallFrame:
-        """Perform Figure 3 steps (1) and (2) on ``stack``."""
-        _, _, ret_fp, step2 = self._slots_for(return_address, frame_pointer)
+        """Perform Figure 3 steps (1) and (2) on ``stack`` for a call of
+        ``session_id``'s session."""
+        _, _, ret_fp, step2, request = self._slots_for(return_address,
+                                                       frame_pointer)
         args = tuple(args)
-        frame = StubCallFrame(module_id=self.module_id, func_id=self.func_id,
-                              args=args, return_address=return_address,
-                              frame_pointer=frame_pointer, ret_fp=ret_fp,
-                              stack=stack)
+        frame = _frame((self.module_id, self.func_id, args, return_address,
+                        frame_pointer, ret_fp, request, stack, session_id,
+                        {} if record_checkpoints else NO_CHECKPOINTS))
         # Step (1): the ordinary call left args (pushed right-to-left), the
         # return address, and the saved frame pointer on the stack.
         stack.push_slots(tuple(map(_slot, zip(repeat(_ARG), reversed(args))))
@@ -386,13 +409,12 @@ class BatchStub:
         frames = []
         slots: List[StackSlot] = []
         for stub, args in reversed(self.queue):
-            _, _, ret_fp, step2 = stub._slots_for(DEFAULT_RETURN_ADDRESS,
-                                                  DEFAULT_FRAME_POINTER)
-            frames.append(StubCallFrame(
-                module_id=stub.module_id, func_id=stub.func_id, args=args,
-                return_address=DEFAULT_RETURN_ADDRESS,
-                frame_pointer=DEFAULT_FRAME_POINTER, ret_fp=ret_fp,
-                stack=stack, session_id=session_id))
+            _, _, ret_fp, step2, request = stub._slots_for(
+                DEFAULT_RETURN_ADDRESS, DEFAULT_FRAME_POINTER)
+            frames.append(_frame((
+                stub.module_id, stub.func_id, args, DEFAULT_RETURN_ADDRESS,
+                DEFAULT_FRAME_POINTER, ret_fp, request, stack, session_id,
+                NO_CHECKPOINTS)))
             slots += map(_slot, zip(repeat(_ARG), reversed(args)))
             slots += ret_fp
             slots += step2

@@ -67,12 +67,13 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 
 import numpy as np
 
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..control.adaptive import AdaptiveBatchController
 from ..errors import SimulationError
@@ -80,6 +81,7 @@ from ..hw.machine import Machine, make_paper_machine
 from ..kernel.kernel import Kernel
 from ..obj.image import make_function_image
 from ..secmodule.credentials import DEFAULT_PRINCIPAL, DEFAULT_UID
+from ..secmodule.decision_cache import policy_is_cacheable
 from ..secmodule.dispatch import DispatchConfig
 from ..secmodule.handle_pool import HandlePolicy
 from ..secmodule.module import CallEnvironment, SecModuleDefinition
@@ -593,10 +595,11 @@ class TrafficEngine:
         self._built = False
         self._mix_names = [name for name, _ in spec.call_mix]
         self._mix_weights = [weight for _, weight in spec.call_mix]
-        # weighted_choice's draw and thresholds, for the array arm's call
-        # table: the thresholds are built by the same incremental float
-        # addition weighted_choice performs, so a double lands on the
-        # function weighted_choice picks
+        # the call draw of both arms: ``total * double`` lands on the first
+        # threshold above it, clamped to the last name.  The thresholds are
+        # built by the same incremental float addition as
+        # ``DeterministicRNG.weighted_choice``'s walk and the total by the
+        # same ordered sum, so a double lands on the function the walk picks
         self._mix_total = ordered_sum(self._mix_weights)
         acc = 0.0
         thresholds = []
@@ -646,10 +649,15 @@ class TrafficEngine:
         #: the repairs its current chunk has left
         self._clock_repairs = 0
         self._repairs_left = _CHUNK_REPAIRS
+        #: sessions whose flushes are offered to fast-forward windows
+        #: (`build`): a window opens only for a key a trace can settle,
+        #: and only a static policy chain's calls record one
+        self._ff_sessions: Set[int] = set()
         # hot-loop caches: bound methods/objects resolved once (the run
         # loop touches these a few times per simulated call)
         self._dispatcher = self.extension.dispatcher
-        self._us_of = self.machine.meter.profile.microseconds
+        #: the meter profile's clock rate: `_now_us` is its microseconds()
+        self._profile_mhz = self.machine.meter.profile.mhz
         # broker seat-queue deadline shedding (default off: the gate stays
         # entirely out of the unprotected per-call paths)
         self._broker_shed = spec.shed_deadline_us > 0.0
@@ -709,6 +717,10 @@ class TrafficEngine:
                         self._start_session(program, registered)
             self.clients.append(state)
             self._client_by_id[state.index] = state
+            self._ff_sessions.update(
+                session.session_id for session in state.sessions.values()
+                if all(policy_is_cacheable(module.definition.policy)
+                       for module in session.modules.values()))
         self._built = True
         return self
 
@@ -731,7 +743,8 @@ class TrafficEngine:
         queueing delays, think schedules, policy contexts after a flush)
         is float-identical with fast-forward on or off.
         """
-        return self._us_of(self.machine.clock.cycles + self._pending_cycles)
+        return ((self.machine.clock.cycles + self._pending_cycles)
+                / self._profile_mhz)
 
     def _advance_clock_to(self, target_us: float) -> None:
         """Idle the machine forward to a scheduled arrival time."""
@@ -852,8 +865,12 @@ class TrafficEngine:
         return True
 
     def _draw_call(self, state: ClientState, offset: int) -> Tuple[str, Tuple]:
-        function_name = state.rng.weighted_choice(self._mix_names,
-                                                  self._mix_weights)
+        """One call-mix draw: the threshold rule of the array arm's
+        `_call_rows`, on one double."""
+        names = self._mix_names
+        index = bisect_right(self._mix_thresholds,
+                             self._mix_total * state.rng.next_double())
+        function_name = names[index] if index < len(names) else names[-1]
         args = ((state.calls_issued + offset,)
                 if function_name == "test_incr" else ())
         return function_name, args
@@ -864,11 +881,13 @@ class TrafficEngine:
 
         A queue of one goes through the ordinary single-call path (so a
         depth-1 flush is the paper's per-call dispatch, cycle for cycle);
-        longer queues flush through the batched path in one chunk.
+        longer queues flush through the batched path in one chunk.  Only a
+        session whose flushes can settle is offered to a window.
         """
         count = len(queue)
         if self._ff_enabled:
-            if self._ff_offer(state, session, queue, count):
+            if session.session_id in self._ff_sessions and \
+                    self._ff_offer(state, session, queue, count):
                 return
             # the span needs the real dispatch path, which must see the
             # true clock (policy contexts, stopwatches): settle everything

@@ -231,6 +231,55 @@ def test_a_queue_past_any_sample_runs_op_by_op(monkeypatch):
     assert end_state(replica) == end_state(system)
 
 
+def count_bodies(modules) -> list:
+    """Wrap every function body of ``modules``; the returned one-element
+    list counts the body runs."""
+    runs = [0]
+    for module in modules:
+        for function in module.definition.functions():
+            def counted(env, *args, _impl=function.impl):
+                runs[0] += 1
+                return _impl(env, *args)
+            function.impl = counted
+    return runs
+
+
+def test_a_settled_flush_runs_its_bodies_only_when_read(monkeypatch):
+    """Under the traffic engine a composed flush runs no function body
+    (the engine reads only its denied count); read directly, a composed
+    flush's values run each body once and are each body's value."""
+    engine = TrafficEngine(TrafficSpec(**dict(SPEC, seed=1))).build()
+    runs = count_bodies(engine.modules)
+    during = []
+    compose = dispatch.SmodDispatcher._compose_flush
+
+    def watched(self, *args):
+        before = runs[0]
+        outcome = compose(self, *args)
+        if outcome is not None:
+            during.append(runs[0] - before)
+        return outcome
+
+    monkeypatch.setattr(dispatch.SmodDispatcher, "_compose_flush", watched)
+    engine.run()
+    assert len(during) == composed(engine) > 0
+    assert set(during) == {0}
+
+    system = SecModuleSystem.create(seed=21)
+    runs = count_bodies(system.session.modules.values())
+    for names in TEACH:
+        flush(system, names)
+    trace_cache = system.extension.dispatcher.trace_cache
+    before, bodies = trace_cache.composed, runs[0]
+    calls = [(A, (7,)), (B, ()), (A, (8,))]
+    outcome = system.extension.dispatcher.call_batch(
+        system.session, calls, config=DispatchConfig(batch_size=3))
+    assert trace_cache.composed == before + 1
+    assert outcome.denied == 0 and runs[0] == bodies
+    assert outcome.values == [8, 0, 9] and runs[0] == bodies + 3
+    assert outcome.ok and len(outcome) == 3 and runs[0] == bodies + 3
+
+
 MODEL_DIGEST = """
 import hashlib, json, sys
 from repro.workloads.traffic import TrafficEngine, TrafficSpec
