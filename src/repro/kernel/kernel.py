@@ -19,12 +19,13 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..errors import SimulationError
+from ..hw.cpu import Ring
 from ..hw.machine import Machine, make_paper_machine
 from ..obj.loader import LoadPlan
 from ..sim import costs
 from .coredump import CoreDumpPolicy, CoreImage
 from .cred import ROOT, Ucred
-from .errno import SyscallResult
+from .errno import Errno, SyscallResult, syscall_result
 from .proc import DEAD_STATES, Proc, ProcFlag, ProcState, ProcTable
 from .ptrace import PtracePolicy
 from .sched import Scheduler
@@ -51,7 +52,7 @@ class Kernel:
         self.signals = SignalSystem(self)
         self.ptrace = PtracePolicy()
         self.coredump = CoreDumpPolicy()
-        self.syscalls = SyscallTable(self.machine, self.machine.cpu)
+        self.syscalls = SyscallTable()
         self._hooks: Dict[str, List[Callable]] = {event: [] for event in HOOK_EVENTS}
         self.proc0: Optional[Proc] = None
         self.booted = False
@@ -194,24 +195,51 @@ class Kernel:
 
     # -------------------------------------------------------------- syscall API
     def syscall(self, proc: Proc, name_or_number, *args) -> SyscallResult:
-        """Issue one system call on behalf of ``proc``.
+        """Trap into the kernel and execute one system call for ``proc``.
 
-        ``_require_boot`` and ``Proc.alive`` are inlined: every protected
-        call passes here.
+        Charges the trap entry, demultiplex, argument copy-in and trap
+        exit around the handler :attr:`syscalls` registers under the name
+        or number.  The whole trap is this one frame: every protected call
+        passes here, so ``_require_boot``, ``Proc.alive``, the entry probe
+        and :meth:`CPU.enter_ring`'s swap are inlined.
         """
         if not self.booted:
             raise SimulationError("kernel not booted; call Kernel.boot() first")
         if proc.state in DEAD_STATES:
             raise SimulationError(f"dead process {proc.pid} cannot make syscalls")
-        return self.syscalls.invoke(self, proc, name_or_number, *args)
+        syscalls = self.syscalls
+        entry = syscalls.entries.get(name_or_number)
+        machine = self.machine
+        cpu = machine.cpu
+
+        # Trap entry: user -> kernel ring transition.
+        machine.charge(costs.TRAP_ENTRY)
+        previous_ring = cpu.ring
+        cpu.ring = Ring.KERNEL
+        machine.charge(costs.SYSCALL_DEMUX)
+
+        try:
+            if entry is None:
+                return syscall_result((-1, Errno.ENOSYS))
+            name = entry.name
+            if entry.arg_words:
+                machine.charge_words(costs.COPY_WORD, entry.arg_words)
+            invocations = syscalls.invocations
+            invocations[name] = invocations.get(name, 0) + 1
+            result = entry.handler(self, proc, *args)
+            if not isinstance(result, SyscallResult):
+                raise SimulationError(
+                    f"syscall handler {name!r} returned "
+                    f"{type(result).__name__}, not SyscallResult")
+            return result
+        finally:
+            # Trap exit: back to the caller's ring.
+            cpu.ring = previous_ring
+            machine.charge(costs.TRAP_EXIT)
 
     # --------------------------------------------------------------- utilities
     def copyin(self, words: int) -> None:
         """Charge a user->kernel copy of ``words`` 32-bit words."""
-        self.machine.charge_words(costs.COPY_WORD, words)
-
-    def copyout(self, words: int) -> None:
-        """Charge a kernel->user copy of ``words`` 32-bit words."""
         self.machine.charge_words(costs.COPY_WORD, words)
 
 

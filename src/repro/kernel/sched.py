@@ -64,7 +64,9 @@ class Scheduler:
         self.machine = machine
         self.ready = ReadyQueue()
         self.current: Optional[Proc] = None
-        self._sleepers: Dict[str, List[Proc]] = {}
+        #: wait channel -> the processes sleeping on it; a channel with no
+        #: sleeper has no key, so a waker tests membership before waking
+        self.sleepers: Dict[str, List[Proc]] = {}
         self.context_switches = 0
         self._suspended: set[int] = set()
         #: pids woken (wakeup/make_runnable) while suspended: they must be
@@ -103,18 +105,18 @@ class Scheduler:
         # only runs for a proc whose wchan was already cleared out-of-band
         wchan = proc.wchan
         if wchan is not None:
-            sleepers = self._sleepers.get(wchan)
+            sleepers = self.sleepers.get(wchan)
             if sleepers is not None:
                 if proc in sleepers:
                     sleepers.remove(proc)
                 if not sleepers:
-                    del self._sleepers[wchan]
+                    del self.sleepers[wchan]
             return
-        for channel, sleepers in list(self._sleepers.items()):
+        for channel, sleepers in list(self.sleepers.items()):
             if proc in sleepers:
                 sleepers.remove(proc)
             if not sleepers:
-                del self._sleepers[channel]
+                del self.sleepers[channel]
 
     def switch_to(self, proc: Proc) -> Proc:
         """Context switch to ``proc``; returns the previously running process.
@@ -138,34 +140,42 @@ class Scheduler:
         return previous if previous is not None else proc
 
     def sleep(self, proc: Proc, wchan: str) -> None:
-        """Block ``proc`` on ``wchan`` (tsleep)."""
-        if not proc.alive:
+        """Block ``proc`` on ``wchan`` (tsleep).
+
+        Every blocking receive sleeps here, so ``Proc.alive`` and
+        :meth:`ReadyQueue.discard` are inlined, as in :meth:`switch_to`.
+        """
+        if proc.state in DEAD_STATES:
             raise SimulationError(f"cannot sleep dead process {proc.pid}")
         proc.state = ProcState.SLEEPING
         proc.wchan = wchan
-        self._sleepers.setdefault(wchan, []).append(proc)
-        self.ready.discard(proc)
+        self.sleepers.setdefault(wchan, []).append(proc)
+        self.ready._procs.pop(proc.pid, None)
         if self.current is proc:
             self.current = None
 
     def wakeup(self, wchan: str) -> List[Proc]:
-        """Wake every process sleeping on ``wchan`` (wakeup)."""
-        woken = self._sleepers.pop(wchan, None)
+        """Wake every process sleeping on ``wchan`` (wakeup).
+
+        ``Proc.alive`` and :meth:`ReadyQueue.append` are inlined.
+        """
+        woken = self.sleepers.pop(wchan, None)
         if woken is None:
             return []
+        ready = self.ready._procs
         for proc in woken:
-            if proc.alive:
+            if proc.state not in DEAD_STATES:
                 self.machine.charge(costs.SCHED_WAKEUP)
                 proc.state = ProcState.RUNNABLE
                 proc.wchan = None
                 if proc.pid not in self._suspended:
-                    self.ready.append(proc)
+                    ready[proc.pid] = proc
                 else:
                     self._deferred_wakeups.add(proc.pid)
         return woken
 
     def sleeping_on(self, wchan: str) -> List[Proc]:
-        return list(self._sleepers.get(wchan, []))
+        return list(self.sleepers.get(wchan, []))
 
     # -- the §4.4 hardening hooks ---------------------------------------------
     def suspend(self, proc: Proc) -> None:

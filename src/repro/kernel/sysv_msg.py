@@ -58,10 +58,6 @@ class Message:
                    parts=packed)
 
     @property
-    def part_count(self) -> int:
-        return len(self.parts) if self.parts else (1 if self.payload else 0)
-
-    @property
     def words(self) -> int:
         return len(self.payload)
 
@@ -156,7 +152,11 @@ class SysVMsgSystem:
         machine.charge(costs.MSGQ_SEND)
         machine.charge_words(costs.MSGQ_PER_WORD, words)
         messages.append(message)
-        self.scheduler.wakeup(queue.wchan)
+        # with no receiver asleep on the queue there is nothing to wake
+        # and nothing to charge
+        scheduler = self.scheduler
+        if queue.wchan in scheduler.sleepers:
+            scheduler.wakeup(queue.wchan)
 
     def msgrcv(self, proc: Proc, msqid: int, mtype: int = 0,
                flags: int = 0) -> Optional[Message]:

@@ -17,7 +17,8 @@ from typing import List, Optional
 from ..errors import SimulationError
 from ..kernel.proc import Proc
 from ..sim import costs
-from .message import AcceptStat, CallMessage, OpaqueAuth, ReplyMessage, ReplyStat
+from .message import (NO_AUTH, AcceptStat, ReplyMessage, ReplyStat,
+                      call_message)
 from .portmap import IPPROTO_UDP, Portmapper
 from .server import RpcServer
 from .transport import LoopbackNetwork, UdpSocket
@@ -74,14 +75,13 @@ class RpcClient:
         machine.charge(costs.RPC_CLNT_CALL_OVERHEAD)
 
         self.next_xid += 1
-        call = CallMessage(xid=self.next_xid, prog=self.prog, vers=self.vers,
-                           proc=proc_num, args=list(args),
-                           cred=OpaqueAuth(), verf=OpaqueAuth())
+        call = call_message((self.next_xid, self.prog, self.vers, proc_num,
+                             list(args), NO_AUTH, NO_AUTH))
         payload = call.encode(machine)
 
         sent = self.kernel.syscall(self.proc, "sendto", self.socket.sockfd,
                                    payload, self.server_port)
-        if sent.failed:
+        if sent.errno is not None:
             self.stats.failures += 1
             raise RpcError(f"sendto failed: {sent.errno.name}")
 
@@ -97,7 +97,7 @@ class RpcClient:
         # Back to the client, which was about to block in recvfrom.
         self.kernel.sched.switch_to(self.proc)
         received = self.kernel.syscall(self.proc, "recvfrom", self.socket.sockfd)
-        if received.failed:
+        if received.errno is not None:
             self.stats.failures += 1
             raise RpcError("reply datagram missing")
         reply = ReplyMessage.decode(received.value.payload, machine)

@@ -21,8 +21,8 @@ from __future__ import annotations
 import enum
 import functools
 import struct
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 from ..errors import SimulationError
 from ..sim import costs
@@ -56,8 +56,6 @@ class AuthFlavor(enum.IntEnum):
     AUTH_SYS = 1
 
 
-#: wire value -> member, the flavors a decoder accepts
-_FLAVORS = {flavor.value: flavor for flavor in AuthFlavor}
 #: the members the one-pass paths test and write, bound once: an IntEnum
 #: member lookup costs about as much as packing a whole message
 _CALL, _REPLY = MsgType.CALL, MsgType.REPLY
@@ -82,9 +80,9 @@ def _call_layout(nargs: int) -> struct.Struct:
     return struct.Struct(f">{_CALL_HEADER_WORDS}I{nargs}i")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpaqueAuth:
-    """Credential / verifier blob."""
+    """Credential / verifier blob (immutable: messages share them)."""
 
     flavor: AuthFlavor = AuthFlavor.AUTH_NONE
     body: bytes = b""
@@ -100,17 +98,28 @@ class OpaqueAuth:
         return cls(flavor=flavor, body=body)
 
 
-@dataclass
-class CallMessage:
-    """An RPC call: header + XDR-encoded argument payload."""
+#: the empty credential of each flavor, shared by every message that
+#: carries one; keyed by wire value, so it also names the flavors a
+#: decoder accepts
+_EMPTY_AUTH = {flavor.value: OpaqueAuth(flavor) for flavor in AuthFlavor}
+#: the AUTH_NONE credential and verifier every simulator message carries
+NO_AUTH = _EMPTY_AUTH[AuthFlavor.AUTH_NONE]
+
+
+class CallMessage(NamedTuple):
+    """An RPC call: header + XDR-encoded argument payload.
+
+    Immutable and equal by value.  The hot paths build it with
+    :data:`call_message`, which runs no Python frame.
+    """
 
     xid: int
     prog: int
     vers: int
     proc: int
-    args: List[int] = field(default_factory=list)
-    cred: OpaqueAuth = field(default_factory=OpaqueAuth)
-    verf: OpaqueAuth = field(default_factory=OpaqueAuth)
+    args: Sequence[int] = ()
+    cred: OpaqueAuth = NO_AUTH
+    verf: OpaqueAuth = NO_AUTH
 
     def encode(self, machine=None) -> bytes:
         cred, verf, args = self.cred, self.verf, self.args
@@ -152,15 +161,14 @@ class CallMessage:
                  cred_len, verf_flavor, verf_len, _, *args) = \
                     _call_layout(nargs).unpack_from(data)
                 if (msg_type == _CALL and rpcvers == RPC_VERSION
-                        and cred_flavor in _FLAVORS and cred_len == 0
-                        and verf_flavor in _FLAVORS and verf_len == 0):
+                        and cred_flavor in _EMPTY_AUTH and cred_len == 0
+                        and verf_flavor in _EMPTY_AUTH and verf_len == 0):
                     if machine is not None:
                         machine.charge_each(costs.XDR_ITEM,
                                             _CALL_HEADER_ITEMS + nargs)
-                    return cls(xid=xid, prog=prog, vers=vers, proc=proc,
-                               args=args,
-                               cred=OpaqueAuth(_FLAVORS[cred_flavor]),
-                               verf=OpaqueAuth(_FLAVORS[verf_flavor]))
+                    return call_message((xid, prog, vers, proc, args,
+                                         _EMPTY_AUTH[cred_flavor],
+                                         _EMPTY_AUTH[verf_flavor]))
         return cls._decode_items(data, machine)
 
     @classmethod
@@ -184,15 +192,18 @@ class CallMessage:
                    cred=cred, verf=verf)
 
 
-@dataclass
-class ReplyMessage:
-    """An RPC reply: accepted/denied status + XDR-encoded result."""
+class ReplyMessage(NamedTuple):
+    """An RPC reply: accepted/denied status + XDR-encoded result.
+
+    Immutable and equal by value.  The hot paths build it with
+    :data:`reply_message`, which runs no Python frame.
+    """
 
     xid: int
     reply_stat: ReplyStat = ReplyStat.MSG_ACCEPTED
     accept_stat: AcceptStat = AcceptStat.SUCCESS
     result: Optional[int] = None
-    verf: OpaqueAuth = field(default_factory=OpaqueAuth)
+    verf: OpaqueAuth = NO_AUTH
 
     def encode(self, machine=None) -> bytes:
         verf = self.verf
@@ -229,12 +240,12 @@ class ReplyMessage:
             (xid, msg_type, reply_stat, verf_flavor, verf_len, accept_stat,
              result) = _SUCCESS_REPLY.unpack_from(data)
             if (msg_type == _REPLY and reply_stat == _ACCEPTED
-                    and verf_flavor in _FLAVORS and verf_len == 0
+                    and verf_flavor in _EMPTY_AUTH and verf_len == 0
                     and accept_stat == _SUCCESS):
                 if machine is not None:
                     machine.charge_each(costs.XDR_ITEM, _SUCCESS_REPLY_ITEMS)
-                return cls(xid=xid, result=result,
-                           verf=OpaqueAuth(_FLAVORS[verf_flavor]))
+                return reply_message((xid, _ACCEPTED, _SUCCESS, result,
+                                      _EMPTY_AUTH[verf_flavor]))
         return cls._decode_items(data, machine)
 
     @classmethod
@@ -255,3 +266,9 @@ class ReplyMessage:
             result = decoder.get_int()
         return cls(xid=xid, reply_stat=reply_stat, accept_stat=accept_stat,
                    result=result, verf=verf)
+
+
+#: CallMessage from its seven fields in order, without NamedTuple's frame
+call_message = functools.partial(tuple.__new__, CallMessage)
+#: ReplyMessage from its five fields in order, without NamedTuple's frame
+reply_message = functools.partial(tuple.__new__, ReplyMessage)

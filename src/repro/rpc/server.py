@@ -17,17 +17,21 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..errors import SimulationError
 from ..kernel.proc import Proc
 from ..sim import costs
-from .message import AcceptStat, CallMessage, ReplyMessage
+from .message import (NO_AUTH, AcceptStat, CallMessage, ReplyMessage,
+                      ReplyStat, reply_message)
 from .portmap import IPPROTO_UDP, Portmapper
 from .transport import LoopbackNetwork, UdpSocket
 
 #: Procedure handler signature: (args list) -> int result
 ProcedureHandler = Callable[[List[int]], int]
 
+_ACCEPTED, _SUCCESS = ReplyStat.MSG_ACCEPTED, AcceptStat.SUCCESS
+
 
 @dataclass
 class RpcProgram:
-    """One registered RPC program: number, version and its procedures."""
+    """One registered RPC program: number, version and its procedures
+    (NULLPROC, :func:`nullproc`, is served without being registered)."""
 
     prog: int
     vers: int
@@ -44,10 +48,10 @@ class RpcProgram:
         self.procedures[proc_num] = handler
         self.procedure_names[proc_num] = name or f"proc{proc_num}"
 
-    def lookup(self, proc_num: int) -> Optional[ProcedureHandler]:
-        if proc_num == 0:
-            return lambda args: 0      # NULLPROC always exists
-        return self.procedures.get(proc_num)
+
+def nullproc(args: List[int]) -> int:
+    """NULLPROC (procedure 0), which every program serves: the RPC ping."""
+    return 0
 
 
 class RpcServer:
@@ -99,10 +103,10 @@ class RpcServer:
             raise SimulationError("server not started")
         machine = self.kernel.machine
 
-        received = self.kernel.syscall(self.proc, "recvfrom", self.socket.sockfd)
-        if received.failed:
+        datagram, errno = self.kernel.syscall(self.proc, "recvfrom",
+                                              self.socket.sockfd)
+        if errno is not None:
             return None
-        datagram = received.value
 
         machine.charge(costs.RPC_SVC_DISPATCH)
         call = CallMessage.decode(datagram.payload, machine)
@@ -114,7 +118,9 @@ class RpcServer:
                                  accept_stat=AcceptStat.PROG_UNAVAIL)
             self.garbage_calls += 1
         else:
-            handler = program.lookup(call.proc)
+            proc_num = call.proc
+            handler = program.procedures.get(proc_num) if proc_num \
+                else nullproc
             if handler is None:
                 reply = ReplyMessage(xid=call.xid,
                                      accept_stat=AcceptStat.PROC_UNAVAIL)
@@ -128,7 +134,8 @@ class RpcServer:
                     self.garbage_calls += 1
                     self.last_system_error = exc
                 else:
-                    reply = ReplyMessage(xid=call.xid, result=result)
+                    reply = reply_message((call.xid, _ACCEPTED, _SUCCESS,
+                                           result, NO_AUTH))
                     self.calls_served += 1
 
         payload = reply.encode(machine)
@@ -141,6 +148,6 @@ class RpcServer:
         if self.socket is None:
             raise SimulationError("server not started")
         result = self.kernel.syscall(self.proc, "recvfrom", self.socket.sockfd)
-        if result.ok:
+        if result.errno is None:
             raise SimulationError(
                 "server expected to block but a datagram was already queued")

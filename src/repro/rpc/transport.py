@@ -16,11 +16,13 @@ SecModule handle blocks on its message queue.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Deque, Dict, NamedTuple, Optional
 
 from ..errors import SimulationError
-from ..kernel.errno import Errno, SyscallResult, fail, ok
+from ..kernel.errno import Errno, SyscallResult, fail, ok, syscall_result
 from ..kernel.proc import Proc
 from ..sim import costs
 
@@ -28,13 +30,16 @@ from ..sim import costs
 LOOPBACK_ADDR = "127.0.0.1"
 
 
-@dataclass
-class Datagram:
+class Datagram(NamedTuple):
     """One UDP datagram queued on a socket."""
 
     source_port: int
     dest_port: int
     payload: bytes
+
+
+#: Datagram from its three fields in order, without NamedTuple's frame
+datagram = partial(tuple.__new__, Datagram)
 
 
 @dataclass
@@ -44,7 +49,7 @@ class UdpSocket:
     sockfd: int
     owner_pid: int
     port: int
-    receive_queue: List[Datagram] = field(default_factory=list)
+    receive_queue: Deque[Datagram] = field(default_factory=deque)
     #: the sleep channel of the socket's blocked receiver, named once
     wchan: str = field(init=False, repr=False)
 
@@ -53,7 +58,11 @@ class UdpSocket:
 
 
 class LoopbackNetwork:
-    """The machine-local UDP fabric: sockets, ports, and the two data paths."""
+    """The machine-local UDP fabric: sockets and ports.
+
+    The two data paths are the ``sendto`` and ``recvfrom`` syscall bodies
+    below, which read the socket and port tables in place.
+    """
 
     def __init__(self, kernel) -> None:
         self.kernel = kernel
@@ -91,41 +100,6 @@ class LoopbackNetwork:
     def lookup_fd(self, fd: int) -> Optional[UdpSocket]:
         return self._sockets.get(fd)
 
-    def lookup_port(self, port: int) -> Optional[UdpSocket]:
-        fd = self._by_port.get(port)
-        return self._sockets.get(fd) if fd is not None else None
-
-    # -- data path -----------------------------------------------------------------
-    def send_path(self, payload_words: int) -> None:
-        """Charge one traversal of the socket send + UDP output + loopback."""
-        machine = self.kernel.machine
-        machine.charge(costs.SOCKET_ALLOC)
-        machine.charge_words(costs.COPY_WORD, payload_words)
-        machine.charge(costs.UDP_SEND_PATH)
-
-    def recv_path(self, payload_words: int) -> None:
-        """Charge one traversal of loopback input + UDP input + soreceive."""
-        machine = self.kernel.machine
-        machine.charge(costs.UDP_RECV_PATH)
-        machine.charge_words(costs.COPY_WORD, payload_words)
-        machine.charge(costs.KFREE)
-
-    def deliver(self, source: UdpSocket, dest_port: int, payload: bytes) -> bool:
-        dest = self.lookup_port(dest_port)
-        if dest is None:
-            self.datagrams_dropped += 1
-            return False
-        dest.receive_queue.append(Datagram(source_port=source.port,
-                                           dest_port=dest_port,
-                                           payload=payload))
-        self.datagrams_sent += 1
-        # wake a receiver blocked on this socket
-        self.kernel.sched.wakeup(dest.wchan)
-        return True
-
-    def block_receiver(self, proc: Proc, sock: UdpSocket) -> None:
-        self.kernel.sched.sleep(proc, sock.wchan)
-
 
 # ---------------------------------------------------------------------------
 # The socket system calls (registered on demand by install_network)
@@ -149,30 +123,48 @@ def _sys_bind(kernel, proc: Proc, sockfd: int, port: int) -> SyscallResult:
 
 def _sys_sendto(kernel, proc: Proc, sockfd: int, payload: bytes,
                 dest_port: int) -> SyscallResult:
+    """Send one datagram: the socket send, UDP output and loopback path,
+    then delivery to the bound destination, waking its receiver."""
     network = kernel.network
-    sock = network.lookup_fd(sockfd)
+    sockets = network._sockets
+    sock = sockets.get(sockfd)
     if sock is None or sock.owner_pid != proc.pid:
-        return fail(Errno.EINVAL)
-    words = max(1, len(payload) // 4)
-    network.send_path(words)
-    delivered = network.deliver(sock, dest_port, payload)
-    if not delivered:
-        return fail(Errno.ENOENT)
-    return ok(len(payload))
+        return syscall_result((-1, Errno.EINVAL))
+    machine = kernel.machine
+    machine.charge(costs.SOCKET_ALLOC)
+    machine.charge_words(costs.COPY_WORD, max(1, len(payload) // 4))
+    machine.charge(costs.UDP_SEND_PATH)
+    dest_fd = network._by_port.get(dest_port)
+    dest = sockets.get(dest_fd) if dest_fd is not None else None
+    if dest is None:
+        network.datagrams_dropped += 1
+        return syscall_result((-1, Errno.ENOENT))
+    dest.receive_queue.append(datagram((sock.port, dest_port, payload)))
+    network.datagrams_sent += 1
+    # wake a receiver blocked on the socket; with none there is nothing
+    # to wake and nothing to charge
+    sched = kernel.sched
+    if dest.wchan in sched.sleepers:
+        sched.wakeup(dest.wchan)
+    return syscall_result((len(payload), None))
 
 
 def _sys_recvfrom(kernel, proc: Proc, sockfd: int) -> SyscallResult:
-    network = kernel.network
-    sock = network.lookup_fd(sockfd)
+    """Take the socket's next datagram through loopback input, UDP input
+    and soreceive; with none queued, the caller sleeps on the socket."""
+    sock = kernel.network._sockets.get(sockfd)
     if sock is None or sock.owner_pid != proc.pid:
-        return fail(Errno.EINVAL)
-    if not sock.receive_queue:
-        network.block_receiver(proc, sock)
-        return fail(Errno.EAGAIN)
-    datagram = sock.receive_queue.pop(0)
-    words = max(1, len(datagram.payload) // 4)
-    network.recv_path(words)
-    return ok(datagram)
+        return syscall_result((-1, Errno.EINVAL))
+    queue = sock.receive_queue
+    if not queue:
+        kernel.sched.sleep(proc, sock.wchan)
+        return syscall_result((-1, Errno.EAGAIN))
+    received = queue.popleft()
+    machine = kernel.machine
+    machine.charge(costs.UDP_RECV_PATH)
+    machine.charge_words(costs.COPY_WORD, max(1, len(received.payload) // 4))
+    machine.charge(costs.KFREE)
+    return syscall_result((received, None))
 
 
 #: Syscall numbers follow repro.kernel.syscall's table.

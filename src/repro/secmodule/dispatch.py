@@ -30,8 +30,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from math import gcd
-from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, ClassVar, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..control.overload import OverloadController
 from ..errors import SimulationError
@@ -72,12 +72,27 @@ class MarshallingMode(enum.Enum):
 _SINGLE_REPLY = Message(mtype=2, payload=(1,))
 
 
+class _Interned(type):
+    """Metaclass of a frozen dataclass whose equal instances are one object.
+
+    The constructor returns the first instance built with each field tuple;
+    ``dataclasses.replace`` and ``__reduce__`` (pickle, copy, deepcopy) go
+    through it too, so no second equal instance exists in a process.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        instance = super().__call__(*args, **kwargs)
+        key = (cls, *(getattr(instance, f.name) for f in fields(instance)))
+        return cls._canonical.setdefault(key, instance)
+
+
 @dataclass(frozen=True)
-class DispatchConfig:
+class DispatchConfig(metaclass=_Interned):
     """Per-call-path configuration (defaults reproduce the paper's setup).
 
     Every protected call checks its module's policy, the paper's design
     point; the fields choose how that check and the call around it run.
+    Configs are interned: equal configs are the same object.
     """
 
     #: the §4.4 countermeasure applied around each kernel-side call
@@ -108,26 +123,17 @@ class DispatchConfig:
     #: record Figure 3 stack snapshots (off for the million-call benchmarks)
     record_checkpoints: bool = False
 
-    def __post_init__(self) -> None:
-        # the generated frozen-dataclass hash walks every field (two enums
-        # included) on each dict operation, and trace-cache keys embed the
-        # config — so every lookup on the hot path pays it.  Configs are
-        # immutable: compute once, keep the same equality contract.
-        # smod: allow(DET003)  it only keys dicts: no seed, ordering or
-        # output depends on the value, and an unpickled config recomputes
-        # it under the receiving process's string salt (see __reduce__)
-        object.__setattr__(self, "_cached_hash", hash(
-            (self.hardening, self.marshalling, self.use_decision_cache,
-             self.batch_size, self.use_trace_replay,
-             self.record_checkpoints)))
-
-    def __hash__(self) -> int:
-        return self._cached_hash
+    # Interned, so equal configs are one object and hash by identity: the
+    # trace-cache keys embed the config, and every probe and store hashes
+    # the key in C instead of walking the fields (two enums included).
+    __hash__ = object.__hash__
+    #: (class, *fields) -> the canonical config (see :class:`_Interned`)
+    _canonical: ClassVar[Dict[Tuple, "DispatchConfig"]] = {}
 
     def __reduce__(self):
-        # rebuild from the field values rather than restoring __dict__: the
-        # enum hashes salt per process, so the sender's _cached_hash would
-        # not match an equal config built in the receiving process
+        # rebuild through the constructor rather than restoring __dict__,
+        # so pickling (shard workers), copy and deepcopy all return the
+        # receiving process's canonical instance
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
@@ -967,21 +973,22 @@ class SmodDispatcher:
         executed: Dict[int, List] = {}
         entry.plan_by_pair = {}
         pairs = []
+        any_executed = False
         for module, function, errno in plan:
             slot = executed.get(module.m_id)
             if slot is None:
                 executed[module.m_id] = slot = [module, 0]
             if errno is None:
                 slot[1] += 1
+                any_executed = True
             pair = (module.m_id, function.func_id)
             pairs.append(pair)
             entry.plan_by_pair[pair] = errno
         if batched and entry.touches_for(pairs) != touches:
             return None
         entry.m_ids = frozenset(executed)
-        entry.note_plan = tuple((module, count)
-                                for module, count in executed.values())
-        entry.any_executed = any(count for _, count in entry.note_plan)
+        entry.note_plan = tuple(map(tuple, executed.values()))
+        entry.any_executed = any_executed
         if batched:
             # a canonically-keyed batch observes its plan and touches in
             # its own permutation's order, so both compare as multisets;
@@ -1188,7 +1195,10 @@ class SmodDispatcher:
             msg.msgsnd(handle, session.reply_msqid, reply)
             sched.switch_to(client)
             msg.msgrcv(client, session.reply_msqid, 2)
-            kernel.copyout(reply.part_count)    # one return value per part
+            # copyout: one return value per reply part
+            parts = reply.parts
+            machine.charge_words(costs.COPY_WORD, len(parts) if parts else
+                                 (1 if reply.payload else 0))
             if explicit_copy:
                 machine.charge(costs.KFREE)
         finally:

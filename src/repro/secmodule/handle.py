@@ -76,7 +76,7 @@ class Handle:
         self.attached_sessions: Dict[int, object] = {}
         #: per-session secret-stack segments (first session uses the
         #: original ``secret_stack`` so the 1:1 shape is byte-identical)
-        self._session_stacks: Dict[int, SimStack] = {}
+        self.session_stacks: Dict[int, SimStack] = {}
         self.loaded: Dict[int, LoadedModule] = {}
         self.ready = False
         self.calls_served = 0
@@ -147,11 +147,11 @@ class Handle:
             return
         self.trace_epoch += 1
         self.attached_sessions[session.session_id] = session
-        if not self._session_stacks:
+        if not self.session_stacks:
             # the first seat uses the original secret stack — the 1:1 shape
-            self._session_stacks[session.session_id] = self.secret_stack
+            self.session_stacks[session.session_id] = self.secret_stack
         else:
-            self._session_stacks[session.session_id] = SimStack(
+            self.session_stacks[session.session_id] = SimStack(
                 name=f"secret-stack[pid {self.proc.pid}/s{session.session_id}]",
                 machine=self.kernel.machine)
 
@@ -159,11 +159,7 @@ class Handle:
         if session.session_id in self.attached_sessions:
             self.trace_epoch += 1
         self.attached_sessions.pop(session.session_id, None)
-        self._session_stacks.pop(session.session_id, None)
-
-    def secret_stack_for(self, session_id: Optional[int]) -> SimStack:
-        """The secret segment serving one session (frame-level routing)."""
-        return self._session_stacks.get(session_id, self.secret_stack)
+        self.session_stacks.pop(session.session_id, None)
 
     # --------------------------------------------------------------- call path
     def _begin_receive(self, what: str, frame, depth: int) -> SimStack:
@@ -186,7 +182,10 @@ class Handle:
         telemetry = machine.telemetry
         if telemetry.enabled:
             telemetry.record_handle_queue(self.proc.pid, depth)
-        return self.secret_stack_for(getattr(frame, "session_id", None))
+        # the secret segment serving the frame's session (frame-level
+        # routing); a session without its own segment uses the original
+        return self.session_stacks.get(getattr(frame, "session_id", None),
+                                        self.secret_stack)
 
     def lookup_function(self, m_id: int, func_id: int) -> Optional[SecFunction]:
         loaded = self.loaded.get(m_id)

@@ -170,9 +170,13 @@ def libc_behaviours() -> Dict[str, FunctionSpec]:
         "getpid": FunctionSpec(_impl_getpid, cost_op=costs.FUNC_BODY_SMOD_GETPID,
                                arg_words=0,
                                doc="client pid (the SMOD-getpid benchmark row)"),
+        # the parent pid is not fixed: Kernel.exit_process reparents the
+        # client when its parent exits, so a settled call, whose body runs
+        # when its value is first read, could report the new parent
         "getppid": FunctionSpec(_impl_getppid,
                                 cost_op=costs.FUNC_BODY_SMOD_GETPID,
-                                arg_words=0, doc="client parent pid"),
+                                arg_words=0, fixed_cost=False,
+                                doc="client parent pid"),
     }
 
 

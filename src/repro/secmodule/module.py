@@ -66,11 +66,15 @@ class SecFunction:
     special: bool = False
     #: True when the body's simulated cost is exactly ``cost_op`` — the
     #: implementation itself never charges the cost model or mutates kernel
-    #: state (no ``env.charge``, no re-entering the kernel).  Only such
-    #: functions are eligible for the trace-replay dispatch fast path:
-    #: replay re-executes the implementation for its return value, so an
-    #: implementation doing its own charging would double-count.  malloc &
-    #: friends (arena walks, obreak, per-byte copies) set this False.
+    #: state (no ``env.charge``, no re-entering the kernel) — and its value
+    #: depends only on its arguments and the session's fixed client (its
+    #: pid, not its parent's, which changes when the parent exits).  Only
+    #: such functions are eligible for the trace-replay dispatch fast path:
+    #: replay re-executes the implementation for its return value, and a
+    #: settled batch only when its values are first read, so an
+    #: implementation doing its own charging would double-count and one
+    #: reading changing state could answer late.  malloc & friends (arena
+    #: walks, obreak, per-byte copies) and getppid set this False.
     fixed_cost: bool = True
     doc: str = ""
 
@@ -129,9 +133,6 @@ class SecModuleDefinition:
         except KeyError:
             raise ConfigurationError(
                 f"module {self.name!r} protects no function {name!r}") from None
-
-    def function_by_id(self, func_id: int) -> Optional[SecFunction]:
-        return self.functions_by_id.get(func_id)
 
     def function_names(self) -> List[str]:
         return sorted(self.functions_by_name)

@@ -367,7 +367,20 @@ class SessionManager:
         tenant index → shard → key, never scanning the table, so its cost
         stays flat as the live-session count grows.
         """
-        return self._shard(client_pid).get((client_pid, session_id))
+        # _shard, made in place: every bound call probes here
+        if self.hierarchical:
+            shards = self._tenants[self._tenant_of.get(client_pid,
+                                                       DEFAULT_TENANT)]
+            if self.charge_shard_locks:
+                self.kernel.machine.charge(costs.SMOD_TENANT_LOOKUP)
+                self.tenant_lookups += 1
+        else:
+            shards = self._shards
+        if self.charge_shard_locks:
+            self.kernel.machine.charge(costs.SMOD_SHARD_LOCK)
+            self.shard_lock_acquisitions += 1
+        return shards[client_pid % self.n_shards].get((client_pid,
+                                                       session_id))
 
     def session_for_call(self, proc: Proc, m_id: int,
                          frame=None) -> Optional[Session]:
@@ -391,8 +404,22 @@ class SessionManager:
             # detached from its handle) must fail EINVAL, never be re-routed.
             # Torn-down sessions leave the shard at teardown, so one keyed
             # probe resolves this without walking the client's session list
-            # (same single shard-lock charge as the list walk paid).
-            return self._shard(proc.pid).get((proc.pid, frame_session_id))
+            # (same single shard-lock charge as the list walk paid).  The
+            # shard is acquired in place, as in lookup: every protected
+            # call resolves here
+            pid = proc.pid
+            if self.hierarchical:
+                shards = self._tenants[self._tenant_of.get(pid,
+                                                           DEFAULT_TENANT)]
+                if self.charge_shard_locks:
+                    self.kernel.machine.charge(costs.SMOD_TENANT_LOOKUP)
+                    self.tenant_lookups += 1
+            else:
+                shards = self._shards
+            if self.charge_shard_locks:
+                self.kernel.machine.charge(costs.SMOD_SHARD_LOCK)
+                self.shard_lock_acquisitions += 1
+            return shards[pid % self.n_shards].get((pid, frame_session_id))
         sessions = self.for_client(proc)
         frame_stack = getattr(frame, "stack", None)
         if frame_stack is not None:

@@ -17,7 +17,7 @@ hand.  State transitions are mirrored to telemetry, never to the clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SimulationError
@@ -55,16 +55,19 @@ class BackendRecord:
     #: per-backend circuit breaker (control/overload.py), attached by the
     #: front-end when its OverloadConfig enables breakers; None = none
     breaker: object = None
+    #: m_id -> that module definition's live ``functions_by_id``, so an
+    #: RPC's ``(m_id, func_id)`` resolves with two dict probes
+    functions: Dict[int, Dict[int, object]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.functions = {}
+        for module in self.modules:
+            self.functions.setdefault(module.m_id,
+                                      module.definition.functions_by_id)
 
     @property
     def module_names(self) -> Tuple[str, ...]:
         return tuple(module.name for module in self.modules)
-
-    def module_by_id(self, m_id: int):
-        for module in self.modules:
-            if module.m_id == m_id:
-                return module
-        return None
 
 
 @dataclass(frozen=True)

@@ -269,7 +269,8 @@ class ServiceFrontend:
                                    client_id=binding.client.proc.pid,
                                    session_id=binding.session.session_id)
             resolve = telemetry.start("serve.resolve")
-        self._charge(costs.SERVE_BACKEND_RESOLVE)
+        if self.config.charge_ops:
+            self.kernel.machine.charge(costs.SERVE_BACKEND_RESOLVE)
         session = self.extension.sessions.lookup(
             binding.client.proc.pid, binding.session.session_id)
         if resolve is not None:
@@ -433,19 +434,6 @@ class ServiceFrontend:
         if self._service is not None:
             self.kernel.sched.switch_to(self._service.server.proc)
 
-    def _function_of(self, record: BackendRecord, m_id: int,
-                     func_id: int) -> Optional[Tuple[object, object]]:
-        module = record.module_by_id(m_id)
-        if module is None:
-            return None
-        try:
-            function = module.definition.function_by_id(func_id)
-        except (KeyError, AttributeError):
-            return None
-        if function is None:
-            return None
-        return module, function
-
     def _rpc_attach(self, args: List[int]) -> int:
         backend_id, tenant = args[0], (args[1] if len(args) > 1 else 0)
         try:
@@ -465,24 +453,26 @@ class ServiceFrontend:
         self._switch_back()
         return 0
 
-    def _call_args(self, function, arg: int) -> tuple:
-        return (arg,) if getattr(function, "arg_words", 0) else ()
-
     def _rpc_call(self, args: List[int]) -> int:
+        """serve_call: every bound RPC runs this, so the function resolves
+        in place and the switch back to the server is made here."""
         binding_id, m_id, func_id, arg = args
         binding = self._bindings.get(binding_id)
         if binding is None:
             return -int(Errno.EINVAL)
-        found = self._function_of(binding.backend, m_id, func_id)
-        if found is None:
+        functions = binding.backend.functions.get(m_id)
+        function = functions.get(func_id) if functions is not None else None
+        if function is None:
             return -int(Errno.ENOENT)
-        _, function = found
         outcome = self.call_bound(binding_id, function.name,
-                                  *self._call_args(function, arg))
-        self._switch_back()
-        if not outcome.ok:
+                                  *((arg,) if function.arg_words else ()))
+        if self._service is not None:
+            # the dispatch left the scheduler on the client or handle
+            self.kernel.sched.switch_to(self._service.server.proc)
+        if outcome.errno is not None:
             return -int(outcome.errno)
-        return int(outcome.value) if isinstance(outcome.value, int) else 0
+        value = outcome.value
+        return int(value) if isinstance(value, int) else 0
 
     def _rpc_call_pooled(self, args: List[int]) -> int:
         backend_id, m_id, func_id, arg = args
@@ -491,12 +481,12 @@ class ServiceFrontend:
             record = self.registry.resolve(backend_id)
         except SimulationError:
             return -int(Errno.ENOENT)
-        found = self._function_of(record, m_id, func_id)
-        if found is None:
+        functions = record.functions.get(m_id)
+        function = functions.get(func_id) if functions is not None else None
+        if function is None:
             return -int(Errno.ENOENT)
-        _, function = found
         outcome, checkout = self.call_pooled(
-            record, function.name, *self._call_args(function, arg),
+            record, function.name, *((arg,) if function.arg_words else ()),
             arrival_us=arrival_us)
         self._switch_back()
         if checkout.refused:

@@ -375,13 +375,18 @@ class CallTrace:
 
     def _fill(self, ops: Tuple[Tuple[str, int], ...], events: int,
               profile: CostProfile) -> None:
+        prices = profile.cycles
+        op_cycles = []
+        total = 0
+        for operation, count in ops:
+            cycles = prices[operation] * count
+            op_cycles.append((operation, count, cycles))
+            total += cycles
         #: per-operation totals
         self.ops: Tuple[Tuple[str, int], ...] = ops
         #: ``(operation, count, cycles)`` triples
-        self.op_cycles: Tuple[Tuple[str, int, int], ...] = tuple(
-            (operation, count, profile.cost(operation) * count)
-            for operation, count in ops)
-        self.total_cycles: int = sum(c for _, _, c in self.op_cycles)
+        self.op_cycles: Tuple[Tuple[str, int, int], ...] = tuple(op_cycles)
+        self.total_cycles: int = total
         self.events: int = events
 
     def scaled(self, n: int) -> "CallTrace":

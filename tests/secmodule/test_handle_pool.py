@@ -106,12 +106,12 @@ class TestPooledAttachment:
     def test_shared_handle_routes_to_per_session_secret_stacks(self):
         system = make_pooled(clients=3)
         handle = system.session.handle
-        stacks = {handle.secret_stack_for(s.session_id).name
+        stacks = {handle.session_stacks[s.session_id].name
                   for s in system.sessions}
         assert len(stacks) == 3          # one secret segment per seat
         # the first seat keeps the original secret stack (the 1:1 shape)
-        assert handle.secret_stack_for(
-            system.session.session_id) is handle.secret_stack
+        assert handle.session_stacks[
+            system.session.session_id] is handle.secret_stack
 
     def test_shared_handle_charges_routing_walk(self):
         system = make_pooled(clients=2)
@@ -249,8 +249,8 @@ class TestPooledLifecycle:
         assert outcome.values == ["first", "second", "third"]
         # the pooled batch drained on the *second* seat's secret segment
         handle = system.sessions[1].handle
-        assert handle.secret_stack_for(
-            system.sessions[1].session_id).depth() == 0
+        assert handle.session_stacks[
+            system.sessions[1].session_id].depth() == 0
         assert system.sessions[1].shared_stack.depth() == 0
 
 

@@ -26,8 +26,8 @@ class TestSecModuleDefinition:
         assert "test_incr" in module
         assert len(module) == 2
         function = module.function("test_incr")
-        assert module.function_by_id(function.func_id) is function
-        assert module.function_by_id(999) is None
+        assert module.functions_by_id.get(function.func_id) is function
+        assert module.functions_by_id.get(999) is None
 
     def test_duplicate_function_rejected(self):
         module = SecModuleDefinition("m", 1)

@@ -387,11 +387,28 @@ class TestDispatchStateLeaks:
 
 
 class TestDispatchConfigPickle:
+    def test_equal_configs_are_one_object(self):
+        """Configs are interned and hash by identity, so every way of
+        making one returns the canonical instance of its fields."""
+        import copy
+        import dataclasses
+        import pickle
+
+        config = DispatchConfig(batch_size=4)
+        assert DispatchConfig(batch_size=4) is config
+        assert hash(config) == object.__hash__(config)
+        assert dataclasses.replace(DispatchConfig(), batch_size=4) is config
+        assert dataclasses.replace(config, batch_size=1) is DispatchConfig()
+        assert copy.copy(config) is config
+        assert copy.deepcopy(config) is config
+        assert copy.deepcopy({"key": config})["key"] is config
+        assert pickle.loads(pickle.dumps(config)) is config
+        assert DispatchConfig(batch_size=5) is not config
+
     def test_unpickled_config_hashes_under_the_receiving_salt(self, tmp_path):
-        """The cached hash covers enums, whose hashes are salted per
-        process.  A config pickled under one PYTHONHASHSEED and loaded
-        under another must hash like an equal config built there, so it
-        finds that config's dict entries."""
+        """A config pickled in one process and loaded in another, under
+        another PYTHONHASHSEED, is the receiving process's equal config,
+        so it finds that config's dict entries."""
         src = str(Path(__file__).resolve().parents[2] / "src")
         blob = tmp_path / "config.pickle"
         prelude = ("import pickle, sys\n"
@@ -467,49 +484,162 @@ class TestRoundTripRaisesNothing:
         assert raised == []
 
 
+def _count_frames(run):
+    """``run()``'s result and the frames and constructions it made.
+
+    ``sys.setprofile`` counts every frame opened in code under
+    ``src/repro``, and the constructions: ``__init__`` frames there and
+    the ones dataclasses generate.  Any profiler already set is restored.
+    """
+    import repro
+
+    package = os.path.dirname(repro.__file__) + os.sep
+    counts = {"frames": 0, "constructions": 0}
+
+    def profiler(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        ours = code.co_filename.startswith(package)
+        generated = code.co_filename == "<string>"
+        if code.co_name == "__init__" and (ours or generated):
+            counts["constructions"] += 1
+            counts["frames"] += 1
+        elif ours:
+            counts["frames"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return result, counts["frames"], counts["constructions"]
+
+
 class TestOpByOpFrameBudget:
     """An op-by-op call pays about one Python frame per simulated step.
 
-    ``sys.setprofile`` counts the frames a quota run (every call op by op:
-    the quota clause keeps each one off the trace cache) opens in code
-    under ``src/repro``, and the constructions: ``__init__`` frames there
-    and the ones dataclasses generate.  The counts are deterministic, so
-    a host-speed regression on this path shows on any host.  Before the
-    path was cut to its steps it read 112.5 frames and 5.1 constructions
-    per call; after, 81.5 and 0.17 (on Python 3.11)."""
+    The counts (:func:`_count_frames`) are deterministic, so a host-speed
+    regression on this path shows on any host.  On a quota run every call
+    runs op by op: the quota clause keeps each one off the trace cache.
+    Before the path was cut to its steps it read 112.5 frames and 5.1
+    constructions per call; then 81.5 and 0.17, and 75.0 frames once the
+    trap, the scheduler and the queue ran their steps in place (on Python
+    3.11)."""
 
-    MAX_FRAMES_PER_OP = 85
+    MAX_FRAMES_PER_OP = 80
     MAX_CONSTRUCTIONS_PER_OP = 1
 
     def test_quota_calls_stay_within_the_frame_budget(self):
-        import repro
         from repro.workloads.traffic import TrafficEngine, TrafficSpec
 
-        package = os.path.dirname(repro.__file__) + os.sep
         engine = TrafficEngine(TrafficSpec(
             clients=8, modules=4, arrival="closed", policy_kind="quota",
             calls_per_client=50, seed=1)).build()
-        counts = {"frames": 0, "constructions": 0}
-
-        def profiler(frame, event, arg):
-            if event != "call":
-                return
-            code = frame.f_code
-            ours = code.co_filename.startswith(package)
-            generated = code.co_filename == "<string>"
-            if code.co_name == "__init__" and (ours or generated):
-                counts["constructions"] += 1
-                counts["frames"] += 1
-            elif ours:
-                counts["frames"] += 1
-
-        previous = sys.getprofile()
-        sys.setprofile(profiler)
-        try:
-            result = engine.run()
-        finally:
-            sys.setprofile(previous)
+        result, frames, constructions = _count_frames(engine.run)
         assert result.total_calls == 400 and result.denied_calls == 41
         ops = result.total_calls
-        assert counts["frames"] / ops <= self.MAX_FRAMES_PER_OP
-        assert counts["constructions"] / ops <= self.MAX_CONSTRUCTIONS_PER_OP
+        assert frames / ops <= self.MAX_FRAMES_PER_OP
+        assert constructions / ops <= self.MAX_CONSTRUCTIONS_PER_OP
+
+
+class TestServedFrameBudget:
+    """A served RPC pays about one Python frame per simulated step.
+
+    A session-churn loop over the smodserve RPC surface: 16 client stubs
+    from ``ServiceFrontend.make_client`` take turns, each attaching,
+    making a geometric number of ``serve_call``s (mean 16) from the
+    traffic call mix, then detaching, for 12 lifetimes.  Every op is one
+    round trip through the client stub, the loopback transport, the trap,
+    the server, the front-end and the dispatcher.  Before that path ran
+    its steps in place it read 197.2 frames and 14.3 constructions per
+    op; after, 128.7 and 2.3 (on Python 3.11)."""
+
+    MAX_FRAMES_PER_OP = 135
+    MAX_CONSTRUCTIONS_PER_OP = 3
+    CLIENTS = 16
+    LIFETIMES = 12
+
+    def _churn(self):
+        import math
+
+        from repro.hw.machine import make_paper_machine
+        from repro.kernel.kernel import Kernel
+        from repro.secmodule.protection import ProtectionMode
+        from repro.serve.frontend import ServiceConfig, ServiceFrontend
+        from repro.sim.rng import DeterministicRNG
+        from repro.workloads.traffic import (DEFAULT_CALL_MIX, TrafficSpec,
+                                             build_traffic_module,
+                                             traffic_policy)
+
+        kernel = Kernel(machine=make_paper_machine(seed=1)).boot()
+        extension = install_secmodule(kernel)
+        extension.sessions.charge_shard_locks = True
+        frontend = ServiceFrontend(kernel, extension,
+                                   config=ServiceConfig(max_procs=4096))
+        policy = traffic_policy(TrafficSpec())
+        backends = []
+        func_ids = {}
+        for index in range(2):
+            module = extension.registry.register(
+                build_traffic_module(index, policy=policy), uid=0,
+                protection=ProtectionMode.ENCRYPT)
+            backends.append(frontend.register_backend(
+                f"churn{index}", [module], policy="pooled:8"))
+            for function in module.definition.functions():
+                func_ids[module.m_id, function.name] = function.func_id
+        frontend.start()
+        stubs = [frontend.make_client(
+                     Program.spawn(kernel, f"churn-client{index}").proc)
+                 for index in range(self.CLIENTS)]
+        rng = DeterministicRNG(1).child("serve-churn")
+        names = [name for name, _ in DEFAULT_CALL_MIX]
+        weights = [weight for _, weight in DEFAULT_CALL_MIX]
+        keep = math.log(1.0 - 1.0 / 16)
+
+        def loop():
+            bindings = [None] * self.CLIENTS
+            remaining = [0] * self.CLIENTS
+            modules = [None] * self.CLIENTS
+            ops = started = finished = 0
+            while finished < self.LIFETIMES:
+                for index, stub in enumerate(stubs):
+                    binding = bindings[index]
+                    if binding is None:
+                        if started == self.LIFETIMES:
+                            continue
+                        started += 1
+                        record = backends[rng.integer(0, 1)]
+                        binding = stub.call("serve_attach",
+                                            record.backend_id, index % 2)
+                        assert binding > 0
+                        bindings[index] = binding
+                        modules[index] = record.modules[0]
+                        remaining[index] = 1 + int(
+                            math.log(1.0 - rng.random01()) / keep)
+                    elif remaining[index]:
+                        remaining[index] -= 1
+                        name = rng.weighted_choice(names, weights)
+                        m_id = modules[index].m_id
+                        arg = rng.integer(0, 1 << 20)
+                        reply = stub.call("serve_call", binding, m_id,
+                                          func_ids[m_id, name], arg)
+                        if name == "test_incr":
+                            assert reply == arg + 1
+                        elif name == "test_null":
+                            assert reply == -int(Errno.EACCES)
+                    else:
+                        assert stub.call("serve_detach", binding) == 0
+                        bindings[index] = None
+                        finished += 1
+                    ops += 1
+            return ops
+
+        return loop
+
+    def test_served_calls_stay_within_the_frame_budget(self):
+        ops, frames, constructions = _count_frames(self._churn())
+        assert ops > 200
+        assert frames / ops <= self.MAX_FRAMES_PER_OP
+        assert constructions / ops <= self.MAX_CONSTRUCTIONS_PER_OP

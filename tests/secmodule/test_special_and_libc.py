@@ -3,6 +3,7 @@
 import pytest
 
 from repro.secmodule.api import SecModuleSystem
+from repro.secmodule.dispatch import DispatchConfig
 from repro.secmodule.libc_conversion import (
     LIBC_MEMBERS,
     build_libc_archive,
@@ -91,6 +92,25 @@ class TestExecveForkExitHooks:
         assert system.call("test_incr", 20) == 21
         # handles are not shared (the paper's bottleneck warning)
         assert child_system.handle_proc is not system.handle_proc
+
+    def test_flushed_getppid_reports_the_parent_at_flush_time(self):
+        """getppid reads state the parent's exit rewrites, so its calls never
+        settle: a settled flush runs its bodies when its values are first
+        read, which here is after the exit."""
+        system = SecModuleSystem.create(seed=45)
+        child = system.fork_client()
+        parent_pid = system.client_proc.pid
+        assert child.client_proc.ppid == parent_pid
+        config = DispatchConfig(batch_size=2)
+        # the first flush records its span, the second confirms it, so a
+        # settleable third flush would be settled
+        flushes = [child.extension.dispatcher.call_batch(
+                       child.session, [("getppid", ())] * 2, config=config)
+                   for _ in range(3)]
+        system.kernel.exit_process(system.client_proc)
+        assert child.client_proc.ppid == 0          # reparented
+        for flush in flushes:
+            assert flush.values == [parent_pid, parent_pid]
 
 
 class TestLibcArchive:

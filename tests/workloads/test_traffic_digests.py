@@ -61,6 +61,9 @@ SPECS: Dict[str, Dict[str, object]] = {
     # open and MMPP, static batches
     "open-depth1-one-module": dict(_OPEN, modules=1),
     "open-depth1": dict(_OPEN),
+    # arrivals slower than the service: the fast-forward window runs
+    # settle the idles between calls (_OPEN's clients never idle)
+    "open-depth1-idling": dict(_OPEN, mean_interval_us=50.0),
     "mmpp-depth1-one-module": dict(_MMPP, modules=1),
     "mmpp-depth1": dict(_MMPP),
     # module picks over spans whose Lemire threshold is nonzero
