@@ -257,8 +257,6 @@ def _sharded_accounting(sharded: ShardedTrafficResult) -> Dict[str, object]:
         "session_count": result.session_count,
         "handle_count": result.handle_count,
         "broker_stats": result.broker_stats,
-        "metrics": repr(result.metrics),
-        "seat_fairness": repr(result.seat_fairness),
         "machine_cycles": sharded.machine_cycles,
         "clock_events": sharded.clock_events,
         "op_counts": sharded.op_counts,

@@ -367,7 +367,9 @@ def _serve_status_demo(clients: int, tenants: int, calls: int,
     registered = extension.registry.register(
         build_test_module(), uid=0, protection=ProtectionMode.ENCRYPT)
     # a deliberately small, protected pool: the 1us-spaced demo calls
-    # overload it, so the status shows live shed/breaker/retry counters
+    # overload it, so the status shows live shed and breaker counters.
+    # Its retry budget stays unspent (0 of 4 consumed): only the RPC stubs
+    # make_client builds retry, and the demo calls call_pooled in process
     frontend = ServiceFrontend(
         kernel, extension,
         config=ServiceConfig(

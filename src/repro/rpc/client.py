@@ -12,7 +12,7 @@ a factor of ten.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from ..errors import SimulationError
 from ..kernel.proc import Proc
@@ -67,7 +67,7 @@ class RpcClient:
         self.server_port = port
 
     # -- the call itself -------------------------------------------------------------
-    def clnt_call(self, proc_num: int, args: List[int]) -> int:
+    def clnt_call(self, proc_num: int, args: Sequence[int]) -> int:
         """One synchronous remote procedure call; returns the integer result."""
         if self.socket is None or self.server_port is None:
             raise SimulationError("client not bound; call bind() first")

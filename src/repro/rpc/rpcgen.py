@@ -124,7 +124,7 @@ class BoundClient:
         span = (telemetry.start(f"rpc.{procedure_name}",
                                 client_id=self.rpc.proc.pid)
                 if telemetry.enabled else None)
-        result = self.rpc.clnt_call(number, list(args))
+        result = self.rpc.clnt_call(number, args)
         policy = self.retry_policy
         if policy is not None and result == -int(Errno.EAGAIN):
             budget = policy(procedure_name, args)
@@ -137,7 +137,7 @@ class BoundClient:
                 self._backoff(budget.backoff_us(attempt))
                 if self.retry_observer is not None:
                     self.retry_observer(procedure_name, args, "retried")
-                result = self.rpc.clnt_call(number, list(args))
+                result = self.rpc.clnt_call(number, args)
             if (budget is not None and result == -int(Errno.EAGAIN)
                     and budget.remaining <= 0
                     and self.retry_observer is not None):

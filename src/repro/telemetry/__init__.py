@@ -29,7 +29,6 @@ from .metrics import (
     LogHistogram,
     MetricsRegistry,
     Telemetry,
-    merge_telemetry_states,
     render_snapshot,
 )
 from .tracing import Span, Tracer
@@ -42,6 +41,5 @@ __all__ = [
     "Span",
     "Telemetry",
     "Tracer",
-    "merge_telemetry_states",
     "render_snapshot",
 ]

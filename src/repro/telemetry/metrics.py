@@ -19,7 +19,7 @@ The design constraints, in order:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .tracing import DEFAULT_CAPACITY, TIER_OP_BY_OP, Span, Tracer
 
@@ -187,76 +187,6 @@ class LogHistogram:
                 return representative
         return self._max
 
-    # ------------------------------------------------------------- shard state
-    def export_state(self) -> Dict[str, object]:
-        """Full (lossless) state for cross-process merging.
-
-        Unlike :meth:`summary` this keeps the raw buckets, so a parent
-        process can reconstruct the histogram with :meth:`from_state` and
-        :meth:`merge` it exactly — the sharded traffic engine's metric
-        planes combine this way at the sync barrier.
-        """
-        return {
-            "base": self.base,
-            "buckets": dict(self._buckets),
-            "count": self.count,
-            "total": self.total,
-            "zeros": self.zeros,
-            "min": self._min,
-            "max": self._max,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "LogHistogram":
-        """Reconstruct a histogram exported by :meth:`export_state`."""
-        out = cls(base=float(state["base"]))  # type: ignore[arg-type]
-        out._buckets = dict(state["buckets"])  # type: ignore[arg-type]
-        out.count = int(state["count"])  # type: ignore[arg-type]
-        out.total = float(state["total"])  # type: ignore[arg-type]
-        out.zeros = int(state["zeros"])  # type: ignore[arg-type]
-        out._min = float(state["min"])  # type: ignore[arg-type]
-        out._max = float(state["max"])  # type: ignore[arg-type]
-        return out
-
-    # ------------------------------------------------------------------- merge
-    def merge(self, other: "LogHistogram") -> "LogHistogram":
-        """Fold ``other`` into this histogram in place (same base required).
-
-        Merging the per-session histograms of one module yields exactly the
-        histogram that would have been recorded into a single per-module
-        instance — bucket counts are additive.
-        """
-        if not math.isclose(self.base, other.base):
-            raise ValueError(
-                f"cannot merge histograms with bases {self.base} and "
-                f"{other.base}")
-        buckets = self._buckets
-        for index, n in other._buckets.items():
-            held = buckets.get(index)
-            if held is None:
-                buckets[index] = n
-                self._sorted = None
-            else:
-                buckets[index] = held + n
-        self.count += other.count
-        self.total += other.total
-        self.zeros += other.zeros
-        if other._min < self._min:
-            self._min = other._min
-        if other._max > self._max:
-            self._max = other._max
-        return self
-
-    @classmethod
-    def merged(cls, histograms: Iterable["LogHistogram"]) -> "LogHistogram":
-        """A fresh histogram equivalent to recording every input's samples."""
-        out: Optional[LogHistogram] = None
-        for histogram in histograms:
-            if out is None:
-                out = cls(base=histogram.base)
-            out.merge(histogram)
-        return out if out is not None else cls()
-
     def summary(self) -> Dict[str, float]:
         return {
             "count": self.count,
@@ -327,30 +257,6 @@ class MetricsRegistry:
             if all(label_map.get(k) == v for k, v in wanted):
                 out.append((label_map, histogram))
         return out
-
-    # ------------------------------------------------------------- shard state
-    def export_state(self) -> Dict[str, Dict[str, object]]:
-        """Lossless, picklable registry state for cross-process merging.
-
-        Metrics are keyed by their rendered ``name{labels}`` string;
-        histograms export raw buckets (:meth:`LogHistogram.export_state`)
-        so the parent-side merge is exact, not a summary-of-summaries.
-        """
-        def rendered(items):
-            return sorted(items, key=lambda item: (item[0][0], repr(item[0][1])))
-
-        counters = {
-            f"{name}{_render_labels(labels)}": metric.value
-            for (name, labels), metric in rendered(self._counters.items())}
-        gauges = {
-            f"{name}{_render_labels(labels)}":
-                {"value": metric.value, "max": metric.maximum}
-            for (name, labels), metric in rendered(self._gauges.items())}
-        histograms = {
-            f"{name}{_render_labels(labels)}": histogram.export_state()
-            for (name, labels), histogram in rendered(self._histograms.items())}
-        return {"counters": counters, "gauges": gauges,
-                "histograms": histograms}
 
     # ---------------------------------------------------------------- snapshot
     def snapshot(self) -> Dict[str, Dict[str, object]]:
@@ -678,84 +584,28 @@ class Telemetry:
         cost = self.meter.profile.cost if counts else None
         return {op: cost(op) * count for op, count in counts.items()}
 
-    def _read_counters(self) -> Dict[str, Dict[str, int]]:
-        """Fold the read-at-snapshot counters in: ``decision_cache.*`` into
-        the registry (a key only once its delta is non-zero) and the
-        returned ``ops`` table."""
+    def snapshot(self) -> Dict[str, object]:
+        """The metrics view (empty while the metrics sink is off).
+
+        The read-at-snapshot counters fold in here: ``decision_cache.*``
+        into the registry (a key only once its delta is non-zero), and the
+        meter's counts as the ``ops`` table.
+        """
+        if not self.metrics:
+            return {}
         for name, now, base in zip(_CACHE_COUNTERS, self._cache_counts(),
                                    self._cache_base):
             if now != base:
                 self.registry.counter(f"decision_cache.{name}").value = \
                     now - base
-        counts = self.op_counts
-        cost = self.meter.profile.cost if counts else None
-        return {op: {"count": counts[op], "cycles": cost(op) * counts[op]}
-                for op in sorted(counts)}
-
-    def snapshot(self) -> Dict[str, object]:
-        """The metrics view (empty while the metrics sink is off)."""
-        if not self.metrics:
-            return {}
-        ops = self._read_counters()
         out: Dict[str, object] = dict(self.registry.snapshot())
-        if ops:
-            out["ops"] = ops
+        counts = self.op_counts
+        if counts:
+            cost = self.meter.profile.cost
+            out["ops"] = {op: {"count": counts[op],
+                               "cycles": cost(op) * counts[op]}
+                          for op in sorted(counts)}
         return out
-
-    def export_state(self) -> Optional[Dict[str, object]]:
-        """Lossless picklable state (registry + ops) for shard merge."""
-        if not self.metrics:
-            return None
-        ops = self._read_counters()
-        return {"registry": self.registry.export_state(), "ops": ops}
-
-
-def merge_telemetry_states(
-        states: Iterable[Optional[Dict[str, object]]]) -> Dict[str, object]:
-    """Combine per-shard :meth:`Telemetry.export_state` payloads exactly.
-
-    The deterministic shard-merge contract: counters and the op mirror sum;
-    gauges keep the maximum (of both the point value and the recorded max —
-    a cross-shard "high-water" view); histograms with the same rendered
-    ``name{labels}`` key merge at bucket level (exact, since bucket counts
-    are additive) and are then summarized.  States are folded in the order
-    given — shard-index order — so float accumulation (histogram totals) is
-    independent of worker count.  ``None`` entries (telemetry-disabled
-    shards) are skipped; the result has :meth:`Telemetry.snapshot` shape.
-    """
-    counters: Dict[str, int] = {}
-    gauges: Dict[str, Dict[str, float]] = {}
-    histograms: Dict[str, LogHistogram] = {}
-    ops: Dict[str, Dict[str, int]] = {}
-    for state in states:
-        if state is None:
-            continue
-        registry = state.get("registry") or {}
-        for key, value in (registry.get("counters") or {}).items():
-            counters[key] = counters.get(key, 0) + value
-        for key, data in (registry.get("gauges") or {}).items():
-            merged = gauges.setdefault(key, {"value": 0.0, "max": 0.0})
-            merged["value"] = max(merged["value"], data["value"])
-            merged["max"] = max(merged["max"], data["max"])
-        for key, hist_state in (registry.get("histograms") or {}).items():
-            incoming = LogHistogram.from_state(hist_state)
-            if key in histograms:
-                histograms[key].merge(incoming)
-            else:
-                histograms[key] = incoming
-        for op, data in (state.get("ops") or {}).items():
-            merged_op = ops.setdefault(op, {"count": 0, "cycles": 0})
-            merged_op["count"] += data["count"]
-            merged_op["cycles"] += data["cycles"]
-    out: Dict[str, object] = {
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-        "histograms": {key: histogram.summary()
-                       for key, histogram in sorted(histograms.items())},
-    }
-    if ops:
-        out["ops"] = dict(sorted(ops.items()))
-    return out
 
 
 def render_snapshot(snapshot: Dict[str, object], *,

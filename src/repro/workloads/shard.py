@@ -31,10 +31,11 @@ The determinism contract, in order of strength:
 Merge rules (applied in shard-index order): counters, op histograms and
 cycle totals **sum**; ``elapsed_us`` is the **max** over shards (the
 longest pole, parallel-execution semantics); per-client vectors are
-reassembled in **global client-id order**; telemetry merges via
-:func:`~repro.telemetry.merge_telemetry_states`; per-handle fairness
-reports are namespaced ``shard_index * 10**6 + pid`` since handle pids
-are only unique within a shard.
+reassembled in **global client-id order**.  Telemetry is in-process, like
+tracing: :class:`~repro.workloads.traffic.TrafficSpec` rejects it with
+``shards > 1``, so only a one-shard run has a metrics snapshot and a
+per-handle seat-fairness report, and the merge passes that shard's
+through.
 """
 
 from __future__ import annotations
@@ -48,12 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import SimulationError
 from ..secmodule.dispatch import DispatchConfig
 from ..sim.stats import ordered_sum
-from ..telemetry import merge_telemetry_states
 from .traffic import TrafficEngine, TrafficResult, TrafficSpec
-
-#: seat-fairness namespace stride: merged report key =
-#: ``shard_index * SEAT_NAMESPACE + handle_pid``
-SEAT_NAMESPACE = 10 ** 6
 
 
 def partition_clients(clients: int, shards: int) -> List[Tuple[int, ...]]:
@@ -105,10 +101,11 @@ class ShardOutcome:
     shard_sizes: List[int]
     session_count: int
     handle_count: int
-    telemetry_state: Optional[Dict[str, object]]
+    #: the engine's metrics snapshot (telemetry runs, which have one shard)
+    metrics: Dict[str, object]
     #: global client id -> adaptive controller snapshot (adaptive runs)
     adaptive: Dict[int, Dict[str, object]] = field(default_factory=dict)
-    #: shard-local handle pid -> fairness report (telemetry runs)
+    #: handle pid -> fairness report (telemetry runs)
     seat_fairness: Dict[int, Dict[str, object]] = field(default_factory=dict)
     #: host wall-clock the worker spent building + running its engine
     wall_seconds: float = 0.0
@@ -149,7 +146,7 @@ def _run_shard(run: ShardRun) -> ShardOutcome:
         shard_sizes=list(result.shard_sizes),
         session_count=result.session_count,
         handle_count=result.handle_count,
-        telemetry_state=engine.telemetry.export_state(),
+        metrics=result.metrics,
         adaptive=adaptive,
         seat_fairness=dict(result.seat_fairness),
         wall_seconds=wall,
@@ -171,8 +168,8 @@ def merge_outcomes(spec: TrafficSpec,
 
     Deterministic by construction: outcomes are processed in shard-index
     order, per-client vectors are reassembled in global client-id order,
-    and every reduction (sum / max / histogram-bucket merge) is
-    order-independent or applied in that fixed order.
+    and every reduction (sum / max) is order-independent or applied in
+    that fixed order.
     """
     ordered = sorted(outcomes, key=lambda outcome: outcome.shard_index)
     all_ids = [cid for outcome in ordered for cid in outcome.client_ids]
@@ -204,14 +201,8 @@ def merge_outcomes(spec: TrafficSpec,
             if index >= len(shard_sizes):
                 shard_sizes.append(0)
             shard_sizes[index] += count
-    telemetry_states = [o.telemetry_state for o in ordered]
-    metrics = (merge_telemetry_states(telemetry_states)
-               if any(state is not None for state in telemetry_states)
-               else {})
-    seat_fairness = {
-        outcome.shard_index * SEAT_NAMESPACE + pid: report
-        for outcome in ordered
-        for pid, report in outcome.seat_fairness.items()}
+    # only a one-shard run can carry telemetry (see the module docstring)
+    single = ordered[0] if len(ordered) == 1 else None
     return TrafficResult(
         spec=spec,
         total_calls=total_calls,
@@ -233,10 +224,10 @@ def merge_outcomes(spec: TrafficSpec,
         # smod: allow(DET004)  integer handle counts
         handle_count=sum(o.handle_count for o in ordered),
         broker_stats=_sum_dicts([o.broker_stats for o in ordered]),
-        metrics=metrics,
+        metrics=single.metrics if single else {},
         adaptive=({"per_client": [adaptive[cid] for cid in ids]}
                   if adaptive else {}),
-        seat_fairness=seat_fairness,
+        seat_fairness=single.seat_fairness if single else {},
     )
 
 

@@ -173,7 +173,8 @@ class TrafficSpec:
     #: collect telemetry (per-session latency histograms, batch-flush
     #: depths, cache and per-seat queueing-delay counters) into the run's
     #: ``metrics`` snapshot; recording never charges the virtual clock, so
-    #: cycle totals are identical with this on or off
+    #: cycle totals are identical with this on or off.  In-process, like
+    #: ``tracing``: a sharded run (shards > 1) rejects it
     telemetry: bool = False
     #: handle attachment policy registered for every traffic module:
     #: "per_session" (the paper's 1:1 fork), "per_module" (one shared
@@ -190,7 +191,8 @@ class TrafficSpec:
     #: shard runs its group on its own virtual machine/clock and the
     #: results merge deterministically, independent of worker count.  The
     #: in-process :class:`TrafficEngine` ignores this knob (it always runs
-    #: the clients it was given).
+    #: the clients it was given).  Observation stays in process: more than
+    #: one shard rejects ``telemetry`` and ``tracing``.
     shards: int = 1
     #: switch the machine's span sink on (causal span trees with virtual-microsecond
     #: timestamps: dispatch/broker/service-plane/RPC tap points, ring-buffer
@@ -252,10 +254,10 @@ class TrafficSpec:
             raise SimulationError("trace_sample_every must be >= 1")
         if self.trace_capacity < 0:
             raise SimulationError("trace_capacity must be >= 0")
-        if self.tracing and self.shards > 1:
+        if (self.tracing or self.telemetry) and self.shards > 1:
             raise SimulationError(
-                "tracing is in-process (one flight recorder per engine); "
-                "run it unsharded (shards=1)")
+                "telemetry and tracing are in-process (one observation "
+                "plane per engine); run them unsharded (shards=1)")
         if self.via_service:
             if self.batch_size != 1:
                 raise SimulationError(

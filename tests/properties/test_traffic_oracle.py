@@ -25,7 +25,9 @@ the specs fast-forward runs through the array arm (static depth-1 open and
 MMPP runs), whose calls come from a call table drawn in bulk with each
 client's schedule, and asserts op by op (the general arm, drawing one call
 at a time) accounts alike and leaves every client's bit generator in the
-same state.
+same state.  A fourth widens the draws to 2-6 clients over 2-3 shards and
+asserts the sharded runner merges alike on one worker and on three
+(``merged_accounting`` from ``tests/workloads/test_shard.py``).
 
 The run is derandomized, so tier-1 sees the same examples every time.  A
 shrunk failure belongs below as a named regression test.
@@ -43,16 +45,23 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.secmodule.dispatch import (DispatchConfig, HardeningMode,
                                       MarshallingMode)
+from repro.workloads.shard import run_traffic_sharded
 from repro.workloads.traffic import (TRAFFIC_FUNCTIONS, TrafficEngine,
                                      TrafficSpec)
 
-_REPLAY_TESTS = (pathlib.Path(__file__).resolve().parents[1]
-                 / "secmodule" / "test_trace_replay.py")
-_module_spec = importlib.util.spec_from_file_location(
-    "_trace_replay_accounting", _REPLAY_TESTS)
-_replay = importlib.util.module_from_spec(_module_spec)
-_module_spec.loader.exec_module(_replay)
-accounting = _replay.accounting
+
+def _helper(relative: str, name: str):
+    """``name`` from the test module at ``tests/<relative>``."""
+    path = pathlib.Path(__file__).resolve().parents[1] / relative
+    module_spec = importlib.util.spec_from_file_location(
+        f"_oracle_{path.stem}", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return getattr(module, name)
+
+
+accounting = _helper("secmodule/test_trace_replay.py", "accounting")
+merged_accounting = _helper("workloads/test_shard.py", "merged_accounting")
 
 #: the same examples on every run, whatever a local example database holds
 ORACLE = settings(derandomize=True, database=None, deadline=None,
@@ -199,6 +208,28 @@ def test_tiers_agree_across_policies_and_dispatch_configs(draw):
     op_engine, op = _run(kwargs, config=dataclasses.replace(
         config, use_trace_replay=False))
     assert accounting(ff_engine, ff) == accounting(op_engine, op)
+
+
+@st.composite
+def sharded_specs(draw):
+    """A ``traffic_specs`` draw widened to 2-6 clients over 2-3 shards;
+    telemetry and tracing stay off, as a sharded run rejects them."""
+    kwargs = draw(traffic_specs())
+    kwargs["clients"] = draw(st.integers(2, 6))
+    kwargs["shards"] = draw(st.integers(2, min(3, kwargs["clients"])))
+    return kwargs
+
+
+@settings(ORACLE, max_examples=12)
+@given(kwargs=sharded_specs())
+def test_sharded_merge_is_independent_of_worker_count(kwargs):
+    try:
+        spec = TrafficSpec(**kwargs)
+    except SimulationError:
+        return
+    one = run_traffic_sharded(spec, workers=1)
+    pooled = run_traffic_sharded(spec, workers=3)
+    assert merged_accounting(one) == merged_accounting(pooled)
 
 
 class TestShedUnderAimd:

@@ -73,25 +73,6 @@ class TestLogHistogram:
         assert histogram.mean == 0.0
         assert histogram.summary()["count"] == 0
 
-    def test_merge_equals_recording_into_one(self):
-        rng = DeterministicRNG(7)
-        separate = [LogHistogram() for _ in range(3)]
-        combined = LogHistogram()
-        for index, histogram in enumerate(separate):
-            for _ in range(500):
-                value = rng.exponential(4.0 * (index + 1))
-                histogram.record(value)
-                combined.record(value)
-        merged = LogHistogram.merged(separate)
-        assert merged.count == combined.count
-        assert merged.total == pytest.approx(combined.total)
-        for p in (50, 95, 99):
-            assert merged.quantile(p) == combined.quantile(p)
-
-    def test_merge_rejects_mismatched_bases(self):
-        with pytest.raises(ValueError):
-            LogHistogram(base=2.0).merge(LogHistogram(base=1.5))
-
     @staticmethod
     def _fresh_quantile(histogram, p):
         """The rank walk over freshly sorted bucket keys."""
@@ -115,7 +96,7 @@ class TestLogHistogram:
             assert histogram.quantile(p) == self._fresh_quantile(histogram,
                                                                  p)
 
-    def test_quantile_after_record_merge_and_from_state(self):
+    def test_quantile_after_record(self):
         rng = DeterministicRNG(11)
         histogram = LogHistogram()
         for round_ in range(6):
@@ -127,20 +108,9 @@ class TestLogHistogram:
             histogram.record(10.0 ** (round_ - 3))
             histogram.record(10.0 ** (round_ + 3), n=3)
             self.assert_fresh(histogram)
-        other = LogHistogram()
-        for value in (1e-9, 0.0, 5e8, 3.0):
-            other.record(value)
-        histogram.merge(other)
-        self.assert_fresh(histogram)
-        histogram.merge(LogHistogram())
-        self.assert_fresh(histogram)
-        state = histogram.export_state()
-        state["buckets"][-500] = 7
-        state["count"] += 7
-        rebuilt = LogHistogram.from_state(state)
-        self.assert_fresh(rebuilt)
-        rebuilt.record(1e12)
-        self.assert_fresh(rebuilt)
+        for value in (1e-9, 0.0, 5e8, 3.0, 1e12):
+            histogram.record(value)
+            self.assert_fresh(histogram)
 
 
 class TestRegistryAndViews:
@@ -157,16 +127,15 @@ class TestRegistryAndViews:
             for call in range(session_id * 10):
                 telemetry.record_dispatch(session_id, "libm", 6.4 + call)
         telemetry.record_dispatch(9, "libother", 1.0)
-        merged = LogHistogram.merged(
-            histogram for _, histogram in telemetry.registry.histograms_named(
-                "dispatch_latency_us", module="libm"))
-        assert merged.count == 10 + 20 + 30
-        # the view matches a single histogram fed every session's samples
-        direct = LogHistogram()
-        for session_id in (1, 2, 3):
-            for call in range(session_id * 10):
-                direct.record(6.4 + call)
-        assert merged.quantile(95) == direct.quantile(95)
+        view = telemetry.registry.histograms_named("dispatch_latency_us",
+                                                   module="libm")
+        # the per-module view holds each session's histogram, in label
+        # order, and together they hold every libm sample
+        assert [labels["session"] for labels, _ in view] == [1, 2, 3]
+        assert [histogram.count for _, histogram in view] == [10, 20, 30]
+        assert sum(histogram.total for _, histogram in view) == \
+            pytest.approx(sum(6.4 + call for session_id in (1, 2, 3)
+                              for call in range(session_id * 10)))
 
     def test_family_views_keep_the_sorted_label_order(self):
         """A family view yields exactly the full-registry sort: by
@@ -194,9 +163,9 @@ class TestRegistryAndViews:
         assert [labels for labels, _ in
                 registry.histograms_named("flush_service_us", module="a")] \
             == [labels for labels, _ in reference if labels.get("module") == "a"]
-        merged = LogHistogram.merged(histogram for _, histogram in view)
-        assert merged.count == len(labels)
-        assert merged.total == sum(range(1, len(labels) + 1))
+        assert sum(histogram.count for _, histogram in view) == len(labels)
+        assert sum(histogram.total for _, histogram in view) == \
+            sum(range(1, len(labels) + 1))
         assert registry.histograms_named("missing") == []
 
     def test_snapshot_round_trips_and_renders(self):
@@ -253,7 +222,6 @@ class TestNullTelemetry:
         telemetry = machine.telemetry
         assert not telemetry.enabled
         assert telemetry.snapshot() == {}
-        assert telemetry.export_state() is None
         assert Telemetry().enable_metrics().enabled
 
     def test_disabled_recording_creates_no_metrics(self):

@@ -4,8 +4,9 @@ worker-count independence.
 The contract under test (docs/performance.md, "Sharded parallel
 execution"): the merged result is byte-identical whether the shards run
 sequentially in process or on multiprocessing workers; per-client service
-accounting survives partitioning client for client; seat-fairness keys
-are namespaced per shard; and overlapping partitions are a hard error.
+accounting survives partitioning client for client; observation stays in
+process (telemetry needs one shard, whose metrics and seat report pass
+through); and overlapping partitions are a hard error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.secmodule.dispatch import DispatchConfig
 from repro.workloads.shard import (
-    SEAT_NAMESPACE,
     merge_outcomes,
     partition_clients,
     run_traffic_sharded,
@@ -78,7 +78,7 @@ class TestPartition:
 
 class TestWorkerCountIndependence:
     def test_in_process_vs_worker_pool_merge_byte_identical(self):
-        spec = sharded_spec(arrival="open", telemetry=True, shards=3)
+        spec = sharded_spec(arrival="open", shards=3)
         one = run_traffic_sharded(spec, workers=1)
         pooled = run_traffic_sharded(spec, workers=3)
         assert one.workers == 1 and pooled.workers == 3
@@ -128,16 +128,21 @@ class TestMergeContract:
         assert result.total_calls == sum(
             sum(o.calls_issued.values()) for o in outcomes)
 
-    def test_seat_fairness_keys_namespaced_per_shard(self):
+    def test_telemetry_rejects_sharded_runs(self):
+        with pytest.raises(SimulationError):
+            TrafficSpec(clients=4, telemetry=True, shards=2)
+
+    def test_one_shard_passes_metrics_and_seat_report_through(self):
         # open-loop + telemetry: the broker's per-seat delay report engages
-        spec = sharded_spec(clients=6, shards=2, telemetry=True,
+        spec = sharded_spec(clients=6, shards=1, telemetry=True,
                             arrival="open", handle_policy="pooled",
                             pool_max_sessions=3)
-        sharded = run_traffic_sharded(spec, workers=1)
-        fairness = sharded.result.seat_fairness
-        assert fairness
-        shard_indices = {key // SEAT_NAMESPACE for key in fairness}
-        assert shard_indices == {0, 1}
+        sharded = run_traffic_sharded(spec, workers=1).result
+        serial = TrafficEngine(spec).run()
+        assert sharded.metrics and sharded.seat_fairness
+        # the engine's own snapshot, key order included
+        assert repr(sharded.metrics) == repr(serial.metrics)
+        assert sharded.seat_fairness == serial.seat_fairness
 
     def test_overlapping_client_ids_rejected(self):
         spec = sharded_spec(shards=2)
