@@ -9,7 +9,7 @@ traffic workload:
 * **op-by-op** — every protected call executes its full charge sequence
   (``use_trace_replay=False``);
 * **fast-forward** — hot calls accumulate into open windows settled by a
-  single closed-form ``CallTrace.scaled(n)`` charge
+  single closed-form ``charge_trace(trace, n)`` charge
   (``use_trace_replay=True``), plus sharded parallel legs
   (``run_traffic_sharded``) at 1 and N workers.
 

@@ -49,6 +49,12 @@ class ProcFlag(enum.Flag):
     SMOD_HANDLE = enum.auto()   # is a SecModule handle co-process
 
 
+#: every ProcFlag combination, by integer value: the flag helpers work on
+#: the members' values (each enum.Flag operator runs Python frames)
+_FLAGS_BY_VALUE = tuple(ProcFlag(value) for value in range(
+    2 * max(flag._value_ for flag in ProcFlag)))
+
+
 @dataclass
 class Proc:
     """One simulated process (``struct proc`` + the SecModule extensions)."""
@@ -75,13 +81,13 @@ class Proc:
     signal_actions: Dict[int, object] = field(default_factory=dict)
 
     def has_flag(self, flag: ProcFlag) -> bool:
-        return bool(self.flags & flag)
+        return bool(self.flags._value_ & flag._value_)
 
     def set_flag(self, flag: ProcFlag) -> None:
-        self.flags |= flag
+        self.flags = _FLAGS_BY_VALUE[self.flags._value_ | flag._value_]
 
     def clear_flag(self, flag: ProcFlag) -> None:
-        self.flags &= ~flag
+        self.flags = _FLAGS_BY_VALUE[self.flags._value_ & ~flag._value_]
 
     @property
     def is_smod_client(self) -> bool:

@@ -38,14 +38,20 @@ class Protection(enum.Flag):
 
     @classmethod
     def rw(cls) -> "Protection":
-        return cls.READ | cls.WRITE
+        return _READ_WRITE
 
     @classmethod
     def rx(cls) -> "Protection":
-        return cls.READ | cls.EXEC
+        return _READ_EXEC
 
     def allows(self, access: "Protection") -> bool:
         return (self & access) == access
+
+
+#: the combined protections every mapping asks for, built once (each
+#: enum.Flag ``|`` runs three Python frames)
+_READ_WRITE = Protection.READ | Protection.WRITE
+_READ_EXEC = Protection.READ | Protection.EXEC
 
 
 class EntryKind(enum.Enum):

@@ -1031,20 +1031,22 @@ class SmodDispatcher:
         cache.records += 1
         cache.store(key, entry)
 
-    def _settle(self, entry: TraceEntry, session: Session, n: int) -> None:
+    def _settle(self, entry: TraceEntry, session: Session, n: int,
+                window: bool = False) -> None:
         """Settle ``n`` spans of a hot ``entry`` as one closed-form charge.
 
         Everything ``n`` op-by-op executions of the span would apply,
-        applied in bulk: the scaled trace charge (cycles, events and the op
-        histogram all multiply exactly), the decision-cache credits (the
+        applied in bulk: ``charge_trace(trace, n)`` (cycles, events and the
+        op histogram all multiply exactly), the decision-cache credits (the
         per-span touches already ran in :meth:`_can_settle`), the
         dispatcher/handle counters, per-module ``note_calls``, and the
         dispatch-level telemetry histograms via their bulk ``n`` parameter.
-        Function bodies are the caller's.
+        A ``window`` leaves the AIMD p95 feed to its owner
+        (:meth:`fast_forward_commit`).  Function bodies are the caller's.
         """
         machine = self.kernel.machine
         trace = entry.trace
-        machine.meter.charge_trace(trace.scaled(n))
+        machine.meter.charge_trace(trace, n)
         if (entry.cache_hits or entry.cache_misses
                 or entry.cache_batch_checks or entry.cache_batch_served):
             self.decision_cache.credit_replay(
@@ -1072,7 +1074,7 @@ class SmodDispatcher:
                     telemetry.record_handle_queue(entry.handle.proc.pid,
                                                   entry.depth, n=n)
                 telemetry.record_batch(session.session_id, entry.depth,
-                                       span_us, n=n)
+                                       span_us, n=n, feed_p95=not window)
 
     # ------------------------------------------------------------ fast-forward
     def fast_forward_probe(self, session: Session,
@@ -1127,11 +1129,14 @@ class SmodDispatcher:
 
         :meth:`_settle` plus the window's own bookkeeping: the
         ``fast_forwards`` / ``fast_forward_calls`` counters and one
-        synthesized ``count=n`` span for the whole window.
+        synthesized ``count=n`` span for the whole window.  The window's
+        owner feeds each batch flush's service time to the telemetry's
+        ``flush_service`` histogram as the flush joins, where op-by-op
+        execution records it; the commit leaves that histogram alone.
         """
         if n <= 0:
             return
-        self._settle(entry, session, n)
+        self._settle(entry, session, n, window=True)
         trace_cache = self.trace_cache
         trace_cache.fast_forwards += 1
         trace_cache.fast_forward_calls += n

@@ -46,6 +46,11 @@ PER_MODULE = "per_module"
 
 _KINDS = (PER_SESSION, POOLED, PER_MODULE)
 
+#: a forked handle's flags and the flags a seated client gains, built once
+#: (each enum.Flag ``|`` runs three Python frames)
+_HANDLE_FLAGS = ProcFlag.SMOD_HANDLE | ProcFlag.NOCORE | ProcFlag.NOTRACE
+_CLIENT_FLAGS = ProcFlag.SMOD_CLIENT | ProcFlag.NOCORE
+
 
 @dataclass(frozen=True)
 class HandlePolicy:
@@ -278,9 +283,8 @@ class HandleBroker:
         # function smod_std_handle(), using the secret stack."
         handle_proc = self.kernel.fork_process(
             client, name=f"smod-handle[{client.name}]",
-            flags=ProcFlag.SMOD_HANDLE | ProcFlag.NOCORE | ProcFlag.NOTRACE)
-        client.set_flag(ProcFlag.SMOD_CLIENT)
-        client.set_flag(ProcFlag.NOCORE)
+            flags=_HANDLE_FLAGS)
+        client.set_flag(_CLIENT_FLAGS)
         handle_proc.smod_peer = client
         client.smod_peer = handle_proc
         machine.trace.emit("smod.session", "smod_std_handle",
@@ -294,8 +298,7 @@ class HandleBroker:
         """Seat a session on a live handle: no fork, no text decryption."""
         machine = self.kernel.machine
         machine.charge(costs.SMOD_POOL_ATTACH)
-        client.set_flag(ProcFlag.SMOD_CLIENT)
-        client.set_flag(ProcFlag.NOCORE)
+        client.set_flag(_CLIENT_FLAGS)
         client.smod_peer = handle.proc
         machine.trace.emit("smod.pool", "attach", pid=client.pid,
                            detail_handle=handle.proc.pid,

@@ -27,7 +27,6 @@ Two philosophies were possible here:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -389,27 +388,6 @@ class CallTrace:
         self.total_cycles: int = total
         self.events: int = events
 
-    def scaled(self, n: int) -> "CallTrace":
-        """The exact aggregate of ``n`` back-to-back replays of this trace.
-
-        Every field is an integer total, so multiplying by ``n`` is the
-        closed form of charging the trace ``n`` times: cycles, the event
-        count and the per-op histogram merge all come out byte-identical to
-        the loop they replace.  This is the analytic fast-forward tier's
-        charge unit.
-        """
-        if n < 0:
-            raise ValueError(f"cannot scale a trace by negative n: {n}")
-        if n == 1:
-            return self
-        clone = CallTrace.__new__(CallTrace)
-        clone.ops = tuple((op, count * n) for op, count in self.ops)
-        clone.op_cycles = tuple((op, count * n, cycles * n)
-                                for op, count, cycles in self.op_cycles)
-        clone.total_cycles = self.total_cycles * n
-        clone.events = self.events * n
-        return clone
-
     def __repr__(self) -> str:
         return (f"CallTrace(ops={len(self.ops)}, events={self.events}, "
                 f"cycles={self.total_cycles})")
@@ -511,6 +489,23 @@ class DeltaRecorder:
             self.meter._recording = False
 
 
+class OpCounts(dict):
+    """The meter's per-operation histogram: an uncharged operation reads 0
+    and is not inserted.
+
+    Only ``__missing__`` is defined.  A Python ``__setitem__`` or
+    ``__delitem__`` (``collections.Counter`` defines the latter) would
+    send every store through a slot that looks the method up by name;
+    without one, ``counts[op] += n`` keeps dict's own store
+    (docs/performance.md, "Slow-path micro-optimizations").
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, operation: str) -> int:
+        return 0
+
+
 class CostMeter:
     """Binds a :class:`CostProfile` to a :class:`VirtualClock`.
 
@@ -522,8 +517,8 @@ class CostMeter:
     The dispatch hot loop runs :meth:`charge` millions of times per traffic
     trial, so the body stays lean: the profile's cost table is bound once at
     construction, the clock is advanced inline (one Python frame per
-    charge), and the histogram is a :class:`collections.Counter` (one
-    C-level ``+=`` instead of a get-then-store pair).
+    charge), and the histogram is an :class:`OpCounts`, whose ``+=``
+    runs dict's own C slots.
 
     Charge granularity: one clock event is one unit charge.
     :meth:`charge` and :meth:`charge_words` are one event each whatever
@@ -538,7 +533,7 @@ class CostMeter:
     def __init__(self, profile: CostProfile, clock) -> None:
         self.profile = profile
         self.clock = clock
-        self.op_counts: Counter = Counter()
+        self.op_counts: OpCounts = OpCounts()
         #: per-operation cycle table, aliased out of the profile so a charge
         #: pays one dict index instead of an attribute walk + method call
         self._costs: Dict[str, int] = dict(profile.cycles)
@@ -646,19 +641,24 @@ class CostMeter:
         """Aggregate a recorded charge sequence under this meter's profile."""
         return CallTrace(raw_ops, self.profile)
 
-    def charge_trace(self, trace: CallTrace) -> int:
-        """Replay a recorded span as one aggregated clock charge.
+    def charge_trace(self, trace: CallTrace, n: int = 1) -> int:
+        """Replay ``n`` back-to-back runs of a recorded span as one
+        aggregated clock charge (nothing for ``n`` = 0).
 
         Guarantees byte-identical accounting with the op-by-op execution it
-        replaces: one ``advance_many`` keeps cycles *and* the event count
-        exact, and the per-operation histogram is merged from the trace's
-        totals.
+        replaces: the trace's fields are integer totals, so ``n``
+        multiplies in exactly; one ``advance_many`` keeps cycles *and* the
+        event count exact (and rejects a negative ``n``), and the
+        per-operation histogram is merged from the trace's totals.
         """
-        self.clock.advance_many(trace.total_cycles, trace.events)
+        if n == 0:
+            return 0
+        cycles = trace.total_cycles * n
+        self.clock.advance_many(cycles, trace.events * n)
         counts = self.op_counts
         for operation, count in trace.ops:
-            counts[operation] += count
-        return trace.total_cycles
+            counts[operation] += count * n
+        return cycles
 
     def count(self, operation: str) -> int:
         """Number of times ``operation`` has been charged."""

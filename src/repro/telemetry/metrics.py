@@ -433,10 +433,13 @@ class Telemetry:
                 module=module_name).record(latency_us, n=n)
 
     def record_batch(self, session_id: int, depth: int,
-                     service_us: float, n: int = 1) -> None:
+                     service_us: float, n: int = 1, *,
+                     feed_p95: bool = True) -> None:
         """One batched flush (or ``n`` identical fast-forwarded flushes):
         its depth, its service time, and the amortized per-entry latency
-        folded into the session's dispatch histogram."""
+        folded into the session's dispatch histogram.  ``feed_p95=False``
+        leaves :attr:`flush_service`, the AIMD p95 feed, alone: a
+        fast-forward window's flushes fed it as they joined."""
         if not self.metrics:
             return
         flush = self._flushes.get(session_id)
@@ -447,7 +450,8 @@ class Telemetry:
                 registry.histogram("flush_service_us", session=session_id))
         flush[0].record(depth, n=n)
         flush[1].record(service_us, n=n)
-        self.flush_service.record(service_us, n=n)
+        if feed_p95:
+            self.flush_service.record(service_us, n=n)
         if depth > 0:
             batched = self._batched.get(session_id)
             if batched is None:

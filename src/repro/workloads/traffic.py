@@ -773,8 +773,8 @@ class TrafficEngine:
         execution or a per-call settle) and at the end of the run.
         Accumulated idle waits settle as one ``idle_many`` (cycles *and*
         event count exact).  Then every open window is re-checked, in
-        last-use order, and settles as one scaled-trace commit, in
-        first-use order.
+        last-use order, and settles as one ``charge_trace(trace, n)``
+        commit, in first-use order.
 
         Between two barriers the engine only draws, queues, defers charges
         and records observations, so nothing a probe reads can change: a
@@ -861,6 +861,10 @@ class TrafficEngine:
         # a per-call settle advances the clock by exactly the trace's
         # cycles, so this division reproduces its latency float for float
         service_us = entry.trace.total_cycles / self._mhz
+        if count > 1 and self.telemetry.metrics:
+            # the AIMD p95 feed takes the flush now, as an op-by-op flush
+            # records it; the window's commit leaves the feed alone
+            self.telemetry.flush_service.record(service_us)
         state.calls_issued += count
         state.latencies_us.extend([service_us / count] * count)
         state.calls_denied += entry.denied

@@ -8,7 +8,9 @@ case by case:
 
 * construction either raises ``SimulationError`` or the run finishes;
 * fast-forward on accounts exactly as op by op (``accounting`` from
-  ``tests/secmodule/test_trace_replay.py``);
+  ``tests/secmodule/test_trace_replay.py``), and the AIMD controllers,
+  some of them closing the loop on telemetry's flush service-time p95,
+  step alike;
 * telemetry and tracing on account exactly as both off (the same
   accounting, minus the metrics only telemetry fills);
 * every offered call is issued or shed at the seat queue;
@@ -102,6 +104,10 @@ def traffic_specs(draw):
     elif flush == "aimd":
         kwargs.update(adaptive_batch=True,
                       adaptive_max_depth=draw(st.sampled_from(range(1, 9))))
+        if draw(st.booleans()):
+            # close the loop on telemetry's flush service-time p95
+            kwargs.update(telemetry=True, service_p95_target_us=draw(
+                st.floats(min_value=1.0, max_value=60.0, allow_nan=False)))
     else:
         kwargs["via_service"] = True
     if arrival != "closed" and draw(st.booleans()):
@@ -124,7 +130,7 @@ def policy_and_dispatch_draws(draw):
 
 
 def _run(kwargs, *, config: DispatchConfig = DispatchConfig(), **extra):
-    engine = TrafficEngine(TrafficSpec(**kwargs, **extra),
+    engine = TrafficEngine(TrafficSpec(**{**kwargs, **extra}),
                            dispatch_config=config)
     return engine, engine.run()
 
@@ -145,6 +151,8 @@ def check_contract(kwargs) -> None:
     op_engine, op = _run(kwargs,
                          config=DispatchConfig(use_trace_replay=False))
     assert accounting(ff_engine, ff) == accounting(op_engine, op)
+    # the AIMD controllers, p95 feed included, step alike in both tiers
+    assert ff.adaptive == op.adaptive
     seen_engine, seen = _run(kwargs, telemetry=True, tracing=True)
     assert _without_metrics(seen_engine, seen) == \
         _without_metrics(ff_engine, ff)
@@ -165,13 +173,45 @@ def test_traffic_contract_holds_across_the_knob_space(kwargs):
 
 
 @st.composite
+def aimd_p95_specs(draw):
+    """A ``traffic_specs`` draw that closes the AIMD loop on telemetry's
+    flush service-time p95: open or MMPP arrivals, adaptive batching, a
+    drawn p95 target, and up to 200 calls per client, so that batch
+    flushes fill fast-forward windows."""
+    kwargs = draw(traffic_specs())
+    for knob in ("batch_size", "via_service"):
+        kwargs.pop(knob, None)
+    kwargs.update(
+        arrival=draw(st.sampled_from(["open", "mmpp"])),
+        calls_per_client=draw(st.integers(16, 200)),
+        adaptive_batch=True,
+        adaptive_max_depth=draw(st.sampled_from(range(2, 9))),
+        telemetry=True,
+        service_p95_target_us=draw(
+            st.floats(min_value=1.0, max_value=60.0, allow_nan=False)))
+    return kwargs
+
+
+@settings(ORACLE, max_examples=30)
+@given(kwargs=aimd_p95_specs())
+def test_aimd_p95_feed_steps_alike_in_both_tiers(kwargs):
+    """The p95 feed sees every batch flush at the flush in both tiers, so
+    the controllers take the same steps."""
+    ff_engine, ff = _run(kwargs)
+    op_engine, op = _run(kwargs,
+                         config=DispatchConfig(use_trace_replay=False))
+    assert accounting(ff_engine, ff) == accounting(op_engine, op)
+    assert ff.adaptive == op.adaptive
+
+
+@st.composite
 def array_arm_specs(draw):
     """A ``traffic_specs`` draw that fast-forward runs through the array
     arm: open or MMPP arrivals, static batches of one, no shedding, no
     service plane."""
     kwargs = draw(traffic_specs())
-    for knob in ("adaptive_batch", "adaptive_max_depth", "via_service",
-                 "shed_deadline_us"):
+    for knob in ("adaptive_batch", "adaptive_max_depth", "telemetry",
+                 "service_p95_target_us", "via_service", "shed_deadline_us"):
         kwargs.pop(knob, None)
     kwargs["arrival"] = draw(st.sampled_from(["open", "mmpp"]))
     kwargs["batch_size"] = 1
@@ -215,6 +255,8 @@ def sharded_specs(draw):
     """A ``traffic_specs`` draw widened to 2-6 clients over 2-3 shards;
     telemetry and tracing stay off, as a sharded run rejects them."""
     kwargs = draw(traffic_specs())
+    for knob in ("telemetry", "service_p95_target_us"):
+        kwargs.pop(knob, None)
     kwargs["clients"] = draw(st.integers(2, 6))
     kwargs["shards"] = draw(st.integers(2, min(3, kwargs["clients"])))
     return kwargs

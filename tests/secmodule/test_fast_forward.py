@@ -2,8 +2,8 @@
 
 Three layers of proof, mirroring docs/performance.md:
 
-* ``CallTrace.scaled(n)`` is *exactly* the aggregate of ``n`` back-to-back
-  charges — integer arithmetic, no rounding to diverge;
+* ``charge_trace(trace, n)`` is *exactly* the aggregate of ``n``
+  back-to-back charges — integer arithmetic, no rounding to diverge;
 * ``fast_forward_probe`` x n + ``fast_forward_commit(n)`` applies the
   identical machine/session/cache state a loop of n per-call replays
   applies (only the trace cache's own mechanism counters may differ);
@@ -63,27 +63,44 @@ def machine_state(system):
     }
 
 
-class TestScaledTrace:
-    def test_scaled_is_exact_integer_aggregation(self):
+def meter_state(meter):
+    """The meter's clock and op histogram."""
+    return (meter.clock.cycles, meter.clock.events, dict(meter.op_counts))
+
+
+class TestChargeTraceN:
+    def test_charge_trace_n_is_exact_integer_aggregation(self):
         system = make_system(seed=3)
         _, entry = warm_key(system, DispatchConfig())
         trace = entry.trace
+        meter = system.machine.meter
         for n in (2, 5, 1000):
-            scaled = trace.scaled(n)
-            assert scaled.total_cycles == trace.total_cycles * n
-            assert scaled.events == trace.events * n
-            assert scaled.ops == tuple((op, count * n)
-                                       for op, count in trace.ops)
-            assert scaled.op_cycles == tuple(
-                (op, count * n, cycles * n)
-                for op, count, cycles in trace.op_cycles)
+            cycles, events, ops = meter_state(meter)
+            assert meter.charge_trace(trace, n) == trace.total_cycles * n
+            assert meter.clock.cycles - cycles == trace.total_cycles * n
+            assert meter.clock.events - events == trace.events * n
+            assert meter.diff(ops) == {op: count * n
+                                       for op, count in trace.ops}
 
-    def test_scaled_one_is_self_and_negative_raises(self):
+    def test_charge_trace_n_equals_n_back_to_back_replays(self):
+        looped, closed = make_system(seed=3), make_system(seed=3)
+        _, looped_entry = warm_key(looped, DispatchConfig())
+        _, closed_entry = warm_key(closed, DispatchConfig())
+        for _ in range(7):
+            looped.machine.meter.charge_trace(looped_entry.trace)
+        closed.machine.meter.charge_trace(closed_entry.trace, 7)
+        assert meter_state(looped.machine.meter) == \
+            meter_state(closed.machine.meter)
+
+    def test_charge_trace_zero_is_a_noop_and_negative_raises(self):
         system = make_system(seed=3)
         _, entry = warm_key(system, DispatchConfig())
-        assert entry.trace.scaled(1) is entry.trace
+        meter = system.machine.meter
+        before = meter_state(meter)
+        assert meter.charge_trace(entry.trace, 0) == 0
         with pytest.raises(ValueError):
-            entry.trace.scaled(-1)
+            meter.charge_trace(entry.trace, -1)
+        assert meter_state(meter) == before
 
 
 class TestProbeCommitEquivalence:

@@ -129,6 +129,59 @@ class TestCostMeter:
         assert meter.microseconds() == pytest.approx(1.0)
 
 
+class TestOpHistogram:
+    """The meter's op histogram keeps dict's own store and reads an
+    uncharged op as 0 without inserting it."""
+
+    def test_histogram_overrides_no_item_slot(self):
+        # a Python __setitem__ or __delitem__ anywhere above dict (as
+        # collections.Counter's __delitem__) sends every store of a
+        # charge through a by-name method lookup
+        counts = CostMeter(PENTIUM_III_599, VirtualClock()).op_counts
+        for name in ("__getitem__", "__setitem__", "__delitem__"):
+            assert getattr(type(counts), name) is getattr(dict, name), name
+
+    def test_uncharged_op_reads_zero_and_is_not_inserted(self):
+        meter = CostMeter(PENTIUM_III_599, VirtualClock())
+        meter.charge(costs.TRAP_ENTRY)
+        counts = meter.op_counts
+        assert counts[costs.MSGQ_SEND] == 0
+        assert costs.MSGQ_SEND not in counts
+        assert dict(counts) == {costs.TRAP_ENTRY: 1}
+        assert len(counts) == 1 and list(counts.items()) == [
+            (costs.TRAP_ENTRY, 1)]
+
+    def test_zero_count_charges_store_nothing(self):
+        clock = VirtualClock()
+        meter = CostMeter(PENTIUM_III_599, clock)
+        assert meter.charge(costs.TRAP_ENTRY, 0) == 0
+        assert meter.charge_each(costs.USER_STACK_WORD, 0) == 0
+        assert meter.charge_words(costs.COPY_WORD, 0) == 0
+        assert not meter.op_counts
+        assert (clock.cycles, clock.events) == (0, 0)
+
+    def test_no_zero_count_entry_after_a_settle(self):
+        from repro.secmodule.api import SecModuleSystem
+
+        system = SecModuleSystem.create(include_libc=False, seed=3)
+        for i in range(4):
+            system.call("test_incr", i)
+        assert system.extension.dispatcher.trace_cache.replays == 2
+        counts = system.machine.meter.op_counts
+        assert counts and 0 not in counts.values()
+
+    def test_no_zero_count_entry_after_window_commits(self):
+        from repro.workloads.traffic import TrafficEngine, TrafficSpec
+
+        engine = TrafficEngine(TrafficSpec(
+            clients=2, modules=2, arrival="mmpp", adaptive_batch=True,
+            calls_per_client=300, seed=1)).build()
+        engine.run()
+        assert engine.extension.dispatcher.trace_cache.fast_forwards > 0
+        counts = engine.machine.meter.op_counts
+        assert counts and 0 not in counts.values()
+
+
 class TestIdle:
     """``CostMeter.idle``: metered idle time that charges no operation.
 

@@ -31,7 +31,7 @@ from test_traffic_digests import TABLE, digest
 
 def _settle_skipping_a_switch(settle):
     """F1's class: each settled span charges one context switch less."""
-    def faulty(self, entry, session, n):
+    def faulty(self, entry, session, n, window=False):
         trace = entry.trace
         ops = dict(trace.ops)
         if ops.get(costs.CONTEXT_SWITCH):
@@ -40,7 +40,7 @@ def _settle_skipping_a_switch(settle):
                 tuple(ops.items()), trace.events - 1,
                 self.kernel.machine.meter.profile)
         try:
-            settle(self, entry, session, n)
+            settle(self, entry, session, n, window)
         finally:
             entry.trace = trace
     return faulty
