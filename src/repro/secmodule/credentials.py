@@ -19,7 +19,7 @@ credentials issued by someone who never knew the module secret.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 #: The client principal, and its uid, that the single-client system, the
@@ -96,10 +96,11 @@ class CredentialIssuer:
     def issue(self, principal: str, *, uid: Optional[int] = None,
               max_calls: Optional[int] = None,
               expires_at_us: Optional[float] = None) -> Credential:
-        unsigned = Credential(principal=principal, module_name=self.module_name,
-                              issued_to_uid=uid, max_calls=max_calls,
-                              expires_at_us=expires_at_us)
-        return replace(unsigned, token=unsigned.fields_digest(self.secret))
+        token = _digest(self.secret, principal, self.module_name, uid,
+                        max_calls, expires_at_us)
+        return Credential(principal=principal, module_name=self.module_name,
+                          issued_to_uid=uid, max_calls=max_calls,
+                          expires_at_us=expires_at_us, token=token)
 
     def verify(self, credential: Credential) -> bool:
         """Check issuer, integrity and module binding (not expiry/uid)."""

@@ -278,9 +278,8 @@ class TraceEntry:
         "cache_batch_served", "cache_touch_keys",
         # settle plumbing
         "env", "handle", "m_ids",
-        # batch flushes keep ``batch_plan`` (one (module, function, errno)
-        # triple per entry); None for singles
-        "batch_plan", "any_executed", "depth",
+        # whether the span is a batch flush's, and its call count
+        "batched", "any_executed", "depth",
         # per-module executed-call counts for the bulk ``note_calls``
         # (count 0 when all of a module's calls were denied), and the
         # outcome plan: (m_id, func_id) -> errno, so a canonically-keyed
@@ -301,19 +300,10 @@ class TraceEntry:
         recorded.
         """
         touches = self.cache_touch_keys
-        if pairs is None or self.batch_plan is None or len(touches) < 2:
+        if pairs is None or not self.batched or len(touches) < 2:
             return touches
         return tuple(pair for pair in dict.fromkeys(pairs)
                      if pair in touches)
-
-
-def _pair_counts(shape: Tuple[Tuple[int, int], ...]
-                 ) -> Dict[Tuple[int, int], int]:
-    """``(m_id, func_id)`` -> count for a batch key's sorted shape."""
-    counts: Dict[Tuple[int, int], int] = {}
-    for pair in shape:
-        counts[pair] = counts.get(pair, 0) + 1
-    return counts
 
 
 class BatchModel:
@@ -338,8 +328,8 @@ class BatchModel:
     a count).  A sample that disagrees with any of them ends the model.
     """
 
-    __slots__ = ("info", "ops", "basis", "coef", "confirms", "ceiling",
-                 "guards", "touched")
+    __slots__ = ("info", "ops", "order", "basis", "coef", "confirms",
+                 "ceiling", "guards", "touched")
 
     def __init__(self, guards: Tuple, touched: bool) -> None:
         #: the columns after the constant, in first-seen order: pair ->
@@ -348,6 +338,8 @@ class BatchModel:
         #: the components after the fixed ones, in first-seen order: op
         #: name -> its index in a component list
         self.ops: Dict[str, int] = {}
+        #: ``ops`` sorted by name: a span's op totals in signature order
+        self.order: List[Tuple[str, int]] = []
         #: echelon rows: (pivot column, row, components)
         self.basis: List[Tuple[int, List[int], List[int]]] = []
         #: per column, its integer components (None until solved)
@@ -436,6 +428,7 @@ class BatchModel:
     def _add_op(self, op: str) -> None:
         # every earlier sample charged none of it
         self.ops[op] = _FIXED + len(self.ops)
+        self.order = sorted(self.ops.items())
         self.ceiling.append(0)
         for _, _, comps in self.basis:
             comps.append(0)
@@ -586,19 +579,20 @@ class TraceCache:
         return (base, granted)
 
     def learn(self, key: Tuple, entry: TraceEntry,
+              counts: Dict[Tuple[int, int], int],
               arity: Dict[Tuple[int, int], int]) -> None:
         """Fold one stored batch recording into its group's model.
 
-        ``arity`` is each pair's argument count in the flush.  A recording
+        ``counts`` and ``arity`` are each pair's count and argument count
+        in the flush; new pairs join the model in sorted order.  A recording
         the model cannot take — other guards or pair facts, or components
         no integer model fits — discards the model, and a new one starts
         from this recording.
         """
-        counts = _pair_counts(key[1])
         touches = entry.cache_touch_keys
         info = {pair: (entry.plan_by_pair[pair], pair in touches,
                        arity[pair])
-                for pair in counts}
+                for pair in sorted(counts)}
         guards = (entry.policy_epoch, entry.handle_epoch, entry.cache_epoch,
                   entry.hardening_sig)
         touched = bool(touches)
@@ -611,9 +605,11 @@ class TraceCache:
         model = models[group] = BatchModel(guards, touched)
         model.sample(entry, counts, info)
 
-    def answer(self, key: Tuple, arity: Dict[Tuple[int, int], int]
+    def answer(self, key: Tuple, counts: Dict[Tuple[int, int], int],
+               arity: Dict[Tuple[int, int], int]
                ) -> Optional[Tuple[BatchModel, List[int]]]:
-        """The model and components for a flush keyed ``key``, or None.
+        """The model and components for a flush keyed ``key`` whose queue
+        holds ``counts`` of each pair, or None.
 
         A queue with any pair the granted model knows as executed asks
         that model; any other asks the fully-denied one.  Either must know
@@ -622,7 +618,6 @@ class TraceCache:
         models = self._models.get(key[0])
         if not models:
             return None
-        counts = _pair_counts(key[1])
         model = models.get(self._model_group(key[2], True))
         if model is None or not any(
                 pair in model.info and model.info[pair][0] is None
@@ -899,14 +894,14 @@ class SmodDispatcher:
                                 session: Session, plan, *,
                                 config: DispatchConfig,
                                 batched: bool,
-                                arity: Optional[Dict] = None) -> None:
+                                shape: Optional[Tuple] = None) -> None:
         """Turn one recorded slow execution into a (confirming) trace entry.
 
-        ``plan`` is one ``(module, function, errno)`` triple per call of
-        the span, in submission order (a single call has one).  A span
+        ``plan`` is the span's plan as :meth:`_new_entry` takes it.  A span
         that cannot be repeated stores no entry, so the key records again
         next time.  A stored batch span also teaches its group's batch
-        model, when ``arity`` (each pair's argument count) is given.
+        model, when ``shape`` (:meth:`TraceCache.learn`'s counts and
+        arity) is given.
         """
         recorder, before = recording
         charges = recorder.stop()
@@ -938,20 +933,23 @@ class SmodDispatcher:
         if entry is None:
             return
         self._observe_trace(key, entry)
-        if arity is not None:
-            self.trace_cache.learn(key, entry, arity)
+        if shape is not None:
+            self.trace_cache.learn(key, entry, *shape)
 
     def _new_entry(self, session: Session, plan, charges: Tuple,
                    deltas: Sequence[int], touches: Tuple, guards: Tuple, *,
                    batched: bool) -> Optional[TraceEntry]:
         """A CONFIRMING entry for one span of ``session``.
 
-        ``charges`` is a single call's charge sequence or a batch's
-        ``(events, sorted op totals)``; ``deltas`` the seven state deltas
-        in :class:`TraceEntry` order; ``guards`` the policy epoch, handle
-        seat epoch, cache epoch and hardening signature.  None for a batch
-        whose touches are not one per key in the queue's order: a settle
-        of another permutation could not repeat them.
+        ``plan`` holds one ``(module, function, errno, count)`` per
+        distinct ``(m_id, func_id)`` pair of the span, in first-occurrence
+        order (a single call's is its one call).  ``charges`` is a single
+        call's charge sequence or a batch's ``(events, sorted op
+        totals)``; ``deltas`` the seven state deltas in
+        :class:`TraceEntry` order; ``guards`` the policy epoch, handle seat
+        epoch, cache epoch and hardening signature.  None for a batch whose
+        touches are not one per key in the queue's order: a settle of
+        another permutation could not repeat them.
         """
         entry = TraceEntry()
         entry.state = TRACE_CONFIRMING
@@ -966,36 +964,38 @@ class SmodDispatcher:
         entry.cache_touch_keys = touches
         entry.env = session.call_env
         entry.handle = session.handle
-        entry.batch_plan = plan if batched else None
-        entry.depth = len(plan)
+        entry.batched = batched
         # every module of the span, count 0 when all its calls were denied
         # (a single call's telemetry names its module either way)
         executed: Dict[int, List] = {}
-        entry.plan_by_pair = {}
-        pairs = []
+        plan_by_pair: Dict[Tuple[int, int], Optional[Errno]] = {}
         any_executed = False
-        for module, function, errno in plan:
+        depth = 0
+        for module, function, errno, count in plan:
             slot = executed.get(module.m_id)
             if slot is None:
                 executed[module.m_id] = slot = [module, 0]
             if errno is None:
-                slot[1] += 1
+                slot[1] += count
                 any_executed = True
-            pair = (module.m_id, function.func_id)
-            pairs.append(pair)
-            entry.plan_by_pair[pair] = errno
-        if batched and entry.touches_for(pairs) != touches:
+            plan_by_pair[(module.m_id, function.func_id)] = errno
+            depth += count
+        entry.plan_by_pair = plan_by_pair
+        entry.depth = depth
+        if batched and entry.touches_for(plan_by_pair) != touches:
             return None
         entry.m_ids = frozenset(executed)
         entry.note_plan = tuple(map(tuple, executed.values()))
         entry.any_executed = any_executed
         if batched:
             # a canonically-keyed batch observes its plan and touches in
-            # its own permutation's order, so both compare as multisets;
-            # the totals it charges are permutation-invariant
+            # its own permutation's order, so both compare sorted, each
+            # pair with its count; the totals it charges are
+            # permutation-invariant
             plan_sig: object = tuple(sorted(
-                (module.m_id, function.func_id, 0 if errno is None else errno)
-                for module, function, errno in plan))
+                (module.m_id, function.func_id,
+                 0 if errno is None else errno, count)
+                for module, function, errno, count in plan))
             touch_sig = tuple(sorted(touches))
         else:
             plan_sig, touch_sig = entry.plan_by_pair, touches
@@ -1013,7 +1013,7 @@ class SmodDispatcher:
             # (the guards are refreshed from this, newest, execution)
             entry.state = TRACE_HOT
             meter = self.kernel.machine.meter
-            if entry.batch_plan is None:
+            if not entry.batched:
                 entry.trace = meter.build_trace(entry.charge_sig)
             elif entry.trace is None:       # a composed entry has its own
                 events, ops = entry.charge_sig
@@ -1062,7 +1062,7 @@ class SmodDispatcher:
         telemetry = self.telemetry
         if telemetry.enabled:
             span_us = trace.total_cycles / machine.spec.mhz
-            if entry.batch_plan is None:
+            if not entry.batched:
                 telemetry.record_dispatch(session.session_id,
                                           entry.note_plan[0][0].name,
                                           span_us, n=n)
@@ -1145,8 +1145,7 @@ class SmodDispatcher:
             # one synthesized span stands in for the whole window, so a
             # traced fast-forward run records O(windows) spans, not O(n)
             telemetry.aggregate(
-                "dispatch.call" if entry.batch_plan is None
-                else "dispatch.batch",
+                "dispatch.batch" if entry.batched else "dispatch.call",
                 span_us=(entry.trace.total_cycles
                          / self.kernel.machine.spec.mhz),
                 n=n, client_id=session.client.pid,
@@ -1476,7 +1475,8 @@ class SmodDispatcher:
             raise
         if recording is not None:
             self._finish_trace_recording(
-                recording, key, session, ((module, function, outcome.errno),),
+                recording, key, session,
+                ((module, function, outcome.errno, 1),),
                 config=config, batched=False)
         if span is not None:
             telemetry.close_call(span, session.session_id, module.name)
@@ -1544,15 +1544,18 @@ class SmodDispatcher:
                                 client_id=session.client.pid,
                                 session_id=session.session_id)
                 if telemetry.enabled else None)
-        # resolve every name once: the trace-eligibility check, the stub
-        # build and the recorded batch plan all consume this list
-        found_list = [session.find_function(name) for name, _ in calls]
-        key = arity = None
-        if all(found is not None for found in found_list) and all(
-                self._traceable(session, function, module, config, machine)
-                for module, function in found_list):
-            pairs = [(module.m_id, function.func_id)
-                     for module, function in found_list]
+        # each distinct name resolved once, in first-occurrence order: the
+        # trace-eligibility check, the stub build, the recorded plan and a
+        # settled outcome all read this map
+        found = {name: session.find_function(name)
+                 for name in dict.fromkeys(name for name, _ in calls)}
+        key = shape = None
+        if all(hit is not None
+               and self._traceable(session, hit[1], hit[0], config, machine)
+               for hit in found.values()):
+            pair_of = {name: (module.m_id, function.func_id)
+                       for name, (module, function) in found.items()}
+            pairs = [pair_of[name] for name, _ in calls]
             # canonical batch shape: *sorted* (m_id, func_id) pairs, so every
             # permutation of the same multiset of entries shares one trace —
             # the per-entry charges and state deltas are permutation-
@@ -1566,25 +1569,29 @@ class SmodDispatcher:
                     self.trace_cache.replays += 1
                     if span is not None:
                         telemetry.finish(span, tier=TIER_REPLAY)
-                    return self._settled_outcome(entry, pairs, found_list,
-                                                 calls)
+                    return self._settled_outcome(entry, found, calls)
                 if entry.state == TRACE_POISONED:
                     key = None
             if key is not None:
-                # each pair's argument count (its stack words): a model
-                # learns from and answers for queues where it is one count
-                arity = {}
+                # each pair's count, in found's order (names and pairs map
+                # one to one), and its argument count (its stack words): a
+                # model learns from and answers for queues where it is one
+                counts: Dict[Tuple[int, int], int] = {}
+                arity: Dict[Tuple[int, int], int] = {}
+                mixed = False
                 for pair, (_, args) in zip(pairs, calls):
-                    if arity.setdefault(pair, len(args)) != len(args):
-                        arity = None
-                        break
-            if arity is not None:
-                composed = self._compose_flush(session, key, entry, pairs,
-                                               found_list, calls, arity)
-                if composed is not None:
-                    if span is not None:
-                        telemetry.finish(span, tier=TIER_REPLAY)
-                    return composed
+                    counts[pair] = counts.get(pair, 0) + 1
+                    mixed = mixed or \
+                        arity.setdefault(pair, len(args)) != len(args)
+                if not mixed:
+                    shape = (counts, arity)
+                    composed = self._compose_flush(session, key, entry,
+                                                   counts, found, calls,
+                                                   arity)
+                    if composed is not None:
+                        if span is not None:
+                            telemetry.finish(span, tier=TIER_REPLAY)
+                        return composed
 
         recording = (self._begin_trace_recording(session, batched=True)
                      if key is not None else None)
@@ -1593,14 +1600,14 @@ class SmodDispatcher:
             outcomes: List[Optional[DispatchOutcome]] = [None] * len(calls)
             batch_stub = BatchStub()
             pushed: List[int] = []
-            for index, ((name, args), found) in enumerate(zip(calls,
-                                                              found_list)):
-                if found is None:
+            for index, (name, args) in enumerate(calls):
+                hit = found[name]
+                if hit is None:
                     # never reaches the stack or the kernel, exactly like the
                     # single path's pre-trap ENOENT
                     outcomes[index] = DispatchOutcome(errno=Errno.ENOENT)
                     continue
-                module, function = found
+                module, function = hit
                 batch_stub.enqueue(module.client_stub(function), args)
                 pushed.append(index)
             if not len(batch_stub):
@@ -1640,19 +1647,22 @@ class SmodDispatcher:
                 self._abort_trace_recording(recording)
             raise
         if recording is not None:
+            # a static chain decides a pair alike at every entry
+            errnos = {pair: outcome.errno
+                      for pair, outcome in zip(pairs, outcomes)}
             self._finish_trace_recording(
                 recording, key, session,
-                tuple((module, function, outcome.errno)
-                      for (module, function), outcome
-                      in zip(found_list, outcomes)),
-                config=config, batched=True, arity=arity)
+                tuple((module, function, errnos[pair], count)
+                      for (module, function), (pair, count)
+                      in zip(found.values(), counts.items())),
+                config=config, batched=True, shape=shape)
         if span is not None:
             telemetry.close_batch(span, session.session_id, len(pushed))
         return BatchOutcome(outcomes=list(outcomes))
 
     def _compose_flush(self, session: Session, key: Tuple,
                        existing: Optional[TraceEntry],
-                       pairs: List[Tuple[int, int]], found_list: List,
+                       counts: Dict[Tuple[int, int], int], found: Dict,
                        calls: Sequence[Tuple[str, Tuple[Any, ...]]],
                        arity: Dict[Tuple[int, int], int]
                        ) -> Optional[BatchOutcome]:
@@ -1660,30 +1670,32 @@ class SmodDispatcher:
         entry its group's batch model composes; None when the model may
         not answer, and the flush runs op by op.
 
-        The composed entry is what the recording would have stored: it
-        must pass the settle guards with the model's guards, its
-        decision-cache touches must hold, and an entry already stored
-        under the key must match it (one that does not discards the
-        model).  It settles as a per-call settle does, then enters the
-        record → confirm → hot state machine as the recording would have.
+        The composed entry is what the recording would have stored, built
+        from the queue's distinct pairs (``counts``, in the order of
+        ``found``'s names): it must pass the settle guards with the
+        model's guards, its decision-cache touches must hold, and an entry
+        already stored under the key must match it (one that does not
+        discards the model).  It settles as a per-call settle does, then
+        enters the record → confirm → hot state machine as the recording
+        would have.
         """
         meter = self.kernel.machine.meter
         if not meter.can_record_delta:
             # op by op, the flush would record nothing
             return None
         trace_cache = self.trace_cache
-        answer = trace_cache.answer(key, arity)
+        answer = trace_cache.answer(key, counts, arity)
         if answer is None:
             return None
         model, components = answer
         info = model.info
-        plan = tuple((module, function, info[pair][0])
-                     for pair, (module, function) in zip(pairs, found_list))
-        touches = tuple(pair for pair in dict.fromkeys(pairs)
-                        if info[pair][1])
+        plan = tuple((module, function, info[pair][0], count)
+                     for (module, function), (pair, count)
+                     in zip(found.values(), counts.items()))
+        touches = tuple(pair for pair in counts if info[pair][1])
         events = components[0]
-        ops = tuple(sorted((op, count) for op, count
-                           in zip(model.ops, components[_FIXED:]) if count))
+        ops = tuple((op, components[index]) for op, index in model.order
+                    if components[index])
         entry = self._new_entry(session, plan, (events, ops),
                                 components[1:_FIXED], touches, model.guards,
                                 batched=True)
@@ -1699,22 +1711,22 @@ class SmodDispatcher:
         self._settle(entry, session, 1)
         self._observe_trace(key, entry)
         trace_cache.composed += 1
-        return self._settled_outcome(entry, pairs, found_list, calls)
+        return self._settled_outcome(entry, found, calls)
 
     @staticmethod
-    def _settled_outcome(entry: TraceEntry, pairs: List[Tuple[int, int]],
-                         found_list: List,
+    def _settled_outcome(entry: TraceEntry, found: Dict,
                          calls: Sequence[Tuple[str, Tuple[Any, ...]]]
                          ) -> BatchOutcome:
         """The outcome of a settled flush: ``entry.denied`` denied entries,
         and on first read each entry's errno by pair, or its function
-        body's value."""
+        body's value (``found`` maps each name to its module and
+        function)."""
         def build() -> List[DispatchOutcome]:
             env, plan = entry.env, entry.plan_by_pair
             outcomes = []
-            for pair, (_, function), (_, args) in zip(pairs, found_list,
-                                                      calls):
-                errno = plan[pair]
+            for name, args in calls:
+                module, function = found[name]
+                errno = plan[(module.m_id, function.func_id)]
                 outcomes.append(_outcome(
                     (None, errno, None) if errno is not None
                     else (function.impl(env, *args), None, None)))

@@ -372,15 +372,16 @@ class HandleBroker:
         return False
 
     # ------------------------------------------------------ seat-level telemetry
-    def record_queue_delay(self, session, delay_us: float) -> None:
-        """Fold one call's queueing delay into the (handle, client) seat
-        histogram and a ``broker.queue_wait`` span.  No-op while
-        observation is off."""
+    def record_queue_delays(self, session, delays_us: Sequence[float]
+                            ) -> None:
+        """Fold the queueing delays of a session's calls, in order, into
+        its (handle, client) seat histogram and one ``broker.queue_wait``
+        span each.  No-op while observation is off."""
         telemetry = self.telemetry
         if telemetry.enabled:
-            telemetry.record_queue_delay(session.handle.proc.pid,
-                                         session.client.pid, delay_us,
-                                         session.session_id)
+            telemetry.record_queue_delays(session.handle.proc.pid,
+                                          session.client.pid, delays_us,
+                                          session.session_id)
 
     def seat_delay_report(self) -> Dict[int, Dict[str, object]]:
         """Per-handle queueing-delay fairness across its seated clients.

@@ -25,6 +25,7 @@ from ..errors import ProtectionViolation
 from ..kernel.proc import Proc
 from ..kernel.uvm.map import EntryKind
 from ..sim import costs
+from .crypto import decrypt_module_text
 
 
 class ProtectionMode(enum.Enum):
@@ -89,10 +90,12 @@ def apply_client_protection(kernel, client: Proc, module, *,
         for entry in doomed:
             client.vmspace.vm_map.uvm_unmap(entry.start, entry.end)
             guard.unmapped_entries.append(entry.name)
-    kernel.machine.trace.emit(
-        "smod.protect", "apply_client_protection", pid=client.pid,
-        detail_module=module.definition.name, detail_mode=mode.value,
-        detail_unmapped=len(guard.unmapped_entries))
+    trace = kernel.machine.trace
+    if trace.enabled:           # ``mode.value`` runs enum's property frames
+        trace.emit(
+            "smod.protect", "apply_client_protection", pid=client.pid,
+            detail_module=module.definition.name, detail_mode=mode.value,
+            detail_unmapped=len(guard.unmapped_entries))
     return guard
 
 
@@ -132,8 +135,6 @@ def handle_plaintext_view(module) -> Optional[bytes]:
     encryption record after registration, so the stored plaintext is what
     a fresh decryption would give.
     """
-    from .crypto import decrypt_module_text
-
     image = module.library_image
     if not image.encrypted or module.encryption_record is None:
         text = image.text_sections()

@@ -490,11 +490,11 @@ class SessionManager:
                     f"{outcome.reason}")
             # Session-establishment policy check (per-call checks also run on
             # every dispatch; this one gates the fork itself).
-            ctx = PolicyContext(
-                credential=requirement.credential, uid=client.cred.uid,
-                gid=client.cred.gid, principal=requirement.credential.principal,
-                function_name="<session>", now_us=now_us,
-                calls_this_session=0)
+            credential = requirement.credential
+            ctx = build_policy_context((
+                credential, client.cred.uid, client.cred.gid,
+                credential.principal, "<session>", now_us, 0, 0,
+                NO_ATTRIBUTES))
             decision = module.definition.policy.evaluate(ctx)
             machine.charge(costs.SMOD_POLICY_STEP, decision.steps)
             if not decision.allowed:

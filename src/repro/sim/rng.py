@@ -9,7 +9,8 @@ table regenerates bit-identically from the same seed.
 from __future__ import annotations
 
 import functools
-from typing import Tuple
+from itertools import chain
+from typing import List, Tuple
 
 import numpy as np
 
@@ -276,28 +277,47 @@ class TwoStateMMPP:
         self._state_remaining = rng.exponential(
             on_duration if start_state == self.ON else off_duration)
 
-    def _mean_interval(self) -> float:
-        return (self.on_interval if self.state == self.ON
-                else self.off_interval)
+    def interarrivals(self, n: int) -> np.ndarray:
+        """The next ``n`` interarrival times, advancing the modulating chain.
 
-    def _flip(self) -> None:
-        self.state = self.OFF if self.state == self.ON else self.ON
-        self._state_remaining = self.rng.exponential(
-            self.on_duration if self.state == self.ON else self.off_duration)
-
-    def next_interarrival(self) -> float:
-        """Time to the next arrival, advancing the modulating chain.
-
-        Uses the standard thinning-free construction: draw an interarrival
-        at the current state's rate; if it outlives the state's remaining
-        sojourn, spend the sojourn, flip states and continue drawing from
-        the new rate until an arrival lands inside a sojourn.
+        A gap that outlives the state's remaining sojourn spends it, flips
+        the state and draws the new sojourn.  numpy's ``exponential(s)``
+        is ``s * standard_exponential()`` draw for draw, so the chain walks
+        blocks of those, then restores the bit generator and redraws the
+        count it consumed: gaps, chain and stream end as one exponential
+        draw at a time leaves them, a buffered 32-bit half included.
         """
-        elapsed = 0.0
-        while True:
-            gap = self.rng.exponential(self._mean_interval())
-            if gap <= self._state_remaining:
-                self._state_remaining -= gap
-                return elapsed + gap
-            elapsed += self._state_remaining
-            self._flip()
+        generator = self.rng._rng
+        entry = generator.bit_generator.state
+        size = _gap_block(n)
+        draws = chain.from_iterable(iter(
+            lambda: generator.standard_exponential(size).tolist(), None))
+        on = self.state == self.ON
+        remaining = self._state_remaining
+        gaps: List[float] = []
+        flips = 0
+        for _ in range(n):
+            elapsed = 0.0
+            gap = next(draws) * (self.on_interval if on else self.off_interval)
+            while gap > remaining:
+                elapsed += remaining
+                on = not on
+                flips += 1
+                remaining = next(draws) * (self.on_duration if on
+                                           else self.off_duration)
+                gap = next(draws) * (self.on_interval if on
+                                     else self.off_interval)
+            remaining -= gap
+            gaps.append(elapsed + gap)
+        generator.bit_generator.state = entry
+        # each gap took one draw, each flip an outlived gap and a sojourn
+        generator.standard_exponential(n + 2 * flips)
+        self.state = self.ON if on else self.OFF
+        self._state_remaining = remaining
+        return np.array(gaps)
+
+
+def _gap_block(n: int) -> int:
+    """Draws per block for ``n`` MMPP gaps: one each, an eighth more for
+    the flips among them."""
+    return n + (n >> 3) + 1

@@ -19,7 +19,7 @@ The design constraints, in order:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .tracing import DEFAULT_CAPACITY, TIER_OP_BY_OP, Span, Tracer
 
@@ -163,22 +163,24 @@ class LogHistogram:
         Rank semantics are the classic "smallest value with cumulative
         count >= ceil(p/100 * n)", matching a rank lookup in the sorted
         sample list; the estimate differs from that list's entry only by
-        the bucketing error.
+        the bucketing error.  That is the lowest bucket with at most
+        ``count - rank`` samples above it: a p95 read walks down a few.
         """
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         if self.count == 0:
             return 0.0
         rank = max(1, math.ceil(p / 100.0 * self.count))
-        seen = self.zeros
-        if rank <= seen:
+        if rank <= self.zeros:
             return 0.0
         order = self._sorted
         if order is None:
             order = self._sorted = sorted(self._buckets)
-        for index in order:
-            seen += self._buckets[index]
-            if seen >= rank:
+        slack = self.count - rank
+        above = 0
+        for index in reversed(order):
+            above += self._buckets[index]
+            if above > slack:
                 representative = self.base ** (index + 0.5)
                 if representative > self._max:
                     representative = self._max
@@ -472,10 +474,11 @@ class Telemetry:
                                             handle=handle_pid)
             histogram.record(depth, n=n)
 
-    def record_queue_delay(self, handle_pid: int, client_pid: int,
-                           delay_us: float, session_id: int = -1) -> None:
-        """Queueing delay of one call, per (handle, client) seat; the span
-        ``broker.queue_wait`` ends now."""
+    def record_queue_delays(self, handle_pid: int, client_pid: int,
+                            delays_us: Sequence[float],
+                            session_id: int = -1) -> None:
+        """Queueing delays of calls on one (handle, client) seat, in order;
+        each one's span ``broker.queue_wait`` ends now."""
         if self.metrics:
             seat = (handle_pid, client_pid)
             histogram = self._queue_delays.get(seat)
@@ -484,10 +487,12 @@ class Telemetry:
                     self.registry.histogram("pool_queue_delay_us",
                                             handle=handle_pid,
                                             client=client_pid)
-            histogram.record(delay_us)
+            for delay_us in delays_us:
+                histogram.record(delay_us)
         if self.spans:
-            self._wait_span("broker.queue_wait", delay_us,
-                            client_id=client_pid, session_id=session_id)
+            for delay_us in delays_us:
+                self._wait_span("broker.queue_wait", delay_us,
+                                client_id=client_pid, session_id=session_id)
 
     # ----------------------------------------------------- service-plane taps
     def record_pool_wait(self, backend: str, wait_us: float,

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError, ProtectionViolation
 from repro.hw.machine import make_paper_machine
 from repro.obj.image import make_function_image
-from repro.secmodule import crypto
+from repro.secmodule import crypto, protection
 from repro.secmodule.api import SecModuleSystem
 from repro.secmodule.crypto import (
     BLOCK_BYTES,
@@ -36,7 +36,9 @@ def key():
 
 @pytest.fixture
 def decryptions(monkeypatch):
-    """The encryption record of every module-text decryption, in order."""
+    """The encryption record of every module-text decryption, in order
+    (the handle's text is decrypted through the name ``protection``
+    imports)."""
     records = []
     real = crypto.decrypt_module_text
 
@@ -45,6 +47,7 @@ def decryptions(monkeypatch):
         real(image, record, **kwargs)
 
     monkeypatch.setattr(crypto, "decrypt_module_text", counting)
+    monkeypatch.setattr(protection, "decrypt_module_text", counting)
     return records
 
 

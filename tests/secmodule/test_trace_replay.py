@@ -252,8 +252,12 @@ class TestBatchSpans:
             dispatcher.call_batch(system.session, self.RECORDED,
                                   config=config)
         (entry,) = [e for e in dispatcher.trace_cache._entries.values()
-                    if e.batch_plan is not None]
+                    if e.batched]
         assert entry.state == TRACE_HOT
+        # its plan signature holds each distinct pair once, with its count
+        plan_sig = entry.effects_sig[-1]
+        assert [item[:2] for item in plan_sig] == sorted(entry.plan_by_pair)
+        assert sum(item[3] for item in plan_sig) == entry.depth
         events, ops = entry.charge_sig
         assert ops == tuple(sorted(ops))
         assert entry.trace.events == events

@@ -50,8 +50,8 @@ class TestExhaustionUnderBurst:
                             on_duration=200.0, off_duration=50.0)
         at = _now(kernel)
         waits = 0
-        for index in range(64):
-            at += mmpp.next_interarrival()
+        for index, gap in enumerate(mmpp.interarrivals(64).tolist()):
+            at += gap
             outcome, checkout = frontend.call_pooled(
                 record, "test_incr", index, arrival_us=at)
             assert outcome.ok and outcome.value == index + 1

@@ -272,12 +272,11 @@ class TestTwoStateMMPP:
 
     def test_deterministic_replay(self):
         a, b = self._source(7), self._source(7)
-        assert [a.next_interarrival() for _ in range(50)] == \
-            [b.next_interarrival() for _ in range(50)]
+        assert a.interarrivals(50).tolist() == b.interarrivals(50).tolist()
 
     def test_draws_are_positive(self):
         source = self._source()
-        assert all(source.next_interarrival() > 0 for _ in range(200))
+        assert (source.interarrivals(200) > 0).all()
 
     def test_burstier_than_poisson(self):
         """With a fast ON state and a slow OFF state the interarrival
@@ -285,7 +284,7 @@ class TestTwoStateMMPP:
         the same mean (squared coefficient of variation > 1)."""
         source = self._source(on_interval=1.0, off_interval=200.0,
                               on_duration=50.0, off_duration=500.0)
-        draws = [source.next_interarrival() for _ in range(4000)]
+        draws = source.interarrivals(4000).tolist()
         mean = sum(draws) / len(draws)
         var = sum((d - mean) ** 2 for d in draws) / len(draws)
         assert var / (mean * mean) > 1.5
@@ -295,7 +294,7 @@ class TestTwoStateMMPP:
         source = self._source(on_duration=5.0, off_duration=5.0)
         seen = {source.state}
         for _ in range(500):
-            source.next_interarrival()
+            source.interarrivals(1)
             seen.add(source.state)
         assert seen == {TwoStateMMPP.ON, TwoStateMMPP.OFF}
 
@@ -308,3 +307,99 @@ class TestTwoStateMMPP:
         with pytest.raises(ValueError):
             TwoStateMMPP(DeterministicRNG(1), on_interval=1, off_interval=1,
                          on_duration=1, off_duration=1, start_state="limbo")
+
+
+def _scalar_gaps(source, n):
+    """``n`` interarrivals drawn one exponential at a time, and the count
+    of flips: the scalar chain ``TwoStateMMPP.interarrivals`` must
+    reproduce.  A gap that outlives the state's remaining sojourn spends
+    the sojourn, flips the state and draws the new state's sojourn."""
+    gaps = []
+    flips = 0
+    for _ in range(n):
+        elapsed = 0.0
+        while True:
+            on = source.state == source.ON
+            gap = source.rng.exponential(source.on_interval if on
+                                         else source.off_interval)
+            if gap <= source._state_remaining:
+                source._state_remaining -= gap
+                gaps.append(elapsed + gap)
+                break
+            elapsed += source._state_remaining
+            flips += 1
+            source.state = source.OFF if on else source.ON
+            source._state_remaining = source.rng.exponential(
+                source.off_duration if on else source.on_duration)
+    return np.array(gaps), flips
+
+
+class TestInterarrivalsMatchTheScalarChain:
+    """``TwoStateMMPP.interarrivals`` walks blocks of standard exponentials
+    and then redraws the count it consumed; the scalar chain draws one
+    exponential at a time.  The gaps' bytes, the chain's state and
+    remaining sojourn and the full bit-generator state must agree."""
+
+    #: about one flip per seven arrivals: a block's flip allowance (an
+    #: eighth of its gaps) runs out, so longer draws refill
+    PARAMS = dict(on_interval=1.0, off_interval=20.0, on_duration=12.0,
+                  off_duration=60.0)
+
+    def _pair(self, seed, buffered):
+        from repro.sim.rng import TwoStateMMPP
+        sources = [TwoStateMMPP(DeterministicRNG(seed), **self.PARAMS)
+                   for _ in range(2)]
+        if buffered:
+            # a bounded integer leaves PCG64's upper half buffered
+            for source in sources:
+                source.rng.integer(0, 6)
+            assert sources[0].rng._rng.bit_generator.state["has_uint32"]
+        return sources
+
+    @staticmethod
+    def _assert_alike(bulk, scalar, n):
+        """Draw ``n`` gaps from both; the flips the chain made."""
+        gaps = bulk.interarrivals(n)
+        expected, flips = _scalar_gaps(scalar, n)
+        assert gaps.dtype == np.float64 and len(gaps) == n
+        assert gaps.tobytes() == expected.tobytes()
+        assert bulk.state == scalar.state
+        assert bulk._state_remaining == scalar._state_remaining
+        assert bulk.rng._rng.bit_generator.state == \
+            scalar.rng._rng.bit_generator.state
+        return flips
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 7, 333])
+    def test_gaps_chain_and_stream_match(self, n, buffered):
+        from repro.sim.rng import _gap_block
+        refills = 0
+        for seed in range(10):
+            bulk, scalar = self._pair(seed, buffered)
+            for _ in range(3):          # each call continues the chain
+                flips = self._assert_alike(bulk, scalar, n)
+                # a gap takes one draw, a flip two: past the first block
+                refills += n + 2 * flips > _gap_block(n)
+            # the stream serves both alike next, buffered half included
+            assert bulk.rng.integer(0, 6) == scalar.rng.integer(0, 6)
+        if n == 333:
+            assert refills > 5
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_flips_on_block_boundaries(self, size, monkeypatch):
+        """Blocks of one to three draws: flips land on block boundaries,
+        between a flip's overshooting gap and its new sojourn too."""
+        from repro.sim import rng
+        monkeypatch.setattr(rng, "_gap_block", lambda n: size)
+        flips = 0
+        for seed in range(6):
+            bulk, scalar = self._pair(seed, seed % 2)
+            for n in (1, 2, 5, 40):
+                flips += self._assert_alike(bulk, scalar, n)
+        assert flips > 20
+
+    def test_no_gaps_draw_nothing(self):
+        bulk, scalar = self._pair(3, True)
+        assert len(bulk.interarrivals(0)) == 0
+        assert bulk.rng._rng.bit_generator.state == \
+            scalar.rng._rng.bit_generator.state

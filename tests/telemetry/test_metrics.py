@@ -75,7 +75,7 @@ class TestLogHistogram:
 
     @staticmethod
     def _fresh_quantile(histogram, p):
-        """The rank walk over freshly sorted bucket keys."""
+        """The ascending rank walk over freshly sorted bucket keys."""
         if histogram.count == 0:
             return 0.0
         rank = max(1, math.ceil(p / 100.0 * histogram.count))
@@ -111,6 +111,26 @@ class TestLogHistogram:
         for value in (1e-9, 0.0, 5e8, 3.0, 1e12):
             histogram.record(value)
             self.assert_fresh(histogram)
+
+    def test_top_down_walk_finds_the_ascending_walks_bucket(self):
+        """The quantile walks down from the top bucket; on histograms with
+        zeros, negatives and weighted records it returns the float the
+        ascending walk returns."""
+        rng = DeterministicRNG(37)
+        for _ in range(400):
+            histogram = LogHistogram()
+            for _ in range(rng.integer(1, 40)):
+                kind = rng.random01()
+                if kind < 0.15:
+                    value = 0.0
+                elif kind < 0.3:
+                    value = -rng.exponential(3.0)
+                else:
+                    value = rng.lognormal(20.0, 2.5)
+                histogram.record(value, n=rng.choice([1, 1, 1, 2, 7, 50]))
+            for p in (0, 1, 37.5, 50, 95, 99, 100):
+                assert histogram.quantile(p) == \
+                    self._fresh_quantile(histogram, p), p
 
 
 class TestRegistryAndViews:
@@ -173,7 +193,7 @@ class TestRegistryAndViews:
         telemetry.record_dispatch(1, "libm", 6.4)
         telemetry.record_batch(1, 8, 10.0)
         telemetry.record_handle_queue(5, 8)
-        telemetry.record_queue_delay(5, 2, 0.25)
+        telemetry.record_queue_delays(5, 2, (0.25,))
         telemetry.cache = DecisionCache()
         telemetry.cache.note_batch_served(3)
         snapshot = telemetry.snapshot()
@@ -231,7 +251,7 @@ class TestNullTelemetry:
         telemetry.record_dispatch(1, "libm", 6.4)
         telemetry.record_batch(1, 8, 10.0)
         telemetry.record_handle_queue(5, 8)
-        telemetry.record_queue_delay(5, 2, 0.25)
+        telemetry.record_queue_delays(5, 2, (0.25,))
         telemetry.record_depth(0, 16)
         assert len(telemetry.registry) == 0
         assert telemetry.op_counts == {}
@@ -244,7 +264,7 @@ class TestNullTelemetry:
                 telemetry.record_dispatch(1, "libm", 6.4)
                 telemetry.record_batch(1, 8, 10.0)
                 telemetry.record_handle_queue(5, 8)
-                telemetry.record_queue_delay(5, 2, 0.25)
+                telemetry.record_queue_delays(5, 2, (0.25,))
                 telemetry.record_shed("b", "deadline", "pool.shed")
                 telemetry.record_depth(0, 16)
 

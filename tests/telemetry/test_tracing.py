@@ -186,7 +186,7 @@ class TestNullTracer:
         telemetry = make_paper_machine().telemetry
         assert telemetry.start("dispatch.call") is None
         telemetry.finish(None)
-        telemetry.record_queue_delay(5, 2, 1.0)
+        telemetry.record_queue_delays(5, 2, (1.0,))
         telemetry.record_pool_refusal("b", 0.0)
         telemetry.aggregate("dispatch.call", span_us=1.0, n=5)
         assert telemetry.tracer is None
@@ -201,7 +201,7 @@ class TestNullTracer:
                     span = telemetry.start("dispatch.call")
                     telemetry.finish(span)
                 if telemetry.enabled:
-                    telemetry.record_queue_delay(5, 2, 1.0)
+                    telemetry.record_queue_delays(5, 2, (1.0,))
                 if telemetry.enabled:
                     telemetry.aggregate("dispatch.call", span_us=1.0, n=8)
 
